@@ -6,7 +6,7 @@ punctured, mixed, cover, alon-furedi, count, verify, selftest.
 Exit codes: 0 when the computed verdict is affirmative (or the command is
 purely computational), 1 when the verdict is negative or hypotheses are
 unmet, 2 when Condition (D) fails and the question is inapplicable, 3 on
-parse or usage errors.
+parse or usage errors, 4 when an internal invariant fails (a library bug).
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from .covering import (
 from .errors import (
     CombnullError,
     Inapplicable,
+    InternalInvariantError,
     NotMember,
     ParseError,
-    ScaleExceeded,
-    UnsupportedField,
 )
 from .multiset_ideals import (
     level_certificate,
@@ -67,6 +66,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INAPPLICABLE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -475,13 +475,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -492,13 +487,10 @@ def main(argv=None) -> int:
     except NotMember as exc:
         print(f"not a member: {exc}", file=sys.stderr)
         return EXIT_NO
-    except (ParseError, UnsupportedField, ScaleExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CombnullError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, KeyError, ValueError, TypeError) as exc:
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (CombnullError, OSError, KeyError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

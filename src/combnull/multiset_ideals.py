@@ -20,7 +20,7 @@ ideal additionally keeps a relaxed requirement on the puncture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
     NonzeroRemainder,
     NotMember,
 )
-from .polynomials import Poly, root_product, taylor_shift
+from .polynomials import Poly, monic_power_product, root_product, taylor_shift
 from .reduction import MonicFamily, reduce
 from .rings import Element, Ring
 from .staircase import compositions, leq
@@ -136,17 +136,16 @@ class PuncturedGrid:
     def nvars(self) -> int:
         return self.base.nvars
 
-    def puncture_poly(self, k: int) -> Poly:
-        """h_k, the root product over the punctured elements."""
-        axis = self.base.axes[k]
-        E = self.punctures[k]
-        return root_product(self.ring, self.nvars, k, E, {u: axis.psi[u] for u in E})
-
     def off_poly(self, k: int) -> Poly:
         """g_k / h_k, realized directly as the off-puncture root product."""
         axis = self.base.axes[k]
         rest = [u for u in axis.support if u not in set(self.punctures[k])]
         return root_product(self.ring, self.nvars, k, rest, {u: axis.psi[u] for u in rest})
+
+    def off_product(self) -> Poly:
+        """The product of the off-puncture axis polynomials over all axes."""
+        offs = [self.off_poly(k) for k in range(self.nvars)]
+        return monic_power_product(offs, [(1,) * self.nvars])[0][0]
 
     def off_multiplicity_sum(self, k: int) -> int:
         axis = self.base.axes[k]
@@ -166,6 +165,11 @@ class PuncturedGrid:
 # -- level ideals ---------------------------------------------------------
 
 
+def _require_level(t: int, least: int) -> None:
+    if not isinstance(t, int) or t < least:
+        raise ValueError(f"t must be an integer >= {least}, got {t!r}")
+
+
 def level_basis(grid: MultisetGrid, t: int) -> MonicFamily:
     """The generating family of the level-t ideal: all products
     ``prod g_k^(alpha_k)`` with ``sum(alpha) = t``, labelled by alpha.
@@ -174,36 +178,33 @@ def level_basis(grid: MultisetGrid, t: int) -> MonicFamily:
     of monic axis polynomials, so it is certified at construction and has
     ``C(n + t - 1, n - 1)`` members.
     """
-    if t < 0:
-        raise ValueError("t must be a natural number")
-    gs = grid.axis_polys()
-    degs = [axis.degree for axis in grid.axes]
-    members = []
-    labels = []
-    for alpha in compositions(t, grid.nvars):
-        g = Poly.one(grid.ring, grid.nvars)
-        for gk, e in zip(gs, alpha):
-            g = g * gk ** e
-        members.append(g)
-        labels.append(alpha)
-        expected = tuple(d * e for d, e in zip(degs, alpha))
-        if g.monic_witness() != expected:
-            raise InternalInvariantError("level basis witness mismatch")
-    return MonicFamily.build(members, labels=labels, certified=True)
+    _require_level(t, 0)
+    alphas = list(compositions(t, grid.nvars))
+    built = monic_power_product(grid.axis_polys(), alphas)
+    family = MonicFamily.build([g for g, _ in built], labels=alphas, certified=True)
+    if family.witnesses != tuple(theta for _, theta in built):
+        raise InternalInvariantError("level basis witness mismatch")
+    return family
 
 
-def _low_support_violation(
-    f: Poly, point, psi_vec: tuple, level: int
-) -> bool:
-    """True iff the shift of f to the point has a support vector whose
-    per-axis multiplicity floors sum to at most ``level``."""
-    if level < 0:
-        return False
-    shifted = taylor_shift(f, point)
-    for alpha in shifted.terms:
-        if sum(a // m for a, m in zip(alpha, psi_vec)) <= level:
-            return True
-    return False
+def _grid_condition(f: Poly, grid: MultisetGrid, checks) -> bool:
+    """The grid side of every membership test.
+
+    ``checks`` yields ``(point, level)`` pairs; f passes at a pair when the
+    Taylor shift of f to the point has no support vector whose per-axis
+    multiplicity floors sum to less than the level.  The ring check and
+    the Condition (D) gate run before any pair is drawn.
+    """
+    f.ring.require_same(grid.ring)
+    grid.require_condition_d()
+    for point, level in checks:
+        if level < 1:
+            continue
+        psi_vec = grid.psi_at(point)
+        for alpha in taylor_shift(f, point).terms:
+            if sum(a // m for a, m in zip(alpha, psi_vec)) < level:
+                return False
+    return True
 
 
 def level_membership(f: Poly, grid: MultisetGrid, t: int) -> bool:
@@ -212,14 +213,8 @@ def level_membership(f: Poly, grid: MultisetGrid, t: int) -> bool:
     Valid only under Condition (D) on every axis; raises Inapplicable
     otherwise.
     """
-    f.ring.require_same(grid.ring)
-    grid.require_condition_d()
-    if t == 0:
-        return True
-    for point in grid.grid_points():
-        if _low_support_violation(f, point, grid.psi_at(point), t - 1):
-            return False
-    return True
+    _require_level(t, 0)
+    return _grid_condition(f, grid, ((point, t) for point in grid.grid_points()))
 
 
 def level_normal_form(f: Poly, grid: MultisetGrid, t: int) -> Poly:
@@ -301,15 +296,10 @@ def punctured_membership(f: Poly, pgrid: PuncturedGrid, t: int) -> bool:
     The vanishing conditions run over the grid minus the punctured
     subgrid.  Gated by Condition (D) on every axis of the base grid.
     """
-    f.ring.require_same(pgrid.ring)
-    pgrid.base.require_condition_d()
-    if t == 0:
-        return True
-    base = pgrid.base
-    for point in pgrid.off_puncture_points():
-        if _low_support_violation(f, point, base.psi_at(point), t - 1):
-            return False
-    return True
+    _require_level(t, 0)
+    return _grid_condition(
+        f, pgrid.base, ((point, t) for point in pgrid.off_puncture_points())
+    )
 
 
 @dataclass(frozen=True)
@@ -351,16 +341,13 @@ def punctured_analysis(f: Poly, pgrid: PuncturedGrid, t: int) -> PuncturedReport
     asserts and reports the degree chain
     ``deg f >= deg eta >= (t-1)*max_m offsum_m + sum_k offsum_k``.
     """
-    if t < 1:
-        raise ValueError("t must be positive")
+    _require_level(t, 1)
     if not punctured_membership(f, pgrid, t):
         raise NotMember("not in the punctured intersection")
     base = pgrid.base
     eta = level_normal_form(f, base, t)
 
-    divisor = Poly.one(pgrid.ring, pgrid.nvars)
-    for k in range(pgrid.nvars):
-        divisor = divisor * pgrid.off_poly(k)
+    divisor = pgrid.off_product()
     div_family = MonicFamily.build([divisor], labels=("divisor",))
     division = reduce(eta, div_family)
     if not division.remainder.is_zero():
@@ -408,47 +395,25 @@ def mixed_basis(pgrid: PuncturedGrid, t: int) -> MonicFamily:
     vectors with total t-1 contribute the power products times the full
     off-puncture product.
     """
-    if t < 1:
-        raise ValueError("t must be positive")
-    base = pgrid.base
+    _require_level(t, 1)
     n = pgrid.nvars
-    gs = base.axis_polys()
-    off = [pgrid.off_poly(k) for k in range(n)]
-    off_product = Poly.one(pgrid.ring, n)
-    for p in off:
-        off_product = off_product * p
-    members = []
-    labels = []
-    for alpha in compositions(t - 1, n):
-        g = off_product
-        for gk, e in zip(gs, alpha):
-            g = g * gk ** e
-        members.append(g)
-        labels.append(alpha)
-    for alpha in compositions(t, n):
-        g = Poly.one(pgrid.ring, n)
-        for gk, e in zip(gs, alpha):
-            g = g * gk ** e
-        members.append(g)
-        labels.append(alpha)
-    return MonicFamily.build(members, labels=labels)
+    lower = list(compositions(t - 1, n))
+    upper = list(compositions(t, n))
+    built = [g for g, _ in monic_power_product(pgrid.base.axis_polys(), lower + upper)]
+    off = pgrid.off_product()
+    members = [off * g for g in built[: len(lower)]] + built[len(lower) :]
+    return MonicFamily.build(members, labels=lower + upper)
 
 
 def mixed_membership(f: Poly, pgrid: PuncturedGrid, t: int) -> bool:
     """Membership in the mixed ideal: full-strength vanishing conditions
     off the puncture, one level weaker on the puncture subgrid."""
-    if t < 1:
-        raise ValueError("t must be positive")
-    f.ring.require_same(pgrid.ring)
-    base = pgrid.base
-    base.require_condition_d()
-    for point in pgrid.off_puncture_points():
-        if _low_support_violation(f, point, base.psi_at(point), t - 1):
-            return False
-    for point in pgrid.puncture_points():
-        if _low_support_violation(f, point, base.psi_at(point), t - 2):
-            return False
-    return True
+    _require_level(t, 1)
+    checks = chain(
+        ((point, t) for point in pgrid.off_puncture_points()),
+        ((point, t - 1) for point in pgrid.puncture_points()),
+    )
+    return _grid_condition(f, pgrid.base, checks)
 
 
 def mixed_certificate(f: Poly, pgrid: PuncturedGrid, t: int) -> Certificate:
@@ -472,8 +437,7 @@ def min_extra_degree(pgrid: PuncturedGrid, t: int):
     polynomial times the full off-puncture product.  Requires a nonempty
     puncture subgrid on every axis.
     """
-    if t < 1:
-        raise ValueError("t must be positive")
+    _require_level(t, 1)
     if any(not E for E in pgrid.punctures):
         raise EmptyPuncture("every axis needs a nonempty puncture set")
     base = pgrid.base
@@ -484,9 +448,8 @@ def min_extra_degree(pgrid: PuncturedGrid, t: int):
     off_sums = [pgrid.off_multiplicity_sum(k) for k in range(pgrid.nvars)]
     value = (t - 1) * e + sum(off_sums)
 
-    witness = base.axis_poly(l) ** (t - 1)
-    for k in range(pgrid.nvars):
-        witness = witness * pgrid.off_poly(k)
+    alpha = tuple(t - 1 if k == l else 0 for k in range(pgrid.nvars))
+    witness = monic_power_product(base.axis_polys(), [alpha])[0][0] * pgrid.off_product()
     if witness.degree() != value:
         raise InternalInvariantError("witness degree disagrees with the formula")
     if not mixed_membership(witness, pgrid, t):

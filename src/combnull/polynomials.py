@@ -128,29 +128,23 @@ class Poly:
         if self.nvars != other.nvars:
             raise ArityMismatch(f"{self.nvars} vs {other.nvars} variables")
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _combine(self, other: "Poly", op) -> "Poly":
         self._check_compatible(other)
         ring = self.ring
         out = dict(self.terms)
         for alpha, c in other.terms.items():
-            s = ring.add(out.get(alpha, ring.zero), c)
+            s = op(out.get(alpha, ring.zero), c)
             if s == ring.zero:
                 out.pop(alpha, None)
             else:
                 out[alpha] = s
         return _raw(ring, self.nvars, out)
 
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._combine(other, self.ring.add)
+
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        ring = self.ring
-        out = dict(self.terms)
-        for alpha, c in other.terms.items():
-            s = ring.sub(out.get(alpha, ring.zero), c)
-            if s == ring.zero:
-                out.pop(alpha, None)
-            else:
-                out[alpha] = s
-        return _raw(ring, self.nvars, out)
+        return self._combine(other, self.ring.sub)
 
     def __neg__(self) -> "Poly":
         ring = self.ring
@@ -370,16 +364,20 @@ def root_product(
     return result
 
 
-def monic_power_product(axis_polys: Sequence[Poly], alpha: ExpVec):
-    """``prod g_k^(alpha_k)`` for monic single-axis polynomials.
+def monic_power_product(axis_polys: Sequence[Poly], alphas: Iterable[ExpVec]) -> list:
+    """``prod g_k^(alpha_k)`` for each alpha, over monic single-axis polynomials.
 
-    Returns the product together with its greatest support point, which is
-    ``(deg(g_1) alpha_1, ..., deg(g_n) alpha_n)``.
+    ``axis_polys[k]`` must be a monic polynomial in x_(k+1) alone; all are
+    checked before any product is built, so a bad family raises even when
+    ``alphas`` is empty.  Each power ``g_k^e`` is computed once, by
+    extending a per-axis table one factor at a time.  Returns one pair
+    ``(product, theta)`` per alpha, in order, where theta is the greatest
+    support point ``(deg(g_1) alpha_1, ..., deg(g_n) alpha_n)``.
     """
     if not axis_polys:
         raise ValueError("need at least one axis polynomial")
     n = axis_polys[0].nvars
-    if len(axis_polys) != n or len(alpha) != n:
+    if len(axis_polys) != n:
         raise ArityMismatch("one axis polynomial per variable is required")
     degs = []
     for k, g in enumerate(axis_polys):
@@ -389,12 +387,23 @@ def monic_power_product(axis_polys: Sequence[Poly], alpha: ExpVec):
             raise NotAxisPoly(f"member {k + 1} involves other variables")
         if g.monic_witness() is None:
             raise NotMonic(f"axis polynomial {k + 1} is not monic")
-        degs.append(int(g.degree()) if g.terms else 0)
-    result = Poly.one(axis_polys[0].ring, n)
-    for g, e in zip(axis_polys, alpha):
-        result = result * g ** e
-    theta = tuple(d * e for d, e in zip(degs, alpha))
-    return result, theta
+        degs.append(int(g.degree()))
+    one = Poly.one(axis_polys[0].ring, n)
+    powers = [[one] for _ in range(n)]
+    out = []
+    for alpha in alphas:
+        if len(alpha) != n:
+            raise ArityMismatch(f"exponent {tuple(alpha)} for {n} axis polynomials")
+        if any(e < 0 for e in alpha):
+            raise ValueError(f"negative exponent in {tuple(alpha)}")
+        result = one
+        for g, table, e in zip(axis_polys, powers, alpha):
+            while len(table) <= e:
+                table.append(table[-1] * g)
+            if e:
+                result = result * table[e]
+        out.append((result, tuple(d * e for d, e in zip(degs, alpha))))
+    return out
 
 
 # -- text form -----------------------------------------------------------------

@@ -177,9 +177,6 @@ class Ring:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad element {text!r} for {self}: {exc}") from None
 
-    def format_element(self, a: Element) -> str:
-        return str(a)
-
     def __str__(self) -> str:
         if self.kind == _MODULAR:
             return f"ZZ/{self.modulus}"

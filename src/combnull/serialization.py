@@ -218,6 +218,12 @@ def verify_certificate_json(doc: Mapping) -> dict:
     support containment, and remainder reducedness.  Works for both plain
     reduction outcomes and level or mixed certificates.
     """
+    if not isinstance(doc, Mapping):
+        raise ParseError("certificate document must be a JSON object")
+    required = ("ring", "nvars", "poly", "quotients", "remainder")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ParseError(f"certificate document lacks {', '.join(missing)}")
     ring = parse_ring(doc["ring"])
     nvars = int(doc["nvars"])
     f = parse_poly(doc["poly"], ring, nvars)

@@ -25,7 +25,7 @@ from .errors import (
     NotCertified,
     NotInIdeal,
 )
-from .polynomials import Poly, root_product, taylor_shift
+from .polynomials import Poly, monic_power_product, root_product, taylor_shift
 from .reduction import MonicFamily, ReductionOutcome, reduce
 from .rings import Element, Ring
 from .staircase import (
@@ -229,16 +229,13 @@ def multiplicity_family(
     members = []
     thetas = []
     for lam in table.member_labels:
-        g = Poly.one(ring, n)
+        axis_polys = []
         for i, axis in enumerate(canon_axes):
-            for u in axis:
-                e = table.get(i, u, lam)
-                if e:
-                    g = g * root_product(ring, n, i, [u], {u: e})
+            column = {u: e for u in axis if (e := table.get(i, u, lam))}
+            axis_polys.append(root_product(ring, n, i, column, column))
+        [(g, theta)] = monic_power_product(axis_polys, [(1,) * n])
         members.append(g)
-        thetas.append(
-            tuple(sum(table.get(i, u, lam) for u in canon_axes[i]) for i in range(n))
-        )
+        thetas.append(theta)
     family = MonicFamily.build(members, labels=table.member_labels)
     if tuple(family.witnesses) != tuple(thetas):
         raise InternalInvariantError("multiplicity totals disagree with witnesses")

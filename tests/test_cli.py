@@ -1,5 +1,7 @@
 import json
 
+import combnull.cli
+from combnull import InternalInvariantError
 from combnull.cli import main
 
 
@@ -59,6 +61,37 @@ def test_parse_error_exit_code(capsys):
     )
     assert code == 3
     assert err
+
+
+def test_negative_level_exit_code(capsys):
+    code, out, err = run(
+        capsys,
+        "membership",
+        "--ring", "ZZ",
+        "--grid", "{S:[[0,1]]}",
+        "--t", "-1",
+        "--poly", "x1",
+    )
+    assert code == 3
+    assert out == ""
+    assert "t must be an integer >= 0, got -1" in err
+
+
+def test_internal_invariant_exit_code(capsys, monkeypatch):
+    def broken(*_):
+        raise InternalInvariantError("forced")
+
+    monkeypatch.setattr(combnull.cli, "level_membership", broken)
+    code, _, err = run(
+        capsys,
+        "membership",
+        "--ring", "ZZ",
+        "--grid", "{S:[[0,1]]}",
+        "--t", "1",
+        "--poly", "x1",
+    )
+    assert code == 4
+    assert "internal error: forced" in err
 
 
 def test_usage_error_exit_code(capsys):
@@ -190,6 +223,16 @@ def test_certificate_verify_round_trip(capsys, tmp_path):
     bad_path.write_text(json.dumps(doc))
     code, _, _ = run(capsys, "verify", "--certificate", f"@{bad_path}")
     assert code == 1
+
+
+def test_verify_incomplete_document_exit_code(capsys):
+    doc = {"nvars": 1, "poly": "x1", "basis_polys": {}, "quotients": {}, "remainder": "x1"}
+    code, _, err = run(capsys, "verify", "--certificate", json.dumps(doc))
+    assert code == 3
+    assert err.strip() == "error: certificate document lacks ring"
+    code, _, err = run(capsys, "verify", "--certificate", "5")
+    assert code == 3
+    assert err.strip() == "error: certificate document must be a JSON object"
 
 
 def test_normal_form(capsys):

@@ -65,6 +65,76 @@ def test_level_basis_members():
     assert t2.witnesses[t2.labels.index((2, 0))] == (4, 0)
 
 
+AXIS_CONFIGS = [
+    ([0], {0: 1}),
+    ([0], {0: 2}),
+    ([0, 1], {0: 1, 1: 1}),
+    ([0, 1], {0: 1, 1: 2}),
+    ([0, 1], {0: 2, 1: 1}),
+    ([0, 1], {0: 2, 1: 2}),
+]
+
+
+def _root_power_product(ring, n, k, psi):
+    x = Poly.variable(ring, n, k)
+    g = Poly.one(ring, n)
+    for u, m in psi.items():
+        g = g * (x - Poly.constant(ring, n, u)) ** m
+    return g
+
+
+def _products(gs, t):
+    """(alpha, prod g_k ** alpha_k) for sum(alpha) = t, alpha ascending."""
+    n = len(gs)
+    out = []
+    for alpha in product(range(t + 1), repeat=n):
+        if sum(alpha) == t:
+            g = Poly.one(gs[0].ring, n)
+            for gk, e in zip(gs, alpha):
+                g = g * gk ** e
+            out.append((alpha, g))
+    return out
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(5)], ids=str)
+@pytest.mark.parametrize(
+    "combo",
+    [(c,) for c in AXIS_CONFIGS] + list(product(AXIS_CONFIGS, repeat=2)),
+)
+def test_basis_members_pinned(ring, combo):
+    n = len(combo)
+    grid = MultisetGrid.build(ring, [S for S, _ in combo], [psi for _, psi in combo])
+    pgrid = PuncturedGrid.build(grid, [[0]] * n)
+    gs = [_root_power_product(ring, n, k, psi) for k, (_, psi) in enumerate(combo)]
+    off = Poly.one(ring, n)
+    for k, (_, psi) in enumerate(combo):
+        off = off * _root_power_product(ring, n, k, {u: m for u, m in psi.items() if u != 0})
+    degs = [sum(psi.values()) for _, psi in combo]
+    for t in range(4):
+        expected = _products(gs, t)
+        basis = level_basis(grid, t)
+        assert list(basis.labels) == [alpha for alpha, _ in expected]
+        assert list(basis.members) == [g for _, g in expected]
+        assert list(basis.witnesses) == [
+            tuple(d * e for d, e in zip(degs, alpha)) for alpha, _ in expected
+        ]
+        if t:
+            lower = [(alpha, off * g) for alpha, g in _products(gs, t - 1)]
+            mixed = mixed_basis(pgrid, t)
+            assert list(mixed.labels) == [alpha for alpha, _ in lower + expected]
+            assert list(mixed.members) == [g for _, g in lower + expected]
+
+
+def test_negative_level_rejected():
+    grid = MultisetGrid.build(ZZ, [[0, 1]])
+    x1 = P("x1")
+    for t in (-1, 0.5):
+        with pytest.raises(ValueError):
+            level_membership(x1, grid, t)
+        with pytest.raises(ValueError):
+            punctured_membership(x1, PuncturedGrid.build(grid, [[0]]), t)
+
+
 def test_level_basis_sizes():
     grid = MultisetGrid.build(ZZ, [[0, 1], [0], [0, 1]], [{0: 2, 1: 1}, {0: 1}, None])
     for t in range(4):

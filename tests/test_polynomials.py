@@ -151,19 +151,30 @@ def test_root_product():
 def test_monic_power_product():
     g1 = P("x1^2 - x1", nvars=2)
     g2 = P("x2^2 - x2", nvars=2)
-    prod, theta = monic_power_product([g1, g2], (1, 1))
-    assert theta == (2, 2)
-    assert prod == g1 * g2
-    one, theta0 = monic_power_product([g1, g2], (0, 0))
-    assert one == Poly.one(ZZ, 2)
-    assert theta0 == (0, 0)
-    sq, theta_sq = monic_power_product([P("x1^2 - 1")], (2,))
+    built = monic_power_product([g1, g2], [(1, 1), (0, 0), (2, 1), (0, 3)])
+    assert built == [
+        (g1 * g2, (2, 2)),
+        (Poly.one(ZZ, 2), (0, 0)),
+        (g1 * g1 * g2, (4, 2)),
+        (g2 * g2 * g2, (0, 6)),
+    ]
+    assert monic_power_product([g1, g2], []) == []
+    [(sq, theta_sq)] = monic_power_product([P("x1^2 - 1")], [(2,)])
     assert sq == P("x1^4 - 2*x1^2 + 1")
     assert theta_sq == (4,)
-    with pytest.raises(NotAxisPoly):
-        monic_power_product([P("x1*x2", nvars=2), g2], (1, 1))
-    with pytest.raises(NotMonic):
-        monic_power_product([P("2*x1", nvars=2), g2], (1, 1))
+    with pytest.raises(ArityMismatch):
+        monic_power_product([g1, g2], [(1,)])
+    with pytest.raises(ValueError):
+        monic_power_product([g1, g2], [(1, -1)])
+    # the axis polynomials are rejected before any product is built, so
+    # also when the result is discarded or no product is asked for
+    for alphas in ([(1, 1)], []):
+        with pytest.raises(NotAxisPoly):
+            monic_power_product([P("x1*x2", nvars=2), g2], alphas)
+        with pytest.raises(NotMonic):
+            monic_power_product([P("2*x1", nvars=2), g2], alphas)
+        with pytest.raises(ArityMismatch):
+            monic_power_product([g2], alphas)
 
 
 def test_monic_product_coefficient_transfer(rng):

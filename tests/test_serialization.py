@@ -130,6 +130,15 @@ def test_tampered_certificate_fails():
     assert not checks["valid"]
 
 
+@pytest.mark.parametrize("key", ["ring", "nvars", "poly", "quotients", "remainder"])
+def test_incomplete_certificate_names_missing_key(key):
+    grid = MultisetGrid.build(ZZ, [[0, 1]])
+    doc = certificate_to_json(level_certificate(P("x1^2 - x1"), grid, 1))
+    del doc[key]
+    with pytest.raises(ParseError, match=f"lacks {key}"):
+        verify_certificate_json(doc)
+
+
 def test_zmod_certificate_round_trip():
     ring = Zmod(5)
     grid = MultisetGrid.build(ring, [[0, 1, 4]])
