@@ -29,7 +29,7 @@ out = reduce(f, family)
 print(f"f        = {f}")
 print(f"quotient = {out.quotients[0]}")
 print(f"rest     = {out.remainder}")
-print(f"checks   = {out.verify(f)}")
+print(f"checks   = {out.verify()}")
 
 print()
 print("== S-polynomials and the Buchberger check ==")

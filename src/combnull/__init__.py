@@ -48,7 +48,6 @@ from .errors import (
 )
 from .multiset_ideals import (
     Axis,
-    Certificate,
     MultisetGrid,
     PuncturedGrid,
     PuncturedReport,
@@ -89,7 +88,6 @@ from .staircase import (
     compositions,
     downset,
     format_expvec,
-    format_monomial_set,
     grlex_key,
     has_finite_complement,
     in_downset,
@@ -98,7 +96,6 @@ from .staircase import (
     maximal_elements,
     meet,
     parse_expvec,
-    parse_monomial_set,
     punctured_staircase_count,
     staircase_count,
 )

@@ -19,7 +19,7 @@ ideal additionally keeps a relaxed requirement on the puncture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, product
 from typing import Mapping, Sequence
 
@@ -33,9 +33,9 @@ from .errors import (
     NotMember,
 )
 from .polynomials import Poly, monic_power_product, root_product, taylor_shift
-from .reduction import MonicFamily, reduce
+from .reduction import MonicFamily, ReductionOutcome, membership_refutation, reduce
 from .rings import Element, Ring
-from .staircase import compositions, leq
+from .staircase import compositions
 
 
 @dataclass(frozen=True)
@@ -226,46 +226,7 @@ def level_normal_form(f: Poly, grid: MultisetGrid, t: int) -> Poly:
     return reduce(f, level_basis(grid, t)).remainder
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """A zero-remainder decomposition over a level or mixed basis."""
-
-    kind: str  # "I_t" | "mixed"
-    t: int
-    poly: Poly
-    family: MonicFamily
-    quotients: tuple
-    remainder: Poly
-    support_ok: bool
-    degree_report: dict | None = None
-
-    @property
-    def quotient_map(self) -> dict:
-        return dict(zip(self.family.labels, self.quotients))
-
-    def identity_holds(self) -> bool:
-        total = Poly.zero(self.poly.ring, self.poly.nvars)
-        for p, g in zip(self.quotients, self.family.members):
-            if not p.is_zero():
-                total = total + p * g
-        return total + self.remainder == self.poly
-
-
-def _certificate_from(outcome, kind: str, t: int, f: Poly, degree_report=None) -> Certificate:
-    return Certificate(
-        kind=kind,
-        t=t,
-        poly=f,
-        family=outcome.family,
-        quotients=outcome.quotients,
-        remainder=outcome.remainder,
-        support_ok=outcome.support_contained(f)
-        and outcome.remainder_support_contained(f),
-        degree_report=degree_report,
-    )
-
-
-def level_certificate(f: Poly, grid: MultisetGrid, t: int) -> Certificate:
+def level_certificate(f: Poly, grid: MultisetGrid, t: int) -> ReductionOutcome:
     """Decompose a member over the level basis with support containment.
 
     Also records that every maximal support point of f dominates the
@@ -278,13 +239,10 @@ def level_certificate(f: Poly, grid: MultisetGrid, t: int) -> Certificate:
     out = reduce(f, basis)
     if not out.remainder.is_zero():
         raise NonzeroRemainder("level-basis division of a member left a remainder")
-    cover = all(
-        any(leq(theta, beta) for theta in basis.witnesses)
-        for beta in f.max_support()
-    )
-    if not cover and not f.is_zero():
+    cover = f.is_zero() or membership_refutation(f, basis) is None
+    if not cover:
         raise InternalInvariantError("member with an undominated maximal exponent")
-    return _certificate_from(out, "I_t", t, f, {"leading_cover": cover})
+    return replace(out, kind="I_t", t=t, degree_report={"leading_cover": cover})
 
 
 # -- punctured ideals -------------------------------------------------------
@@ -416,7 +374,7 @@ def mixed_membership(f: Poly, pgrid: PuncturedGrid, t: int) -> bool:
     return _grid_condition(f, pgrid.base, checks)
 
 
-def mixed_certificate(f: Poly, pgrid: PuncturedGrid, t: int) -> Certificate:
+def mixed_certificate(f: Poly, pgrid: PuncturedGrid, t: int) -> ReductionOutcome:
     """Zero-remainder decomposition of a mixed-ideal member over the
     two-layer basis, with support containment."""
     if not mixed_membership(f, pgrid, t):
@@ -425,7 +383,7 @@ def mixed_certificate(f: Poly, pgrid: PuncturedGrid, t: int) -> Certificate:
     out = reduce(f, basis)
     if not out.remainder.is_zero():
         raise NonzeroRemainder("mixed-basis division of a member left a remainder")
-    return _certificate_from(out, "mixed", t, f)
+    return replace(out, kind="mixed", t=t)
 
 
 def min_extra_degree(pgrid: PuncturedGrid, t: int):

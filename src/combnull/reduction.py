@@ -2,7 +2,8 @@
 
 ``reduce`` implements generalized division: given f and a monic family
 (g(lam)), it produces quotients and a remainder satisfying four conditions
-that together form a checkable certificate:
+that together form a checkable certificate (a membership certificate is an
+outcome that also names its claim and has a zero remainder):
 
   (1) f equals the quotient combination plus the remainder, exactly;
   (2) supp(p(lam)) + supp(g(lam)) stays inside the downset of supp(f);
@@ -100,56 +101,66 @@ class MonicFamily:
 
 @dataclass(frozen=True)
 class ReductionOutcome:
-    """Quotients and remainder from one division, plus recheck helpers."""
+    """One division of ``poly`` by a family; also the membership certificate.
+
+    ``reduce`` fills in the dividend, quotients and remainder.  A
+    certificate adds its claim: ``kind`` is ``"I_t"`` (a level ideal) or
+    ``"mixed"``, ``t`` the level, and ``degree_report`` what was recorded
+    alongside.  The checks read only these fields, so an outcome rebuilt
+    from a document is rechecked by the same code that wrote it.
+    """
 
     family: MonicFamily
     quotients: tuple
     remainder: Poly
+    poly: Poly
     steps: int = 0
+    kind: str | None = None
+    t: int | None = None
+    degree_report: dict | None = None
 
     @property
     def quotient_map(self) -> dict:
         return dict(zip(self.family.labels, self.quotients))
 
-    def combination(self) -> Poly:
-        total = Poly.zero(self.remainder.ring, self.remainder.nvars)
+    def identity_holds(self) -> bool:
+        """Condition (1): the quotient combination plus the remainder is poly."""
+        total = self.remainder
         for p, g in zip(self.quotients, self.family.members):
             if not p.is_zero():
                 total = total + p * g
-        return total + self.remainder
+        return total == self.poly
 
-    def identity_holds(self, f: Poly) -> bool:
-        return self.combination() == f
-
-    def support_contained(self, f: Poly) -> bool:
-        """Condition (2): quotient-times-member supports inside the downset
-        of supp(f), checked against the maximal elements as a predicate."""
-        peaks = f.max_support()
+    def support_contained(self) -> bool:
+        """Conditions (2) and (4): quotient-times-member supports and the
+        remainder support lie inside the downset of supp(poly), checked
+        against its maximal elements as a predicate."""
+        peaks = self.poly.max_support()
         for p, g in zip(self.quotients, self.family.members):
             for a in p.terms:
                 for b in g.terms:
                     point = tuple(x + y for x, y in zip(a, b))
                     if not in_downset(point, peaks):
                         return False
-        return True
+        return all(in_downset(a, peaks) for a in self.remainder.terms)
 
     def remainder_reduced(self) -> bool:
-        """Condition (3): no remainder exponent dominates any witness."""
+        """Condition (3): no remainder exponent dominates any witness.
+
+        An outcome that claims membership needs more: a zero remainder.
+        """
+        if self.kind is not None:
+            return self.remainder.is_zero()
         return not any(
             leq(theta, alpha)
             for alpha in self.remainder.terms
             for theta in self.family.witnesses
         )
 
-    def remainder_support_contained(self, f: Poly) -> bool:
-        peaks = f.max_support()
-        return all(in_downset(a, peaks) for a in self.remainder.terms)
-
-    def verify(self, f: Poly) -> dict:
+    def verify(self) -> dict:
         return {
-            "identity": self.identity_holds(f),
-            "support": self.support_contained(f)
-            and self.remainder_support_contained(f),
+            "identity": self.identity_holds(),
+            "support": self.support_contained(),
             "remainder_reduced": self.remainder_reduced(),
         }
 
@@ -209,6 +220,7 @@ def reduce(f: Poly, family: MonicFamily) -> ReductionOutcome:
         family,
         tuple(_raw(ring, nv, q) for q in quotients),
         _raw(ring, nv, work),
+        f,
         steps,
     )
 
@@ -241,7 +253,7 @@ def buchberger_certifies(family: MonicFamily) -> bool:
             out = reduce(s, family)
             if not out.remainder.is_zero():
                 return False
-            if not out.support_contained(s):
+            if not out.support_contained():
                 return False
     return True
 

@@ -27,14 +27,35 @@ _MODULAR = "ZZ/m"
 _PRIME_FIELD = "GF"
 
 
+# Strong-probable-prime tests to the first 13 prime bases decide primality
+# exactly below psi_13 (Sorenson & Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
+    """Deterministic Miller-Rabin; refuses moduli where it is not exact."""
+    if p in _MR_BASES:
+        return True
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_EXACT_BELOW:
+        raise UnsupportedField(
+            f"cannot decide primality of {p} exactly (limit {_MR_EXACT_BELOW})"
+        )
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -1,8 +1,14 @@
-"""JSON wire formats for grids, specs, outcomes, and certificates.
+"""JSON wire formats for grids, specs, and certificates.
 
-Serialized certificates are self-contained: they carry the ring, the
-arity, the certified polynomial, and the basis polynomials themselves, so
-re-verification needs nothing but the document.
+There is one certificate document, written by ``certificate_to_json`` for
+any ``ReductionOutcome``.  It carries the ring, the arity, the divided
+polynomial, the basis polynomials, the quotients and the remainder, so
+``verify_certificate_json`` re-checks the division identity, support
+containment and remainder reducedness from the document alone.  A
+document whose ``basis`` names a claim (``"I_t"`` or ``"mixed"``, with
+``t``) is valid only with remainder 0.  The document carries no grid, so
+verification does not prove that the basis is the level or mixed basis of
+any particular grid.
 """
 
 from __future__ import annotations
@@ -11,8 +17,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import ParseError
-from .multiset_ideals import Certificate, MultisetGrid, PuncturedGrid
-from .polynomials import Poly, format_poly, parse_poly
+from .multiset_ideals import MultisetGrid, PuncturedGrid
+from .polynomials import format_poly, parse_poly
 from .reduction import MonicFamily, ReductionOutcome
 from .rings import Ring, parse_ring
 from .staircase import format_expvec, parse_expvec
@@ -155,7 +161,7 @@ def spec_from_json(doc: Mapping, ring: Ring | None = None) -> VanishingSpec:
     return VanishingSpec.build(ring, axes, B)
 
 
-# -- reduction outcomes and certificates ----------------------------------------
+# -- certificates --------------------------------------------------------------
 
 
 def family_to_json(family: MonicFamily) -> dict:
@@ -173,51 +179,41 @@ def family_from_json(doc: Mapping, ring: Ring, nvars: int) -> MonicFamily:
     return MonicFamily.build(members, labels=labels)
 
 
-def outcome_to_json(outcome: ReductionOutcome, f: Poly) -> dict:
-    return {
+def certificate_to_json(outcome: ReductionOutcome) -> dict:
+    """The one document for a division or a certificate.
+
+    A plain division writes its basis polynomials under ``basis``; a
+    certificate writes its claim there and the polynomials under
+    ``basis_polys``.  ``checks`` is ``outcome.verify()``.
+    """
+    f = outcome.poly
+    doc = {
         "ring": str(f.ring),
         "nvars": f.nvars,
         "poly": format_poly(f),
-        "basis": family_to_json(outcome.family),
         "quotients": {
             _label_to_key(label): format_poly(p)
-            for label, p in zip(outcome.family.labels, outcome.quotients)
+            for label, p in outcome.quotient_map.items()
         },
         "remainder": format_poly(outcome.remainder),
-        "checks": outcome.verify(f),
+        "checks": outcome.verify(),
     }
-
-
-def certificate_to_json(cert: Certificate) -> dict:
-    doc = {
-        "ring": str(cert.poly.ring),
-        "nvars": cert.poly.nvars,
-        "poly": format_poly(cert.poly),
-        "basis": cert.kind,
-        "t": cert.t,
-        "basis_polys": family_to_json(cert.family),
-        "quotients": {
-            _label_to_key(label): format_poly(p)
-            for label, p in zip(cert.family.labels, cert.quotients)
-        },
-        "remainder": format_poly(cert.remainder),
-        "checks": {
-            "identity": cert.identity_holds(),
-            "support": cert.support_ok,
-            "remainder_reduced": cert.remainder.is_zero(),
-        },
-        "degree_report": cert.degree_report,
-    }
+    basis = family_to_json(outcome.family)
+    if outcome.kind is None:
+        doc["basis"] = basis
+    else:
+        doc.update(
+            basis=outcome.kind,
+            t=outcome.t,
+            basis_polys=basis,
+            degree_report=outcome.degree_report,
+        )
     return doc
 
 
 def verify_certificate_json(doc: Mapping) -> dict:
-    """Re-check a serialized certificate from the document alone.
-
-    Reconstructs everything from text, then re-verifies the identity, the
-    support containment, and remainder reducedness.  Works for both plain
-    reduction outcomes and level or mixed certificates.
-    """
+    """Re-check a serialized division or certificate from the document
+    alone: rebuild the outcome and run the ``verify()`` its writer ran."""
     if not isinstance(doc, Mapping):
         raise ParseError("certificate document must be a JSON object")
     required = ("ring", "nvars", "poly", "quotients", "remainder")
@@ -227,6 +223,11 @@ def verify_certificate_json(doc: Mapping) -> dict:
     ring = parse_ring(doc["ring"])
     nvars = int(doc["nvars"])
     f = parse_poly(doc["poly"], ring, nvars)
+    kind = doc.get("basis")
+    if not isinstance(kind, str):
+        kind = None
+    elif kind not in ("I_t", "mixed"):
+        raise ParseError(f"unknown certificate basis {kind!r}")
     basis_doc = doc.get("basis_polys", doc.get("basis"))
     if not isinstance(basis_doc, Mapping):
         raise ParseError("certificate document carries no basis polynomials")
@@ -239,7 +240,9 @@ def verify_certificate_json(doc: Mapping) -> dict:
             raise ParseError(f"missing quotient for basis member {key}")
         quotients.append(parse_poly(quotient_doc[key], ring, nvars))
     remainder = parse_poly(doc["remainder"], ring, nvars)
-    outcome = ReductionOutcome(family, tuple(quotients), remainder)
-    checks = outcome.verify(f)
+    outcome = ReductionOutcome(
+        family, tuple(quotients), remainder, f, kind=kind, t=doc.get("t")
+    )
+    checks = outcome.verify()
     checks["valid"] = all(checks.values())
     return checks

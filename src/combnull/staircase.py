@@ -32,10 +32,6 @@ def meet(a: ExpVec, b: ExpVec) -> ExpVec:
     return tuple(min(x, y) for x, y in zip(a, b))
 
 
-def vec_add(a: ExpVec, b: ExpVec) -> ExpVec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a: ExpVec, b: ExpVec) -> ExpVec:
     """Componentwise difference; caller guarantees b <= a."""
     return tuple(x - y for x, y in zip(a, b))
@@ -203,31 +199,3 @@ def format_expvec(vec: ExpVec) -> str:
     if len(vec) == 1:
         return f"({vec[0]},)"
     return "(" + ",".join(str(x) for x in vec) + ")"
-
-
-def parse_monomial_set(text: str) -> set:
-    """Parse ``{(..),(..)}`` into a set of exponent vectors."""
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"bad monomial set {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return set()
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(inner[start:i])
-            start = i + 1
-    parts.append(inner[start:])
-    return {parse_expvec(p) for p in parts}
-
-
-def format_monomial_set(vectors: Iterable[ExpVec]) -> str:
-    ordered = sorted(vectors, key=grlex_key)
-    return "{" + ",".join(format_expvec(v) for v in ordered) + "}"

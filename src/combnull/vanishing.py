@@ -26,14 +26,9 @@ from .errors import (
     NotInIdeal,
 )
 from .polynomials import Poly, monic_power_product, root_product, taylor_shift
-from .reduction import MonicFamily, ReductionOutcome, reduce
+from .reduction import MonicFamily, ReductionOutcome, membership_refutation, reduce
 from .rings import Element, Ring
-from .staircase import (
-    complement,
-    has_finite_complement,
-    in_upset,
-    leq,
-)
+from .staircase import complement, has_finite_complement, in_upset
 
 
 @dataclass(frozen=True)
@@ -182,11 +177,11 @@ def groebner_decompose(
         raise NonzeroRemainder(
             "certified family left a nonzero remainder on a member"
         )
-    for beta in f.max_support():
-        if not any(leq(theta, beta) for theta in family.witnesses):
-            raise InternalInvariantError(
-                f"maximal exponent {beta} dominates no leading exponent"
-            )
+    beta = None if f.is_zero() else membership_refutation(f, family)
+    if beta is not None:
+        raise InternalInvariantError(
+            f"maximal exponent {beta} dominates no leading exponent"
+        )
     return out
 
 

@@ -152,7 +152,7 @@ def test_criterion_2_division_certificates():
                 ]
             )
             out = reduce(f, G)
-            checks = out.verify(f)
+            checks = out.verify()
             assert all(checks.values()), (ring, checks)
             assert out.steps <= len(downset(f.support()))
             again = reduce(out.remainder, G)

@@ -225,6 +225,27 @@ def test_certificate_verify_round_trip(capsys, tmp_path):
     assert code == 1
 
 
+def test_verify_rejects_claim_with_remainder(capsys):
+    # x1^2 = 1*(x1^2 - x1) + x1 is a true identity, but x1^2 is not in I_1
+    # of {0,1}, so a level claim with remainder x1 must not verify
+    code, out, _ = run(
+        capsys,
+        "certificate",
+        "--ring", "ZZ",
+        "--grid", "{S:[[0,1]]}",
+        "--t", "1",
+        "--poly", "x1^2 - x1",
+        "--format", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    doc.update(poly="x1^2", remainder="x1")
+    code, out, _ = run(capsys, "verify", "--certificate", json.dumps(doc))
+    assert code == 1
+    assert "remainder_reduced: False" in out
+    assert "valid: False" in out
+
+
 def test_verify_incomplete_document_exit_code(capsys):
     doc = {"nvars": 1, "poly": "x1", "basis_polys": {}, "quotients": {}, "remainder": "x1"}
     code, _, err = run(capsys, "verify", "--certificate", json.dumps(doc))

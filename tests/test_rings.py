@@ -86,12 +86,30 @@ def test_condition_f_implies_d_exhaustive():
 
 def test_gf_requires_prime():
     GF(7)
-    with pytest.raises(UnsupportedField):
-        GF(4)
-    with pytest.raises(UnsupportedField):
-        GF(9)
-    with pytest.raises(UnsupportedField):
-        GF(1)
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7
+    for q in (4, 9, 1, 561, 3215031751):
+        with pytest.raises(UnsupportedField):
+            GF(q)
+
+
+def test_gf_large_prime_builds():
+    assert GF(2**61 - 1).modulus == 2**61 - 1
+
+
+def test_gf_refuses_moduli_past_exact_primality():
+    # 2^89 - 1 is prime, but above the range where the test is exact
+    with pytest.raises(UnsupportedField, match="exactly"):
+        GF(2**89 - 1)
+
+
+def test_primality_matches_trial_division():
+    from combnull.rings import _is_prime
+
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+    assert all(_is_prime(p) == trial(p) for p in range(10_000))
 
 
 def test_modulus_lower_bound():

@@ -20,7 +20,6 @@ from combnull.serialization import (
     certificate_to_json,
     grid_from_json,
     grid_to_json,
-    outcome_to_json,
     punctured_from_json,
     punctured_to_json,
     spec_from_json,
@@ -78,7 +77,7 @@ def test_spec_round_trip():
 def test_outcome_json_shape():
     f = P("x1^2*x2 + x2", nvars=2)
     out = reduce(f, MonicFamily.build([P("x1^2 - 1", nvars=2)]))
-    doc = outcome_to_json(out, f)
+    doc = certificate_to_json(out)
     assert doc["checks"] == {
         "identity": True,
         "support": True,
@@ -128,6 +127,31 @@ def test_tampered_certificate_fails():
     padded["remainder"] = "x1^2"
     checks = verify_certificate_json(padded)
     assert not checks["valid"]
+
+
+def forged_level_certificate():
+    """The genuine certificate of x1^2 - x1 in I_1 of {0,1}, edited so the
+    identity still holds for x1^2, which is not a member."""
+    grid = MultisetGrid.build(ZZ, [[0, 1]])
+    doc = certificate_to_json(level_certificate(P("x1^2 - x1"), grid, 1))
+    doc = json.loads(json.dumps(doc))
+    doc["poly"] = "x1^2"
+    doc["remainder"] = "x1"
+    return doc
+
+
+def test_claim_needs_zero_remainder():
+    checks = verify_certificate_json(forged_level_certificate())
+    assert checks["identity"] and checks["support"]
+    assert checks["remainder_reduced"] is False
+    assert checks["valid"] is False
+
+
+def test_unknown_claim_rejected():
+    doc = forged_level_certificate()
+    doc["basis"] = "I_t?"
+    with pytest.raises(ParseError, match="basis"):
+        verify_certificate_json(doc)
 
 
 @pytest.mark.parametrize("key", ["ring", "nvars", "poly", "quotients", "remainder"])
