@@ -69,8 +69,6 @@ from .polynomials import (
     monic_power_product,
     parse_poly,
     root_product,
-    shift_kernel,
-    shifted_coefficient,
     taylor_shift,
 )
 from .reduction import (

@@ -16,12 +16,8 @@ from itertools import product
 from math import prod
 from typing import Sequence
 
-from .errors import (
-    CombnullError,
-    Inapplicable,
-    InternalInvariantError,
-    ZeroPolynomial,
-)
+from .errors import CombnullError, InternalInvariantError, ZeroPolynomial
+from .multiset_ideals import MultisetGrid
 from .polynomials import Poly
 from .rings import Element
 from .staircase import leq
@@ -43,25 +39,21 @@ class NonzeroBoundReport:
 
 def nonzero_bound(f: Poly, supports: Sequence[Sequence[Element]], beta) -> NonzeroBoundReport:
     """Certified bound and exact count of nonzero grid values of f."""
-    ring = f.ring
-    axes = [tuple(sorted({ring.canon(u) for u in S})) for S in supports]
-    if len(axes) != f.nvars:
-        raise ValueError("one support set per variable required")
-    bad = [k + 1 for k, S in enumerate(axes) if not ring.condition_holds(S, "D")]
-    if bad:
-        raise Inapplicable(bad)
+    grid = MultisetGrid.build(f.ring, supports)
+    f.require_on(grid.ring, grid.nvars)
+    grid.require_condition_d()
     if f.is_zero():
         raise ZeroPolynomial("the bound concerns nonzero polynomials")
     beta = tuple(beta)
     if len(beta) != f.nvars:
         raise ValueError(f"beta of length {len(beta)} in {f.nvars} variables")
-    if any(b > len(S) - 1 for b, S in zip(beta, axes)):
+    sizes = [len(axis.support) for axis in grid.axes]
+    if any(b > s - 1 for b, s in zip(beta, sizes)):
         raise ValueError(f"beta {beta} exceeds the per-axis caps |S_k| - 1")
     for alpha in f.terms:
         if not leq(alpha, beta):
             raise SupportExceedsBeta(f"support point {alpha} escapes beta {beta}")
 
-    sizes = [len(S) for S in axes]
     target = sum(sizes) - int(f.degree())
     best = None
     for mu in product(*(range(s - b, s + 1) for s, b in zip(sizes, beta))):
@@ -75,7 +67,7 @@ def nonzero_bound(f: Poly, supports: Sequence[Sequence[Element]], beta) -> Nonze
     bound, mu = best
 
     actual = sum(
-        1 for point in product(*axes) if f.evaluate(point) != ring.zero
+        1 for point in grid.grid_points() if f.evaluate(point) != grid.ring.zero
     )
     if bound > actual:
         raise InternalInvariantError(

@@ -117,10 +117,6 @@ def _infer_nvars(texts) -> int:
     return n
 
 
-def _poly_arg(args, text: str, nvars: int) -> Poly:
-    return parse_poly(_read_arg(text), parse_ring(args.ring), nvars)
-
-
 def _grid_arg(args, need_puncture: bool = False):
     doc = _loose_json(args.grid)
     ring = parse_ring(args.ring) if args.ring else None
@@ -260,6 +256,10 @@ def _cmd_mixed(args) -> int:
 
 
 def _cmd_cover(args) -> int:
+    if args.bound_only or args.points:
+        for flag in ("q", "n"):
+            if getattr(args, flag) is None:
+                raise _UsageError(f"cover --bound-only and --points need --{flag}")
     if args.bound_only:
         value = affine_blocking_bound(args.q, args.n, args.t)
         _emit(args, {"bound": value}, [str(value)])

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from typing import Sequence
 
-from .errors import InternalInvariantError, ScaleExceeded, UnsupportedField
+from .errors import InternalInvariantError, ScaleExceeded
 from .multiset_ideals import PuncturedGrid
 from .polynomials import Poly
-from .rings import _is_prime
+from .rings import GF
+from .staircase import require_level
 
 
 def point_cover_threshold(psi_at_point: Sequence[int], t: int) -> int:
@@ -27,8 +28,7 @@ def point_cover_threshold(psi_at_point: Sequence[int], t: int) -> int:
     multiplicity floors sum to at most t-1, which closes to
     ``sum(psi_i - 1) + (t - 1) * max(psi_i) + 1``.
     """
-    if t < 1:
-        raise ValueError("t must be positive")
+    require_level(t, 1)
     psi = tuple(psi_at_point)
     if any(m < 1 for m in psi):
         raise ValueError("multiplicities must be positive")
@@ -46,8 +46,7 @@ class CoverInstance:
 
     @classmethod
     def build(cls, pgrid: PuncturedGrid, planes: Sequence, t: int) -> "CoverInstance":
-        if t < 1:
-            raise ValueError("t must be positive")
+        require_level(t, 1)
         checked = []
         for rho, e in planes:
             if rho.degree() != e:
@@ -165,13 +164,20 @@ def covering_audit(inst: CoverInstance) -> CoverReport:
 # -- affine blocking sets -----------------------------------------------------
 
 
+def _require_blocking(q: int, n: int, t: int) -> None:
+    """Check a t-fold blocking question in GF(q)^n, once per public call and
+    never per search candidate: ``GF(q)`` refuses a q that is not prime,
+    then n and t must be >= 1."""
+    GF(q)
+    if n < 1:
+        raise ValueError("n must be positive")
+    require_level(t, 1)
+
+
 def affine_blocking_bound(q: int, n: int, t: int) -> int:
     """Lower bound ``(n + t - 1)(q - 1) + 1`` for t-fold affine blocking
     multisets in GF(q)^n; only prime q is supported."""
-    if not _is_prime(q):
-        raise UnsupportedField(f"q = {q} is not prime")
-    if n < 1 or t < 1:
-        raise ValueError("n and t must be positive")
+    _require_blocking(q, n, t)
     return (n + t - 1) * (q - 1) + 1
 
 
@@ -179,10 +185,8 @@ def affine_hyperplanes(q: int, n: int):
     """All affine hyperplanes of GF(q)^n as normalized pairs (eta, c).
 
     Normal vectors are nonzero with first nonzero entry one, so every
-    hyperplane appears exactly once.
+    hyperplane appears exactly once.  Callers have checked that q is prime.
     """
-    if not _is_prime(q):
-        raise UnsupportedField(f"q = {q} is not prime")
     for eta in product(range(q), repeat=n):
         if all(v == 0 for v in eta):
             continue
@@ -223,10 +227,6 @@ class BlockingReport:
     size: int
     bound: int
 
-    @property
-    def meets_bound(self) -> bool:
-        return self.blocked and self.size == self.bound
-
     def to_json_dict(self) -> dict:
         return {
             "blocked": self.blocked,
@@ -242,18 +242,16 @@ class BlockingReport:
 def blocking_audit(q: int, n: int, t: int, points: Sequence) -> BlockingReport:
     """Verify a concrete multiset against every affine hyperplane and
     compare its size with the bound."""
-    if not _is_prime(q):
-        raise UnsupportedField(f"q = {q} is not prime")
+    bound = affine_blocking_bound(q, n, t)
     _check_scale(q, n)
     blocked, witness = blocks_all_hyperplanes(q, n, t, points)
-    return BlockingReport(blocked, witness, len(points), affine_blocking_bound(q, n, t))
+    return BlockingReport(blocked, witness, len(points), bound)
 
 
 def exists_blocking_of_size(q: int, n: int, t: int, size: int) -> tuple:
     """Exhaustively search multisets of the given size; returns
     (found, example or None).  Plain subsets suffice when t = 1."""
-    if not _is_prime(q):
-        raise UnsupportedField(f"q = {q} is not prime")
+    _require_blocking(q, n, t)
     _check_scale(q, n)
     space = list(product(range(q), repeat=n))
     chooser = combinations if t == 1 else combinations_with_replacement

@@ -35,7 +35,7 @@ from .errors import (
 from .polynomials import Poly, monic_power_product, root_product, taylor_shift
 from .reduction import MonicFamily, ReductionOutcome, membership_refutation, reduce
 from .rings import Element, Ring
-from .staircase import compositions
+from .staircase import compositions, require_level
 
 
 @dataclass(frozen=True)
@@ -165,11 +165,6 @@ class PuncturedGrid:
 # -- level ideals ---------------------------------------------------------
 
 
-def _require_level(t: int, least: int) -> None:
-    if not isinstance(t, int) or t < least:
-        raise ValueError(f"t must be an integer >= {least}, got {t!r}")
-
-
 def level_basis(grid: MultisetGrid, t: int) -> MonicFamily:
     """The generating family of the level-t ideal: all products
     ``prod g_k^(alpha_k)`` with ``sum(alpha) = t``, labelled by alpha.
@@ -178,7 +173,7 @@ def level_basis(grid: MultisetGrid, t: int) -> MonicFamily:
     of monic axis polynomials, so it is certified at construction and has
     ``C(n + t - 1, n - 1)`` members.
     """
-    _require_level(t, 0)
+    require_level(t, 0)
     alphas = list(compositions(t, grid.nvars))
     built = monic_power_product(grid.axis_polys(), alphas)
     family = MonicFamily.build([g for g, _ in built], labels=alphas, certified=True)
@@ -192,10 +187,10 @@ def _grid_condition(f: Poly, grid: MultisetGrid, checks) -> bool:
 
     ``checks`` yields ``(point, level)`` pairs; f passes at a pair when the
     Taylor shift of f to the point has no support vector whose per-axis
-    multiplicity floors sum to less than the level.  The ring check and
-    the Condition (D) gate run before any pair is drawn.
+    multiplicity floors sum to less than the level.  The ring and arity
+    check and the Condition (D) gate run before any pair is drawn.
     """
-    f.ring.require_same(grid.ring)
+    f.require_on(grid.ring, grid.nvars)
     grid.require_condition_d()
     for point, level in checks:
         if level < 1:
@@ -213,7 +208,7 @@ def level_membership(f: Poly, grid: MultisetGrid, t: int) -> bool:
     Valid only under Condition (D) on every axis; raises Inapplicable
     otherwise.
     """
-    _require_level(t, 0)
+    require_level(t, 0)
     return _grid_condition(f, grid, ((point, t) for point in grid.grid_points()))
 
 
@@ -254,7 +249,7 @@ def punctured_membership(f: Poly, pgrid: PuncturedGrid, t: int) -> bool:
     The vanishing conditions run over the grid minus the punctured
     subgrid.  Gated by Condition (D) on every axis of the base grid.
     """
-    _require_level(t, 0)
+    require_level(t, 0)
     return _grid_condition(
         f, pgrid.base, ((point, t) for point in pgrid.off_puncture_points())
     )
@@ -299,7 +294,7 @@ def punctured_analysis(f: Poly, pgrid: PuncturedGrid, t: int) -> PuncturedReport
     asserts and reports the degree chain
     ``deg f >= deg eta >= (t-1)*max_m offsum_m + sum_k offsum_k``.
     """
-    _require_level(t, 1)
+    require_level(t, 1)
     if not punctured_membership(f, pgrid, t):
         raise NotMember("not in the punctured intersection")
     base = pgrid.base
@@ -353,7 +348,7 @@ def mixed_basis(pgrid: PuncturedGrid, t: int) -> MonicFamily:
     vectors with total t-1 contribute the power products times the full
     off-puncture product.
     """
-    _require_level(t, 1)
+    require_level(t, 1)
     n = pgrid.nvars
     lower = list(compositions(t - 1, n))
     upper = list(compositions(t, n))
@@ -366,7 +361,7 @@ def mixed_basis(pgrid: PuncturedGrid, t: int) -> MonicFamily:
 def mixed_membership(f: Poly, pgrid: PuncturedGrid, t: int) -> bool:
     """Membership in the mixed ideal: full-strength vanishing conditions
     off the puncture, one level weaker on the puncture subgrid."""
-    _require_level(t, 1)
+    require_level(t, 1)
     checks = chain(
         ((point, t) for point in pgrid.off_puncture_points()),
         ((point, t - 1) for point in pgrid.puncture_points()),
@@ -395,7 +390,7 @@ def min_extra_degree(pgrid: PuncturedGrid, t: int):
     polynomial times the full off-puncture product.  Requires a nonempty
     puncture subgrid on every axis.
     """
-    _require_level(t, 1)
+    require_level(t, 1)
     if any(not E for E in pgrid.punctures):
         raise EmptyPuncture("every axis needs a nonempty puncture set")
     base = pgrid.base

@@ -75,10 +75,6 @@ class Poly:
         exp = tuple(1 if k == axis else 0 for k in range(nvars))
         return cls(ring, nvars, {exp: ring.one})
 
-    @classmethod
-    def monomial(cls, ring: Ring, nvars: int, alpha: ExpVec, c=None) -> "Poly":
-        return cls(ring, nvars, {tuple(alpha): ring.one if c is None else c})
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -123,13 +119,15 @@ class Poly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check_compatible(self, other: "Poly") -> None:
-        self.ring.require_same(other.ring)
-        if self.nvars != other.nvars:
-            raise ArityMismatch(f"{self.nvars} vs {other.nvars} variables")
+    def require_on(self, ring: Ring, nvars: int) -> None:
+        """The one operand gate: raise RingMismatch or ArityMismatch unless
+        this polynomial lives over ``ring`` in ``nvars`` variables."""
+        self.ring.require_same(ring)
+        if self.nvars != nvars:
+            raise ArityMismatch(f"{self.nvars} vs {nvars} variables")
 
     def _combine(self, other: "Poly", op) -> "Poly":
-        self._check_compatible(other)
+        self.require_on(other.ring, other.nvars)
         ring = self.ring
         out = dict(self.terms)
         for alpha, c in other.terms.items():
@@ -151,7 +149,7 @@ class Poly:
         return _raw(ring, self.nvars, {a: ring.neg(c) for a, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
+        self.require_on(other.ring, other.nvars)
         ring = self.ring
         zero = ring.zero
         out: dict = {}
@@ -268,27 +266,6 @@ def _raw(ring: Ring, nvars: int, clean_terms: dict) -> Poly:
 # -- Taylor shift ------------------------------------------------------------
 
 
-def shift_kernel(ring: Ring, u: Sequence[Element], alpha: ExpVec, gamma: ExpVec) -> Element:
-    """Coefficient kernel of the shift x -> x + u.
-
-    Equals ``prod C(gamma_k, alpha_k) * prod u_k^(gamma_k - alpha_k)`` when
-    alpha <= gamma and zero otherwise.  Binomials are computed exactly over
-    the integers and then mapped into the ring.
-    """
-    if len(u) != len(alpha) or len(alpha) != len(gamma):
-        raise ArityMismatch("shift kernel arity mismatch")
-    if not leq(alpha, gamma):
-        return ring.zero
-    binom = 1
-    for g, a in zip(gamma, alpha):
-        binom *= comb(g, a)
-    value = ring.from_int(binom)
-    for v, g, a in zip(u, gamma, alpha):
-        if g > a:
-            value = ring.mul(value, ring.pow(ring.canon(v), g - a))
-    return value
-
-
 def taylor_shift(f: Poly, u: Sequence[Element]) -> Poly:
     """Rewrite f in coordinates centered at u, i.e. f(x1+u1, ..., xn+un).
 
@@ -325,17 +302,6 @@ def taylor_shift(f: Poly, u: Sequence[Element]) -> Poly:
             else:
                 out[alpha] = s
     return _raw(ring, f.nvars, out)
-
-
-def shifted_coefficient(f: Poly, u: Sequence[Element], alpha: ExpVec) -> Element:
-    """Single coefficient of the shifted polynomial, without a full shift."""
-    ring = f.ring
-    total = ring.zero
-    for gamma, c in f.terms.items():
-        k = shift_kernel(ring, u, alpha, gamma)
-        if k != ring.zero:
-            total = ring.add(total, ring.mul(k, c))
-    return total
 
 
 # -- grid constructors ---------------------------------------------------------
@@ -381,8 +347,7 @@ def monic_power_product(axis_polys: Sequence[Poly], alphas: Iterable[ExpVec]) ->
         raise ArityMismatch("one axis polynomial per variable is required")
     degs = []
     for k, g in enumerate(axis_polys):
-        if g.nvars != n:
-            raise ArityMismatch("axis polynomials disagree on arity")
+        g.require_on(axis_polys[0].ring, n)
         if not g.is_axis_poly(k):
             raise NotAxisPoly(f"member {k + 1} involves other variables")
         if g.monic_witness() is None:

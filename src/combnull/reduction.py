@@ -26,9 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Hashable, Sequence
 
 from .errors import (
-    ArityMismatch,
     NotMonic,
-    RingMismatch,
     UncertifiedBasis,
     ZeroPolynomial,
 )
@@ -68,10 +66,7 @@ class MonicFamily:
                 raise ValueError("one label per member required")
         witnesses = []
         for i, g in enumerate(polys):
-            if i and g.ring != polys[0].ring:
-                raise RingMismatch("family members span different rings")
-            if i and g.nvars != polys[0].nvars:
-                raise ArityMismatch("family members span different arities")
+            g.require_on(polys[0].ring, polys[0].nvars)
             theta = g.monic_witness()
             if theta is None:
                 raise NotMonic(f"family member {labels[i]!r} is not monic")
@@ -173,9 +168,7 @@ def _heap_key(gamma: ExpVec):
 def reduce(f: Poly, family: MonicFamily) -> ReductionOutcome:
     """Divide f by the family under the fixed strategy."""
     if family.members:
-        f.ring.require_same(family.ring)
-        if f.nvars != family.nvars:
-            raise ArityMismatch(f"{f.nvars} vs {family.nvars} variables")
+        f.require_on(family.ring, family.nvars)
     ring = f.ring
     zero = ring.zero
     thetas = family.witnesses

@@ -6,13 +6,15 @@ polynomial, the basis polynomials, the quotients and the remainder, so
 ``verify_certificate_json`` re-checks the division identity, support
 containment and remainder reducedness from the document alone.  A
 document whose ``basis`` names a claim (``"I_t"`` or ``"mixed"``, with
-``t``) is valid only with remainder 0.  The document carries no grid, so
-verification does not prove that the basis is the level or mixed basis of
-any particular grid.
+``t``) is valid only with remainder 0, and its ``t`` and basis labels must
+fit the claim or the document is a ``ParseError``.  The document carries
+no grid, so verification does not prove that the basis is the level or
+mixed basis of any particular grid.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Mapping
 
@@ -21,7 +23,7 @@ from .multiset_ideals import MultisetGrid, PuncturedGrid
 from .polynomials import format_poly, parse_poly
 from .reduction import MonicFamily, ReductionOutcome
 from .rings import Ring, parse_ring
-from .staircase import format_expvec, parse_expvec
+from .staircase import compositions, format_expvec, parse_expvec, require_level
 from .vanishing import VanishingSpec
 
 
@@ -211,6 +213,25 @@ def certificate_to_json(outcome: ReductionOutcome) -> dict:
     return doc
 
 
+def _check_claim(kind: str, t, nvars: int, labels) -> None:
+    """A claim names a level t (at least 0 for ``"I_t"``, 1 for ``"mixed"``)
+    and its basis is labelled by exactly the exponent vectors of that
+    level: ``compositions(t, n)``, after ``compositions(t - 1, n)`` for a
+    mixed claim."""
+    least = 0 if kind == "I_t" else 1
+    try:
+        require_level(t, least)
+    except ValueError as exc:
+        raise ParseError(f"{kind} claim: {exc}") from None
+    expected = list(compositions(t, nvars))
+    if kind == "mixed":
+        expected += compositions(t - 1, nvars)
+    if Counter(labels) != Counter(expected):
+        raise ParseError(
+            f"{kind} claim at t = {t}: basis labels are not its exponent vectors"
+        )
+
+
 def verify_certificate_json(doc: Mapping) -> dict:
     """Re-check a serialized division or certificate from the document
     alone: rebuild the outcome and run the ``verify()`` its writer ran."""
@@ -232,6 +253,8 @@ def verify_certificate_json(doc: Mapping) -> dict:
     if not isinstance(basis_doc, Mapping):
         raise ParseError("certificate document carries no basis polynomials")
     family = family_from_json(basis_doc, ring, nvars)
+    if kind is not None:
+        _check_claim(kind, doc.get("t"), nvars, family.labels)
     quotient_doc = doc["quotients"]
     quotients = []
     for label in family.labels:

@@ -136,6 +136,12 @@ def compositions(total: int, parts: int) -> Iterator[ExpVec]:
             yield (head,) + rest
 
 
+def require_level(t: int, least: int) -> None:
+    """The one gate on a level t: an ``int`` (not a ``bool``) >= least."""
+    if not isinstance(t, int) or isinstance(t, bool) or t < least:
+        raise ValueError(f"t must be an integer >= {least}, got {t!r}")
+
+
 def staircase_count(alpha: ExpVec, t: int) -> int:
     """Size of the staircase complement of the scaled level-t simplex.
 
@@ -144,8 +150,7 @@ def staircase_count(alpha: ExpVec, t: int) -> int:
     ``prod(alpha) * C(n + t - 1, n)`` points; when every alpha_i is
     positive these are the beta with ``sum(floor(beta_i / alpha_i)) <= t - 1``.
     """
-    if t < 0:
-        raise ValueError("t must be a natural number")
+    require_level(t, 0)
     n = len(alpha)
     prod_alpha = 1
     for a in alpha:
@@ -161,8 +166,7 @@ def punctured_staircase_count(alpha: ExpVec, gamma: ExpVec, t: int) -> int:
     C = {alpha*theta + alpha - gamma : sum(theta)=t-1}, which equals
     ``prod(alpha)*C(n+t-1, n) - prod(gamma)*C(n+t-2, n-1)``.
     """
-    if t < 1:
-        raise ValueError("t must be positive")
+    require_level(t, 1)
     if len(alpha) != len(gamma):
         raise GammaExceedsAlpha("alpha and gamma must share a length")
     if not leq(gamma, alpha):

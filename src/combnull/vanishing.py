@@ -81,7 +81,7 @@ class VanishingSpec:
 
 def in_vanishing_ideal(f: Poly, spec: VanishingSpec) -> bool:
     """Membership test straight from the defining support conditions."""
-    f.ring.require_same(spec.ring)
+    f.require_on(spec.ring, spec.nvars)
     for point in spec.grid_points():
         gens = spec.B[point]
         shifted = taylor_shift(f, point)

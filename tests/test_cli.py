@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import combnull.cli
 from combnull import InternalInvariantError
 from combnull.cli import main
@@ -126,6 +128,15 @@ def test_cover_points(capsys):
         capsys, "cover", "--q", "2", "--n", "2", "--t", "1", "--points", "(0,1)"
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("mode", [["--bound-only"], ["--points", "(0,1);(1,0)"]])
+@pytest.mark.parametrize("given,missing", [(["--n", "2"], "--q"), (["--q", "2"], "--n")])
+def test_cover_needs_q_and_n(capsys, mode, given, missing):
+    code, out, err = run(capsys, "cover", *given, *mode)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("usage error:") and f"need {missing}" in err
 
 
 def test_cover_instance_json(capsys, tmp_path):

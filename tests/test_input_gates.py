@@ -1,0 +1,171 @@
+"""Every entry point applies the same input rule the same way.
+
+One parametrized test per rule: the level t, the operand ring and arity,
+the prime q, and Condition (D).
+"""
+
+import pytest
+
+from combnull import (
+    GF,
+    ZZ,
+    ArityMismatch,
+    CoverInstance,
+    Inapplicable,
+    MonicFamily,
+    MultisetGrid,
+    PuncturedGrid,
+    RingMismatch,
+    UnsupportedField,
+    VanishingSpec,
+    Zmod,
+    affine_blocking_bound,
+    blocking_audit,
+    covering_audit,
+    exists_blocking_of_size,
+    in_vanishing_ideal,
+    level_basis,
+    level_certificate,
+    level_membership,
+    level_normal_form,
+    min_extra_degree,
+    minimal_blocking_size,
+    mixed_basis,
+    mixed_certificate,
+    mixed_membership,
+    nonzero_bound,
+    point_cover_threshold,
+    punctured_analysis,
+    punctured_membership,
+    punctured_staircase_count,
+    reduce,
+    staircase_count,
+)
+from conftest import P
+
+GRID = MultisetGrid.build(ZZ, [[0, 1]])
+PGRID = PuncturedGrid.build(GRID, [[0]])
+X1 = P("x1")
+
+# entry point -> (call with level t, least valid level)
+LEVEL_ENTRY_POINTS = {
+    "staircase_count": (lambda t: staircase_count((2, 3), t), 0),
+    "punctured_staircase_count": (
+        lambda t: punctured_staircase_count((2, 3), (1, 1), t), 1),
+    "level_basis": (lambda t: level_basis(GRID, t), 0),
+    "level_membership": (lambda t: level_membership(X1, GRID, t), 0),
+    "level_normal_form": (lambda t: level_normal_form(X1, GRID, t), 0),
+    "level_certificate": (lambda t: level_certificate(X1, GRID, t), 0),
+    "punctured_membership": (lambda t: punctured_membership(X1, PGRID, t), 0),
+    "punctured_analysis": (lambda t: punctured_analysis(X1, PGRID, t), 1),
+    "mixed_basis": (lambda t: mixed_basis(PGRID, t), 1),
+    "mixed_membership": (lambda t: mixed_membership(X1, PGRID, t), 1),
+    "mixed_certificate": (lambda t: mixed_certificate(X1, PGRID, t), 1),
+    "min_extra_degree": (lambda t: min_extra_degree(PGRID, t), 1),
+    "point_cover_threshold": (lambda t: point_cover_threshold((1, 2), t), 1),
+    "CoverInstance.build": (lambda t: CoverInstance.build(PGRID, [], t), 1),
+    "affine_blocking_bound": (lambda t: affine_blocking_bound(2, 2, t), 1),
+    "blocking_audit": (lambda t: blocking_audit(2, 2, t, [(0, 0)]), 1),
+    "exists_blocking_of_size": (lambda t: exists_blocking_of_size(2, 2, t, 1), 1),
+    "minimal_blocking_size": (lambda t: minimal_blocking_size(2, 2, t), 1),
+}
+
+BAD_LEVELS = {
+    "below_least": lambda least: least - 1,
+    "negative": lambda least: -3,
+    "bool": lambda least: True,
+    "fractional": lambda least: 1.5,
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_LEVELS))
+@pytest.mark.parametrize("entry", sorted(LEVEL_ENTRY_POINTS))
+def test_level_gate(entry, bad):
+    call, least = LEVEL_ENTRY_POINTS[entry]
+    t = BAD_LEVELS[bad](least)
+    with pytest.raises(ValueError, match=f"t must be an integer >= {least}, got"):
+        call(t)
+
+
+# Two-variable operands against one-variable structures, including the
+# cases where the membership loops never shift: an empty axis, or level 0.
+X1X2 = P("x1*x2")
+EMPTY = MultisetGrid.build(ZZ, [[]])
+EMPTY_PGRID = PuncturedGrid.build(EMPTY, [[]])
+F5 = P("x1", ring=GF(5))
+
+OPERAND_ENTRY_POINTS = {
+    "level_membership_empty_axis": (
+        lambda: level_membership(X1X2, EMPTY, 1), ArityMismatch),
+    "level_membership_t0": (lambda: level_membership(X1X2, GRID, 0), ArityMismatch),
+    "level_membership_ring": (lambda: level_membership(F5, GRID, 1), RingMismatch),
+    "punctured_membership_empty_axis": (
+        lambda: punctured_membership(X1X2, EMPTY_PGRID, 1), ArityMismatch),
+    "punctured_membership_t0": (
+        lambda: punctured_membership(X1X2, PGRID, 0), ArityMismatch),
+    "mixed_membership_empty_axis": (
+        lambda: mixed_membership(X1X2, EMPTY_PGRID, 1), ArityMismatch),
+    "mixed_membership_ring": (lambda: mixed_membership(F5, PGRID, 1), RingMismatch),
+    "in_vanishing_ideal_empty_spec": (
+        lambda: in_vanishing_ideal(X1X2, VanishingSpec.build(ZZ, [[]], {})),
+        ArityMismatch),
+    "in_vanishing_ideal_ring": (
+        lambda: in_vanishing_ideal(F5, VanishingSpec.build(ZZ, [[]], {})),
+        RingMismatch),
+    "nonzero_bound_extra_support": (
+        lambda: nonzero_bound(X1, [[0, 1], [0, 1]], (1,)), ArityMismatch),
+    "reduce": (
+        lambda: reduce(X1X2, MonicFamily.build([P("x1^2 - x1")])), ArityMismatch),
+    "monic_family": (
+        lambda: MonicFamily.build([P("x1"), X1X2]), ArityMismatch),
+    "poly_mul": (lambda: X1 * F5, RingMismatch),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OPERAND_ENTRY_POINTS))
+def test_operand_gate(entry):
+    call, error = OPERAND_ENTRY_POINTS[entry]
+    with pytest.raises(error):
+        call()
+
+
+PRIME_ENTRY_POINTS = {
+    "GF": lambda q: GF(q),
+    "affine_blocking_bound": lambda q: affine_blocking_bound(q, 2, 1),
+    "blocking_audit": lambda q: blocking_audit(q, 2, 1, [(0, 0)]),
+    "exists_blocking_of_size": lambda q: exists_blocking_of_size(q, 2, 1, 1),
+    "minimal_blocking_size": lambda q: minimal_blocking_size(q, 2, 1),
+}
+
+
+@pytest.mark.parametrize("q", [0, 1, 4, 9])
+@pytest.mark.parametrize("entry", sorted(PRIME_ENTRY_POINTS))
+def test_prime_gate(entry, q):
+    with pytest.raises(UnsupportedField, match=f"GF\\({q}\\) is not a prime field"):
+        PRIME_ENTRY_POINTS[entry](q)
+
+
+# Over ZZ/6 the difference 3 - 0 is a zero divisor, so {0, 3} fails (D).
+R6 = Zmod(6)
+GRID6 = MultisetGrid.build(R6, [[0, 3]])
+PGRID6 = PuncturedGrid.build(GRID6, [[0]])
+X1_6 = P("x1", ring=R6)
+
+CONDITION_D_ENTRY_POINTS = {
+    "level_membership": lambda: level_membership(X1_6, GRID6, 1),
+    "level_certificate": lambda: level_certificate(X1_6, GRID6, 1),
+    "punctured_membership": lambda: punctured_membership(X1_6, PGRID6, 1),
+    "punctured_analysis": lambda: punctured_analysis(X1_6, PGRID6, 1),
+    "mixed_membership": lambda: mixed_membership(X1_6, PGRID6, 1),
+    "mixed_certificate": lambda: mixed_certificate(X1_6, PGRID6, 1),
+    "min_extra_degree": lambda: min_extra_degree(PGRID6, 1),
+    "covering_audit": lambda: covering_audit(CoverInstance.build(PGRID6, [], 1)),
+    "nonzero_bound": lambda: nonzero_bound(X1_6, [[0, 3]], (1,)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CONDITION_D_ENTRY_POINTS))
+def test_condition_d_gate(entry):
+    with pytest.raises(Inapplicable) as info:
+        CONDITION_D_ENTRY_POINTS[entry]()
+    assert info.value.axes == (1,)

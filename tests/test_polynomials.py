@@ -19,8 +19,6 @@ from combnull import (
     monic_power_product,
     parse_poly,
     root_product,
-    shift_kernel,
-    shifted_coefficient,
     taylor_shift,
 )
 from conftest import P, random_monic, random_poly
@@ -74,15 +72,6 @@ def test_monic_witness():
     assert P("1", nvars=3).monic_witness() == (0, 0, 0)
 
 
-def test_shift_kernel_cases():
-    assert shift_kernel(ZZ, (5, 7), (2, 1), (2, 1)) == 1
-    assert shift_kernel(ZZ, (2, 3), (0, 0), (2, 1)) == 4 * 3
-    assert shift_kernel(ZZ, (2, 3), (3, 0), (2, 1)) == 0
-    # binomial factor: C(4,2) * u^2
-    assert shift_kernel(ZZ, (3,), (2,), (4,)) == 6 * 9
-    assert shift_kernel(Zmod(5), (3,), (2,), (4,)) == (6 * 9) % 5
-
-
 def test_taylor_shift_examples():
     assert taylor_shift(P("x1^2"), (1,)) == P("x1^2 + 2*x1 + 1")
     f = P("x1^3*x2 - 2*x2 + 4")
@@ -117,16 +106,6 @@ def test_taylor_shift_involution_and_evaluation(rng):
             back = taylor_shift(taylor_shift(f, u), tuple(ring.neg(v) for v in u))
             assert back == f
             assert taylor_shift(f, u).evaluate((ring.zero,) * n) == f.evaluate(u)
-
-
-def test_shifted_coefficient_agrees_with_full_shift(rng):
-    for _ in range(20):
-        n = rng.randint(1, 2)
-        f = random_poly(rng, Zmod(7), n, max_deg=4)
-        u = tuple(rng.randint(0, 6) for _ in range(n))
-        full = taylor_shift(f, u)
-        for alpha in [(0,) * n, (1,) * n, (2,) + (0,) * (n - 1)]:
-            assert shifted_coefficient(f, u, alpha) == full.coeff(alpha)
 
 
 def test_evaluate():

@@ -163,6 +163,30 @@ def test_incomplete_certificate_names_missing_key(key):
         verify_certificate_json(doc)
 
 
+@pytest.mark.parametrize(
+    "t", [-5, "x", None, 3], ids=["negative", "text", "deleted", "other_level"]
+)
+def test_level_claim_binds_t(t):
+    grid = MultisetGrid.build(ZZ, [[0, 1]])
+    doc = certificate_to_json(level_certificate(P("x1^2 - x1"), grid, 1))
+    if t is None:
+        del doc["t"]
+    else:
+        doc["t"] = t
+    with pytest.raises(ParseError, match="I_t claim"):
+        verify_certificate_json(doc)
+
+
+@pytest.mark.parametrize("t", [0, 2])
+def test_mixed_claim_binds_t(t):
+    pgrid = PuncturedGrid.build(MultisetGrid.build(ZZ, [[0, 1]]), [[0]])
+    doc = certificate_to_json(mixed_certificate(P("x1^2 - x1"), pgrid, 1))
+    assert verify_certificate_json(doc)["valid"]
+    doc["t"] = t
+    with pytest.raises(ParseError, match="mixed claim"):
+        verify_certificate_json(doc)
+
+
 def test_zmod_certificate_round_trip():
     ring = Zmod(5)
     grid = MultisetGrid.build(ring, [[0, 1, 4]])
