@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
+from math import comb
 from typing import Sequence
 
 from .errors import InternalInvariantError, ScaleExceeded
@@ -206,6 +207,25 @@ def _check_scale(q: int, n: int) -> None:
         raise ScaleExceeded(f"GF({q})^{n} is beyond the supported desk scale")
 
 
+# Candidate-times-hyperplane tests a search may make: (3, 2, 3) needs under
+# 10^6, while (5, 2, 1) would need about 5 * 10^7 and run for minutes.
+MAX_SEARCH_TESTS = 2_000_000
+
+
+def _check_search_work(q: int, n: int, t: int, sizes) -> None:
+    """Refuse, before searching, candidates of these sizes whose tests
+    against every hyperplane would exceed MAX_SEARCH_TESTS."""
+    points = q ** n
+    tests = (points - 1) // (q - 1) * q * sum(
+        comb(points, k) if t == 1 else comb(points + k - 1, k) for k in sizes
+    )
+    if tests > MAX_SEARCH_TESTS:
+        raise ScaleExceeded(
+            f"blocking search in GF({q})^{n} needs {tests} hyperplane tests "
+            f"(limit {MAX_SEARCH_TESTS})"
+        )
+
+
 def blocks_all_hyperplanes(q: int, n: int, t: int, points: Sequence) -> tuple:
     """Whether the point multiset meets every hyperplane at least t times;
     returns (blocked, first unblocked hyperplane or None)."""
@@ -253,6 +273,7 @@ def exists_blocking_of_size(q: int, n: int, t: int, size: int) -> tuple:
     (found, example or None).  Plain subsets suffice when t = 1."""
     _require_blocking(q, n, t)
     _check_scale(q, n)
+    _check_search_work(q, n, t, [size])
     space = list(product(range(q), repeat=n))
     chooser = combinations if t == 1 else combinations_with_replacement
     for candidate in chooser(space, size):
@@ -263,7 +284,11 @@ def exists_blocking_of_size(q: int, n: int, t: int, size: int) -> tuple:
 
 
 def minimal_blocking_size(q: int, n: int, t: int) -> tuple:
-    """Smallest size of a t-fold blocking multiset, by ascending search."""
+    """Smallest size of a t-fold blocking multiset, by ascending search;
+    every size below ``affine_blocking_bound`` is searched in full."""
+    bound = affine_blocking_bound(q, n, t)
+    _check_scale(q, n)
+    _check_search_work(q, n, t, range(1, bound))
     size = 1
     while True:
         found, example = exists_blocking_of_size(q, n, t, size)

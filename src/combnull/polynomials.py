@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
 )
 from .rings import Element, Ring
-from .staircase import ExpVec, grlex_key, leq, maximal_elements
+from .staircase import ExpVec, grlex_key, maximal_elements
 
 NEG_INF = float("-inf")
 
@@ -103,10 +103,9 @@ class Poly:
         """
         if not self.terms:
             return None
-        theta = max(self.terms, key=grlex_key)
-        if any(not leq(alpha, theta) for alpha in self.terms):
-            return None
-        if self.terms[theta] != self.ring.one:
+        # A greatest point, when there is one, is the componentwise max.
+        theta = tuple(map(max, zip(*self.terms)))
+        if self.terms.get(theta) != self.ring.one:
             return None
         return theta
 
@@ -173,19 +172,6 @@ class Poly:
             s = ring.mul(ca, c)
             if s != ring.zero:
                 out[a] = s
-        return _raw(ring, self.nvars, out)
-
-    def monomial_multiple(self, shift: ExpVec, c) -> "Poly":
-        """c * x^shift * self, the elementary reduction step factor."""
-        ring = self.ring
-        c = ring.canon(c)
-        if c == ring.zero:
-            return Poly.zero(ring, self.nvars)
-        out = {}
-        for a, ca in self.terms.items():
-            s = ring.mul(ca, c)
-            if s != ring.zero:
-                out[tuple(x + y for x, y in zip(a, shift))] = s
         return _raw(ring, self.nvars, out)
 
     def __pow__(self, k: int) -> "Poly":

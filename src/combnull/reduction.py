@@ -15,6 +15,12 @@ the monomials of the current polynomial dominating some theta(lam), the
 graded-lexicographic greatest is cancelled against the lowest-index
 eligible family member.
 
+Inside ``reduce`` only, exponent vectors are packed into single ints whose
+order is the graded-lexicographic order (Monagan & Pearce, *Sparse
+polynomial division using a heap*, JSC 2011).  The strategy is the same on
+packed keys, and quotients and remainder are unpacked to the tuple keys
+every ``Poly`` carries before they are returned.
+
 ``buchberger_certifies`` runs the sufficiency test on S-polynomials; a True
 answer certifies the Groebner property, a False answer is inconclusive.
 """
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
+from operator import add
 from typing import Hashable, Sequence
 
 from .errors import (
@@ -129,15 +136,21 @@ class ReductionOutcome:
     def support_contained(self) -> bool:
         """Conditions (2) and (4): quotient-times-member supports and the
         remainder support lie inside the downset of supp(poly), checked
-        against its maximal elements as a predicate."""
-        peaks = self.poly.max_support()
-        for p, g in zip(self.quotients, self.family.members):
-            for a in p.terms:
-                for b in g.terms:
-                    point = tuple(x + y for x, y in zip(a, b))
-                    if not in_downset(point, peaks):
-                        return False
-        return all(in_downset(a, peaks) for a in self.remainder.terms)
+        against its maximal elements as a predicate.
+
+        A monic member has its whole support below its witness theta, so
+        supp(p) + supp(g) lies in the downset exactly when every a + theta,
+        a in supp(p), does.  Support points of poly need no test.
+        """
+        points = {
+            tuple(map(add, a, theta))
+            for p, theta in zip(self.quotients, self.family.witnesses)
+            for a in p.terms
+        }
+        points.update(self.remainder.terms)
+        points.difference_update(self.poly.terms)
+        peaks = self.poly.max_support() if points else ()
+        return all(in_downset(b, peaks) for b in points)
 
     def remainder_reduced(self) -> bool:
         """Condition (3): no remainder exponent dominates any witness.
@@ -160,59 +173,74 @@ class ReductionOutcome:
         }
 
 
-def _heap_key(gamma: ExpVec):
-    # Max-heap on the graded-lexicographic order via negation.
-    return (-sum(gamma), tuple(-g for g in gamma))
-
-
 def reduce(f: Poly, family: MonicFamily) -> ReductionOutcome:
     """Divide f by the family under the fixed strategy."""
     if family.members:
         f.require_on(family.ring, family.nvars)
     ring = f.ring
     zero = ring.zero
-    thetas = family.witnesses
-    quotients = [dict() for _ in thetas]
-    work = dict(f.terms)
+    nv = f.nvars
+    # Every exponent the division meets is dominated by a support point of
+    # f (members are monic), so one field of the largest exponent's bit
+    # length plus a guard bit per axis never carries.  The total degree
+    # sits above x1..xn, so int order is the graded-lexicographic order.
+    corner = tuple(map(max, zip(*f.terms))) if f.terms else (0,) * nv
+    width = max(corner).bit_length() + 1
+    mask = (1 << width) - 1
+    offsets = range(width * (nv - 1), -1, -width)
+    guards = sum(1 << (s + width - 1) for s in offsets)
 
-    def reducer(gamma: ExpVec):
-        for i, theta in enumerate(thetas):
-            if leq(theta, gamma):
-                return i
-        return None
+    def pack(alpha: ExpVec) -> int:
+        key = sum(alpha)
+        for e in alpha:
+            key = (key << width) | e
+        return key
 
-    heap = [(_heap_key(gamma), gamma) for gamma in work]
+    def unpack(terms: dict) -> dict:
+        return {tuple(k >> s & mask for s in offsets): c for k, c in terms.items()}
+
+    # A member whose witness leaves f's box can never be chosen, and its
+    # exponents need not fit the fields.
+    reachable = [
+        (i, pack(theta), [(pack(beta), gc) for beta, gc in g.terms.items()])
+        for i, (g, theta) in enumerate(zip(family.members, family.witnesses))
+        if leq(theta, corner)
+    ]
+    quotients = [dict() for _ in family.witnesses]
+    work = {pack(alpha): c for alpha, c in f.terms.items()}
+    heap = [-key for key in work]
     heapq.heapify(heap)
     steps = 0
     while heap:
-        _, gamma = heapq.heappop(heap)
+        gamma = -heapq.heappop(heap)
         c = work.get(gamma)
         if c is None:
             continue
-        i = reducer(gamma)
-        if i is None:
+        for i, theta, terms in reachable:
+            if not (gamma - theta) & guards:
+                break
+        else:
             continue
         steps += 1
-        shift = vec_sub(gamma, thetas[i])
+        shift = gamma - theta
         q = quotients[i]
         q[shift] = ring.add(q.get(shift, zero), c)
         if q[shift] == zero:
             del q[shift]
-        for beta, gc in family.members[i].terms.items():
-            key = tuple(x + y for x, y in zip(shift, beta))
+        for beta, gc in terms:
+            key = shift + beta
             s = ring.sub(work.get(key, zero), ring.mul(c, gc))
             if s == zero:
                 work.pop(key, None)
             else:
                 work[key] = s
                 if key != gamma:
-                    heapq.heappush(heap, (_heap_key(key), key))
+                    heapq.heappush(heap, -key)
 
-    nv = f.nvars
     return ReductionOutcome(
         family,
-        tuple(_raw(ring, nv, q) for q in quotients),
-        _raw(ring, nv, work),
+        tuple(_raw(ring, nv, unpack(q)) for q in quotients),
+        _raw(ring, nv, unpack(work)),
         f,
         steps,
     )
@@ -224,10 +252,20 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
     beta = g.monic_witness()
     if alpha is None or beta is None:
         raise NotMonic("S-polynomials are defined for monic operands")
+    f.require_on(g.ring, g.nvars)
+    ring = f.ring
+    zero = ring.zero
     low = meet(alpha, beta)
-    return f.monomial_multiple(vec_sub(beta, low), f.ring.one) - g.monomial_multiple(
-        vec_sub(alpha, low), g.ring.one
-    )
+    u, v = vec_sub(beta, low), vec_sub(alpha, low)
+    out = {tuple(map(add, a, u)): c for a, c in f.terms.items()}
+    for b, c in g.terms.items():
+        key = tuple(map(add, b, v))
+        s = ring.sub(out.get(key, zero), c)
+        if s == zero:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return _raw(ring, f.nvars, out)
 
 
 def buchberger_certifies(family: MonicFamily) -> bool:

@@ -86,6 +86,9 @@ class Ring:
                 )
         else:
             raise ValueError(f"unknown ring kind {self.kind!r}")
+        # The modulus element ops reduce by, or None.  Not a field, so
+        # equality, hashing and repr still see only kind and modulus.
+        object.__setattr__(self, "_mod", self.modulus if self.is_finite else None)
 
     # -- construction ----------------------------------------------------
 
@@ -115,36 +118,32 @@ class Ring:
             raise ParseError(f"not a rational value: {value!r}")
         if not isinstance(value, int) or isinstance(value, bool):
             raise ParseError(f"not an integer value for {self}: {value!r}")
-        if self.is_finite:
-            return value % self.modulus
-        return value
+        return value % self._mod if self._mod else value
 
     def from_int(self, k: int) -> Element:
         """Canonical ring image of an integer (the unique map ZZ -> R)."""
         if self.kind == _RATIONALS:
             return Fraction(k)
-        if self.is_finite:
-            return k % self.modulus
-        return k
+        return k % self._mod if self._mod else k
 
     # -- arithmetic -------------------------------------------------------
 
     def add(self, a: Element, b: Element) -> Element:
-        return (a + b) % self.modulus if self.is_finite else a + b
+        return (a + b) % self._mod if self._mod else a + b
 
     def sub(self, a: Element, b: Element) -> Element:
-        return (a - b) % self.modulus if self.is_finite else a - b
+        return (a - b) % self._mod if self._mod else a - b
 
     def mul(self, a: Element, b: Element) -> Element:
-        return (a * b) % self.modulus if self.is_finite else a * b
+        return (a * b) % self._mod if self._mod else a * b
 
     def neg(self, a: Element) -> Element:
-        return (-a) % self.modulus if self.is_finite else -a
+        return (-a) % self._mod if self._mod else -a
 
     def pow(self, a: Element, k: int) -> Element:
         if k < 0:
             raise ValueError("negative exponent")
-        return pow(a, k, self.modulus) if self.is_finite else a ** k
+        return pow(a, k, self._mod) if self._mod else a ** k
 
     # -- predicates -------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -163,6 +164,18 @@ def test_scale_guard():
         blocking_audit(7, 5, 1, [])
     with pytest.raises(ValueError):
         blocking_audit(2, 2, 1, [(0, 1, 1)])
+
+
+def test_blocking_search_work_is_estimated_up_front():
+    # GF(5)^2 passes the space guard, but the sizes below the bound 9 need
+    # about 5.4 * 10^7 hyperplane tests: refused before any search.
+    start = time.perf_counter()
+    with pytest.raises(ScaleExceeded, match="hyperplane tests"):
+        minimal_blocking_size(5, 2, 1)
+    with pytest.raises(ScaleExceeded, match="hyperplane tests"):
+        exists_blocking_of_size(5, 2, 1, 8)
+    assert time.perf_counter() - start < 1.0
+    assert minimal_blocking_size(3, 2, 3)[0] == 9
 
 
 def test_covering_degree_inequality_on_random_instances(rng):

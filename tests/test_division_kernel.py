@@ -1,0 +1,252 @@
+"""The packed-key division kernel and the one-pass rewrites around it,
+each checked against the tuple-keyed definition it replaces.
+
+The reference definitions live here only, as oracles.  hypothesis is a
+test-only dependency; the module is skipped without it.  Examples are
+derandomized so every run checks the same cases.
+"""
+
+import heapq
+import pickle
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from combnull import GF, QQ, ZZ, MonicFamily, Poly, Zmod, reduce, s_polynomial
+from combnull.staircase import grlex_key, in_downset, leq, meet, vec_sub
+from conftest import P, random_family, random_monic, random_poly
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+RINGS = (ZZ, QQ, GF(5), Zmod(6))
+
+
+def oracle_reduce(f, family):
+    """The tuple-keyed division loop: same strategy, exponent tuples
+    throughout, a heap ordered by negated graded-lex keys."""
+    ring = f.ring
+    zero = ring.zero
+    thetas = family.witnesses
+    quotients = [dict() for _ in thetas]
+    work = dict(f.terms)
+
+    def heap_key(gamma):
+        return (-sum(gamma), tuple(-g for g in gamma))
+
+    heap = [(heap_key(gamma), gamma) for gamma in work]
+    heapq.heapify(heap)
+    steps = 0
+    while heap:
+        _, gamma = heapq.heappop(heap)
+        c = work.get(gamma)
+        if c is None:
+            continue
+        i = next((i for i, theta in enumerate(thetas) if leq(theta, gamma)), None)
+        if i is None:
+            continue
+        steps += 1
+        shift = vec_sub(gamma, thetas[i])
+        q = quotients[i]
+        q[shift] = ring.add(q.get(shift, zero), c)
+        if q[shift] == zero:
+            del q[shift]
+        for beta, gc in family.members[i].terms.items():
+            key = tuple(x + y for x, y in zip(shift, beta))
+            s = ring.sub(work.get(key, zero), ring.mul(c, gc))
+            if s == zero:
+                work.pop(key, None)
+            else:
+                work[key] = s
+                if key != gamma:
+                    heapq.heappush(heap, (heap_key(key), key))
+    return quotients, work, steps
+
+
+def assert_matches_oracle(f, family):
+    out = reduce(f, family)
+    quotients, remainder, steps = oracle_reduce(f, family)
+    # Term order too: serialized outputs follow dict order.
+    assert [list(p.terms.items()) for p in out.quotients] == [
+        list(q.items()) for q in quotients
+    ]
+    assert list(out.remainder.terms.items()) == list(remainder.items())
+    assert out.steps == steps
+    assert out.identity_holds()
+    return out
+
+
+def coefficients(ring):
+    if ring == QQ:
+        return st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.integers(-3, 3)
+
+
+@st.composite
+def divisions(draw):
+    ring = draw(st.sampled_from(RINGS))
+    n = draw(st.integers(1, 3))
+    exps = lambda top: st.tuples(*[st.integers(0, top)] * n)
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        theta = draw(exps(3))
+        below = st.tuples(*[st.integers(0, h) for h in theta])
+        terms = draw(st.dictionaries(below, coefficients(ring), max_size=3))
+        terms[theta] = 1
+        members.append(Poly(ring, n, terms))
+    f = Poly(ring, n, draw(st.dictionaries(exps(6), coefficients(ring), max_size=8)))
+    return f, MonicFamily.build(members)
+
+
+@PROPERTY
+@given(divisions())
+def test_reduce_matches_tuple_oracle(case):
+    f, family = case
+    assert_matches_oracle(f, family)
+
+
+def test_wide_fields():
+    # 300 needs 9 bits per field plus the guard.
+    f = P("x1^300*x2^300 + 3*x1^299*x2 - x2^7 + 5")
+    assert_matches_oracle(f, MonicFamily.build([P("x1^5 - 2*x1", nvars=2), P("x2^7 + x2", nvars=2)]))
+
+
+def test_exponent_beyond_machine_words():
+    big = 2**70
+    f = Poly(ZZ, 2, {(big, 1): 1, (0, 3): 2, (1, 0): 1})
+    g = Poly(ZZ, 2, {(big, 0): 1, (5, 0): -1})
+    out = assert_matches_oracle(f, MonicFamily.build([P("x2^2 - 1", nvars=2), g]))
+    assert out.remainder == P("x1^5*x2 + x1 + 2*x2")
+
+
+def test_witness_outside_the_dividend_box():
+    # x2^4 and x1^(2^40) cannot fit the 3-bit fields of f's box (3, 1); the
+    # members carrying them come first, so skipping them must keep indices.
+    f = P("x1^3*x2 + x1^3 + x2")
+    members = [
+        P("x2^4 - 1", nvars=2),
+        Poly(ZZ, 2, {(2**40, 0): 1, (1, 0): 1}),
+        P("x1^2 - x1", nvars=2),
+    ]
+    out = assert_matches_oracle(f, MonicFamily.build(members))
+    assert out.quotients[0].is_zero() and out.quotients[1].is_zero()
+    assert not out.quotients[2].is_zero()
+
+
+def test_zero_and_constant_dividends():
+    family = MonicFamily.build([P("x1^2 - x1", nvars=2), P("x2 - 3", nvars=2)])
+    assert_matches_oracle(Poly.zero(ZZ, 2), family)
+    assert_matches_oracle(Poly.constant(ZZ, 2, 4), family)
+
+
+# -- rewrites pinned against their old definitions ------------------------------
+
+
+def support_contained_by_term_products(outcome):
+    peaks = outcome.poly.max_support()
+    for p, g in zip(outcome.quotients, outcome.family.members):
+        for a in p.terms:
+            for b in g.terms:
+                if not in_downset(tuple(x + y for x, y in zip(a, b)), peaks):
+                    return False
+    return all(in_downset(a, peaks) for a in outcome.remainder.terms)
+
+
+def test_support_contained_matches_term_products(rng):
+    verdicts = set()
+    for _ in range(400):
+        ring = rng.choice(RINGS)
+        n = rng.randint(1, 3)
+        out = reduce(random_poly(rng, ring, n, max_deg=4), random_family(rng, ring, n))
+        bump = random_poly(rng, ring, n, max_deg=5, max_terms=2)
+        if rng.random() < 0.5:
+            k = rng.randrange(len(out.quotients))
+            quotients = list(out.quotients)
+            quotients[k] = quotients[k] + bump
+            tampered = replace(out, quotients=tuple(quotients))
+        else:
+            tampered = replace(out, remainder=out.remainder + bump)
+        for outcome in (out, tampered):
+            expected = support_contained_by_term_products(outcome)
+            assert outcome.support_contained() == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def monic_witness_by_scan(f):
+    if not f.terms:
+        return None
+    theta = max(f.terms, key=grlex_key)
+    if any(not leq(alpha, theta) for alpha in f.terms):
+        return None
+    if f.terms[theta] != f.ring.one:
+        return None
+    return theta
+
+
+@pytest.mark.parametrize(
+    "text, nvars",
+    [
+        ("0", 2),
+        ("x1 + x2", 2),  # grlex tie, no greatest point
+        ("x1^2 + x2^2 + x1*x2", 2),
+        ("2*x1^2 + x1", 1),  # coefficient not one
+        ("x1^2*x2 - x1^3", 2),  # join (3, 1) is not a support point
+        ("x1*x2^2 + x1 - 4", 2),
+        ("x3^2 + x1*x3", 3),
+        ("7", 1),
+    ],
+)
+def test_monic_witness_fixed_cases(text, nvars):
+    f = P(text, nvars=nvars)
+    assert f.monic_witness() == monic_witness_by_scan(f)
+
+
+def test_monic_witness_matches_scan(rng):
+    for _ in range(2000):
+        ring = rng.choice(RINGS)
+        n = rng.randint(1, 3)
+        f = random_poly(rng, ring, n) if rng.random() < 0.5 else random_monic(rng, ring, n)
+        assert f.monic_witness() == monic_witness_by_scan(f)
+
+
+def s_polynomial_by_shifted_multiples(f, g):
+    alpha, beta = f.monic_witness(), g.monic_witness()
+    low = meet(alpha, beta)
+
+    def shifted(p, shift):
+        return Poly(p.ring, p.nvars, {
+            tuple(x + y for x, y in zip(a, shift)): c for a, c in p.terms.items()
+        })
+
+    return shifted(f, vec_sub(beta, low)) - shifted(g, vec_sub(alpha, low))
+
+
+def test_s_polynomial_matches_shifted_multiples(rng):
+    for _ in range(500):
+        ring = rng.choice(RINGS)
+        n = rng.randint(1, 3)
+        f, g = random_monic(rng, ring, n), random_monic(rng, ring, n)
+        s = s_polynomial(f, g)
+        expected = s_polynomial_by_shifted_multiples(f, g)
+        assert list(s.terms.items()) == list(expected.terms.items())
+
+
+def test_ring_cached_modulus_stays_private():
+    a, b = GF(5), GF(5)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "Ring(kind='GF', modulus=5)"
+    assert a != Zmod(5) and ZZ != QQ
+    for ring in (ZZ, QQ, GF(5), Zmod(6)):
+        copy = pickle.loads(pickle.dumps(ring))
+        assert copy == ring and hash(copy) == hash(ring)
+        assert copy.add(copy.one, copy.from_int(7)) == ring.add(ring.one, ring.from_int(7))
+    moved = replace(GF(5), modulus=7)
+    assert moved == GF(7) and moved.add(5, 4) == 2
+    widened = replace(Zmod(6), kind="ZZ", modulus=None)
+    assert widened == ZZ and widened.add(5, 4) == 9
+    assert QQ.mul(Fraction(1, 2), Fraction(2, 3)) == Fraction(1, 3)
