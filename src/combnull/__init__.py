@@ -75,6 +75,7 @@ from .reduction import (
     MonicFamily,
     ReductionOutcome,
     buchberger_certifies,
+    decompose_member,
     membership_refutation,
     normal_form,
     reduce,

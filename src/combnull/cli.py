@@ -48,6 +48,7 @@ from .reduction import MonicFamily, buchberger_certifies, reduce
 from .rings import ZZ, Zmod, parse_ring
 from .serialization import (
     certificate_to_json,
+    element_from_json,
     family_to_json,
     grid_from_json,
     punctured_from_json,
@@ -301,7 +302,7 @@ def _cmd_cover(args) -> int:
 def _cmd_alon_furedi(args) -> int:
     ring = parse_ring(args.ring)
     supports_doc = _loose_json(args.supports)
-    supports = [[ring.canon(v) if not isinstance(v, str) else ring.parse_element(v) for v in S] for S in supports_doc]
+    supports = [[element_from_json(ring, v) for v in S] for S in supports_doc]
     nvars = len(supports)
     f = parse_poly(_read_arg(args.poly), ring, nvars)
     beta = parse_expvec(args.beta)

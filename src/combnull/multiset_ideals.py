@@ -24,16 +24,16 @@ from itertools import chain, product
 from typing import Mapping, Sequence
 
 from .errors import (
+    ArityMismatch,
     DivisibilityFailure,
     EmptyPuncture,
     Inapplicable,
     InternalInvariantError,
     NonPositiveMultiplicity,
-    NonzeroRemainder,
     NotMember,
 )
 from .polynomials import Poly, monic_power_product, root_product, taylor_shift
-from .reduction import MonicFamily, ReductionOutcome, membership_refutation, reduce
+from .reduction import MonicFamily, ReductionOutcome, decompose_member, reduce
 from .rings import Element, Ring
 from .staircase import compositions, require_level
 
@@ -70,16 +70,19 @@ class Axis:
 
 @dataclass(frozen=True)
 class MultisetGrid:
+    """A finite grid S_1 x ... x S_n of ``Axis`` objects over one ring."""
+
     ring: Ring
     axes: tuple
 
     @classmethod
     def build(cls, ring: Ring, supports: Sequence, psis: Sequence | None = None) -> "MultisetGrid":
-        axes = []
-        for k, values in enumerate(supports):
-            psi = None if psis is None else psis[k]
-            axes.append(Axis.build(ring, values, psi))
-        return cls(ring, tuple(axes))
+        """One ``Axis.build`` per support and psi table (None: every psi is 1)."""
+        if psis is None:
+            psis = [None] * len(supports)
+        if len(psis) != len(supports):
+            raise ArityMismatch(f"{len(supports)} axes but {len(psis)} multiplicity tables")
+        return cls(ring, tuple(Axis.build(ring, S, psi) for S, psi in zip(supports, psis)))
 
     @property
     def nvars(self) -> int:
@@ -92,7 +95,12 @@ class MultisetGrid:
     def axis_polys(self) -> list:
         return [self.axis_poly(k) for k in range(self.nvars)]
 
+    @property
+    def empty_grid(self) -> bool:
+        return any(not axis.support for axis in self.axes)
+
     def grid_points(self):
+        """Grid points in lexicographic order of canonical element values."""
         return product(*(axis.support for axis in self.axes))
 
     def condition_d(self) -> tuple:
@@ -118,14 +126,14 @@ class PuncturedGrid:
 
     @classmethod
     def build(cls, base: MultisetGrid, punctures: Sequence) -> "PuncturedGrid":
+        if len(punctures) != base.nvars:
+            raise ArityMismatch(f"{base.nvars} axes but {len(punctures)} puncture sets")
         canon = []
         for axis, E in zip(base.axes, punctures):
             E = tuple(sorted({base.ring.canon(u) for u in E}))
             if not set(E) <= set(axis.support):
                 raise ValueError(f"puncture {E} not inside axis support")
             canon.append(E)
-        if len(canon) != base.nvars:
-            raise ValueError("one puncture set per axis required")
         return cls(base, tuple(canon))
 
     @property
@@ -230,14 +238,8 @@ def level_certificate(f: Poly, grid: MultisetGrid, t: int) -> ReductionOutcome:
     """
     if not level_membership(f, grid, t):
         raise NotMember("not in the level ideal")
-    basis = level_basis(grid, t)
-    out = reduce(f, basis)
-    if not out.remainder.is_zero():
-        raise NonzeroRemainder("level-basis division of a member left a remainder")
-    cover = f.is_zero() or membership_refutation(f, basis) is None
-    if not cover:
-        raise InternalInvariantError("member with an undominated maximal exponent")
-    return replace(out, kind="I_t", t=t, degree_report={"leading_cover": cover})
+    out = decompose_member(f, level_basis(grid, t))
+    return replace(out, kind="I_t", t=t, degree_report={"leading_cover": True})
 
 
 # -- punctured ideals -------------------------------------------------------
@@ -374,11 +376,7 @@ def mixed_certificate(f: Poly, pgrid: PuncturedGrid, t: int) -> ReductionOutcome
     two-layer basis, with support containment."""
     if not mixed_membership(f, pgrid, t):
         raise NotMember("not in the mixed ideal")
-    basis = mixed_basis(pgrid, t)
-    out = reduce(f, basis)
-    if not out.remainder.is_zero():
-        raise NonzeroRemainder("mixed-basis division of a member left a remainder")
-    return replace(out, kind="mixed", t=t)
+    return replace(decompose_member(f, mixed_basis(pgrid, t)), kind="mixed", t=t)
 
 
 def min_extra_degree(pgrid: PuncturedGrid, t: int):

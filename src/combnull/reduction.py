@@ -21,6 +21,10 @@ polynomial division using a heap*, JSC 2011).  The strategy is the same on
 packed keys, and quotients and remainder are unpacked to the tuple keys
 every ``Poly`` carries before they are returned.
 
+``decompose_member`` is the one path from a decided membership to its
+zero-remainder decomposition; the level, mixed and vanishing-ideal
+certificates all divide through it.
+
 ``buchberger_certifies`` runs the sufficiency test on S-polynomials; a True
 answer certifies the Groebner property, a False answer is inconclusive.
 """
@@ -33,6 +37,8 @@ from operator import add
 from typing import Hashable, Sequence
 
 from .errors import (
+    InternalInvariantError,
+    NonzeroRemainder,
     NotMonic,
     UncertifiedBasis,
     ZeroPolynomial,
@@ -306,6 +312,18 @@ def membership_refutation(f: Poly, family: MonicFamily) -> ExpVec | None:
     if not witnesses:
         return None
     return max(witnesses, key=lambda b: (sum(b), b))
+
+
+def decompose_member(f: Poly, family: MonicFamily) -> ReductionOutcome:
+    """Divide a known member of an ideal by a Groebner basis of it.  A
+    nonzero remainder, or a maximal support point of f above no leading
+    exponent (which a zero remainder already rules out), is a library bug."""
+    out = reduce(f, family)
+    if not out.remainder.is_zero():
+        raise NonzeroRemainder("division of a member left a nonzero remainder")
+    if not f.is_zero() and (beta := membership_refutation(f, family)) is not None:
+        raise InternalInvariantError(f"maximal exponent {beta} dominates no leading exponent")
+    return out
 
 
 def normal_form(f: Poly, family: MonicFamily) -> Poly:

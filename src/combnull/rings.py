@@ -111,14 +111,14 @@ class Ring:
         return range(self.modulus)
 
     def canon(self, value) -> Element:
-        """Canonical representative of an int or Fraction in this ring."""
+        """Canonical representative of an int (or, in QQ, a Fraction) in
+        this ring; a ``bool`` is not an element of any ring."""
         if self.kind == _RATIONALS:
-            if isinstance(value, (int, Fraction)):
+            if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
                 return Fraction(value)
-            raise ParseError(f"not a rational value: {value!r}")
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParseError(f"not an integer value for {self}: {value!r}")
-        return value % self._mod if self._mod else value
+        elif isinstance(value, int) and not isinstance(value, bool):
+            return value % self._mod if self._mod else value
+        raise ParseError(f"not an element of {self}: {value!r}")
 
     def from_int(self, k: int) -> Element:
         """Canonical ring image of an integer (the unique map ZZ -> R)."""

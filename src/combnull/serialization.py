@@ -80,34 +80,22 @@ def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
             raise ParseError("grid document carries no ring")
         ring = parse_ring(doc["ring"])
     if "axes" in doc:
-        supports = []
-        psis = []
-        for axis_doc in doc["axes"]:
-            values = [element_from_json(ring, v) for v in axis_doc["S"]]
-            psi_doc = axis_doc.get("psi")
-            psi = None
-            if psi_doc is not None:
-                psi = {
-                    element_from_json(ring, k): int(m)
-                    for k, m in psi_doc.items()
-                }
-            supports.append(values)
-            psis.append(psi)
-        return MultisetGrid.build(ring, supports, psis)
-    if "S" in doc:
-        supports = [
-            [element_from_json(ring, v) for v in axis] for axis in doc["S"]
-        ]
-        psis = None
-        if "psi" in doc:
-            psis = [
-                {element_from_json(ring, k): int(m) for k, m in axis.items()}
-                if axis is not None
-                else None
-                for axis in doc["psi"]
-            ]
-        return MultisetGrid.build(ring, supports, psis)
-    raise ParseError("grid document needs an 'axes' or 'S' entry")
+        supports = [axis_doc["S"] for axis_doc in doc["axes"]]
+        psi_docs = [axis_doc.get("psi") for axis_doc in doc["axes"]]
+    elif "S" in doc:
+        supports = doc["S"]
+        psi_docs = doc.get("psi", [None] * len(supports))
+    else:
+        raise ParseError("grid document needs an 'axes' or 'S' entry")
+    return MultisetGrid.build(
+        ring,
+        [[element_from_json(ring, v) for v in S] for S in supports],
+        [
+            None if psi is None
+            else {element_from_json(ring, k): int(m) for k, m in psi.items()}
+            for psi in psi_docs
+        ],
+    )
 
 
 def punctured_to_json(pgrid: PuncturedGrid) -> dict:
@@ -135,7 +123,8 @@ def spec_to_json(spec: VanishingSpec) -> dict:
     return {
         "ring": str(spec.ring),
         "S": [
-            [element_to_json(spec.ring, u) for u in axis] for axis in spec.axes
+            [element_to_json(spec.ring, u) for u in axis.support]
+            for axis in spec.axes
         ],
         "B": {
             "(" + ",".join(str(element_to_json(spec.ring, v)) for v in point) + ")": [

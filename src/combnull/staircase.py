@@ -72,17 +72,12 @@ def downset(vectors: Iterable[ExpVec]) -> set:
 
 
 def has_finite_complement(generators: Iterable[ExpVec], nvars: int) -> bool:
-    """Finiteness criterion for the complement of an upset.
-
-    The complement of the upset of C is finite exactly when every axis k
-    owns a generator supported on axis k alone.
-    """
-    gens = list(generators)
-    for k in range(nvars):
-        if not any(
-            all(g[l] == 0 for l in range(nvars) if l != k) for g in gens
-        ):
-            return False
+    """Finiteness criterion for the complement of an upset: every axis k
+    owns a generator supported on axis k alone (see ``_axis_bounds``)."""
+    try:
+        _axis_bounds(list(generators), nvars)
+    except InfiniteComplement:
+        return False
     return True
 
 
@@ -90,7 +85,9 @@ def _axis_bounds(gens: Sequence[ExpVec], nvars: int) -> list:
     """Box bounds b_k = min over generators supported on axis k alone.
 
     Every vector outside the upset has k-th entry < b_k, so scanning the
-    box [0, b_1) x ... x [0, b_n) is a complete enumeration.
+    box [0, b_1) x ... x [0, b_n) is a complete enumeration.  The
+    complement of the upset is finite exactly when every axis has such a
+    generator; otherwise this raises InfiniteComplement.
     """
     bounds = []
     for k in range(nvars):

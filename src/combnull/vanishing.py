@@ -1,9 +1,11 @@
 """Ideals cut out by shifted-support conditions on a finite grid.
 
-A ``VanishingSpec`` assigns to every point a of a finite grid a set B_a of
-exponent vectors; the ideal consists of the polynomials whose shift to a
-has support inside the upset of B_a, for every grid point.  Membership in
-that ideal is decidable coefficient by coefficient.
+A ``VanishingSpec`` is a ``MultisetGrid`` with every multiplicity 1 plus a
+table B that assigns to every grid point a a set B_a of exponent vectors;
+the ideal consists of the polynomials whose shift to a has support inside
+the upset of B_a, for every grid point.  The grid supplies the axes, the
+point enumeration and Condition (D); membership in the ideal is decidable
+coefficient by coefficient.
 
 Whether a monic family inside the ideal is a Groebner basis of it can be
 certified numerically: under Condition (D) on every axis, the family is a
@@ -15,68 +17,44 @@ certification is inapplicable and is reported as such, never as a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Mapping, Sequence
 
 from .errors import (
     InfiniteComplement,
     InternalInvariantError,
-    NonzeroRemainder,
     NotCertified,
     NotInIdeal,
 )
+from .multiset_ideals import MultisetGrid
 from .polynomials import Poly, monic_power_product, root_product, taylor_shift
-from .reduction import MonicFamily, ReductionOutcome, membership_refutation, reduce
+from .reduction import MonicFamily, ReductionOutcome, decompose_member
 from .rings import Element, Ring
 from .staircase import complement, has_finite_complement, in_upset
 
 
 @dataclass(frozen=True)
-class VanishingSpec:
-    """Grid axes together with one support-upset generator set per point.
+class VanishingSpec(MultisetGrid):
+    """A grid with one support-upset generator set per point.
 
-    ``axes[i]`` is the sorted tuple of admissible values on axis i; ``B``
-    maps each grid point (a tuple of axis values) to a frozenset of
+    ``B`` maps each grid point (a tuple of axis values) to a frozenset of
     exponent vectors.  Every complement of an upset of B_a must be finite,
     otherwise membership would constrain infinitely many coefficients.
     """
 
-    ring: Ring
-    axes: tuple
     B: Mapping
 
     @classmethod
     def build(cls, ring: Ring, axes: Sequence[Sequence[Element]], B: Mapping) -> "VanishingSpec":
-        canon_axes = tuple(
-            tuple(sorted({ring.canon(u) for u in axis})) for axis in axes
-        )
-        n = len(canon_axes)
+        grid = MultisetGrid.build(ring, axes)
         table = {}
-        for point in product(*canon_axes):
+        for point in grid.grid_points():
             if point not in B:
                 raise ValueError(f"missing B entry for grid point {point}")
             gens = frozenset(tuple(v) for v in B[point])
-            if not has_finite_complement(gens, n):
-                raise InfiniteComplement(
-                    f"B at {point} leaves an infinite staircase complement"
-                )
+            if not has_finite_complement(gens, grid.nvars):
+                raise InfiniteComplement(f"B at {point} leaves an infinite staircase complement")
             table[point] = gens
-        return cls(ring, canon_axes, table)
-
-    @property
-    def nvars(self) -> int:
-        return len(self.axes)
-
-    def grid_points(self):
-        """Grid points in lexicographic order of canonical element values."""
-        return product(*self.axes)
-
-    @property
-    def empty_grid(self) -> bool:
-        return any(not axis for axis in self.axes)
-
-    def condition_d(self) -> tuple:
-        return tuple(self.ring.condition_holds(axis, "D") for axis in self.axes)
+        return cls(grid.ring, grid.axes, table)
 
 
 def in_vanishing_ideal(f: Poly, spec: VanishingSpec) -> bool:
@@ -163,26 +141,14 @@ def groebner_decompose(
     """Zero-remainder decomposition of a member over a certified family.
 
     Requires a ``groebner`` verdict from ``certify_groebner`` and
-    membership of f.  The remainder is then forced to vanish and every
-    maximal support point of f must dominate some leading exponent; a
-    failure of either is a library bug and raises loudly.
+    membership of f, then divides through ``decompose_member``.
     """
     report = certify_groebner(spec, family)
     if report.verdict != "groebner":
         raise NotCertified(f"certification verdict is {report.verdict!r}")
     if not in_vanishing_ideal(f, spec):
         raise NotInIdeal("polynomial violates the vanishing conditions")
-    out = reduce(f, family)
-    if not out.remainder.is_zero():
-        raise NonzeroRemainder(
-            "certified family left a nonzero remainder on a member"
-        )
-    beta = None if f.is_zero() else membership_refutation(f, family)
-    if beta is not None:
-        raise InternalInvariantError(
-            f"maximal exponent {beta} dominates no leading exponent"
-        )
-    return out
+    return decompose_member(f, family)
 
 
 @dataclass(frozen=True)
@@ -220,13 +186,13 @@ def multiplicity_family(
     n = len(axes)
     if table.nvars != n:
         raise ValueError("table arity disagrees with the axis count")
-    canon_axes = [tuple(sorted({ring.canon(u) for u in axis})) for axis in axes]
+    grid = MultisetGrid.build(ring, axes)
     members = []
     thetas = []
     for lam in table.member_labels:
         axis_polys = []
-        for i, axis in enumerate(canon_axes):
-            column = {u: e for u in axis if (e := table.get(i, u, lam))}
+        for i, axis in enumerate(grid.axes):
+            column = {u: e for u in axis.support if (e := table.get(i, u, lam))}
             axis_polys.append(root_product(ring, n, i, column, column))
         [(g, theta)] = monic_power_product(axis_polys, [(1,) * n])
         members.append(g)
@@ -239,7 +205,6 @@ def multiplicity_family(
             tuple(table.get(i, point[i], lam) for i in range(n))
             for lam in table.member_labels
         }
-        for point in product(*canon_axes)
+        for point in grid.grid_points()
     }
-    spec = VanishingSpec.build(ring, canon_axes, B)
-    return family, spec
+    return family, VanishingSpec.build(ring, [axis.support for axis in grid.axes], B)

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +96,43 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
     )
     assert code == 4
     assert "internal error: forced" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("punctured", "--ring", "ZZ", "--grid", "{S:[[0,1]], E:[[0],[1]]}"),
+        ("membership", "--ring", "ZZ",
+         "--grid", '{"S":[[0,1],[0,1]], "psi":[{"0":1,"1":1}]}'),
+        ("membership", "--ring", "ZZ",
+         "--grid", '{"S":[[0,1]], "psi":[{"0":1,"1":1},{"0":3}]}'),
+        ("membership", "--ring", "QQ", "--grid", "{S:[[true,0]]}"),
+    ],
+    ids=["extra_puncture", "short_psi", "extra_psi", "bool_element"],
+)
+def test_malformed_grid_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv, "--t", "1", "--poly", "x1^2-x1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def _readme_cli_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").strip().splitlines()
+    return [shlex.split(line) for line in lines]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_commands()
+    assert len(commands) == 13
+    for words in commands:
+        assert words[0] == "combnull"
+        code, out, err = run(capsys, *words[1:])
+        assert code == 0, (words, err)
+        assert out
 
 
 def test_usage_error_exit_code(capsys):

@@ -41,6 +41,7 @@ from combnull import (
     reduce,
     staircase_count,
 )
+from combnull.serialization import grid_from_json
 from conftest import P
 
 GRID = MultisetGrid.build(ZZ, [[0, 1]])
@@ -93,6 +94,8 @@ X1X2 = P("x1*x2")
 EMPTY = MultisetGrid.build(ZZ, [[]])
 EMPTY_PGRID = PuncturedGrid.build(EMPTY, [[]])
 F5 = P("x1", ring=GF(5))
+GRID2 = MultisetGrid.build(ZZ, [[0, 1], [0, 1]])
+UNIT_PSI = {0: 1, 1: 1}
 
 OPERAND_ENTRY_POINTS = {
     "level_membership_empty_axis": (
@@ -119,6 +122,18 @@ OPERAND_ENTRY_POINTS = {
     "monic_family": (
         lambda: MonicFamily.build([P("x1"), X1X2]), ArityMismatch),
     "poly_mul": (lambda: X1 * F5, RingMismatch),
+    # one per-axis list entry per axis, counted before any zip or index
+    "multiset_grid_short_psis": (
+        lambda: MultisetGrid.build(ZZ, [[0, 1], [0, 1]], [UNIT_PSI]), ArityMismatch),
+    "multiset_grid_extra_psis": (
+        lambda: MultisetGrid.build(ZZ, [[0, 1]], [UNIT_PSI, {0: 3}]), ArityMismatch),
+    "grid_from_json_short_psis": (
+        lambda: grid_from_json({"S": [[0, 1], [0, 1]], "psi": [{"0": 1, "1": 1}]}, ZZ),
+        ArityMismatch),
+    "punctured_grid_short_punctures": (
+        lambda: PuncturedGrid.build(GRID2, [[0]]), ArityMismatch),
+    "punctured_grid_extra_punctures": (
+        lambda: PuncturedGrid.build(GRID, [[0], [1]]), ArityMismatch),
 }
 
 

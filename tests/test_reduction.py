@@ -1,14 +1,18 @@
 import pytest
 
+import combnull.reduction
 from combnull import (
     ZZ,
+    InternalInvariantError,
     MonicFamily,
+    NonzeroRemainder,
     NotMonic,
     Poly,
     UncertifiedBasis,
     ZeroPolynomial,
     Zmod,
     buchberger_certifies,
+    decompose_member,
     downset,
     level_basis,
     membership_refutation,
@@ -117,6 +121,22 @@ def test_membership_refutation_examples():
     assert membership_refutation(P("x1^3 + x2", nvars=2), G) == (0, 1)
     with pytest.raises(ZeroPolynomial):
         membership_refutation(Poly.zero(ZZ, 2), G)
+
+
+def test_decompose_member(monkeypatch):
+    G = family("x1^2 - x1", "x2^2 - x2", nvars=2)
+    out = decompose_member(P("x1^3*x2 - x1*x2", nvars=2), G)
+    assert out.remainder.is_zero()
+    assert all(out.verify().values())
+    assert decompose_member(Poly.zero(ZZ, 2), G).remainder.is_zero()
+    with pytest.raises(NonzeroRemainder):
+        decompose_member(P("x1*x2 + 1", nvars=2), G)
+    # a zero remainder that leaves a maximal exponent uncovered is a bug
+    f = P("x1*x2", nvars=2)
+    forged = reduce(Poly.zero(ZZ, 2), G)
+    monkeypatch.setattr(combnull.reduction, "reduce", lambda *_: forged)
+    with pytest.raises(InternalInvariantError, match="dominates no leading exponent"):
+        decompose_member(f, G)
 
 
 def test_normal_form_requires_certification():

@@ -31,6 +31,13 @@ def test_canonical_representatives():
         ZZ.canon(Fraction(1, 2))
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(6), GF(5)], ids=str)
+@pytest.mark.parametrize("value", [True, False])
+def test_bool_is_not_an_element(ring, value):
+    with pytest.raises(ParseError, match="not an element of"):
+        ring.canon(value)
+
+
 def test_units():
     assert Zmod(6).is_unit(5)
     assert not Zmod(6).is_unit(2)

@@ -48,6 +48,27 @@ def test_grid_compact_form():
         grid_from_json({"S": [[0, 1]]})  # no ring anywhere
 
 
+@pytest.mark.parametrize(
+    "psis",
+    [[{"0": 2, "1": 1}, {"0": 1, "2": 3}], None, [None, {"0": 1, "2": 3}]],
+    ids=["given", "absent", "null_entry"],
+)
+def test_grid_forms_read_alike(psis):
+    supports = [[0, 1], [2, 0]]
+    compact = {"ring": "ZZ", "S": supports}
+    canonical = {"ring": "ZZ", "axes": [{"S": S} for S in supports]}
+    if psis is not None:
+        compact["psi"] = psis
+        for axis_doc, psi in zip(canonical["axes"], psis):
+            axis_doc["psi"] = psi
+    grid = grid_from_json(compact)
+    assert grid_from_json(canonical) == grid
+    assert grid_from_json(grid_to_json(grid)) == grid
+    expected = [None if psi is None else {int(k): m for k, m in psi.items()}
+                for psi in psis or [None, None]]
+    assert grid == MultisetGrid.build(ZZ, supports, expected)
+
+
 def test_rational_grid_round_trip():
     grid = MultisetGrid.build(QQ, [[Fraction(1, 2), 0]])
     doc = grid_to_json(grid)

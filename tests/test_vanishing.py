@@ -7,6 +7,7 @@ from combnull import (
     InfiniteComplement,
     MonicFamily,
     MultiplicityTable,
+    MultisetGrid,
     NotCertified,
     NotInIdeal,
     Poly,
@@ -25,6 +26,20 @@ from conftest import P, random_poly
 def classical_spec(ring=ZZ):
     # one variable, S = {0, 1}, first-order vanishing at both points
     return VanishingSpec.build(ring, [[0, 1]], {(0,): {(1,)}, (1,): {(1,)}})
+
+
+def test_spec_is_its_grid():
+    # over ZZ/6 the axes canonicalize to {0, 3}, which fails Condition (D),
+    # and {1, 2}, which holds it
+    R = Zmod(6)
+    axes = [[3, 0, 9], [7, 2]]
+    grid = MultisetGrid.build(R, axes)
+    B = {point: {(1, 0), (0, 1)} for point in grid.grid_points()}
+    spec = VanishingSpec.build(R, axes, B)
+    assert spec.axes == grid.axes
+    assert spec.condition_d() == grid.condition_d() == (False, True)
+    assert list(spec.grid_points()) == list(grid.grid_points())
+    assert all(set(axis.psi.values()) == {1} for axis in spec.axes)
 
 
 def test_membership_examples():
