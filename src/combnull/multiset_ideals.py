@@ -53,7 +53,7 @@ class Axis:
             m = 1 if psi is None else psi.get(u)
             if m is None:
                 raise NonPositiveMultiplicity(f"no multiplicity for {u}")
-            if not isinstance(m, int) or m < 1:
+            if isinstance(m, bool) or not isinstance(m, int) or m < 1:
                 raise NonPositiveMultiplicity(f"psi({u}) = {m!r}")
             table[u] = m
         if psi is not None:

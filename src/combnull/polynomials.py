@@ -213,26 +213,6 @@ class Poly:
             total = ring.add(total, term)
         return total
 
-    def partial_evaluate(self, assignments: Mapping[int, Element]) -> "Poly":
-        """Substitute values on a subset of axes, keeping the arity."""
-        ring = self.ring
-        out: dict = {}
-        for alpha, c in self.terms.items():
-            val = c
-            key = list(alpha)
-            for axis, v in assignments.items():
-                e = alpha[axis]
-                if e:
-                    val = ring.mul(val, ring.pow(ring.canon(v), e))
-                key[axis] = 0
-            k = tuple(key)
-            s = ring.add(out.get(k, ring.zero), val)
-            if s == ring.zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return _raw(ring, self.nvars, out)
-
     def __repr__(self) -> str:
         return f"Poly({self.ring}, {format_poly(self)!r})"
 

@@ -15,11 +15,11 @@ the monomials of the current polynomial dominating some theta(lam), the
 graded-lexicographic greatest is cancelled against the lowest-index
 eligible family member.
 
-Inside ``reduce`` only, exponent vectors are packed into single ints whose
+The division loop runs on exponent vectors packed into single ints whose
 order is the graded-lexicographic order (Monagan & Pearce, *Sparse
-polynomial division using a heap*, JSC 2011).  The strategy is the same on
-packed keys, and quotients and remainder are unpacked to the tuple keys
-every ``Poly`` carries before they are returned.
+polynomial division using a heap*, JSC 2011).  ``reduce`` packs f and the
+members it can reach, runs that loop and unpacks to the tuple keys every
+``Poly`` carries; ``s_polynomial`` packs, builds the S-pair and unpacks.
 
 ``decompose_member`` is the one path from a decided membership to its
 zero-remainder decomposition; the level, mixed and vanishing-ideal
@@ -27,6 +27,9 @@ certificates all divide through it.
 
 ``buchberger_certifies`` runs the sufficiency test on S-polynomials; a True
 answer certifies the Groebner property, a False answer is inconclusive.
+It packs the family once, at one field width for every pair, and builds,
+divides and support-checks each S-pair on packed keys with the same
+S-pair builder and division loop, so no pair is unpacked.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .polynomials import Poly, _raw
-from .staircase import ExpVec, in_downset, leq, meet, vec_sub
+from .staircase import ExpVec, in_downset, leq
 
 
 @dataclass(frozen=True)
@@ -179,21 +182,19 @@ class ReductionOutcome:
         }
 
 
-def reduce(f: Poly, family: MonicFamily) -> ReductionOutcome:
-    """Divide f by the family under the fixed strategy."""
-    if family.members:
-        f.require_on(family.ring, family.nvars)
-    ring = f.ring
-    zero = ring.zero
-    nv = f.nvars
-    # Every exponent the division meets is dominated by a support point of
-    # f (members are monic), so one field of the largest exponent's bit
-    # length plus a guard bit per axis never carries.  The total degree
-    # sits above x1..xn, so int order is the graded-lexicographic order.
-    corner = tuple(map(max, zip(*f.terms))) if f.terms else (0,) * nv
+def _packing(corner: ExpVec):
+    """Packed-int keys for exponent vectors dominated by ``corner``.
+
+    The total degree sits above x1..xn, so int order is the
+    graded-lexicographic order.  Each field is the bit length of the
+    corner's largest entry plus a guard bit, so adding two keys whose sum
+    stays under the corner never carries, and ``b <= p`` componentwise
+    exactly when ``(p - b) & guards == 0``.  Returns ``pack``, ``unpack``
+    (packed terms back to a ``Poly``) and ``guards``.
+    """
     width = max(corner).bit_length() + 1
     mask = (1 << width) - 1
-    offsets = range(width * (nv - 1), -1, -width)
+    offsets = range(width * (len(corner) - 1), -1, -width)
     guards = sum(1 << (s + width - 1) for s in offsets)
 
     def pack(alpha: ExpVec) -> int:
@@ -202,18 +203,24 @@ def reduce(f: Poly, family: MonicFamily) -> ReductionOutcome:
             key = (key << width) | e
         return key
 
-    def unpack(terms: dict) -> dict:
-        return {tuple(k >> s & mask for s in offsets): c for k, c in terms.items()}
+    def unpack(ring, terms: dict) -> Poly:
+        return _raw(ring, len(corner), {
+            tuple(k >> s & mask for s in offsets): c for k, c in terms.items()
+        })
 
-    # A member whose witness leaves f's box can never be chosen, and its
-    # exponents need not fit the fields.
-    reachable = [
-        (i, pack(theta), [(pack(beta), gc) for beta, gc in g.terms.items()])
-        for i, (g, theta) in enumerate(zip(family.members, family.witnesses))
-        if leq(theta, corner)
-    ]
-    quotients = [dict() for _ in family.witnesses]
-    work = {pack(alpha): c for alpha, c in f.terms.items()}
+    return pack, unpack, guards
+
+
+def _divide(ring, work: dict, divisors: list, guards: int, size: int):
+    """The division loop on packed keys, under the fixed strategy.
+
+    ``divisors`` lists ``(index, theta, terms)`` by increasing index, with
+    packed witness and terms; ``work`` is reduced in place to the
+    remainder.  Returns the ``size`` quotient dicts, keyed by packed shift,
+    and the number of steps.
+    """
+    zero = ring.zero
+    quotients = [dict() for _ in range(size)]
     heap = [-key for key in work]
     heapq.heapify(heap)
     steps = 0
@@ -222,7 +229,7 @@ def reduce(f: Poly, family: MonicFamily) -> ReductionOutcome:
         c = work.get(gamma)
         if c is None:
             continue
-        for i, theta, terms in reachable:
+        for i, theta, terms in divisors:
             if not (gamma - theta) & guards:
                 break
         else:
@@ -242,13 +249,42 @@ def reduce(f: Poly, family: MonicFamily) -> ReductionOutcome:
                 work[key] = s
                 if key != gamma:
                     heapq.heappush(heap, -key)
+    return quotients, steps
 
+
+def _s_pair(ring, f_terms: list, u: int, g_terms: list, v: int) -> dict:
+    """x^u f - x^v g on packed terms; the shifted witnesses cancel."""
+    zero = ring.zero
+    out = {a + u: c for a, c in f_terms}
+    for b, c in g_terms:
+        key = b + v
+        s = ring.sub(out.get(key, zero), c)
+        if s == zero:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
+
+
+def reduce(f: Poly, family: MonicFamily) -> ReductionOutcome:
+    """Divide f by the family under the fixed strategy."""
+    if family.members:
+        f.require_on(family.ring, family.nvars)
+    # Every exponent the division meets is dominated by a support point of
+    # f (members are monic), so f's corner bounds every field.
+    corner = tuple(map(max, zip(*f.terms))) if f.terms else (0,) * f.nvars
+    pack, unpack, guards = _packing(corner)
+    # A member whose witness leaves f's box can never be chosen, and its
+    # exponents need not fit the fields.
+    reachable = [
+        (i, pack(theta), [(pack(beta), c) for beta, c in g.terms.items()])
+        for i, (g, theta) in enumerate(zip(family.members, family.witnesses))
+        if leq(theta, corner)
+    ]
+    work = {pack(alpha): c for alpha, c in f.terms.items()}
+    quotients, steps = _divide(f.ring, work, reachable, guards, len(family))
     return ReductionOutcome(
-        family,
-        tuple(_raw(ring, nv, unpack(q)) for q in quotients),
-        _raw(ring, nv, unpack(work)),
-        f,
-        steps,
+        family, tuple(unpack(f.ring, q) for q in quotients), unpack(f.ring, work), f, steps
     )
 
 
@@ -259,19 +295,11 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
     if alpha is None or beta is None:
         raise NotMonic("S-polynomials are defined for monic operands")
     f.require_on(g.ring, g.nvars)
-    ring = f.ring
-    zero = ring.zero
-    low = meet(alpha, beta)
-    u, v = vec_sub(beta, low), vec_sub(alpha, low)
-    out = {tuple(map(add, a, u)): c for a, c in f.terms.items()}
-    for b, c in g.terms.items():
-        key = tuple(map(add, b, v))
-        s = ring.sub(out.get(key, zero), c)
-        if s == zero:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return _raw(ring, f.nvars, out)
+    join = tuple(map(max, alpha, beta))
+    pack, unpack, _ = _packing(join)
+    top = pack(join)
+    f_terms, g_terms = ([(pack(a), c) for a, c in p.terms.items()] for p in (f, g))
+    return unpack(f.ring, _s_pair(f.ring, f_terms, top - pack(alpha), g_terms, top - pack(beta)))
 
 
 def buchberger_certifies(family: MonicFamily) -> bool:
@@ -279,18 +307,42 @@ def buchberger_certifies(family: MonicFamily) -> bool:
     support-containment certificate.
 
     True certifies that the family is a Groebner basis of the ideal it
-    generates.  False is inconclusive, never a refutation.
+    generates.  False is inconclusive, never a refutation.  Each pair is
+    checked on packed keys, with the quotients, remainder and steps
+    ``reduce`` would give and the test of ``support_contained``.
     """
     members = family.members
+    if len(members) < 2:
+        return True
+    ring = family.ring
+    thetas = []
+    for g in members:
+        theta = g.monic_witness()
+        if theta is None:
+            raise NotMonic("S-polynomials are defined for monic operands")
+        g.require_on(ring, family.nvars)
+        thetas.append(theta)
+    # Every S-pair's support, and every exponent its division meets, lies
+    # under lcm(theta_i, theta_j), so the corner of all witnesses (these
+    # shift the pairs, the stored ones divide, as in ``reduce``) bounds the
+    # fields for the whole sweep.
+    pack, _, guards = _packing(tuple(map(max, *thetas, *family.witnesses)))
+    packed = [[(pack(beta), c) for beta, c in g.terms.items()] for g in members]
+    tops = [pack(theta) for theta in thetas]
+    divisors = [(i, pack(theta), packed[i]) for i, theta in enumerate(family.witnesses)]
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
-            s = s_polynomial(members[i], members[j])
-            if s.is_zero():
+            top = pack(tuple(map(max, thetas[i], thetas[j])))
+            s = _s_pair(ring, packed[i], top - tops[i], packed[j], top - tops[j])
+            if not s:
                 continue
-            out = reduce(s, family)
-            if not out.remainder.is_zero():
+            support = list(s)
+            quotients, _ = _divide(ring, s, divisors, guards, len(members))
+            if s:
                 return False
-            if not out.support_contained():
+            points = {a + d[1] for d, q in zip(divisors, quotients) for a in q}
+            points.difference_update(support)
+            if not all(any(not (p - b) & guards for p in support) for b in points):
                 return False
     return True
 

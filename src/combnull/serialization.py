@@ -92,7 +92,7 @@ def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
         [[element_from_json(ring, v) for v in S] for S in supports],
         [
             None if psi is None
-            else {element_from_json(ring, k): int(m) for k, m in psi.items()}
+            else {element_from_json(ring, k): m for k, m in psi.items()}
             for psi in psi_docs
         ],
     )
@@ -117,22 +117,6 @@ def punctured_from_json(doc: Mapping, ring: Ring | None = None) -> PuncturedGrid
 
 
 # -- vanishing specs ------------------------------------------------------------
-
-
-def spec_to_json(spec: VanishingSpec) -> dict:
-    return {
-        "ring": str(spec.ring),
-        "S": [
-            [element_to_json(spec.ring, u) for u in axis.support]
-            for axis in spec.axes
-        ],
-        "B": {
-            "(" + ",".join(str(element_to_json(spec.ring, v)) for v in point) + ")": [
-                list(vec) for vec in sorted(spec.B[point])
-            ]
-            for point in spec.grid_points()
-        },
-    }
 
 
 def spec_from_json(doc: Mapping, ring: Ring | None = None) -> VanishingSpec:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import (
+    ArityMismatch,
     InfiniteComplement,
     InternalInvariantError,
     NotCertified,
@@ -51,9 +52,14 @@ class VanishingSpec(MultisetGrid):
             if point not in B:
                 raise ValueError(f"missing B entry for grid point {point}")
             gens = frozenset(tuple(v) for v in B[point])
+            if any(len(v) != grid.nvars for v in gens):
+                raise ArityMismatch(f"B at {point} needs exponent vectors of length {grid.nvars}")
             if not has_finite_complement(gens, grid.nvars):
                 raise InfiniteComplement(f"B at {point} leaves an infinite staircase complement")
             table[point] = gens
+        if len(table) != len(B):
+            stray = next(key for key in B if key not in table)
+            raise ValueError(f"B entry for {stray}, which is not a grid point")
         return cls(grid.ring, grid.axes, table)
 
 

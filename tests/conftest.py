@@ -3,6 +3,7 @@ import random
 import pytest
 
 from combnull import ZZ, MonicFamily, Poly, parse_poly
+from combnull.serialization import element_to_json
 
 
 @pytest.fixture
@@ -41,3 +42,32 @@ def random_family(rng, ring, nvars, max_members=3):
     return MonicFamily.build(
         [random_monic(rng, ring, nvars) for _ in range(rng.randint(1, max_members))]
     )
+
+
+def partial_evaluate(f, assignments):
+    """Substitute values on a subset of axes, keeping the arity."""
+    ring = f.ring
+    out: dict = {}
+    for alpha, c in f.terms.items():
+        key = list(alpha)
+        for axis, v in assignments.items():
+            c = ring.mul(c, ring.pow(ring.canon(v), alpha[axis]))
+            key[axis] = 0
+        key = tuple(key)
+        out[key] = ring.add(out.get(key, ring.zero), c)
+    return Poly(ring, f.nvars, out)
+
+
+def spec_to_json(spec):
+    """The document ``serialization.spec_from_json`` reads back."""
+    ring = spec.ring
+    return {
+        "ring": str(ring),
+        "S": [[element_to_json(ring, u) for u in axis.support] for axis in spec.axes],
+        "B": {
+            "(" + ",".join(str(element_to_json(ring, v)) for v in point) + ")": [
+                list(vec) for vec in sorted(spec.B[point])
+            ]
+            for point in spec.grid_points()
+        },
+    }

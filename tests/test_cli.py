@@ -107,11 +107,32 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
         ("membership", "--ring", "ZZ",
          "--grid", '{"S":[[0,1]], "psi":[{"0":1,"1":1},{"0":3}]}'),
         ("membership", "--ring", "QQ", "--grid", "{S:[[true,0]]}"),
+        ("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"psi":[{"0":1.9,"1":1}]}'),
+        ("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"psi":[{"0":true,"1":1}]}'),
     ],
-    ids=["extra_puncture", "short_psi", "extra_psi", "bool_element"],
+    ids=["extra_puncture", "short_psi", "extra_psi", "bool_element", "fractional_psi",
+         "bool_psi"],
 )
 def test_malformed_grid_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv, "--t", "1", "--poly", "x1^2-x1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"S":[[0,1]],"B":{"(0,)":[[1,7]],"(1,)":[[1,7]]}}',
+        '{"S":[[0,1],[0,1]],"B":{"(0,0)":[[1]],"(0,1)":[[1]],"(1,0)":[[1]],"(1,1)":[[1]]}}',
+        '{"S":[[0,1]],"B":{"(0,)":[[1]],"(1,)":[[1]],"(5,)":[[9]]}}',
+    ],
+    ids=["long_vectors", "short_vectors", "off_grid_point"],
+)
+def test_malformed_spec_exit_code(capsys, spec):
+    code, out, err = run(
+        capsys, "groebner-check", "--ring", "ZZ", "--spec", spec, "--basis", "x1^2-x1"
+    )
     assert code == 3
     assert out == ""
     assert err.startswith("error:")

@@ -1,5 +1,6 @@
-"""The packed-key division kernel and the one-pass rewrites around it,
-each checked against the tuple-keyed definition it replaces.
+"""The packed-key division kernel, the packed Buchberger sweep and the
+one-pass rewrites around them, each checked against the tuple-keyed
+definition it replaces.
 
 The reference definitions live here only, as oracles.  hypothesis is a
 test-only dependency; the module is skipped without it.  Examples are
@@ -17,9 +18,22 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from combnull import GF, QQ, ZZ, MonicFamily, Poly, Zmod, reduce, s_polynomial
+from combnull import (
+    GF,
+    QQ,
+    ZZ,
+    MonicFamily,
+    NotMonic,
+    Poly,
+    Zmod,
+    buchberger_certifies,
+    level_basis,
+    reduce,
+    s_polynomial,
+)
 from combnull.staircase import grlex_key, in_downset, leq, meet, vec_sub
 from conftest import P, random_family, random_monic, random_poly
+from test_acceptance import _sweep_grids
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -250,3 +264,116 @@ def test_ring_cached_modulus_stays_private():
     widened = replace(Zmod(6), kind="ZZ", modulus=None)
     assert widened == ZZ and widened.add(5, 4) == 9
     assert QQ.mul(Fraction(1, 2), Fraction(2, 3)) == Fraction(1, 3)
+
+
+# -- the packed Buchberger sweep ----------------------------------------------------
+
+
+def oracle_buchberger(family):
+    """The tuple-space sweep: ``s_polynomial``, ``reduce`` and
+    ``support_contained`` per pair."""
+    members = family.members
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            s = s_polynomial(members[i], members[j])
+            if s.is_zero():
+                continue
+            out = reduce(s, family)
+            if not out.remainder.is_zero() or not out.support_contained():
+                return False
+    return True
+
+
+def assert_sweep_matches(family):
+    verdict = buchberger_certifies(family)
+    assert verdict == oracle_buchberger(family)
+    return verdict
+
+
+def test_sweep_matches_oracle_on_level_bases():
+    runs = 0
+    for ring in (ZZ, GF(5)):
+        for n in (1, 2, 3):
+            for grid in _sweep_grids(ring, n):
+                for t in range(4):
+                    assert assert_sweep_matches(level_basis(grid, t))
+                    runs += 1
+    assert runs == 2064
+
+
+@st.composite
+def families(draw):
+    ring = draw(st.sampled_from(RINGS))
+    n = draw(st.integers(1, 3))
+    members = []
+    for _ in range(draw(st.integers(1, 4))):
+        theta = draw(st.tuples(*[st.integers(0, 2)] * n))
+        below = st.tuples(*[st.integers(0, h) for h in theta])
+        terms = draw(st.dictionaries(below, coefficients(ring), max_size=3))
+        terms[theta] = 1
+        members.append(Poly(ring, n, terms))
+    return MonicFamily.build(members)
+
+
+def test_sweep_matches_oracle_on_drawn_families():
+    verdicts = set()
+
+    @PROPERTY
+    @given(families())
+    def check(family):
+        verdicts.add(assert_sweep_matches(family))
+
+    check()
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "members, expected",
+    [
+        (["x1*x2 + x1", "x2^2"], False),
+        (["x1^2 - x1", "x2^2 - 1", "x1*x2 - x2"], False),
+        (["x1^2 - x1", "x2^2 - 1"], True),
+        (["x1 - 1"], True),
+        ([], True),
+    ],
+)
+def test_sweep_fixed_cases(members, expected):
+    family = MonicFamily.build([P(text, nvars=2) for text in members])
+    assert assert_sweep_matches(family) is expected
+
+
+def test_sweep_exponent_beyond_machine_words():
+    big = 2**70
+    coprime = MonicFamily.build([
+        Poly(ZZ, 2, {(big, 0): 1, (1, 0): -1}),
+        P("x2^2 - 1", nvars=2),
+    ])
+    assert assert_sweep_matches(coprime) is True
+    stuck = MonicFamily.build([
+        Poly(ZZ, 2, {(big, 1): 1, (1, 0): 1}),
+        Poly(ZZ, 2, {(big, 0): 1}),
+    ])
+    assert assert_sweep_matches(stuck) is False
+
+
+def test_sweep_never_certifies_a_wrong_stored_witness():
+    members = (P("x1 - 1", nvars=2), P("x2 - 1", nvars=2))
+    assert buchberger_certifies(MonicFamily.build(members))
+    # The S-pair is built from the true witnesses, the division runs on the
+    # stored ones, which sit above every exponent the pair reaches.
+    forged = MonicFamily(members, ((2, 0), (0, 2)), (0, 1))
+    assert assert_sweep_matches(forged) is False
+    # S = -x1^2 divides to remainder 0 (by the tuple loop), but the stored
+    # witness 1 of x1^2 + x1 lets the division climb to x1^3, outside the
+    # downset of supp(S): only the support check refuses this one.
+    climbing = MonicFamily((P("x1^3"), P("x1^2 + x1")), ((3,), (1,)), (0, 1))
+    assert oracle_reduce(P("-x1^2"), climbing)[1] == {}
+    assert assert_sweep_matches(climbing) is False
+
+
+def test_sweep_refuses_a_non_monic_member():
+    members = (P("x1 - 1", nvars=2), P("x2 - 1", nvars=2), P("x1 + x2", nvars=2))
+    family = MonicFamily(members, ((1, 0), (0, 1), (1, 0)), (0, 1, 2))
+    for sweep in (buchberger_certifies, oracle_buchberger):
+        with pytest.raises(NotMonic):
+            sweep(family)

@@ -134,6 +134,14 @@ OPERAND_ENTRY_POINTS = {
         lambda: PuncturedGrid.build(GRID2, [[0]]), ArityMismatch),
     "punctured_grid_extra_punctures": (
         lambda: PuncturedGrid.build(GRID, [[0], [1]]), ArityMismatch),
+    # B's exponent vectors have one entry per axis
+    "vanishing_spec_long_vectors": (
+        lambda: VanishingSpec.build(ZZ, [[0, 1]], {(0,): [(1, 7)], (1,): [(1, 7)]}),
+        ArityMismatch),
+    "vanishing_spec_short_vectors": (
+        lambda: VanishingSpec.build(
+            ZZ, [[0, 1], [0, 1]], {p: [(1,)] for p in GRID2.grid_points()}),
+        ArityMismatch),
 }
 
 

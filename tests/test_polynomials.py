@@ -21,7 +21,7 @@ from combnull import (
     root_product,
     taylor_shift,
 )
-from conftest import P, random_monic, random_poly
+from conftest import P, partial_evaluate, random_monic, random_poly
 
 
 def shift_by_substitution(f, u):
@@ -225,6 +225,6 @@ def test_parse_specifics():
 
 def test_partial_evaluate():
     f = P("x1^2*x2 + x1*x2 + x2 + x1", nvars=2)
-    g = f.partial_evaluate({0: 2})
+    g = partial_evaluate(f, {0: 2})
     assert g == P("7*x2 + 2", nvars=2)
     assert g.nvars == 2

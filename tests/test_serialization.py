@@ -23,10 +23,9 @@ from combnull.serialization import (
     punctured_from_json,
     punctured_to_json,
     spec_from_json,
-    spec_to_json,
     verify_certificate_json,
 )
-from conftest import P
+from conftest import P, spec_to_json
 
 
 def test_grid_round_trip():

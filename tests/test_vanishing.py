@@ -57,6 +57,14 @@ def test_spec_requires_finite_complements():
         VanishingSpec.build(ZZ, [[0], [0]], {(0, 0): {(1, 1)}})
 
 
+def test_spec_rejects_off_grid_points():
+    B = {(0,): {(1,)}, (1,): {(1,)}, (5,): {(9,)}}
+    with pytest.raises(ValueError, match=r"\(5,\)"):
+        VanishingSpec.build(ZZ, [[0, 1]], B)
+    with pytest.raises(ValueError, match=r"\(0,\)"):
+        VanishingSpec.build(ZZ, [[]], {(0,): {(1,)}})
+
+
 def test_grid_staircase_count():
     assert grid_staircase_count(classical_spec()) == 2
     empty = VanishingSpec.build(ZZ, [[], [0]], {})
