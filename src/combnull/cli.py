@@ -21,7 +21,6 @@ from pathlib import Path
 from . import __version__
 from .alon_furedi import nonzero_bound
 from .covering import (
-    CoverInstance,
     affine_blocking_bound,
     blocking_audit,
     covering_audit,
@@ -51,6 +50,7 @@ from .serialization import (
     element_from_json,
     family_to_json,
     grid_from_json,
+    instance_from_json,
     punctured_from_json,
     spec_from_json,
     verify_certificate_json,
@@ -121,8 +121,10 @@ def _infer_nvars(texts) -> int:
 def _grid_arg(args, need_puncture: bool = False):
     doc = _loose_json(args.grid)
     ring = parse_ring(args.ring) if args.ring else None
-    if need_puncture or "E" in doc:
+    if need_puncture:
         return punctured_from_json(doc, ring)
+    if "E" in doc:
+        raise ParseError(f"{args.command} takes no puncture set E")
     return grid_from_json(doc, ring)
 
 
@@ -279,14 +281,7 @@ def _cmd_cover(args) -> int:
         _emit(args, payload, lines)
         return EXIT_YES if report.blocked else EXIT_NO
     if args.instance:
-        doc = _loose_json(args.instance)
-        pgrid = punctured_from_json(doc["pgrid"])
-        planes = []
-        for plane in doc["planes"]:
-            rho = parse_poly(plane["poly"], pgrid.ring, pgrid.nvars)
-            planes.append((rho, int(plane.get("degree", rho.degree()))))
-        inst = CoverInstance.build(pgrid, planes, int(doc["t"]))
-        report = covering_audit(inst)
+        report = covering_audit(instance_from_json(_loose_json(args.instance)))
         payload = report.to_json_dict()
         lines = [f"verdict: {report.verdict}"]
         if report.verdict == "bound_holds":

@@ -50,6 +50,8 @@ class CoverInstance:
         require_level(t, 1)
         checked = []
         for rho, e in planes:
+            if rho.is_zero():
+                raise ValueError("a plane polynomial must be nonzero")
             if rho.degree() != e:
                 raise ValueError(
                     f"declared degree {e} but deg = {rho.degree()} for {rho}"

@@ -371,6 +371,8 @@ def format_poly(f: Poly) -> str:
 
 def parse_poly(text: str, ring: Ring, nvars: int) -> Poly:
     """Parse the term grammar, e.g. ``3*x1^2*x2 - x3 + 1``."""
+    if not isinstance(text, str):
+        raise ParseError(f"polynomial text must be a string, got {text!r}")
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty polynomial text")

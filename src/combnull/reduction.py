@@ -27,15 +27,27 @@ certificates all divide through it.
 
 ``buchberger_certifies`` runs the sufficiency test on S-polynomials; a True
 answer certifies the Groebner property, a False answer is inconclusive.
-It packs the family once, at one field width for every pair, and builds,
-divides and support-checks each S-pair on packed keys with the same
-S-pair builder and division loop, so no pair is unpacked.
+It packs the family once, at one field width for every pair, and builds
+and divides each S-pair on packed keys with the same S-pair builder and
+division loop.  It checks only that each S-pair S reduces to 0, because
+with the true witnesses ``MonicFamily`` derives, (2) and (4) cannot fail:
+
+  * Every exponent that enters ``_divide``'s work dict lies componentwise
+    under some point of supp(S); this holds at the start.
+  * A step cancels gamma with theta(l) <= gamma and adds
+    (gamma - theta(l)) + beta with beta <= theta(l) (g(l) is monic), so
+    each new exponent is <= gamma.
+  * Hence each quotient point a + theta(l) (the gamma it cancelled) and
+    each remainder exponent lie in the downset of supp(S): conditions (2)
+    and (4) hold for every pair.
+  * No packed field overflows: all of these exponents lie under
+    lcm(theta(i), theta(j)), which lies under the corner of all witnesses.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import add
 from typing import Hashable, Sequence
 
@@ -54,17 +66,31 @@ from .staircase import ExpVec, in_downset, leq
 class MonicFamily:
     """An indexed family of monic polynomials over one ring and arity.
 
-    ``witnesses[i]`` is the greatest support point of ``members[i]``;
-    ``labels[i]`` names the member in quotient maps and serialized
-    certificates.  ``certified`` records that the family is known to be a
-    Groebner basis of the ideal it generates (set by the Buchberger check
-    or granted structurally by a constructor that can guarantee it).
+    ``labels[i]`` names ``members[i]`` in quotient maps and serialized
+    certificates.  Every construction (positional, ``build``, ``replace``)
+    checks one ring, one arity and monicity, and derives ``witnesses[i]``,
+    the greatest support point of ``members[i]``.  ``certified`` records
+    that the family is known to be a Groebner basis of the ideal it
+    generates (set by the Buchberger check or granted structurally by a
+    constructor that can guarantee it).
     """
 
     members: tuple
-    witnesses: tuple
     labels: tuple
-    certified: bool = False
+    witnesses: tuple = field(init=False)
+    certified: bool = field(default=False, kw_only=True)
+
+    def __post_init__(self):
+        if len(self.labels) != len(self.members):
+            raise ValueError("one label per member required")
+        witnesses = []
+        for label, g in zip(self.labels, self.members):
+            g.require_on(self.members[0].ring, self.members[0].nvars)
+            theta = g.monic_witness()
+            if theta is None:
+                raise NotMonic(f"family member {label!r} is not monic")
+            witnesses.append(theta)
+        object.__setattr__(self, "witnesses", tuple(witnesses))
 
     @classmethod
     def build(
@@ -74,20 +100,8 @@ class MonicFamily:
         certified: bool = False,
     ) -> "MonicFamily":
         polys = tuple(polys)
-        if labels is None:
-            labels = tuple(range(len(polys)))
-        else:
-            labels = tuple(labels)
-            if len(labels) != len(polys):
-                raise ValueError("one label per member required")
-        witnesses = []
-        for i, g in enumerate(polys):
-            g.require_on(polys[0].ring, polys[0].nvars)
-            theta = g.monic_witness()
-            if theta is None:
-                raise NotMonic(f"family member {labels[i]!r} is not monic")
-            witnesses.append(theta)
-        return cls(polys, tuple(witnesses), labels, certified)
+        labels = tuple(range(len(polys))) if labels is None else tuple(labels)
+        return cls(polys, labels, certified=certified)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -303,46 +317,30 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
 
 
 def buchberger_certifies(family: MonicFamily) -> bool:
-    """Sufficiency test: every S-polynomial reduces to zero with the
-    support-containment certificate.
+    """Sufficiency test: every S-polynomial reduces to zero, which carries
+    the support-containment certificate (see the module docstring).
 
     True certifies that the family is a Groebner basis of the ideal it
     generates.  False is inconclusive, never a refutation.  Each pair is
-    checked on packed keys, with the quotients, remainder and steps
-    ``reduce`` would give and the test of ``support_contained``.
+    divided on packed keys, with the quotients, remainder and steps
+    ``reduce`` would give.
     """
     members = family.members
     if len(members) < 2:
         return True
     ring = family.ring
-    thetas = []
-    for g in members:
-        theta = g.monic_witness()
-        if theta is None:
-            raise NotMonic("S-polynomials are defined for monic operands")
-        g.require_on(ring, family.nvars)
-        thetas.append(theta)
-    # Every S-pair's support, and every exponent its division meets, lies
-    # under lcm(theta_i, theta_j), so the corner of all witnesses (these
-    # shift the pairs, the stored ones divide, as in ``reduce``) bounds the
-    # fields for the whole sweep.
-    pack, _, guards = _packing(tuple(map(max, *thetas, *family.witnesses)))
-    packed = [[(pack(beta), c) for beta, c in g.terms.items()] for g in members]
-    tops = [pack(theta) for theta in thetas]
-    divisors = [(i, pack(theta), packed[i]) for i, theta in enumerate(family.witnesses)]
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
+    thetas = family.witnesses
+    pack, _, guards = _packing(tuple(map(max, *thetas)))
+    divisors = [
+        (i, pack(theta), [(pack(beta), c) for beta, c in g.terms.items()])
+        for i, (g, theta) in enumerate(zip(members, thetas))
+    ]
+    for i, top_i, terms_i in divisors:
+        for j, top_j, terms_j in divisors[i + 1:]:
             top = pack(tuple(map(max, thetas[i], thetas[j])))
-            s = _s_pair(ring, packed[i], top - tops[i], packed[j], top - tops[j])
-            if not s:
-                continue
-            support = list(s)
-            quotients, _ = _divide(ring, s, divisors, guards, len(members))
+            s = _s_pair(ring, terms_i, top - top_i, terms_j, top - top_j)
+            _divide(ring, s, divisors, guards, len(members))
             if s:
-                return False
-            points = {a + d[1] for d, q in zip(divisors, quotients) for a in q}
-            points.difference_update(support)
-            if not all(any(not (p - b) & guards for p in support) for b in points):
                 return False
     return True
 

@@ -223,6 +223,8 @@ def GF(p: int) -> Ring:
 
 def parse_ring(text: str) -> Ring:
     """Parse the ring grammar: ``ZZ``, ``QQ``, ``ZZ/<m>``, ``GF(<p>)``."""
+    if not isinstance(text, str):
+        raise ParseError(f"ring text must be a string, got {text!r}")
     text = text.strip()
     if text == "ZZ":
         return ZZ

@@ -1,4 +1,4 @@
-"""JSON wire formats for grids, specs, and certificates.
+"""JSON wire formats for grids, specs, cover instances and certificates.
 
 There is one certificate document, written by ``certificate_to_json`` for
 any ``ReductionOutcome``.  It carries the ring, the arity, the divided
@@ -18,6 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Mapping
 
+from .covering import CoverInstance
 from .errors import ParseError
 from .multiset_ideals import MultisetGrid, PuncturedGrid
 from .polynomials import format_poly, parse_poly
@@ -35,6 +36,13 @@ def element_from_json(ring: Ring, value):
     if isinstance(value, str):
         return ring.parse_element(value)
     return ring.canon(value)
+
+
+def _json_int(value, what: str, least: int) -> int:
+    """A JSON integer >= least; a float, a bool or a string is a ParseError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ParseError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def _label_to_key(label) -> str:
@@ -87,6 +95,8 @@ def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
         psi_docs = doc.get("psi", [None] * len(supports))
     else:
         raise ParseError("grid document needs an 'axes' or 'S' entry")
+    if any(psi is not None and not isinstance(psi, Mapping) for psi in psi_docs):
+        raise ParseError("each psi entry must be a JSON object or null")
     return MultisetGrid.build(
         ring,
         [[element_from_json(ring, v) for v in S] for S in supports],
@@ -116,6 +126,20 @@ def punctured_from_json(doc: Mapping, ring: Ring | None = None) -> PuncturedGrid
     return PuncturedGrid.build(grid, punctures)
 
 
+def instance_from_json(doc: Mapping) -> CoverInstance:
+    """``{pgrid, planes: [{poly, degree?}], t}``; a degree, when given, is a
+    JSON integer and must be the plane's."""
+    pgrid = punctured_from_json(doc["pgrid"])
+    planes = []
+    for plane in doc["planes"]:
+        rho = parse_poly(plane["poly"], pgrid.ring, pgrid.nvars)
+        degree = rho.degree()
+        if "degree" in plane:
+            degree = _json_int(plane["degree"], "degree", 0)
+        planes.append((rho, degree))
+    return CoverInstance.build(pgrid, planes, doc["t"])
+
+
 # -- vanishing specs ------------------------------------------------------------
 
 
@@ -125,6 +149,8 @@ def spec_from_json(doc: Mapping, ring: Ring | None = None) -> VanishingSpec:
             raise ParseError("spec document carries no ring")
         ring = parse_ring(doc["ring"])
     axes = [[element_from_json(ring, v) for v in axis] for axis in doc["S"]]
+    if not isinstance(doc["B"], Mapping):
+        raise ParseError("spec entry B must be a JSON object")
     B = {}
     for key, vecs in doc["B"].items():
         inner = key.strip()
@@ -215,7 +241,7 @@ def verify_certificate_json(doc: Mapping) -> dict:
     if missing:
         raise ParseError(f"certificate document lacks {', '.join(missing)}")
     ring = parse_ring(doc["ring"])
-    nvars = int(doc["nvars"])
+    nvars = _json_int(doc["nvars"], "nvars", 1)
     f = parse_poly(doc["poly"], ring, nvars)
     kind = doc.get("basis")
     if not isinstance(kind, str):

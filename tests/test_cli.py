@@ -109,9 +109,15 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
         ("membership", "--ring", "QQ", "--grid", "{S:[[true,0]]}"),
         ("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"psi":[{"0":1.9,"1":1}]}'),
         ("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"psi":[{"0":true,"1":1}]}'),
+        ("membership", "--grid", '{"ring":5,"S":[[0,1]]}'),
+        ("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"psi":[5]}'),
+        ("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"E":[[0]]}'),
+        ("certificate", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"E":[[0]]}'),
+        ("normal-form", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"E":[[0]]}'),
     ],
     ids=["extra_puncture", "short_psi", "extra_psi", "bool_element", "fractional_psi",
-         "bool_psi"],
+         "bool_psi", "number_ring", "number_psi", "membership_puncture",
+         "certificate_puncture", "normal_form_puncture"],
 )
 def test_malformed_grid_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv, "--t", "1", "--poly", "x1^2-x1")
@@ -126,13 +132,67 @@ def test_malformed_grid_exit_code(capsys, argv):
         '{"S":[[0,1]],"B":{"(0,)":[[1,7]],"(1,)":[[1,7]]}}',
         '{"S":[[0,1],[0,1]],"B":{"(0,0)":[[1]],"(0,1)":[[1]],"(1,0)":[[1]],"(1,1)":[[1]]}}',
         '{"S":[[0,1]],"B":{"(0,)":[[1]],"(1,)":[[1]],"(5,)":[[9]]}}',
+        '{"S":[[0,1]],"B":[]}',
     ],
-    ids=["long_vectors", "short_vectors", "off_grid_point"],
+    ids=["long_vectors", "short_vectors", "off_grid_point", "list_B"],
 )
 def test_malformed_spec_exit_code(capsys, spec):
     code, out, err = run(
         capsys, "groebner-check", "--ring", "ZZ", "--spec", spec, "--basis", "x1^2-x1"
     )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def _level_certificate_doc(capsys):
+    code, out, _ = run(
+        capsys, "certificate", "--ring", "ZZ", "--grid", "{S:[[0,1]]}", "--t", "1",
+        "--poly", "x1^2 - x1", "--format", "json",
+    )
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("nvars", 1.9), ("nvars", True), ("nvars", 0), ("poly", 0), ("remainder", None),
+     ("ring", 5)],
+    ids=["fractional_nvars", "bool_nvars", "zero_nvars", "number_poly", "null_remainder",
+         "number_ring"],
+)
+def test_malformed_certificate_exit_code(capsys, field, value):
+    doc = _level_certificate_doc(capsys)
+    assert run(capsys, "verify", "--certificate", json.dumps(doc))[0] == 0
+    doc[field] = value
+    code, out, err = run(capsys, "verify", "--certificate", json.dumps(doc))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
+COVER_INSTANCE = {
+    "pgrid": {"ring": "ZZ", "S": [[0, 1], [0, 1]], "E": [[0], [0]]},
+    "planes": [{"poly": "x1 - 1", "degree": 1}, {"poly": "x2 - 1", "degree": 1}],
+    "t": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"t": 1.9},
+        {"t": True},
+        {"planes": [{"poly": "x1 - 1", "degree": 1.7}, {"poly": "x2 - 1"}]},
+        {"planes": [{"poly": "x1 - 1", "degree": True}, {"poly": "x2 - 1"}]},
+        {"planes": [{"poly": 5}, {"poly": "x2 - 1"}]},
+        {"planes": [{"poly": "0"}, {"poly": "x2 - 1"}]},
+    ],
+    ids=["fractional_t", "bool_t", "fractional_degree", "bool_degree", "number_poly",
+         "zero_plane"],
+)
+def test_malformed_instance_exit_code(capsys, edit):
+    code, out, err = run(capsys, "cover", "--instance", json.dumps({**COVER_INSTANCE, **edit}))
     assert code == 3
     assert out == ""
     assert err.startswith("error:")

@@ -27,10 +27,12 @@ from combnull import (
     Poly,
     Zmod,
     buchberger_certifies,
+    format_poly,
     level_basis,
     reduce,
     s_polynomial,
 )
+from combnull.serialization import family_from_json
 from combnull.staircase import grlex_key, in_downset, leq, meet, vec_sub
 from conftest import P, random_family, random_monic, random_poly
 from test_acceptance import _sweep_grids
@@ -357,23 +359,39 @@ def test_sweep_exponent_beyond_machine_words():
 
 
 def test_sweep_never_certifies_a_wrong_stored_witness():
+    # No family can store a wrong witness: they are derived at construction,
+    # and the old (members, witnesses, labels) call is refused.
     members = (P("x1 - 1", nvars=2), P("x2 - 1", nvars=2))
-    assert buchberger_certifies(MonicFamily.build(members))
-    # The S-pair is built from the true witnesses, the division runs on the
-    # stored ones, which sit above every exponent the pair reaches.
-    forged = MonicFamily(members, ((2, 0), (0, 2)), (0, 1))
-    assert assert_sweep_matches(forged) is False
-    # S = -x1^2 divides to remainder 0 (by the tuple loop), but the stored
-    # witness 1 of x1^2 + x1 lets the division climb to x1^3, outside the
-    # downset of supp(S): only the support check refuses this one.
-    climbing = MonicFamily((P("x1^3"), P("x1^2 + x1")), ((3,), (1,)), (0, 1))
-    assert oracle_reduce(P("-x1^2"), climbing)[1] == {}
+    with pytest.raises(TypeError):
+        MonicFamily(members, ((2, 0), (0, 2)), (0, 1))
+    family = MonicFamily(members, (0, 1))
+    assert family.witnesses == ((1, 0), (0, 1))
+    assert assert_sweep_matches(family) is True
+    moved = replace(family, members=(P("x1^2 - x1", nvars=2), P("x2^3", nvars=2)))
+    assert moved.witnesses == ((2, 0), (0, 3))
+    # Built with a stored witness 1 for x1^2 + x1, this family let ``reduce``
+    # climb past the dividend's box to remainder x1^5.  Its S-pair is -x1^2,
+    # which leaves x1, so the sweep is inconclusive.
+    climbing = MonicFamily.build((P("x1^3"), P("x1^2 + x1")))
+    assert climbing.witnesses == ((3,), (2,))
+    assert assert_matches_oracle(P("-x1^2"), climbing).remainder == P("x1")
     assert assert_sweep_matches(climbing) is False
 
 
 def test_sweep_refuses_a_non_monic_member():
+    # A non-monic member is refused on every construction path, so no sweep
+    # ever sees one; the oracle's ``s_polynomial`` refuses it on its own.
     members = (P("x1 - 1", nvars=2), P("x2 - 1", nvars=2), P("x1 + x2", nvars=2))
-    family = MonicFamily(members, ((1, 0), (0, 1), (1, 0)), (0, 1, 2))
-    for sweep in (buchberger_certifies, oracle_buchberger):
+    labels = (0, 1, 2)
+    family = MonicFamily.build(members[:2])
+    doc = {str(k): format_poly(g) for k, g in zip(labels, members)}
+    for construct in (
+        lambda: MonicFamily(members, labels),
+        lambda: MonicFamily.build(members),
+        lambda: replace(family, members=members, labels=labels),
+        lambda: family_from_json(doc, ZZ, 2),
+    ):
         with pytest.raises(NotMonic):
-            sweep(family)
+            construct()
+    with pytest.raises(NotMonic):
+        s_polynomial(members[0], members[2])

@@ -4,6 +4,8 @@ One parametrized test per rule: the level t, the operand ring and arity,
 the prime q, and Condition (D).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from combnull import (
@@ -121,6 +123,11 @@ OPERAND_ENTRY_POINTS = {
         lambda: reduce(X1X2, MonicFamily.build([P("x1^2 - x1")])), ArityMismatch),
     "monic_family": (
         lambda: MonicFamily.build([P("x1"), X1X2]), ArityMismatch),
+    "monic_family_positional": (
+        lambda: MonicFamily((P("x1"), X1X2), (0, 1)), ArityMismatch),
+    "monic_family_replace": (
+        lambda: replace(MonicFamily.build([X1]), members=(X1, F5), labels=(0, 1)),
+        RingMismatch),
     "poly_mul": (lambda: X1 * F5, RingMismatch),
     # one per-axis list entry per axis, counted before any zip or index
     "multiset_grid_short_psis": (
