@@ -42,7 +42,13 @@ from .multiset_ideals import (
     punctured_analysis,
     punctured_membership,
 )
-from .polynomials import Poly, format_poly, parse_poly, taylor_shift
+from .polynomials import (
+    format_poly,
+    parse_poly,
+    random_monic,
+    random_poly,
+    taylor_shift,
+)
 from .reduction import MonicFamily, buchberger_certifies, reduce
 from .rings import ZZ, Zmod, parse_ring
 from .serialization import (
@@ -336,10 +342,10 @@ def _cmd_selftest(args) -> int:
     for ring in (ZZ, Zmod(6)):
         for _ in range(25):
             nvars = rng.randint(1, 3)
-            f = _random_poly(rng, ring, nvars)
+            f = random_poly(rng, ring, nvars)
             gs = []
             for _ in range(rng.randint(1, 2)):
-                gs.append(_random_monic(rng, ring, nvars))
+                gs.append(random_monic(rng, ring, nvars))
             family = MonicFamily.build(gs)
             out = reduce(f, family)
             checks = out.verify()
@@ -355,24 +361,6 @@ def _cmd_selftest(args) -> int:
     payload = {"seed": args.seed, "failures": failures, "passed": not failures}
     _emit(args, payload, ["pass" if not failures else "\n".join(failures)])
     return EXIT_YES if not failures else EXIT_NO
-
-
-def _random_poly(rng, ring, nvars):
-    terms = {}
-    for _ in range(rng.randint(0, 6)):
-        alpha = tuple(rng.randint(0, 3) for _ in range(nvars))
-        terms[alpha] = ring.canon(rng.randint(-4, 4))
-    return Poly(ring, nvars, terms)
-
-
-def _random_monic(rng, ring, nvars):
-    theta = tuple(rng.randint(0, 2) for _ in range(nvars))
-    terms = {theta: ring.one}
-    for _ in range(rng.randint(0, 3)):
-        alpha = tuple(rng.randint(0, h) for h in theta)
-        if alpha != theta:
-            terms[alpha] = ring.canon(rng.randint(-3, 3))
-    return Poly(ring, nvars, terms)
 
 
 # -- parser ----------------------------------------------------------------------

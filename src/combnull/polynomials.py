@@ -337,6 +337,32 @@ def monic_power_product(axis_polys: Sequence[Poly], alphas: Iterable[ExpVec]) ->
     return out
 
 
+def random_poly(rng, ring: Ring, nvars: int, max_deg=3, max_terms=6, coeff_span=4) -> Poly:
+    """A seeded random polynomial: up to ``max_terms`` draws of an exponent
+    vector with entries in [0, max_deg] and a coefficient in
+    [-coeff_span, coeff_span] (a repeated vector keeps its last draw).
+
+    ``combnull selftest`` and the test suite draw from this and
+    ``random_monic``; the order of the draws fixes what a seed produces."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        alpha = tuple(rng.randint(0, max_deg) for _ in range(nvars))
+        terms[alpha] = ring.canon(rng.randint(-coeff_span, coeff_span))
+    return Poly(ring, nvars, terms)
+
+
+def random_monic(rng, ring: Ring, nvars: int, max_theta=2, extra_terms=3, coeff_span=3) -> Poly:
+    """A seeded random monic polynomial: a witness with entries in
+    [0, max_theta] and up to ``extra_terms`` draws below it."""
+    theta = tuple(rng.randint(0, max_theta) for _ in range(nvars))
+    terms = {theta: ring.one}
+    for _ in range(rng.randint(0, extra_terms)):
+        alpha = tuple(rng.randint(0, h) for h in theta)
+        if alpha != theta:
+            terms[alpha] = ring.canon(rng.randint(-coeff_span, coeff_span))
+    return Poly(ring, nvars, terms)
+
+
 # -- text form -----------------------------------------------------------------
 
 _TERM_FACTOR = re.compile(r"^x(\d+)(?:\^(\d+))?$")

@@ -28,9 +28,10 @@ certificates all divide through it.
 ``buchberger_certifies`` runs the sufficiency test on S-polynomials; a True
 answer certifies the Groebner property, a False answer is inconclusive.
 It packs the family once, at one field width for every pair, and builds
-and divides each S-pair on packed keys with the same S-pair builder and
-division loop.  It checks only that each S-pair S reduces to 0, because
-with the true witnesses ``MonicFamily`` derives, (2) and (4) cannot fail:
+and divides each kept S-pair (see the chain criterion below) on packed keys
+with the same S-pair builder and division loop.  It checks only that each
+S-pair S reduces to 0, because with the true witnesses ``MonicFamily``
+derives, (2) and (4) cannot fail:
 
   * Every exponent that enters ``_divide``'s work dict lies componentwise
     under some point of supp(S); this holds at the start.
@@ -42,6 +43,42 @@ with the true witnesses ``MonicFamily`` derives, (2) and (4) cannot fail:
     and (4) hold for every pair.
   * No packed field overflows: all of these exponents lie under
     lcm(theta(i), theta(j)), which lies under the corner of all witnesses.
+
+The sweep divides only the pairs that Buchberger's chain criterion keeps
+(Buchberger, *A criterion for detecting unnecessary reductions*, EUROSAM
+1979; Gebauer & Moeller, JSC 1988).  Write m(i, j) = lcm(theta(i),
+theta(j)) and S(i, j) = x^(m(i, j) - theta(i)) g(i) - x^(m(i, j) - theta(j))
+g(j).  Pair (i, j), with m = m(i, j), is skipped when some theta(k) divides
+m while m(i, k) != m and m(j, k) != m; the verdict is the full sweep's:
+
+  * The identity: when theta(k) divides m, so do m(i, k) and m(j, k), and
+    S(i, j) = x^(m - m(i, k)) S(i, k) - x^(m - m(j, k)) S(j, k), since
+    both sides' x^(m - theta(k)) g(k) terms cancel.
+  * Call S(i, j) = sum q(l) g(l) an lcm representation when every
+    a + theta(l), a in supp(q(l)), lies strictly below m(i, j) in
+    graded-lex order.  A pair that reduces to 0 has one: by the lemma each
+    such point lies under a point of supp(S(i, j)), and those points lie
+    under m(i, j) but are not m(i, j) (the shifted witnesses, each with
+    coefficient 1, cancel), so their total degree is smaller.
+  * The induction runs on m(i, j) under divisibility; a proper divisor has
+    smaller total degree, so it is well founded.  A kept pair that reduces
+    to 0 has an lcm representation.  A skipped pair's S(i, k) and S(j, k)
+    have lcms that properly divide m, so they have lcm representations;
+    shifted by x^(m - m(i, k)) and x^(m - m(j, k)) their terms stay below
+    m, and the identity combines them into one for S(i, j).
+  * So if every kept pair reduces to 0, every pair has an lcm
+    representation, and the family is a Groebner basis by Buchberger's
+    criterion in its lcm-representation form.  Every leading coefficient
+    is 1, so the pairwise syzygies generate those of the leading terms and
+    the criterion holds over ZZ, QQ, ZZ/m and GF(p) alike.  Conversely a
+    Groebner basis reduces every element of its ideal to 0 under any full
+    reduction, so it passes every kept pair.
+  * Strictness is what makes the induction well founded: with m(i, k) = m
+    allowed, pairs with one lcm could vouch for each other in a cycle.  In
+    x1, x2, x1*x2 + 1 every lcm is x1*x2, which x1*x2 divides, so "some
+    third witness divides m" would skip all three pairs and certify a
+    family whose ideal holds 1 (S of x1 and x1*x2 + 1 is -1).  k = i and
+    k = j never qualify, since m(i, j) ties with itself.
 """
 
 from __future__ import annotations
@@ -317,13 +354,16 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
 
 
 def buchberger_certifies(family: MonicFamily) -> bool:
-    """Sufficiency test: every S-polynomial reduces to zero, which carries
-    the support-containment certificate (see the module docstring).
+    """Sufficiency test: every S-polynomial the chain criterion keeps
+    reduces to zero, which carries the support-containment certificate (see
+    the module docstring).
 
     True certifies that the family is a Groebner basis of the ideal it
-    generates.  False is inconclusive, never a refutation.  Each pair is
-    divided on packed keys, with the quotients, remainder and steps
-    ``reduce`` would give.
+    generates.  False is inconclusive, never a refutation.  Pair (i, j) is
+    skipped when a third witness theta(k) divides m = lcm(theta(i),
+    theta(j)) while lcm(theta(i), theta(k)) and lcm(theta(j), theta(k)) are
+    both proper divisors of m; every other pair is divided on packed keys,
+    with the quotients, remainder and steps ``reduce`` would give.
     """
     members = family.members
     if len(members) < 2:
@@ -335,13 +375,26 @@ def buchberger_certifies(family: MonicFamily) -> bool:
         (i, pack(theta), [(pack(beta), c) for beta, c in g.terms.items()])
         for i, (g, theta) in enumerate(zip(members, thetas))
     ]
+    size = len(members)
+    # lcms[i][j] is the packed lcm(theta(i), theta(j)); the diagonal is theta(i).
+    lcms = [[top] * size for _, top, _ in divisors]
+    for i, theta in enumerate(thetas):
+        for j in range(i + 1, size):
+            lcms[i][j] = lcms[j][i] = pack(tuple(map(max, theta, thetas[j])))
     for i, top_i, terms_i in divisors:
+        row_i = lcms[i]
         for j, top_j, terms_j in divisors[i + 1:]:
-            top = pack(tuple(map(max, thetas[i], thetas[j])))
-            s = _s_pair(ring, terms_i, top - top_i, terms_j, top - top_j)
-            _divide(ring, s, divisors, guards, len(members))
-            if s:
-                return False
+            top = row_i[j]
+            row_j = lcms[j]
+            # k = i and k = j never qualify: row_j[i] and row_i[j] are top.
+            for k, top_k, _ in divisors:
+                if not (top - top_k) & guards and row_i[k] != top and row_j[k] != top:
+                    break
+            else:
+                s = _s_pair(ring, terms_i, top - top_i, terms_j, top - top_j)
+                _divide(ring, s, divisors, guards, size)
+                if s:
+                    return False
     return True
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from combnull import ZZ, MonicFamily, Poly, parse_poly
+from combnull.polynomials import random_monic, random_poly
 from combnull.serialization import element_to_json
 
 
@@ -18,24 +19,6 @@ def P(text, ring=ZZ, nvars=None):
 
         nvars = max((int(m.group(1)) for m in re.finditer(r"x(\d+)", text)), default=1)
     return parse_poly(text, ring, nvars)
-
-
-def random_poly(rng, ring, nvars, max_deg=3, max_terms=6, coeff_span=4):
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        alpha = tuple(rng.randint(0, max_deg) for _ in range(nvars))
-        terms[alpha] = ring.canon(rng.randint(-coeff_span, coeff_span))
-    return Poly(ring, nvars, terms)
-
-
-def random_monic(rng, ring, nvars, max_theta=2, extra_terms=3, coeff_span=3):
-    theta = tuple(rng.randint(0, max_theta) for _ in range(nvars))
-    terms = {theta: ring.one}
-    for _ in range(rng.randint(0, extra_terms)):
-        alpha = tuple(rng.randint(0, h) for h in theta)
-        if alpha != theta:
-            terms[alpha] = ring.canon(rng.randint(-coeff_span, coeff_span))
-    return Poly(ring, nvars, terms)
 
 
 def random_family(rng, ring, nvars, max_members=3):

@@ -312,6 +312,22 @@ def test_groebner_check_buchberger(capsys):
     assert code == 1
 
 
+def test_groebner_check_tied_lcms_stay_inconclusive(capsys):
+    # Every pair's lcm is x1*x2, so each pair has a third witness dividing
+    # its lcm, but never with both smaller lcms strictly below it; the pair
+    # (x1, x1*x2 + 1) leaves -1, and 1 lies in the ideal.
+    code, out, _ = run(
+        capsys,
+        "groebner-check",
+        "--ring", "ZZ",
+        "--basis", "x1",
+        "--basis", "x2",
+        "--basis", "x1*x2 + 1",
+    )
+    assert code == 1
+    assert out.strip() == "inconclusive"
+
+
 def test_groebner_check_with_spec(capsys):
     spec = json.dumps(
         {"ring": "ZZ", "S": [[0, 1]], "B": {"(0)": [[1]], "(1)": [[1]]}}

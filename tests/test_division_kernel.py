@@ -1,6 +1,6 @@
-"""The packed-key division kernel, the packed Buchberger sweep and the
-one-pass rewrites around them, each checked against the tuple-keyed
-definition it replaces.
+"""The packed-key division kernel, the packed Buchberger sweep with its
+chain criterion, and the one-pass rewrites around them, each checked
+against the tuple-keyed definition it replaces.
 
 The reference definitions live here only, as oracles.  hypothesis is a
 test-only dependency; the module is skipped without it.  Examples are
@@ -8,6 +8,7 @@ derandomized so every run checks the same cases.
 """
 
 import heapq
+import math
 import pickle
 from dataclasses import replace
 from fractions import Fraction
@@ -23,6 +24,7 @@ from combnull import (
     QQ,
     ZZ,
     MonicFamily,
+    MultisetGrid,
     NotMonic,
     Poly,
     Zmod,
@@ -32,6 +34,7 @@ from combnull import (
     reduce,
     s_polynomial,
 )
+from combnull import reduction
 from combnull.serialization import family_from_json
 from combnull.staircase import grlex_key, in_downset, leq, meet, vec_sub
 from conftest import P, random_family, random_monic, random_poly
@@ -327,6 +330,81 @@ def test_sweep_matches_oracle_on_drawn_families():
 
     check()
     assert verdicts == {True, False}
+
+
+@st.composite
+def wide_families(draw):
+    ring = draw(st.sampled_from(RINGS))
+    n = draw(st.integers(1, 3))
+    members = []
+    for _ in range(draw(st.integers(2, 7))):
+        theta = draw(st.tuples(*[st.integers(0, 3)] * n))
+        below = st.tuples(*[st.integers(0, h) for h in theta])
+        terms = draw(st.dictionaries(below, coefficients(ring), max_size=3))
+        terms[theta] = 1
+        members.append(Poly(ring, n, terms))
+    return MonicFamily.build(members)
+
+
+def counting_divisions(monkeypatch):
+    """Count the sweep's ``_divide`` calls: one per S-pair it divides."""
+    calls = []
+    divide = reduction._divide
+
+    def counted(*args):
+        calls.append(None)
+        return divide(*args)
+
+    monkeypatch.setattr(reduction, "_divide", counted)
+    return calls
+
+
+def test_pruned_sweep_matches_oracle_on_larger_families(monkeypatch):
+    calls = counting_divisions(monkeypatch)
+    verdicts = set()
+    pruned = []
+
+    @PROPERTY
+    @given(wide_families())
+    def check(family):
+        calls.clear()
+        verdict = buchberger_certifies(family)
+        divided = len(calls)
+        assert verdict == oracle_buchberger(family)
+        verdicts.add(verdict)
+        # Only a certified family divides every pair it keeps.
+        if verdict and divided < len(family) * (len(family) - 1) // 2:
+            pruned.append(family)
+
+    check()
+    assert verdicts == {True, False}
+    assert pruned
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_sweep_divides_only_adjacent_pairs_of_a_level_basis(monkeypatch, n, t):
+    # The kept pairs are theta(alpha + e_a), theta(alpha + e_b), a < b: one per
+    # |alpha| = t - 1 and pair of axes.  Axis degrees only scale the witnesses.
+    adjacent = {2: t, 3: math.comb(t + 1, 2) * 3}[n]
+    calls = counting_divisions(monkeypatch)
+    for supports, psi in (
+        ([[0, 1, 2]] * n, None),
+        ([[0], [0, 1], [0, 1]][:n], [{0: 2}, {0: 1, 1: 3}, {0: 1, 1: 2}][:n]),
+    ):
+        calls.clear()
+        assert buchberger_certifies(level_basis(MultisetGrid.build(ZZ, supports, psi), t))
+        assert len(calls) == adjacent
+
+
+def test_sweep_needs_strictly_smaller_lcms():
+    # Every pair's lcm is x1*x2 and x1*x2 divides it, but each pair's other
+    # two lcms tie with its own; skipping on "some third witness divides the
+    # lcm" alone would drop all three pairs and certify a family whose ideal
+    # holds 1.  The pair (x1, x1*x2 + 1) leaves -1.
+    family = MonicFamily.build([P("x1", nvars=2), P("x2"), P("x1*x2 + 1")])
+    assert s_polynomial(family.members[0], family.members[2]) == P("-1", nvars=2)
+    assert assert_sweep_matches(family) is False
 
 
 @pytest.mark.parametrize(
