@@ -32,7 +32,13 @@ from .errors import (
     NonPositiveMultiplicity,
     NotMember,
 )
-from .polynomials import Poly, monic_power_product, root_product, taylor_shift
+from .polynomials import (
+    Poly,
+    monic_power_product,
+    require_multiplicity,
+    root_product,
+    taylor_shift,
+)
 from .reduction import MonicFamily, ReductionOutcome, decompose_member, reduce
 from .rings import Element, Ring
 from .staircase import compositions, require_level
@@ -53,8 +59,7 @@ class Axis:
             m = 1 if psi is None else psi.get(u)
             if m is None:
                 raise NonPositiveMultiplicity(f"no multiplicity for {u}")
-            if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-                raise NonPositiveMultiplicity(f"psi({u}) = {m!r}")
+            require_multiplicity(u, m)
             table[u] = m
         if psi is not None:
             extra = set(psi) - set(support)

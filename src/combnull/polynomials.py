@@ -24,6 +24,7 @@ from .errors import (
     NotAxisPoly,
     NotMonic,
     ParseError,
+    ScaleExceeded,
 )
 from .rings import Element, Ring
 from .staircase import ExpVec, grlex_key, maximal_elements
@@ -111,10 +112,9 @@ class Poly:
 
     def is_axis_poly(self, axis: int) -> bool:
         """True iff every term is supported on the given axis only."""
-        return all(
-            all(e == 0 for k, e in enumerate(alpha) if k != axis)
-            for alpha in self.terms
-        )
+        # Exponents are nonnegative: the other entries are all zero iff they
+        # add nothing to the sum.
+        return all(sum(alpha) == alpha[axis] for alpha in self.terms)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -273,6 +273,12 @@ def taylor_shift(f: Poly, u: Sequence[Element]) -> Poly:
 # -- grid constructors ---------------------------------------------------------
 
 
+def require_multiplicity(u, m) -> None:
+    """The one multiplicity rule: psi(u) is an ``int`` (not a ``bool``) >= 1."""
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        raise NonPositiveMultiplicity(f"psi({u}) = {m!r}")
+
+
 def root_product(
     ring: Ring,
     nvars: int,
@@ -283,17 +289,49 @@ def root_product(
     """The monic axis polynomial ``prod (x_axis - u)^psi(u)``.
 
     With an empty element set this is the constant one.  Multiplicities
-    default to one and must be positive.
+    default to one and must be positive.  The product is kept as a dense
+    coefficient list, lowest degree first, and multiplied by ``x - u`` one
+    factor at a time.
     """
-    result = Poly.one(ring, nvars)
-    x = Poly.variable(ring, nvars, axis)
+    if nvars < 1:
+        raise ValueError("nvars must be at least 1")
+    if not 0 <= axis < nvars:
+        raise ValueError(f"axis {axis} out of range for {nvars} variables")
+    zero = ring.zero
+    coeffs = [ring.one]
     for u in elements:
         m = 1 if psi is None else psi[u]
-        if m < 1:
-            raise NonPositiveMultiplicity(f"psi({u}) = {m}")
-        factor = x - Poly.constant(ring, nvars, u)
-        result = result * factor ** m
-    return result
+        require_multiplicity(u, m)
+        u = ring.canon(u)
+        for _ in range(m):
+            # (x - u) * c has coefficient c[i-1] - u * c[i] at degree i.
+            coeffs = [
+                ring.sub(lower, ring.mul(u, c))
+                for c, lower in zip(coeffs + [zero], [zero] + coeffs)
+            ]
+    before, after = (0,) * axis, (0,) * (nvars - axis - 1)
+    return _raw(ring, nvars, {
+        before + (e,) + after: c for e, c in enumerate(coeffs) if c != zero
+    })
+
+
+# Terms a power-product family may hold, counted before any product is
+# built.  Level 38 on {0,1}^3 holds 962 598 and takes about 0.7 s and
+# 140 MB to build; level 60 would hold 8 259 888.  No benchmark or test
+# basis holds more than 819.
+MAX_BASIS_TERMS = 1_000_000
+
+
+def _next_power(ring: Ring, power: tuple, g: tuple) -> tuple:
+    """The univariate product of two sparse ``(exponents, coefficients)``
+    pairs, accumulated in a dense list and pruned of zeros."""
+    zero = ring.zero
+    acc = [zero] * (power[0][-1] + g[0][-1] + 1)
+    for a, ca in zip(*power):
+        for b, cb in zip(*g):
+            acc[a + b] = ring.add(acc[a + b], ring.mul(ca, cb))
+    exps = [e for e, c in enumerate(acc) if c != zero]
+    return exps, [acc[e] for e in exps]
 
 
 def monic_power_product(axis_polys: Sequence[Poly], alphas: Iterable[ExpVec]) -> list:
@@ -301,39 +339,72 @@ def monic_power_product(axis_polys: Sequence[Poly], alphas: Iterable[ExpVec]) ->
 
     ``axis_polys[k]`` must be a monic polynomial in x_(k+1) alone; all are
     checked before any product is built, so a bad family raises even when
-    ``alphas`` is empty.  Each power ``g_k^e`` is computed once, by
-    extending a per-axis table one factor at a time.  Returns one pair
-    ``(product, theta)`` per alpha, in order, where theta is the greatest
-    support point ``(deg(g_1) alpha_1, ..., deg(g_n) alpha_n)``.
+    ``alphas`` is empty.  Returns one pair ``(product, theta)`` per alpha,
+    in order, where theta is the greatest support point
+    ``(deg(g_1) alpha_1, ..., deg(g_n) alpha_n)``.
+
+    Each axis keeps a table of its univariate powers ``g_k^e``, as sparse
+    exponent and coefficient lists, extended one factor at a time.  Factors
+    in distinct variables never share a term, so a product is the Cartesian
+    product of its factors' terms: one ``ring.mul`` per factor, and a zero
+    coefficient (possible in ZZ/m) is pruned.  Before any product is
+    built, the tables give each product's exact number of terms,
+    ``prod_k |supp(g_k^alpha_k)|``; ``ScaleExceeded`` is raised as soon as
+    their running sum, or the terms held by the tables, pass
+    ``MAX_BASIS_TERMS``.
     """
     if not axis_polys:
         raise ValueError("need at least one axis polynomial")
     n = axis_polys[0].nvars
     if len(axis_polys) != n:
         raise ArityMismatch("one axis polynomial per variable is required")
+    ring = axis_polys[0].ring
     degs = []
+    tables = []
     for k, g in enumerate(axis_polys):
-        g.require_on(axis_polys[0].ring, n)
+        g.require_on(ring, n)
         if not g.is_axis_poly(k):
             raise NotAxisPoly(f"member {k + 1} involves other variables")
-        if g.monic_witness() is None:
+        theta = g.monic_witness()
+        if theta is None:
             raise NotMonic(f"axis polynomial {k + 1} is not monic")
-        degs.append(int(g.degree()))
-    one = Poly.one(axis_polys[0].ring, n)
-    powers = [[one] for _ in range(n)]
-    out = []
+        degs.append(theta[k])
+        axis_terms = sorted((alpha[k], c) for alpha, c in g.terms.items())
+        tables.append([([0], [ring.one]), tuple(map(list, zip(*axis_terms)))])
+    alphas = [tuple(alpha) for alpha in alphas]
     for alpha in alphas:
         if len(alpha) != n:
-            raise ArityMismatch(f"exponent {tuple(alpha)} for {n} axis polynomials")
-        if any(e < 0 for e in alpha):
-            raise ValueError(f"negative exponent in {tuple(alpha)}")
-        result = one
-        for g, table, e in zip(axis_polys, powers, alpha):
+            raise ArityMismatch(f"exponent {alpha} for {n} axis polynomials")
+        if min(alpha) < 0:
+            raise ValueError(f"negative exponent in {alpha}")
+    table_terms = terms_out = 0
+    for alpha in alphas:
+        size = 1
+        for table, e in zip(tables, alpha):
             while len(table) <= e:
-                table.append(table[-1] * g)
+                table.append(_next_power(ring, table[-1], table[1]))
+                table_terms += len(table[-1][0])
+                if table_terms > MAX_BASIS_TERMS:
+                    raise ScaleExceeded(
+                        f"powers up to exponent {e} need over {MAX_BASIS_TERMS} terms"
+                    )
+            size *= len(table[e][0])
+        terms_out += size
+        if terms_out > MAX_BASIS_TERMS:
+            raise ScaleExceeded(
+                f"{len(alphas)} power products need over {MAX_BASIS_TERMS} terms"
+            )
+    zero = ring.zero
+    mul = ring.mul
+    out = []
+    for alpha in alphas:
+        coeffs = [ring.one]
+        for table, e in zip(tables, alpha):
             if e:
-                result = result * table[e]
-        out.append((result, tuple(d * e for d, e in zip(degs, alpha))))
+                coeffs = [mul(c, d) for c in coeffs for d in table[e][1]]
+        keys = product(*(table[e][0] for table, e in zip(tables, alpha)))
+        terms = {key: c for key, c in zip(keys, coeffs) if c != zero}
+        out.append((_raw(ring, n, terms), tuple(d * e for d, e in zip(degs, alpha))))
     return out
 
 

@@ -2,9 +2,13 @@ import random
 
 import pytest
 
-from combnull import ZZ, MonicFamily, Poly, parse_poly
+from combnull import GF, QQ, ZZ, MonicFamily, Poly, Zmod, parse_poly
 from combnull.polynomials import random_monic, random_poly
 from combnull.serialization import element_to_json
+
+# The rings property tests draw from: a domain of each kind and ZZ/6,
+# where nonzero elements multiply to zero.
+RINGS = (ZZ, QQ, GF(5), Zmod(6))
 
 
 @pytest.fixture

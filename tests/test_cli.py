@@ -81,6 +81,21 @@ def test_negative_level_exit_code(capsys):
     assert "t must be an integer >= 0, got -1" in err
 
 
+def test_oversized_basis_exit_code(capsys):
+    # level 60 on {0,1}^3: a basis of 1 891 members with 8 259 888 terms
+    code, out, err = run(
+        capsys,
+        "normal-form",
+        "--ring", "ZZ",
+        "--grid", "{S:[[0,1],[0,1],[0,1]]}",
+        "--t", "60",
+        "--poly", "x1",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: 1891 power products need over 1000000 terms")
+
+
 def test_internal_invariant_exit_code(capsys, monkeypatch):
     def broken(*_):
         raise InternalInvariantError("forced")

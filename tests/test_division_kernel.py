@@ -37,12 +37,10 @@ from combnull import (
 from combnull import reduction
 from combnull.serialization import family_from_json
 from combnull.staircase import grlex_key, in_downset, leq, meet, vec_sub
-from conftest import P, random_family, random_monic, random_poly
+from conftest import RINGS, P, random_family, random_monic, random_poly
 from test_acceptance import _sweep_grids
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
-
-RINGS = (ZZ, QQ, GF(5), Zmod(6))
 
 
 def oracle_reduce(f, family):

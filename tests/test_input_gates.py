@@ -1,9 +1,10 @@
 """Every entry point applies the same input rule the same way.
 
 One parametrized test per rule: the level t, the operand ring and arity,
-the prime q, and Condition (D).
+the prime q, Condition (D), and the multiplicity psi(u).
 """
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -16,6 +17,7 @@ from combnull import (
     Inapplicable,
     MonicFamily,
     MultisetGrid,
+    NonPositiveMultiplicity,
     PuncturedGrid,
     RingMismatch,
     UnsupportedField,
@@ -41,6 +43,7 @@ from combnull import (
     punctured_membership,
     punctured_staircase_count,
     reduce,
+    root_product,
     staircase_count,
 )
 from combnull.serialization import grid_from_json
@@ -199,3 +202,27 @@ def test_condition_d_gate(entry):
     with pytest.raises(Inapplicable) as info:
         CONDITION_D_ENTRY_POINTS[entry]()
     assert info.value.axes == (1,)
+
+
+MULTIPLICITY_ENTRY_POINTS = {
+    "MultisetGrid.build": lambda m: MultisetGrid.build(ZZ, [[0]], [{0: m}]),
+    "grid_from_json": lambda m: grid_from_json({"S": [[0]], "psi": [{"0": m}]}, ZZ),
+    "root_product": lambda m: root_product(ZZ, 1, 0, [0], {0: m}),
+}
+
+BAD_MULTIPLICITIES = {
+    "zero": 0,
+    "negative": -2,
+    "bool": True,
+    "fractional": 1.5,
+    "integral_float": 2.0,
+    "string": "2",
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_MULTIPLICITIES))
+@pytest.mark.parametrize("entry", sorted(MULTIPLICITY_ENTRY_POINTS))
+def test_multiplicity_gate(entry, bad):
+    m = BAD_MULTIPLICITIES[bad]
+    with pytest.raises(NonPositiveMultiplicity, match=re.escape(f"psi(0) = {m!r}")):
+        MULTIPLICITY_ENTRY_POINTS[entry](m)

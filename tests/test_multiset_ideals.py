@@ -125,6 +125,16 @@ def test_basis_members_pinned(ring, combo):
             assert list(mixed.members) == [g for _, g in lower + expected]
 
 
+def test_level_basis_prunes_zero_products():
+    # over ZZ/6, (x1 + 2) * (x2 + 3) = x1*x2 + 3*x1 + 2*x2 + 6 and 6 = 0
+    ring = Zmod(6)
+    basis = level_basis(MultisetGrid.build(ring, [[4], [3]]), 2)
+    assert list(basis.labels) == [(0, 2), (1, 1), (2, 0)]
+    assert list(basis.members) == [
+        P(text, ring, nvars=2) for text in ("x2^2 + 3", "x1*x2 + 3*x1 + 2*x2", "x1^2 + 4*x1 + 4")
+    ]
+
+
 def test_negative_level_rejected():
     grid = MultisetGrid.build(ZZ, [[0, 1]])
     x1 = P("x1")

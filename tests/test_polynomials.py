@@ -8,19 +8,23 @@ from combnull import (
     QQ,
     ZZ,
     ArityMismatch,
+    MultisetGrid,
     NonPositiveMultiplicity,
     NotAxisPoly,
     NotMonic,
     ParseError,
     Poly,
     RingMismatch,
+    ScaleExceeded,
     Zmod,
     format_poly,
+    level_basis,
     monic_power_product,
     parse_poly,
     root_product,
     taylor_shift,
 )
+from combnull import polynomials
 from conftest import P, partial_evaluate, random_monic, random_poly
 
 
@@ -125,6 +129,18 @@ def test_root_product():
     assert g.monic_witness() == (4,)
     with pytest.raises(NonPositiveMultiplicity):
         root_product(ZZ, 1, 0, [0], {0: 0})
+    # the rule Axis.build applies: an int, not a bool, at least 1
+    for m in (True, 1.5, 2.0, "2"):
+        with pytest.raises(NonPositiveMultiplicity):
+            root_product(ZZ, 1, 0, [0], {0: m})
+    with pytest.raises(ParseError):
+        root_product(ZZ, 1, 0, [True])
+    # elements that collide after canon are separate factors
+    assert root_product(Zmod(6), 1, 0, [-3, 3]) == P("x1^2 + 3", Zmod(6))
+    with pytest.raises(ValueError):
+        root_product(ZZ, 0, 0, [1])
+    with pytest.raises(ValueError):
+        root_product(ZZ, 2, 2, [1])
 
 
 def test_monic_power_product():
@@ -154,6 +170,31 @@ def test_monic_power_product():
             monic_power_product([P("2*x1", nvars=2), g2], alphas)
         with pytest.raises(ArityMismatch):
             monic_power_product([g2], alphas)
+
+
+def test_monic_power_product_counts_terms_up_front(monkeypatch):
+    g = [P("x1^2 - x1", nvars=3), P("x2^2 - x2", nvars=3), P("x3^2 - x3", nvars=3)]
+    # level 2 on {0,1}^3: three squares of 3 terms, three products of 2 * 2
+    level2 = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+    assert sum(len(p.terms) for p, _ in monic_power_product(g, level2)) == 21
+    monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 21)
+    assert len(monic_power_product(g, level2)) == 6
+    monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 20)
+    with pytest.raises(ScaleExceeded, match="6 power products need over 20 terms"):
+        monic_power_product(g, level2)
+    # the power tables are bounded too: x1^2 - x1 to the powers 2..5 hold
+    # 3 + 4 + 5 + 6 = 18 terms, though the one product holds 6
+    monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 17)
+    with pytest.raises(ScaleExceeded, match="powers up to exponent 5"):
+        monic_power_product([P("x1^2 - x1")], [(5,)])
+    monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 18)
+    assert monic_power_product([P("x1^2 - x1")], [(5,)])[0][1] == (10,)
+
+
+def test_oversized_level_basis_is_refused():
+    # 1 891 members with 8 259 888 terms: refused before any product is built
+    with pytest.raises(ScaleExceeded, match="1891 power products need over 1000000 terms"):
+        level_basis(MultisetGrid.build(ZZ, [[0, 1]] * 3), 60)
 
 
 def test_monic_product_coefficient_transfer(rng):

@@ -1,4 +1,6 @@
-"""Property tests for certificates: JSON round trips and tamper rejection.
+"""Property tests: the basis builders against product oracles, the Taylor
+shift and text round trips, and certificate JSON round trips and tamper
+rejection.
 
 hypothesis is a test-only dependency; the module is skipped without it.
 Examples are derandomized so every run checks the same cases.
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from combnull import (
     GF,
+    QQ,
     ZZ,
     MonicFamily,
     MultisetGrid,
@@ -22,15 +25,85 @@ from combnull import (
     format_poly,
     level_basis,
     level_certificate,
+    monic_power_product,
     parse_poly,
     reduce,
+    root_product,
+    taylor_shift,
 )
 from combnull.serialization import certificate_to_json, verify_certificate_json
+from conftest import RINGS
+from test_multiset_ideals import _products, _root_power_product
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
 # ring -> the values grid axes draw their support from
 GRID_RINGS = ((ZZ, range(-2, 3)), (GF(5), range(5)))
+
+
+def elements(ring, span=3):
+    """Values in [-span, span], so -3 and 3 collide after canon in ZZ/6,
+    plus proper fractions over QQ."""
+    values = st.integers(-span, span)
+    if ring == QQ:
+        values = values | st.fractions(-span, span, max_denominator=3)
+    return values
+
+
+def ring_polys(ring, n):
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    return st.dictionaries(exps, elements(ring, 7), max_size=6).map(lambda t: Poly(ring, n, t))
+
+
+@PROPERTY
+@given(st.sampled_from(RINGS), st.integers(1, 3), st.data())
+def test_builders_match_the_product_oracle(ring, n, data):
+    axis_polys = []
+    for k in range(n):
+        support = data.draw(st.lists(elements(ring), max_size=3, unique=True))
+        psi = data.draw(st.none() | st.fixed_dictionaries({u: st.integers(1, 3) for u in support}))
+        g = root_product(ring, n, k, support, psi)
+        assert g == _root_power_product(ring, n, k, psi or dict.fromkeys(support, 1))
+        axis_polys.append(g)
+    degs = [int(g.degree()) for g in axis_polys]
+    alphas = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4))
+    expected = []
+    for alpha in alphas:
+        g = Poly.one(ring, n)
+        for gk, e in zip(axis_polys, alpha):
+            g = g * gk ** e
+        expected.append((g, tuple(d * e for d, e in zip(degs, alpha))))
+    assert monic_power_product(axis_polys, alphas) == expected
+
+
+@PROPERTY
+@given(st.sampled_from(RINGS), st.integers(1, 3), st.integers(0, 3), st.data())
+def test_level_basis_matches_the_product_oracle(ring, n, t, data):
+    supports = []
+    psis = []
+    for _ in range(n):
+        support = sorted({ring.canon(u) for u in data.draw(st.lists(elements(ring), max_size=3))})
+        supports.append(support)
+        psis.append({u: data.draw(st.integers(1, 2)) for u in support})
+    expected = _products([_root_power_product(ring, n, k, psi) for k, psi in enumerate(psis)], t)
+    basis = level_basis(MultisetGrid.build(ring, supports, psis), t)
+    assert list(basis.labels) == [alpha for alpha, _ in expected]
+    assert list(basis.members) == [g for _, g in expected]
+
+
+@PROPERTY
+@given(st.sampled_from(RINGS), st.integers(1, 3), st.data())
+def test_taylor_shift_involution(ring, n, data):
+    f = data.draw(ring_polys(ring, n))
+    u = data.draw(st.tuples(*[elements(ring)] * n))
+    assert taylor_shift(taylor_shift(f, u), [-v for v in u]) == f
+
+
+@PROPERTY
+@given(st.sampled_from(RINGS), st.integers(1, 3), st.data())
+def test_format_parse_round_trip(ring, n, data):
+    f = data.draw(ring_polys(ring, n))
+    assert parse_poly(format_poly(f), ring, n) == f
 
 
 def polys(ring, n, max_deg=1, max_terms=2):
