@@ -93,7 +93,6 @@ from .staircase import (
     in_upset,
     leq,
     maximal_elements,
-    meet,
     parse_expvec,
     punctured_staircase_count,
     staircase_count,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain, product
+from math import comb
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -31,10 +32,13 @@ from .errors import (
     InternalInvariantError,
     NonPositiveMultiplicity,
     NotMember,
+    ScaleExceeded,
 )
 from .polynomials import (
+    MAX_BASIS_TERMS,
     Poly,
-    monic_power_product,
+    _power_products,
+    _root_terms,
     require_multiplicity,
     root_product,
     taylor_shift,
@@ -97,8 +101,9 @@ class MultisetGrid:
         axis = self.axes[k]
         return root_product(self.ring, self.nvars, k, axis.support, axis.psi)
 
-    def axis_polys(self) -> list:
-        return [self.axis_poly(k) for k in range(self.nvars)]
+    def _axis_terms(self) -> list:
+        """Every axis polynomial as sparse univariate lists."""
+        return [_root_terms(self.ring, axis.support, axis.psi) for axis in self.axes]
 
     @property
     def empty_grid(self) -> bool:
@@ -153,12 +158,18 @@ class PuncturedGrid:
         """g_k / h_k, realized directly as the off-puncture root product."""
         axis = self.base.axes[k]
         rest = [u for u in axis.support if u not in set(self.punctures[k])]
-        return root_product(self.ring, self.nvars, k, rest, {u: axis.psi[u] for u in rest})
+        return root_product(self.ring, self.nvars, k, rest, axis.psi)
+
+    def _off_terms(self) -> list:
+        """Every g_k / h_k as sparse univariate lists."""
+        return [
+            _root_terms(self.ring, [u for u in axis.support if u not in E], axis.psi)
+            for axis, E in zip(self.base.axes, self.punctures)
+        ]
 
     def off_product(self) -> Poly:
         """The product of the off-puncture axis polynomials over all axes."""
-        offs = [self.off_poly(k) for k in range(self.nvars)]
-        return monic_power_product(offs, [(1,) * self.nvars])[0][0]
+        return _power_products(self.ring, self._off_terms(), [(1,) * self.nvars])[0][0]
 
     def off_multiplicity_sum(self, k: int) -> int:
         axis = self.base.axes[k]
@@ -178,6 +189,16 @@ class PuncturedGrid:
 # -- level ideals ---------------------------------------------------------
 
 
+def _exponent_vectors(t: int, n: int) -> list:
+    """``compositions(t, n)`` as a list, counted before any is listed: every
+    member they label holds a term, so more than ``MAX_BASIS_TERMS`` of
+    them is ``ScaleExceeded``."""
+    count = comb(t + n - 1, n - 1)
+    if count > MAX_BASIS_TERMS:
+        raise ScaleExceeded(f"{count} power products need over {MAX_BASIS_TERMS} terms")
+    return list(compositions(t, n))
+
+
 def level_basis(grid: MultisetGrid, t: int) -> MonicFamily:
     """The generating family of the level-t ideal: all products
     ``prod g_k^(alpha_k)`` with ``sum(alpha) = t``, labelled by alpha.
@@ -187,8 +208,8 @@ def level_basis(grid: MultisetGrid, t: int) -> MonicFamily:
     ``C(n + t - 1, n - 1)`` members.
     """
     require_level(t, 0)
-    alphas = list(compositions(t, grid.nvars))
-    built = monic_power_product(grid.axis_polys(), alphas)
+    alphas = _exponent_vectors(t, grid.nvars)
+    built = _power_products(grid.ring, grid._axis_terms(), alphas)
     family = MonicFamily.build([g for g, _ in built], labels=alphas, certified=True)
     if family.witnesses != tuple(theta for _, theta in built):
         raise InternalInvariantError("level basis witness mismatch")
@@ -352,17 +373,18 @@ def mixed_basis(pgrid: PuncturedGrid, t: int) -> MonicFamily:
     """Two-layer generating family of the mixed ideal.
 
     Exponent vectors with total t contribute the plain power products;
-    vectors with total t-1 contribute the power products times the full
-    off-puncture product.
+    vectors alpha with total t-1 contribute the power products times the
+    full off-puncture product, ``prod_k off_k g_k^(alpha_k)``, built per
+    axis like the plain ones.
     """
     require_level(t, 1)
     n = pgrid.nvars
-    lower = list(compositions(t - 1, n))
-    upper = list(compositions(t, n))
-    built = [g for g, _ in monic_power_product(pgrid.base.axis_polys(), lower + upper)]
-    off = pgrid.off_product()
-    members = [off * g for g in built[: len(lower)]] + built[len(lower) :]
-    return MonicFamily.build(members, labels=lower + upper)
+    upper = _exponent_vectors(t, n)
+    lower = _exponent_vectors(t - 1, n)
+    axes = pgrid.base._axis_terms()
+    built = _power_products(pgrid.ring, axes, lower, pgrid._off_terms())
+    built += _power_products(pgrid.ring, axes, upper)
+    return MonicFamily.build([g for g, _ in built], labels=lower + upper)
 
 
 def mixed_membership(f: Poly, pgrid: PuncturedGrid, t: int) -> bool:
@@ -405,7 +427,7 @@ def min_extra_degree(pgrid: PuncturedGrid, t: int):
     value = (t - 1) * e + sum(off_sums)
 
     alpha = tuple(t - 1 if k == l else 0 for k in range(pgrid.nvars))
-    witness = monic_power_product(base.axis_polys(), [alpha])[0][0] * pgrid.off_product()
+    [(witness, _)] = _power_products(base.ring, base._axis_terms(), [alpha], pgrid._off_terms())
     if witness.degree() != value:
         raise InternalInvariantError("witness degree disagrees with the formula")
     if not mixed_membership(witness, pgrid, t):

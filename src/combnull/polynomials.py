@@ -279,24 +279,14 @@ def require_multiplicity(u, m) -> None:
         raise NonPositiveMultiplicity(f"psi({u}) = {m!r}")
 
 
-def root_product(
-    ring: Ring,
-    nvars: int,
-    axis: int,
-    elements: Iterable[Element],
-    psi: Mapping[Element, int] | None = None,
-) -> Poly:
-    """The monic axis polynomial ``prod (x_axis - u)^psi(u)``.
+def _root_terms(ring: Ring, elements: Iterable[Element], psi) -> tuple:
+    """``prod (x - u)^psi(u)`` in one variable, as sparse ``(exponents,
+    coefficients)`` lists, lowest degree first.
 
-    With an empty element set this is the constant one.  Multiplicities
-    default to one and must be positive.  The product is kept as a dense
-    coefficient list, lowest degree first, and multiplied by ``x - u`` one
-    factor at a time.
+    Multiplicities default to one and go through ``require_multiplicity``;
+    each element goes through ``ring.canon``.  The product is kept as a
+    dense coefficient list and multiplied by ``x - u`` one factor at a time.
     """
-    if nvars < 1:
-        raise ValueError("nvars must be at least 1")
-    if not 0 <= axis < nvars:
-        raise ValueError(f"axis {axis} out of range for {nvars} variables")
     zero = ring.zero
     coeffs = [ring.one]
     for u in elements:
@@ -309,9 +299,29 @@ def root_product(
                 ring.sub(lower, ring.mul(u, c))
                 for c, lower in zip(coeffs + [zero], [zero] + coeffs)
             ]
+    exps = [e for e, c in enumerate(coeffs) if c != zero]
+    return exps, [coeffs[e] for e in exps]
+
+
+def root_product(
+    ring: Ring,
+    nvars: int,
+    axis: int,
+    elements: Iterable[Element],
+    psi: Mapping[Element, int] | None = None,
+) -> Poly:
+    """The monic axis polynomial ``prod (x_axis - u)^psi(u)``.
+
+    With an empty element set this is the constant one.  Multiplicities
+    default to one and must be positive.
+    """
+    if nvars < 1:
+        raise ValueError("nvars must be at least 1")
+    if not 0 <= axis < nvars:
+        raise ValueError(f"axis {axis} out of range for {nvars} variables")
     before, after = (0,) * axis, (0,) * (nvars - axis - 1)
     return _raw(ring, nvars, {
-        before + (e,) + after: c for e, c in enumerate(coeffs) if c != zero
+        before + (e,) + after: c for e, c in zip(*_root_terms(ring, elements, psi))
     })
 
 
@@ -334,55 +344,30 @@ def _next_power(ring: Ring, power: tuple, g: tuple) -> tuple:
     return exps, [acc[e] for e in exps]
 
 
-def monic_power_product(axis_polys: Sequence[Poly], alphas: Iterable[ExpVec]) -> list:
-    """``prod g_k^(alpha_k)`` for each alpha, over monic single-axis polynomials.
+def _power_products(ring: Ring, factors: Sequence, alphas: Sequence, seeds=None) -> list:
+    """``prod_k seed_k g_k^(alpha_k)`` for each alpha, on sparse univariate
+    ``(exponents, coefficients)`` lists of monic factors ``g_k`` and seeds
+    (each seed defaults to one).  Returns ``(product, theta)`` pairs, theta
+    being the product's greatest support point.
 
-    ``axis_polys[k]`` must be a monic polynomial in x_(k+1) alone; all are
-    checked before any product is built, so a bad family raises even when
-    ``alphas`` is empty.  Returns one pair ``(product, theta)`` per alpha,
-    in order, where theta is the greatest support point
-    ``(deg(g_1) alpha_1, ..., deg(g_n) alpha_n)``.
-
-    Each axis keeps a table of its univariate powers ``g_k^e``, as sparse
-    exponent and coefficient lists, extended one factor at a time.  Factors
-    in distinct variables never share a term, so a product is the Cartesian
-    product of its factors' terms: one ``ring.mul`` per factor, and a zero
-    coefficient (possible in ZZ/m) is pruned.  Before any product is
-    built, the tables give each product's exact number of terms,
-    ``prod_k |supp(g_k^alpha_k)|``; ``ScaleExceeded`` is raised as soon as
-    their running sum, or the terms held by the tables, pass
-    ``MAX_BASIS_TERMS``.
+    Each axis keeps a table of ``seed_k g_k^e``, extended one factor at a
+    time.  Factors in distinct variables never share a term, so a product
+    is the Cartesian product of its factors' terms: one ``ring.mul`` per
+    factor, and a zero coefficient (possible in ZZ/m) is pruned.  Before
+    any product is built, the tables give each product's exact number of
+    terms; ``ScaleExceeded`` is raised as soon as their running sum, or the
+    terms held by the tables, pass ``MAX_BASIS_TERMS``.
     """
-    if not axis_polys:
+    if not factors:
         raise ValueError("need at least one axis polynomial")
-    n = axis_polys[0].nvars
-    if len(axis_polys) != n:
-        raise ArityMismatch("one axis polynomial per variable is required")
-    ring = axis_polys[0].ring
-    degs = []
-    tables = []
-    for k, g in enumerate(axis_polys):
-        g.require_on(ring, n)
-        if not g.is_axis_poly(k):
-            raise NotAxisPoly(f"member {k + 1} involves other variables")
-        theta = g.monic_witness()
-        if theta is None:
-            raise NotMonic(f"axis polynomial {k + 1} is not monic")
-        degs.append(theta[k])
-        axis_terms = sorted((alpha[k], c) for alpha, c in g.terms.items())
-        tables.append([([0], [ring.one]), tuple(map(list, zip(*axis_terms)))])
-    alphas = [tuple(alpha) for alpha in alphas]
-    for alpha in alphas:
-        if len(alpha) != n:
-            raise ArityMismatch(f"exponent {alpha} for {n} axis polynomials")
-        if min(alpha) < 0:
-            raise ValueError(f"negative exponent in {alpha}")
+    unit = ([0], [ring.one])
+    tables = [[unit, g] for g in factors] if seeds is None else [[seed] for seed in seeds]
     table_terms = terms_out = 0
     for alpha in alphas:
         size = 1
-        for table, e in zip(tables, alpha):
+        for table, g, e in zip(tables, factors, alpha):
             while len(table) <= e:
-                table.append(_next_power(ring, table[-1], table[1]))
+                table.append(_next_power(ring, table[-1], g))
                 table_terms += len(table[-1][0])
                 if table_terms > MAX_BASIS_TERMS:
                     raise ScaleExceeded(
@@ -400,12 +385,46 @@ def monic_power_product(axis_polys: Sequence[Poly], alphas: Iterable[ExpVec]) ->
     for alpha in alphas:
         coeffs = [ring.one]
         for table, e in zip(tables, alpha):
-            if e:
+            if table[e] is not unit:
                 coeffs = [mul(c, d) for c in coeffs for d in table[e][1]]
-        keys = product(*(table[e][0] for table, e in zip(tables, alpha)))
-        terms = {key: c for key, c in zip(keys, coeffs) if c != zero}
-        out.append((_raw(ring, n, terms), tuple(d * e for d, e in zip(degs, alpha))))
+        entries = [table[e][0] for table, e in zip(tables, alpha)]
+        terms = {key: c for key, c in zip(product(*entries), coeffs) if c != zero}
+        out.append((_raw(ring, len(factors), terms), tuple(exps[-1] for exps in entries)))
     return out
+
+
+def monic_power_product(axis_polys: Sequence[Poly], alphas: Iterable[ExpVec]) -> list:
+    """``prod g_k^(alpha_k)`` for each alpha, over monic single-axis polynomials.
+
+    ``axis_polys[k]`` must be a monic polynomial in x_(k+1) alone; all are
+    checked before any product is built, so a bad family raises even when
+    ``alphas`` is empty.  Returns one pair ``(product, theta)`` per alpha,
+    in order, where theta is the greatest support point
+    ``(deg(g_1) alpha_1, ..., deg(g_n) alpha_n)``.  Products are built per
+    axis, with the term limit ``MAX_BASIS_TERMS`` (see ``_power_products``).
+    """
+    if not axis_polys:
+        raise ValueError("need at least one axis polynomial")
+    n = axis_polys[0].nvars
+    if len(axis_polys) != n:
+        raise ArityMismatch("one axis polynomial per variable is required")
+    ring = axis_polys[0].ring
+    factors = []
+    for k, g in enumerate(axis_polys):
+        g.require_on(ring, n)
+        if not g.is_axis_poly(k):
+            raise NotAxisPoly(f"member {k + 1} involves other variables")
+        if g.monic_witness() is None:
+            raise NotMonic(f"axis polynomial {k + 1} is not monic")
+        axis_terms = sorted((alpha[k], c) for alpha, c in g.terms.items())
+        factors.append(tuple(map(list, zip(*axis_terms))))
+    alphas = [tuple(alpha) for alpha in alphas]
+    for alpha in alphas:
+        if len(alpha) != n:
+            raise ArityMismatch(f"exponent {alpha} for {n} axis polynomials")
+        if min(alpha) < 0:
+            raise ValueError(f"negative exponent in {alpha}")
+    return _power_products(ring, factors, alphas)
 
 
 def random_poly(rng, ring: Ring, nvars: int, max_deg=3, max_terms=6, coeff_span=4) -> Poly:

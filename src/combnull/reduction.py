@@ -28,7 +28,7 @@ certificates all divide through it.
 ``buchberger_certifies`` runs the sufficiency test on S-polynomials; a True
 answer certifies the Groebner property, a False answer is inconclusive.
 It packs the family once, at one field width for every pair, and builds
-and divides each kept S-pair (see the chain criterion below) on packed keys
+and divides each kept S-pair (see the criteria below) on packed keys
 with the same S-pair builder and division loop.  It checks only that each
 S-pair S reduces to 0, because with the true witnesses ``MonicFamily``
 derives, (2) and (4) cannot fail:
@@ -44,41 +44,59 @@ derives, (2) and (4) cannot fail:
   * No packed field overflows: all of these exponents lie under
     lcm(theta(i), theta(j)), which lies under the corner of all witnesses.
 
-The sweep divides only the pairs that Buchberger's chain criterion keeps
-(Buchberger, *A criterion for detecting unnecessary reductions*, EUROSAM
-1979; Gebauer & Moeller, JSC 1988).  Write m(i, j) = lcm(theta(i),
-theta(j)) and S(i, j) = x^(m(i, j) - theta(i)) g(i) - x^(m(i, j) - theta(j))
-g(j).  Pair (i, j), with m = m(i, j), is skipped when some theta(k) divides
-m while m(i, k) != m and m(j, k) != m; the verdict is the full sweep's:
+The sweep divides only the pairs that three criteria keep: Buchberger's
+first (coprime witnesses) and chain criteria (Buchberger, *A criterion for
+detecting unnecessary reductions*, EUROSAM 1979), and Gebauer & Moeller's
+rule for pairs of equal lcm (*On an installation of Buchberger's
+algorithm*, JSC 1988).  Write m(i, j) = lcm(theta(i), theta(j)) and
+S(i, j) = x^(m(i, j) - theta(i)) g(i) - x^(m(i, j) - theta(j)) g(j).  Call
+S(i, j) = sum q(l) g(l) an lcm representation when every a + theta(l),
+a in supp(q(l)), lies strictly below m(i, j) in graded-lex order.  A pair
+that reduces to 0 has one: by the lemma each such point lies under a point
+of supp(S(i, j)), and those points lie under m(i, j) but are not m(i, j)
+(the shifted witnesses, each with coefficient 1, cancel), so their total
+degree is smaller.  The verdict is the full sweep's:
 
-  * The identity: when theta(k) divides m, so do m(i, k) and m(j, k), and
-    S(i, j) = x^(m - m(i, k)) S(i, k) - x^(m - m(j, k)) S(j, k), since
-    both sides' x^(m - theta(k)) g(k) terms cancel.
-  * Call S(i, j) = sum q(l) g(l) an lcm representation when every
-    a + theta(l), a in supp(q(l)), lies strictly below m(i, j) in
-    graded-lex order.  A pair that reduces to 0 has one: by the lemma each
-    such point lies under a point of supp(S(i, j)), and those points lie
-    under m(i, j) but are not m(i, j) (the shifted witnesses, each with
-    coefficient 1, cancel), so their total degree is smaller.
+  * First criterion: pair (i, j) is skipped when theta(i) and theta(j)
+    share no variable, i.e. m = theta(i) + theta(j).  Write g(i) =
+    x^theta(i) + r(i); then S(i, j) = x^theta(j) r(i) - x^theta(i) r(j) =
+    r(i) g(j) - r(j) g(i), and every a in supp(r(i)) lies under theta(i)
+    without being it, so a + theta(j) has smaller total degree than m (and
+    likewise for r(j)): an lcm representation, whatever the other pairs do.
+  * Chain criterion: pair (i, j), with m = m(i, j), is skipped when some
+    theta(k) divides m while m(i, k) != m and m(j, k) != m.  Then m(i, k)
+    and m(j, k) divide m, and S(i, j) = x^(m - m(i, k)) S(i, k) -
+    x^(m - m(j, k)) S(j, k), since both sides' x^(m - theta(k)) g(k) terms
+    cancel.
+  * Equal lcms: among the pairs with one lcm m that the first two criteria
+    keep, the sweep divides only a spanning forest.  A union-find per m,
+    joined only by pairs it divided, skips pair (i, j) when i and j are
+    already joined.  Along the forest path i = k(0), ..., k(r) = j every
+    edge has lcm m, so S(i, j) = sum S(k(s), k(s+1)) telescopes: the
+    x^(m - theta(k(s))) g(k(s)) terms of the inner nodes cancel.  Each
+    edge reduced to 0, so it has an lcm representation, and so has the sum.
   * The induction runs on m(i, j) under divisibility; a proper divisor has
-    smaller total degree, so it is well founded.  A kept pair that reduces
-    to 0 has an lcm representation.  A skipped pair's S(i, k) and S(j, k)
-    have lcms that properly divide m, so they have lcm representations;
-    shifted by x^(m - m(i, k)) and x^(m - m(j, k)) their terms stay below
-    m, and the identity combines them into one for S(i, j).
-  * So if every kept pair reduces to 0, every pair has an lcm
+    smaller total degree, so it is well founded.  A divided pair that
+    reduces to 0 has an lcm representation, and so has a coprime pair.  A
+    forest-skipped pair sums divided pairs of its own lcm.  A chain-skipped
+    pair's S(i, k) and S(j, k) have lcms that properly divide m, so they
+    have lcm representations; shifted by x^(m - m(i, k)) and
+    x^(m - m(j, k)) their terms stay below m, and the identity combines
+    them into one for S(i, j).
+  * So if every divided pair reduces to 0, every pair has an lcm
     representation, and the family is a Groebner basis by Buchberger's
     criterion in its lcm-representation form.  Every leading coefficient
     is 1, so the pairwise syzygies generate those of the leading terms and
     the criterion holds over ZZ, QQ, ZZ/m and GF(p) alike.  Conversely a
     Groebner basis reduces every element of its ideal to 0 under any full
-    reduction, so it passes every kept pair.
-  * Strictness is what makes the induction well founded: with m(i, k) = m
-    allowed, pairs with one lcm could vouch for each other in a cycle.  In
-    x1, x2, x1*x2 + 1 every lcm is x1*x2, which x1*x2 divides, so "some
-    third witness divides m" would skip all three pairs and certify a
-    family whose ideal holds 1 (S of x1 and x1*x2 + 1 is -1).  k = i and
-    k = j never qualify, since m(i, j) ties with itself.
+    reduction, so it passes every divided pair.
+  * Strictness is what makes the chain induction well founded: with
+    m(i, k) = m allowed, pairs with one lcm could vouch for each other in a
+    cycle.  In x1, x2, x1*x2 + 1 every lcm is x1*x2, which x1*x2 divides,
+    so "some third witness divides m" would skip all three pairs and
+    certify a family whose ideal holds 1 (S of x1 and x1*x2 + 1 is -1).
+    k = i and k = j never qualify, since m(i, j) ties with itself.  The
+    forest has no such cycle: it skips a pair only after dividing a path.
 """
 
 from __future__ import annotations
@@ -269,14 +287,24 @@ def _divide(ring, work: dict, divisors: list, guards: int, size: int):
     packed witness and terms; ``work`` is reduced in place to the
     remainder.  Returns the ``size`` quotient dicts, keyed by packed shift,
     and the number of steps.
+
+    A step only adds keys below the one it cancels, so a term no witness
+    divides stays in the remainder for good, and copies of one key leave
+    the heap one after another.  The loop stops once every term left in
+    ``work`` is such a remainder term: what the heap still holds is stale.
     """
     zero = ring.zero
     quotients = [dict() for _ in range(size)]
     heap = [-key for key in work]
     heapq.heapify(heap)
     steps = 0
-    while heap:
+    kept = 0
+    last = None
+    while len(work) > kept:
         gamma = -heapq.heappop(heap)
+        if gamma == last:
+            continue
+        last = gamma
         c = work.get(gamma)
         if c is None:
             continue
@@ -284,6 +312,7 @@ def _divide(ring, work: dict, divisors: list, guards: int, size: int):
             if not (gamma - theta) & guards:
                 break
         else:
+            kept += 1
             continue
         steps += 1
         shift = gamma - theta
@@ -353,17 +382,26 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
     return unpack(f.ring, _s_pair(f.ring, f_terms, top - pack(alpha), g_terms, top - pack(beta)))
 
 
+def _root(parent: dict, i: int) -> int:
+    """The representative of i in a union-find that maps non-roots only."""
+    while i in parent:
+        i = parent[i]
+    return i
+
+
 def buchberger_certifies(family: MonicFamily) -> bool:
-    """Sufficiency test: every S-polynomial the chain criterion keeps
+    """Sufficiency test: every S-polynomial the sweep's criteria keep
     reduces to zero, which carries the support-containment certificate (see
     the module docstring).
 
     True certifies that the family is a Groebner basis of the ideal it
-    generates.  False is inconclusive, never a refutation.  Pair (i, j) is
-    skipped when a third witness theta(k) divides m = lcm(theta(i),
-    theta(j)) while lcm(theta(i), theta(k)) and lcm(theta(j), theta(k)) are
-    both proper divisors of m; every other pair is divided on packed keys,
-    with the quotients, remainder and steps ``reduce`` would give.
+    generates.  False is inconclusive, never a refutation.  Pair (i, j),
+    with m = lcm(theta(i), theta(j)), is skipped when theta(i) and theta(j)
+    are coprime; when a third witness theta(k) divides m while
+    lcm(theta(i), theta(k)) and lcm(theta(j), theta(k)) are both proper
+    divisors of m; or when pairs of lcm m already divided join i to j.
+    Every other pair is divided on packed keys, with the quotients,
+    remainder and steps ``reduce`` would give.
     """
     members = family.members
     if len(members) < 2:
@@ -381,20 +419,30 @@ def buchberger_certifies(family: MonicFamily) -> bool:
     for i, theta in enumerate(thetas):
         for j in range(i + 1, size):
             lcms[i][j] = lcms[j][i] = pack(tuple(map(max, theta, thetas[j])))
+    # One union-find per packed lcm, joined by the pairs divided so far.
+    forests = {}
     for i, top_i, terms_i in divisors:
         row_i = lcms[i]
         for j, top_j, terms_j in divisors[i + 1:]:
             top = row_i[j]
+            # top_i + top_j - top packs the componentwise min of the two
+            # witnesses, which is zero exactly when they are coprime.
+            if top == top_i + top_j:
+                continue
             row_j = lcms[j]
             # k = i and k = j never qualify: row_j[i] and row_i[j] are top.
             for k, top_k, _ in divisors:
                 if not (top - top_k) & guards and row_i[k] != top and row_j[k] != top:
                     break
             else:
-                s = _s_pair(ring, terms_i, top - top_i, terms_j, top - top_j)
-                _divide(ring, s, divisors, guards, size)
-                if s:
-                    return False
+                parent = forests.setdefault(top, {})
+                root_i, root_j = _root(parent, i), _root(parent, j)
+                if root_i != root_j:
+                    s = _s_pair(ring, terms_i, top - top_i, terms_j, top - top_j)
+                    _divide(ring, s, divisors, guards, size)
+                    if s:
+                        return False
+                    parent[root_i] = root_j
     return True
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from typing import Mapping
 
 from .covering import CoverInstance
@@ -216,12 +217,18 @@ def _check_claim(kind: str, t, nvars: int, labels) -> None:
     """A claim names a level t (at least 0 for ``"I_t"``, 1 for ``"mixed"``)
     and its basis is labelled by exactly the exponent vectors of that
     level: ``compositions(t, n)``, after ``compositions(t - 1, n)`` for a
-    mixed claim."""
+    mixed claim.  The labels are counted against C(t+n-1, n-1) (plus
+    C(t+n-2, n-1) for a mixed claim) before any vector is listed."""
     least = 0 if kind == "I_t" else 1
     try:
         require_level(t, least)
     except ValueError as exc:
         raise ParseError(f"{kind} claim: {exc}") from None
+    count = comb(t + nvars - 1, nvars - 1)
+    if kind == "mixed":
+        count += comb(t + nvars - 2, nvars - 1)
+    if len(labels) != count:
+        raise ParseError(f"{kind} claim at t = {t} needs {count} basis members, got {len(labels)}")
     expected = list(compositions(t, nvars))
     if kind == "mixed":
         expected += compositions(t - 1, nvars)

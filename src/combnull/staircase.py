@@ -27,16 +27,6 @@ def leq(a: ExpVec, b: ExpVec) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def meet(a: ExpVec, b: ExpVec) -> ExpVec:
-    """Componentwise minimum."""
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
-def vec_sub(a: ExpVec, b: ExpVec) -> ExpVec:
-    """Componentwise difference; caller guarantees b <= a."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def grlex_key(a: ExpVec):
     """Sort key for the graded lexicographic order (degree, then lex)."""
     return (sum(a), a)

@@ -31,6 +31,16 @@ def random_family(rng, ring, nvars, max_members=3):
     )
 
 
+def meet(a, b):
+    """Componentwise minimum of two exponent vectors."""
+    return tuple(min(x, y) for x, y in zip(a, b))
+
+
+def vec_sub(a, b):
+    """Componentwise difference; the caller guarantees b <= a."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def partial_evaluate(f, assignments):
     """Substitute values on a subset of axes, keeping the arity."""
     ring = f.ring

@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,40 @@ def test_oversized_basis_exit_code(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: 1891 power products need over 1000000 terms")
+
+
+def test_oversized_level_is_refused_before_listing(capsys):
+    # level 100 000 on {0,1}^3 has C(100 002, 2) ~ 5e9 members: the count
+    # alone refuses it, before any exponent vector is listed
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "normal-form",
+        "--ring", "ZZ",
+        "--grid", "{S:[[0,1],[0,1],[0,1]]}",
+        "--t", "100000",
+        "--poly", "x1",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: 5000150001 power products need over 1000000 terms")
+    assert time.perf_counter() - start < 5
+
+
+def test_oversized_claim_is_refused_before_listing(capsys):
+    # a short document claiming level 100 000 in 3 variables: its one label
+    # is counted against C(100 002, 2) before any exponent vector is listed
+    doc = {
+        "ring": "ZZ", "nvars": 3, "poly": "0", "basis": "I_t", "t": 100000,
+        "basis_polys": {"(100000,0,0)": "x1"}, "quotients": {"(100000,0,0)": "0"},
+        "remainder": "0",
+    }
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--certificate", json.dumps(doc))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: I_t claim at t = 100000 needs 5000150001 basis members, got 1")
+    assert time.perf_counter() - start < 5
 
 
 def test_internal_invariant_exit_code(capsys, monkeypatch):

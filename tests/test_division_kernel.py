@@ -36,8 +36,8 @@ from combnull import (
 )
 from combnull import reduction
 from combnull.serialization import family_from_json
-from combnull.staircase import grlex_key, in_downset, leq, meet, vec_sub
-from conftest import RINGS, P, random_family, random_monic, random_poly
+from combnull.staircase import grlex_key, in_downset, leq
+from conftest import RINGS, P, meet, random_family, random_monic, random_poly, vec_sub
 from test_acceptance import _sweep_grids
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -382,9 +382,12 @@ def test_pruned_sweep_matches_oracle_on_larger_families(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
 def test_sweep_divides_only_adjacent_pairs_of_a_level_basis(monkeypatch, n, t):
-    # The kept pairs are theta(alpha + e_a), theta(alpha + e_b), a < b: one per
-    # |alpha| = t - 1 and pair of axes.  Axis degrees only scale the witnesses.
-    adjacent = {2: t, 3: math.comb(t + 1, 2) * 3}[n]
+    # The chain criterion keeps theta(alpha + e_a), theta(alpha + e_b), a < b:
+    # one pair per |alpha| = t - 1 and pair of axes.  At t = 1 (alpha = 0)
+    # all of them are coprime.  For n = 3, each lcm alpha + e_1 + e_2 + e_3
+    # is shared by three kept pairs, and the forest divides two: 3 C(t+1, 2)
+    # - C(t, 2) = t(t + 2).  Axis degrees only scale the witnesses.
+    divided = 0 if t == 1 else {2: t, 3: t * (t + 2)}[n]
     calls = counting_divisions(monkeypatch)
     for supports, psi in (
         ([[0, 1, 2]] * n, None),
@@ -392,7 +395,31 @@ def test_sweep_divides_only_adjacent_pairs_of_a_level_basis(monkeypatch, n, t):
     ):
         calls.clear()
         assert buchberger_certifies(level_basis(MultisetGrid.build(ZZ, supports, psi), t))
-        assert len(calls) == adjacent
+        assert len(calls) == divided
+
+
+@pytest.mark.parametrize(
+    "members, expected, divided",
+    [
+        # Coprime witnesses: those pairs are never divided.
+        (["x1*x2 + x1 - 3", "x3^2 + 1"], True, 0),
+        (["x1^2 - x1", "x2^2 - x2", "x3 - 2"], True, 0),
+        (["x1^2 - x1", "x1*x2 + 2*x1", "x3 - 2"], True, 1),
+        # Three witnesses whose pairs share the lcm x1^2*x2^2: the forest
+        # divides two pairs and the third telescopes.
+        (["x1^2*x2", "x1*x2^2", "x1^2*x2^2"], True, 2),
+        (["x1^2*x2 - x1*x2", "x1*x2^2 - x1*x2", "x1^2*x2^2 - x1*x2"], True, 2),
+        # The first pair reduces to 0 and joins the tree; the second does not.
+        (["x1^2*x2 - x1", "x1*x2^2 - x2", "x1^2*x2^2"], False, 2),
+    ],
+)
+@pytest.mark.parametrize("ring", RINGS)
+def test_sweep_skips_coprime_and_tied_pairs(monkeypatch, members, expected, divided, ring):
+    family = MonicFamily.build([P(text, ring, nvars=3) for text in members])
+    calls = counting_divisions(monkeypatch)
+    assert buchberger_certifies(family) is expected
+    assert len(calls) == divided
+    assert oracle_buchberger(family) is expected
 
 
 def test_sweep_needs_strictly_smaller_lcms():

@@ -13,11 +13,11 @@ from combnull import (
     in_upset,
     leq,
     maximal_elements,
-    meet,
     punctured_staircase_count,
     staircase_count,
 )
 from combnull.staircase import format_expvec, parse_expvec
+from conftest import meet
 
 
 def brute_complement(gens, nvars, halo=1):
