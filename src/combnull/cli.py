@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
 )
 from .multiset_ideals import (
+    PuncturedGrid,
     level_certificate,
     level_membership,
     level_normal_form,
@@ -57,7 +58,6 @@ from .serialization import (
     family_to_json,
     grid_from_json,
     instance_from_json,
-    punctured_from_json,
     spec_from_json,
     verify_certificate_json,
 )
@@ -127,11 +127,12 @@ def _infer_nvars(texts) -> int:
 def _grid_arg(args, need_puncture: bool = False):
     doc = _loose_json(args.grid)
     ring = parse_ring(args.ring) if args.ring else None
-    if need_puncture:
-        return punctured_from_json(doc, ring)
-    if "E" in doc:
+    grid = grid_from_json(doc, ring)
+    if need_puncture and not isinstance(grid, PuncturedGrid):
+        raise ParseError("punctured grid document needs an 'E' entry")
+    if not need_puncture and isinstance(grid, PuncturedGrid):
         raise ParseError(f"{args.command} takes no puncture set E")
-    return grid_from_json(doc, ring)
+    return grid
 
 
 # -- handlers -------------------------------------------------------------------

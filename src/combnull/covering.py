@@ -101,9 +101,8 @@ def covering_audit(inst: CoverInstance) -> CoverReport:
     raises InternalInvariantError instead of being reported.
     """
     pgrid = inst.pgrid
-    base = pgrid.base
-    base.require_condition_d()
-    ring = base.ring
+    pgrid.require_condition_d()
+    ring = pgrid.ring
 
     covered = True
     uncovered_point = None
@@ -111,13 +110,13 @@ def covering_audit(inst: CoverInstance) -> CoverReport:
         hits = sum(
             1 for rho, _ in inst.planes if rho.evaluate(point) == ring.zero
         )
-        if hits < point_cover_threshold(base.psi_at(point), inst.t):
+        if hits < point_cover_threshold(pgrid.psi_at(point), inst.t):
             covered = False
             uncovered_point = point
             break
 
     escape_point = None
-    for point in base.grid_points():
+    for point in pgrid.grid_points():
         value = ring.one
         for rho, _ in inst.planes:
             value = ring.mul(value, rho.evaluate(point))
@@ -138,11 +137,11 @@ def covering_audit(inst: CoverInstance) -> CoverReport:
             "hypotheses_unmet",
         )
 
-    prod_poly = Poly.one(ring, base.nvars)
+    prod_poly = Poly.one(ring, pgrid.nvars)
     for rho, _ in inst.planes:
         prod_poly = prod_poly * rho
     prod_degree = prod_poly.degree()
-    off_sums = [pgrid.off_multiplicity_sum(k) for k in range(pgrid.nvars)]
+    off_sums = pgrid.off_sums()
     bounds = tuple(
         (inst.t - 1) * off_sums[m] + sum(off_sums) for m in range(pgrid.nvars)
     )

@@ -20,8 +20,9 @@ ideal additionally keeps a relaxed requirement on the puncture.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, product
+from itertools import product
 from math import comb
+from operator import floordiv
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -128,57 +129,44 @@ class MultisetGrid:
 
 
 @dataclass(frozen=True)
-class PuncturedGrid:
+class PuncturedGrid(MultisetGrid):
     """A multiset grid with a per-axis punctured subgrid E_k of S_k."""
 
-    base: MultisetGrid
     punctures: tuple
 
     @classmethod
-    def build(cls, base: MultisetGrid, punctures: Sequence) -> "PuncturedGrid":
-        if len(punctures) != base.nvars:
-            raise ArityMismatch(f"{base.nvars} axes but {len(punctures)} puncture sets")
+    def build(cls, grid: MultisetGrid, punctures: Sequence) -> "PuncturedGrid":
+        if len(punctures) != grid.nvars:
+            raise ArityMismatch(f"{grid.nvars} axes but {len(punctures)} puncture sets")
         canon = []
-        for axis, E in zip(base.axes, punctures):
-            E = tuple(sorted({base.ring.canon(u) for u in E}))
+        for axis, E in zip(grid.axes, punctures):
+            E = tuple(sorted({grid.ring.canon(u) for u in E}))
             if not set(E) <= set(axis.support):
                 raise ValueError(f"puncture {E} not inside axis support")
             canon.append(E)
-        return cls(base, tuple(canon))
-
-    @property
-    def ring(self) -> Ring:
-        return self.base.ring
-
-    @property
-    def nvars(self) -> int:
-        return self.base.nvars
-
-    def off_poly(self, k: int) -> Poly:
-        """g_k / h_k, realized directly as the off-puncture root product."""
-        axis = self.base.axes[k]
-        rest = [u for u in axis.support if u not in set(self.punctures[k])]
-        return root_product(self.ring, self.nvars, k, rest, axis.psi)
+        return cls(grid.ring, grid.axes, tuple(canon))
 
     def _off_terms(self) -> list:
         """Every g_k / h_k as sparse univariate lists."""
         return [
             _root_terms(self.ring, [u for u in axis.support if u not in E], axis.psi)
-            for axis, E in zip(self.base.axes, self.punctures)
+            for axis, E in zip(self.axes, self.punctures)
         ]
 
     def off_product(self) -> Poly:
         """The product of the off-puncture axis polynomials over all axes."""
         return _power_products(self.ring, self._off_terms(), [(1,) * self.nvars])[0][0]
 
-    def off_multiplicity_sum(self, k: int) -> int:
-        axis = self.base.axes[k]
-        punct = set(self.punctures[k])
-        return sum(m for u, m in axis.psi.items() if u not in punct)
+    def off_sums(self) -> list:
+        """Per axis, the multiplicity total off the puncture: deg(g_k / h_k)."""
+        return [
+            sum(m for u, m in axis.psi.items() if u not in E)
+            for axis, E in zip(self.axes, self.punctures)
+        ]
 
     def off_puncture_points(self):
         punct = [set(E) for E in self.punctures]
-        for point in self.base.grid_points():
+        for point in self.grid_points():
             if not all(v in punct[k] for k, v in enumerate(point)):
                 yield point
 
@@ -217,23 +205,29 @@ def level_basis(grid: MultisetGrid, t: int) -> MonicFamily:
 
 
 def _grid_condition(f: Poly, grid: MultisetGrid, checks) -> bool:
-    """The grid side of every membership test.
+    """The one shift-then-scan loop behind every grid membership test.
 
-    ``checks`` yields ``(point, level)`` pairs; f passes at a pair when the
-    Taylor shift of f to the point has no support vector whose per-axis
-    multiplicity floors sum to less than the level.  The ring and arity
-    check and the Condition (D) gate run before any pair is drawn.
+    ``checks`` yields ``(point, accepts)`` pairs; f passes at a pair when
+    ``accepts`` holds for every support vector of the Taylor shift of f to
+    the point.  The ring and arity check runs before any pair is drawn.
     """
     f.require_on(grid.ring, grid.nvars)
-    grid.require_condition_d()
-    for point, level in checks:
-        if level < 1:
-            continue
-        psi_vec = grid.psi_at(point)
-        for alpha in taylor_shift(f, point).terms:
-            if sum(a // m for a, m in zip(alpha, psi_vec)) < level:
-                return False
+    for point, accepts in checks:
+        if not all(map(accepts, taylor_shift(f, point).terms)):
+            return False
     return True
+
+
+def _floor_sum_checks(grid: MultisetGrid, *groups):
+    """The level-type checks: at each point of a ``(points, level)`` group,
+    accept the vectors whose per-axis multiplicity floors sum to at least
+    the level (a level below 1 accepts all, so its points are skipped).
+    Condition (D) is required as the first check is drawn."""
+    grid.require_condition_d()
+    for points, level in groups:
+        for point in points if level >= 1 else ():
+            psi = grid.psi_at(point)
+            yield point, lambda a, psi=psi, level=level: sum(map(floordiv, a, psi)) >= level
 
 
 def level_membership(f: Poly, grid: MultisetGrid, t: int) -> bool:
@@ -243,7 +237,7 @@ def level_membership(f: Poly, grid: MultisetGrid, t: int) -> bool:
     otherwise.
     """
     require_level(t, 0)
-    return _grid_condition(f, grid, ((point, t) for point in grid.grid_points()))
+    return _grid_condition(f, grid, _floor_sum_checks(grid, (grid.grid_points(), t)))
 
 
 def level_normal_form(f: Poly, grid: MultisetGrid, t: int) -> Poly:
@@ -275,12 +269,11 @@ def punctured_membership(f: Poly, pgrid: PuncturedGrid, t: int) -> bool:
     """Membership in the intersection of the per-axis punctured ideals.
 
     The vanishing conditions run over the grid minus the punctured
-    subgrid.  Gated by Condition (D) on every axis of the base grid.
+    subgrid.  Gated by Condition (D) on every axis of the grid.
     """
     require_level(t, 0)
-    return _grid_condition(
-        f, pgrid.base, ((point, t) for point in pgrid.off_puncture_points())
-    )
+    checks = _floor_sum_checks(pgrid, (pgrid.off_puncture_points(), t))
+    return _grid_condition(f, pgrid, checks)
 
 
 @dataclass(frozen=True)
@@ -325,8 +318,7 @@ def punctured_analysis(f: Poly, pgrid: PuncturedGrid, t: int) -> PuncturedReport
     require_level(t, 1)
     if not punctured_membership(f, pgrid, t):
         raise NotMember("not in the punctured intersection")
-    base = pgrid.base
-    eta = level_normal_form(f, base, t)
+    eta = level_normal_form(f, pgrid, t)
 
     divisor = pgrid.off_product()
     div_family = MonicFamily.build([divisor], labels=("divisor",))
@@ -338,15 +330,15 @@ def punctured_analysis(f: Poly, pgrid: PuncturedGrid, t: int) -> PuncturedReport
     cofactor = division.quotients[0]
 
     witness = None
-    for point in base.grid_points():
-        if f.evaluate(point) != base.ring.zero:
+    for point in pgrid.grid_points():
+        if f.evaluate(point) != pgrid.ring.zero:
             witness = point
             break
 
     bound = None
     holds = None
     if witness is not None:
-        off_sums = [pgrid.off_multiplicity_sum(k) for k in range(pgrid.nvars)]
+        off_sums = pgrid.off_sums()
         bound = (t - 1) * max(off_sums) + sum(off_sums)
         holds = f.degree() >= eta.degree() >= bound
         if not holds:
@@ -381,7 +373,7 @@ def mixed_basis(pgrid: PuncturedGrid, t: int) -> MonicFamily:
     n = pgrid.nvars
     upper = _exponent_vectors(t, n)
     lower = _exponent_vectors(t - 1, n)
-    axes = pgrid.base._axis_terms()
+    axes = pgrid._axis_terms()
     built = _power_products(pgrid.ring, axes, lower, pgrid._off_terms())
     built += _power_products(pgrid.ring, axes, upper)
     return MonicFamily.build([g for g, _ in built], labels=lower + upper)
@@ -391,11 +383,10 @@ def mixed_membership(f: Poly, pgrid: PuncturedGrid, t: int) -> bool:
     """Membership in the mixed ideal: full-strength vanishing conditions
     off the puncture, one level weaker on the puncture subgrid."""
     require_level(t, 1)
-    checks = chain(
-        ((point, t) for point in pgrid.off_puncture_points()),
-        ((point, t - 1) for point in pgrid.puncture_points()),
+    checks = _floor_sum_checks(
+        pgrid, (pgrid.off_puncture_points(), t), (pgrid.puncture_points(), t - 1)
     )
-    return _grid_condition(f, pgrid.base, checks)
+    return _grid_condition(f, pgrid, checks)
 
 
 def mixed_certificate(f: Poly, pgrid: PuncturedGrid, t: int) -> ReductionOutcome:
@@ -418,20 +409,18 @@ def min_extra_degree(pgrid: PuncturedGrid, t: int):
     require_level(t, 1)
     if any(not E for E in pgrid.punctures):
         raise EmptyPuncture("every axis needs a nonempty puncture set")
-    base = pgrid.base
-    base.require_condition_d()
-    degs = [axis.degree for axis in base.axes]
+    pgrid.require_condition_d()
+    degs = [axis.degree for axis in pgrid.axes]
     e = min(degs)
     l = degs.index(e)
-    off_sums = [pgrid.off_multiplicity_sum(k) for k in range(pgrid.nvars)]
-    value = (t - 1) * e + sum(off_sums)
+    value = (t - 1) * e + sum(pgrid.off_sums())
 
     alpha = tuple(t - 1 if k == l else 0 for k in range(pgrid.nvars))
-    [(witness, _)] = _power_products(base.ring, base._axis_terms(), [alpha], pgrid._off_terms())
+    [(witness, _)] = _power_products(pgrid.ring, pgrid._axis_terms(), [alpha], pgrid._off_terms())
     if witness.degree() != value:
         raise InternalInvariantError("witness degree disagrees with the formula")
     if not mixed_membership(witness, pgrid, t):
         raise InternalInvariantError("witness fails mixed membership")
-    if level_membership(witness, base, t):
+    if level_membership(witness, pgrid, t):
         raise InternalInvariantError("witness unexpectedly in the level ideal")
     return value, witness

@@ -66,7 +66,8 @@ def _label_from_key(key: str):
 
 
 def grid_to_json(grid: MultisetGrid) -> dict:
-    return {
+    """The canonical axes form, with an ``E`` entry for a ``PuncturedGrid``."""
+    doc = {
         "ring": str(grid.ring),
         "axes": [
             {
@@ -79,11 +80,15 @@ def grid_to_json(grid: MultisetGrid) -> dict:
             for axis in grid.axes
         ],
     }
+    if isinstance(grid, PuncturedGrid):
+        doc["E"] = [[element_to_json(grid.ring, u) for u in E] for E in grid.punctures]
+    return doc
 
 
 def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
     """Accepts the canonical axes form and the compact ``{S: [[...]]}``
-    form; a ring given explicitly overrides the document."""
+    form; a ring given explicitly overrides the document.  A document with
+    an ``E`` entry is read as a ``PuncturedGrid``."""
     if ring is None:
         if "ring" not in doc:
             raise ParseError("grid document carries no ring")
@@ -98,7 +103,7 @@ def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
         raise ParseError("grid document needs an 'axes' or 'S' entry")
     if any(psi is not None and not isinstance(psi, Mapping) for psi in psi_docs):
         raise ParseError("each psi entry must be a JSON object or null")
-    return MultisetGrid.build(
+    grid = MultisetGrid.build(
         ring,
         [[element_from_json(ring, v) for v in S] for S in supports],
         [
@@ -107,30 +112,19 @@ def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
             for psi in psi_docs
         ],
     )
-
-
-def punctured_to_json(pgrid: PuncturedGrid) -> dict:
-    doc = grid_to_json(pgrid.base)
-    doc["E"] = [
-        [element_to_json(pgrid.ring, u) for u in E] for E in pgrid.punctures
-    ]
-    return doc
-
-
-def punctured_from_json(doc: Mapping, ring: Ring | None = None) -> PuncturedGrid:
-    grid = grid_from_json(doc, ring)
     if "E" not in doc:
-        raise ParseError("punctured grid document needs an 'E' entry")
-    punctures = [
-        [element_from_json(grid.ring, v) for v in axis] for axis in doc["E"]
-    ]
-    return PuncturedGrid.build(grid, punctures)
+        return grid
+    return PuncturedGrid.build(
+        grid, [[element_from_json(ring, v) for v in E] for E in doc["E"]]
+    )
 
 
 def instance_from_json(doc: Mapping) -> CoverInstance:
     """``{pgrid, planes: [{poly, degree?}], t}``; a degree, when given, is a
     JSON integer and must be the plane's."""
-    pgrid = punctured_from_json(doc["pgrid"])
+    pgrid = grid_from_json(doc["pgrid"])
+    if not isinstance(pgrid, PuncturedGrid):
+        raise ParseError("punctured grid document needs an 'E' entry")
     planes = []
     for plane in doc["planes"]:
         rho = parse_poly(plane["poly"], pgrid.ring, pgrid.nvars)

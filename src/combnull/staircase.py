@@ -13,8 +13,9 @@ test suite.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GammaExceedsAlpha, InfiniteComplement
@@ -110,17 +111,14 @@ def complement(generators: Iterable[ExpVec], nvars: int) -> set:
 
 def compositions(total: int, parts: int) -> Iterator[ExpVec]:
     """All vectors in N^parts with coordinate sum equal to total, in
-    lexicographic order."""
+    lexicographic order, without recursion: stars and bars, each vector
+    being the gaps between cuts 0 <= s_1 <= ... <= s_(parts-1) <= total."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def require_level(t: int, least: int) -> None:

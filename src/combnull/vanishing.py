@@ -17,6 +17,7 @@ certification is inapplicable and is reported as such, never as a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -26,8 +27,8 @@ from .errors import (
     NotCertified,
     NotInIdeal,
 )
-from .multiset_ideals import MultisetGrid
-from .polynomials import Poly, monic_power_product, root_product, taylor_shift
+from .multiset_ideals import MultisetGrid, _grid_condition
+from .polynomials import Poly, _power_products, _root_terms
 from .reduction import MonicFamily, ReductionOutcome, decompose_member
 from .rings import Element, Ring
 from .staircase import complement, has_finite_complement, in_upset
@@ -64,14 +65,10 @@ class VanishingSpec(MultisetGrid):
 
 
 def in_vanishing_ideal(f: Poly, spec: VanishingSpec) -> bool:
-    """Membership test straight from the defining support conditions."""
-    f.require_on(spec.ring, spec.nvars)
-    for point in spec.grid_points():
-        gens = spec.B[point]
-        shifted = taylor_shift(f, point)
-        if not all(in_upset(alpha, gens) for alpha in shifted.terms):
-            return False
-    return True
+    """Membership test straight from the defining support conditions (not
+    gated by Condition (D), since they define the ideal)."""
+    checks = ((a, partial(in_upset, generators=spec.B[a])) for a in spec.grid_points())
+    return _grid_condition(f, spec, checks)
 
 
 def grid_staircase_count(spec: VanishingSpec) -> int:
@@ -196,11 +193,11 @@ def multiplicity_family(
     members = []
     thetas = []
     for lam in table.member_labels:
-        axis_polys = []
+        factors = []
         for i, axis in enumerate(grid.axes):
             column = {u: e for u in axis.support if (e := table.get(i, u, lam))}
-            axis_polys.append(root_product(ring, n, i, column, column))
-        [(g, theta)] = monic_power_product(axis_polys, [(1,) * n])
+            factors.append(_root_terms(ring, column, column))
+        [(g, theta)] = _power_products(ring, factors, [(1,) * n])
         members.append(g)
         thetas.append(theta)
     family = MonicFamily.build(members, labels=table.member_labels)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from combnull import GF, QQ, ZZ, MonicFamily, Poly, Zmod, parse_poly
+from combnull import GF, QQ, ZZ, MonicFamily, Poly, Zmod, parse_poly, root_product
 from combnull.polynomials import random_monic, random_poly
 from combnull.serialization import element_to_json
 
@@ -39,6 +39,13 @@ def meet(a, b):
 def vec_sub(a, b):
     """Componentwise difference; the caller guarantees b <= a."""
     return tuple(x - y for x, y in zip(a, b))
+
+
+def off_poly(pgrid, k):
+    """g_k / h_k, realized directly as the off-puncture root product."""
+    axis = pgrid.axes[k]
+    rest = [u for u in axis.support if u not in set(pgrid.punctures[k])]
+    return root_product(pgrid.ring, pgrid.nvars, k, rest, axis.psi)
 
 
 def partial_evaluate(f, assignments):

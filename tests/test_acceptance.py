@@ -43,7 +43,7 @@ from combnull import (
 from combnull.covering import CoverInstance
 from combnull.multiset_ideals import level_certificate
 from combnull.vanishing import MultiplicityTable, certify_groebner, multiplicity_family
-from conftest import random_monic, random_poly
+from conftest import off_poly, random_monic, random_poly
 
 
 def report(num, ok, detail):
@@ -257,8 +257,8 @@ def test_criterion_5_punctured_pipeline():
             basis = mixed_basis(pgrid, t)
             off_power = Poly.one(ZZ, n)
             for k in range(n):
-                off_power = off_power * pgrid.off_poly(k) ** t
-            off_sums = [pgrid.off_multiplicity_sum(k) for k in range(n)]
+                off_power = off_power * off_poly(pgrid, k) ** t
+            off_sums = pgrid.off_sums()
             floor = (t - 1) * max(off_sums) + sum(off_sums)
             for i in range(25):
                 f = Poly.zero(ZZ, n)

@@ -131,6 +131,16 @@ def test_oversized_claim_is_refused_before_listing(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_normal_form_on_many_axes(capsys):
+    # the level-1 basis of 1 100 one-point axes is x1, ..., x1100, so x1
+    # reduces to 0; listing its exponent vectors must not recurse per axis
+    grid = json.dumps({"S": [[0]] * 1100})
+    code, out, err = run(
+        capsys, "normal-form", "--ring", "ZZ", "--grid", grid, "--t", "1", "--poly", "x1"
+    )
+    assert (code, out, err) == (0, "0\n", "")
+
+
 def test_internal_invariant_exit_code(capsys, monkeypatch):
     def broken(*_):
         raise InternalInvariantError("forced")
@@ -174,6 +184,29 @@ def test_malformed_grid_exit_code(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command, grid, message",
+    [
+        ("membership", "{S:[[0,1]], E:[[0]]}", "membership takes no puncture set E"),
+        ("certificate", "{S:[[0,1]], E:[[0]]}", "certificate takes no puncture set E"),
+        ("normal-form", "{S:[[0,1]], E:[[0]]}", "normal-form takes no puncture set E"),
+        ("punctured", "{S:[[0,1]]}", "punctured grid document needs an 'E' entry"),
+        ("mixed", "{S:[[0,1]]}", "punctured grid document needs an 'E' entry"),
+    ],
+)
+def test_puncture_set_must_match_the_command(capsys, command, grid, message):
+    code, out, err = run(
+        capsys, command, "--ring", "ZZ", "--grid", grid, "--t", "1", "--poly", "x1"
+    )
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_cover_instance_needs_a_puncture_set(capsys):
+    doc = {"pgrid": {"ring": "ZZ", "S": [[0, 1]]}, "planes": [{"poly": "x1"}], "t": 1}
+    code, out, err = run(capsys, "cover", "--instance", json.dumps(doc))
+    assert (code, out, err) == (3, "", "error: punctured grid document needs an 'E' entry\n")
 
 
 @pytest.mark.parametrize(

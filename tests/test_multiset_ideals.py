@@ -29,7 +29,7 @@ from combnull import (
     reduce,
     taylor_shift,
 )
-from conftest import P, partial_evaluate, random_poly
+from conftest import P, off_poly, partial_evaluate, random_poly
 
 
 def cube(ring=ZZ, n=2):
@@ -416,17 +416,16 @@ def test_outside_level_ideal_detector(rng):
     # a mixed member escapes the level ideal exactly when some puncture
     # point carries a shifted coefficient at floor-sum level t-1
     pg = punctured_cube()
-    base = pg.base
     t = 2
     fam = mixed_basis(pg, t)
     for _ in range(40):
         f = Poly.zero(ZZ, 2)
         for g in fam.members:
             f = f + random_poly(rng, ZZ, 2, max_deg=1, max_terms=2) * g
-        in_level = level_membership(f, base, t)
+        in_level = level_membership(f, pg, t)
         detector = False
         for v in pg.puncture_points():
-            psi = base.psi_at(v)
+            psi = pg.psi_at(v)
             for gamma in product(range(2 * t), repeat=2):
                 if sum(g // m for g, m in zip(gamma, psi)) == t - 1:
                     if taylor_shift(f, v).coeff(gamma) != 0:
@@ -458,13 +457,13 @@ def test_partial_specialization_divisibility():
     report = punctured_analysis(member, pg, t)
     phi = report.cofactor
     ring = pg.ring
-    for u in pg.base.grid_points():
+    for u in pg.grid_points():
         for m in range(2):
             others = [k for k in range(2) if k != m]
             a = ring.one
             for k in others:
-                a = ring.mul(a, pg.off_poly(k).evaluate(u))
+                a = ring.mul(a, off_poly(pg, k).evaluate(u))
             specialized = partial_evaluate(phi, {k: u[k] for k in others}).scale(a)
-            power = pg.off_poly(m) ** (t - 1)
+            power = off_poly(pg, m) ** (t - 1)
             rem = reduce(specialized, MonicFamily.build([power])).remainder
             assert rem.is_zero()

@@ -1,6 +1,6 @@
 """Property tests: the basis builders against product oracles, the Taylor
-shift and text round trips, and certificate JSON round trips and tamper
-rejection.
+shift and text round trips, level ideals against their vanishing specs,
+and certificate JSON round trips and tamper rejection.
 
 hypothesis is a test-only dependency; the module is skipped without it.
 Examples are derandomized so every run checks the same cases.
@@ -21,10 +21,15 @@ from combnull import (
     MonicFamily,
     MultisetGrid,
     Poly,
+    VanishingSpec,
     Zmod,
+    certify_groebner,
+    compositions,
     format_poly,
+    in_vanishing_ideal,
     level_basis,
     level_certificate,
+    level_membership,
     monic_power_product,
     parse_poly,
     reduce,
@@ -89,6 +94,24 @@ def test_level_basis_matches_the_product_oracle(ring, n, t, data):
     basis = level_basis(MultisetGrid.build(ring, supports, psis), t)
     assert list(basis.labels) == [alpha for alpha, _ in expected]
     assert list(basis.members) == [g for _, g in expected]
+
+
+@PROPERTY
+@given(st.sampled_from((ZZ, QQ, GF(5), GF(7))), st.integers(1, 3), st.integers(0, 3), st.data())
+def test_level_ideal_is_the_vanishing_ideal_of_its_simplex(ring, n, t, data):
+    # with every multiplicity 1, f is in the level-t ideal exactly when its
+    # shift to each grid point has support in the upset of compositions(t, n)
+    axes = [data.draw(st.lists(st.integers(-2, 6), min_size=1, max_size=3)) for _ in range(n)]
+    grid = MultisetGrid.build(ring, axes)
+    simplex = set(compositions(t, n))
+    spec = VanishingSpec.build(ring, axes, dict.fromkeys(grid.grid_points(), simplex))
+    basis = level_basis(grid, t)
+    assert certify_groebner(spec, basis).verdict == "groebner"
+    f = data.draw(ring_polys(ring, n).filter(lambda f: not f.is_zero()))
+    if data.draw(st.booleans()):
+        members = st.sampled_from(basis.members)
+        f = f * data.draw(members) + data.draw(ring_polys(ring, n)) * data.draw(members)
+    assert level_membership(f, grid, t) == in_vanishing_ideal(f, spec)
 
 
 @PROPERTY

@@ -20,8 +20,6 @@ from combnull.serialization import (
     certificate_to_json,
     grid_from_json,
     grid_to_json,
-    punctured_from_json,
-    punctured_to_json,
     spec_from_json,
     verify_certificate_json,
 )
@@ -79,8 +77,8 @@ def test_punctured_round_trip():
     pg = PuncturedGrid.build(
         MultisetGrid.build(ZZ, [[0, 1], [0, 1]]), [[0], []]
     )
-    doc = punctured_to_json(pg)
-    again = punctured_from_json(json.loads(json.dumps(doc)))
+    doc = grid_to_json(pg)
+    again = grid_from_json(json.loads(json.dumps(doc)))
     assert again == pg
 
 
