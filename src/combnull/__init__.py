@@ -85,7 +85,6 @@ from .rings import GF, QQ, ZZ, Ring, Zmod, parse_ring
 from .staircase import (
     complement,
     compositions,
-    downset,
     format_expvec,
     grlex_key,
     has_finite_complement,

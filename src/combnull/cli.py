@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
 )
 from .multiset_ideals import (
+    MultisetGrid,
     PuncturedGrid,
     level_certificate,
     level_membership,
@@ -58,7 +59,6 @@ from .serialization import (
     family_to_json,
     grid_from_json,
     instance_from_json,
-    spec_from_json,
     verify_certificate_json,
 )
 from .staircase import (
@@ -66,7 +66,7 @@ from .staircase import (
     punctured_staircase_count,
     staircase_count,
 )
-from .vanishing import certify_groebner
+from .vanishing import VanishingSpec, certify_groebner
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -124,15 +124,21 @@ def _infer_nvars(texts) -> int:
     return n
 
 
-def _grid_arg(args, need_puncture: bool = False):
-    doc = _loose_json(args.grid)
+def _grid_arg(args, kind=MultisetGrid):
+    """``--spec`` for a spec command, ``--grid`` otherwise, read by
+    ``grid_from_json``; the document must read as exactly ``kind``."""
+    doc = _loose_json(args.spec if kind is VanishingSpec else args.grid)
     ring = parse_ring(args.ring) if args.ring else None
     grid = grid_from_json(doc, ring)
-    if need_puncture and not isinstance(grid, PuncturedGrid):
-        raise ParseError("punctured grid document needs an 'E' entry")
-    if not need_puncture and isinstance(grid, PuncturedGrid):
+    if type(grid) is kind:
+        return grid
+    if isinstance(grid, PuncturedGrid):
         raise ParseError(f"{args.command} takes no puncture set E")
-    return grid
+    if isinstance(grid, VanishingSpec):
+        raise ParseError(f"{args.command} takes no vanishing table B")
+    if kind is PuncturedGrid:
+        raise ParseError("punctured grid document needs an 'E' entry")
+    raise ParseError("vanishing spec document needs a 'B' entry")
 
 
 # -- handlers -------------------------------------------------------------------
@@ -156,12 +162,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_groebner_check(args) -> int:
-    ring = parse_ring(args.ring)
     if args.spec:
-        spec = spec_from_json(_loose_json(args.spec), ring)
-        nvars = spec.nvars
+        spec = _grid_arg(args, VanishingSpec)
         family = MonicFamily.build(
-            [parse_poly(_read_arg(t), ring, nvars) for t in args.basis]
+            [parse_poly(_read_arg(t), spec.ring, spec.nvars) for t in args.basis]
         )
         report = certify_groebner(spec, family)
         payload = report.to_json_dict()
@@ -177,6 +181,7 @@ def _cmd_groebner_check(args) -> int:
         if report.verdict == "inapplicable":
             return EXIT_INAPPLICABLE
         return EXIT_NO
+    ring = parse_ring(args.ring)
     texts = list(args.basis)
     nvars = args.nvars or _infer_nvars([_read_arg(t) for t in texts])
     family = MonicFamily.build(
@@ -223,7 +228,7 @@ def _cmd_normal_form(args) -> int:
 
 
 def _cmd_punctured(args) -> int:
-    pgrid = _grid_arg(args, need_puncture=True)
+    pgrid = _grid_arg(args, PuncturedGrid)
     f = parse_poly(_read_arg(args.poly), pgrid.ring, pgrid.nvars)
     verdict = punctured_membership(f, pgrid, args.t)
     if not args.analyze:
@@ -246,7 +251,7 @@ def _cmd_punctured(args) -> int:
 
 
 def _cmd_mixed(args) -> int:
-    pgrid = _grid_arg(args, need_puncture=True)
+    pgrid = _grid_arg(args, PuncturedGrid)
     if args.min_extra_degree:
         value, witness = min_extra_degree(pgrid, args.t)
         payload = {"min_extra_degree": value, "witness": format_poly(witness)}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
+from math import comb, prod
 from typing import Sequence
 
 from .errors import InternalInvariantError, ScaleExceeded
@@ -103,6 +103,7 @@ def covering_audit(inst: CoverInstance) -> CoverReport:
     pgrid = inst.pgrid
     pgrid.require_condition_d()
     ring = pgrid.ring
+    prod_poly = prod((rho for rho, _ in inst.planes), start=Poly.one(ring, pgrid.nvars))
 
     covered = True
     uncovered_point = None
@@ -115,14 +116,7 @@ def covering_audit(inst: CoverInstance) -> CoverReport:
             uncovered_point = point
             break
 
-    escape_point = None
-    for point in pgrid.grid_points():
-        value = ring.one
-        for rho, _ in inst.planes:
-            value = ring.mul(value, rho.evaluate(point))
-        if value != ring.zero:
-            escape_point = point
-            break
+    escape_point = next(pgrid.nonzero_points(prod_poly), None)
 
     sum_degrees = sum(e for _, e in inst.planes)
     if not covered or escape_point is None:
@@ -137,9 +131,6 @@ def covering_audit(inst: CoverInstance) -> CoverReport:
             "hypotheses_unmet",
         )
 
-    prod_poly = Poly.one(ring, pgrid.nvars)
-    for rho, _ in inst.planes:
-        prod_poly = prod_poly * rho
     prod_degree = prod_poly.degree()
     off_sums = pgrid.off_sums()
     bounds = tuple(

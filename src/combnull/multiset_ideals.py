@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from math import comb
+from math import comb, prod
 from operator import floordiv
 from typing import Mapping, Sequence
 
@@ -47,6 +47,12 @@ from .polynomials import (
 from .reduction import MonicFamily, ReductionOutcome, decompose_member, reduce
 from .rings import Element, Ring
 from .staircase import compositions, require_level
+
+# Grid points one scan may visit.  On a 2 vCPU Xeon, membership of
+# x1^2 - x1 in I_1 of {0, 1}^19 (2^19 Taylor shifts) takes ~18 s, of
+# (x1 - 0)...(x1 - 9) in I_1 of {0, ..., 9}^6 (10^6 points) ~111 s, and a
+# 10^6-point alon-furedi count ~2.4 s; 2^20 points are refused.
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,20 @@ class MultisetGrid:
         return any(not axis.support for axis in self.axes)
 
     def grid_points(self):
-        """Grid points in lexicographic order of canonical element values."""
+        """Grid points in lexicographic order of canonical element values,
+        counted before any is listed: more than ``MAX_GRID_POINTS`` of them
+        is ``ScaleExceeded``."""
+        count = prod(len(axis.support) for axis in self.axes)
+        if count > MAX_GRID_POINTS:
+            raise ScaleExceeded(f"{count} grid points exceed the limit of {MAX_GRID_POINTS}")
         return product(*(axis.support for axis in self.axes))
+
+    def nonzero_points(self, f: Poly):
+        """The grid points where f is nonzero, in ``grid_points`` order; the
+        operand and the point count are checked at the call."""
+        f.require_on(self.ring, self.nvars)
+        zero = self.ring.zero
+        return (point for point in self.grid_points() if f.evaluate(point) != zero)
 
     def condition_d(self) -> tuple:
         return tuple(
@@ -329,11 +347,7 @@ def punctured_analysis(f: Poly, pgrid: PuncturedGrid, t: int) -> PuncturedReport
         )
     cofactor = division.quotients[0]
 
-    witness = None
-    for point in pgrid.grid_points():
-        if f.evaluate(point) != pgrid.ring.zero:
-            witness = point
-            break
+    witness = next(pgrid.nonzero_points(f), None)
 
     bound = None
     holds = None

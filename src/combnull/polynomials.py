@@ -68,14 +68,6 @@ class Poly:
     def one(cls, ring: Ring, nvars: int) -> "Poly":
         return cls.constant(ring, nvars, ring.one)
 
-    @classmethod
-    def variable(cls, ring: Ring, nvars: int, axis: int) -> "Poly":
-        """The variable x_{axis+1} (axes are 0-based)."""
-        if not 0 <= axis < nvars:
-            raise ValueError(f"axis {axis} out of range for {nvars} variables")
-        exp = tuple(1 if k == axis else 0 for k in range(nvars))
-        return cls(ring, nvars, {exp: ring.one})
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -160,18 +152,6 @@ class Poly:
                     out.pop(key, None)
                 else:
                     out[key] = s
-        return _raw(ring, self.nvars, out)
-
-    def scale(self, c) -> "Poly":
-        ring = self.ring
-        c = ring.canon(c)
-        if c == ring.zero:
-            return Poly.zero(ring, self.nvars)
-        out = {}
-        for a, ca in self.terms.items():
-            s = ring.mul(ca, c)
-            if s != ring.zero:
-                out[a] = s
         return _raw(ring, self.nvars, out)
 
     def __pow__(self, k: int) -> "Poly":

@@ -104,12 +104,6 @@ class Ring:
     def is_finite(self) -> bool:
         return self.kind in (_MODULAR, _PRIME_FIELD)
 
-    def elements(self) -> range:
-        """All elements, for finite rings only."""
-        if not self.is_finite:
-            raise ValueError(f"{self} is not finite")
-        return range(self.modulus)
-
     def canon(self, value) -> Element:
         """Canonical representative of an int (or, in QQ, a Fraction) in
         this ring; a ``bool`` is not an element of any ring."""

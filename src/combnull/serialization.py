@@ -88,7 +88,10 @@ def grid_to_json(grid: MultisetGrid) -> dict:
 def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
     """Accepts the canonical axes form and the compact ``{S: [[...]]}``
     form; a ring given explicitly overrides the document.  A document with
-    an ``E`` entry is read as a ``PuncturedGrid``."""
+    an ``E`` entry is read as a ``PuncturedGrid``, one with a ``B`` entry as
+    a ``VanishingSpec``; one with both is a ``ParseError``."""
+    if "E" in doc and "B" in doc:
+        raise ParseError("grid document carries both E and B")
     if ring is None:
         if "ring" not in doc:
             raise ParseError("grid document carries no ring")
@@ -112,11 +115,21 @@ def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
             for psi in psi_docs
         ],
     )
-    if "E" not in doc:
+    if "E" in doc:
+        return PuncturedGrid.build(
+            grid, [[element_from_json(ring, v) for v in E] for E in doc["E"]]
+        )
+    if "B" not in doc:
         return grid
-    return PuncturedGrid.build(
-        grid, [[element_from_json(ring, v) for v in E] for E in doc["E"]]
-    )
+    if not isinstance(doc["B"], Mapping):
+        raise ParseError("spec entry B must be a JSON object")
+    B = {}
+    for key, vecs in doc["B"].items():
+        inner = key.strip()
+        if not (inner.startswith("(") and inner.endswith(")")):
+            raise ParseError(f"bad grid point key {key!r}")
+        B[tuple(ring.parse_element(p) for p in inner[1:-1].split(",") if p.strip())] = vecs
+    return VanishingSpec.build(grid, B)
 
 
 def instance_from_json(doc: Mapping) -> CoverInstance:
@@ -133,28 +146,6 @@ def instance_from_json(doc: Mapping) -> CoverInstance:
             degree = _json_int(plane["degree"], "degree", 0)
         planes.append((rho, degree))
     return CoverInstance.build(pgrid, planes, doc["t"])
-
-
-# -- vanishing specs ------------------------------------------------------------
-
-
-def spec_from_json(doc: Mapping, ring: Ring | None = None) -> VanishingSpec:
-    if ring is None:
-        if "ring" not in doc:
-            raise ParseError("spec document carries no ring")
-        ring = parse_ring(doc["ring"])
-    axes = [[element_from_json(ring, v) for v in axis] for axis in doc["S"]]
-    if not isinstance(doc["B"], Mapping):
-        raise ParseError("spec entry B must be a JSON object")
-    B = {}
-    for key, vecs in doc["B"].items():
-        inner = key.strip()
-        if not (inner.startswith("(") and inner.endswith(")")):
-            raise ParseError(f"bad grid point key {key!r}")
-        parts = [p for p in inner[1:-1].split(",") if p.strip() != ""]
-        point = tuple(ring.parse_element(p) for p in parts)
-        B[point] = {tuple(v) for v in vecs}
-    return VanishingSpec.build(ring, axes, B)
 
 
 # -- certificates --------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Exponent-vector algebra on N^n and staircase counting.
 
 Exponent vectors are plain tuples of naturals under the componentwise
-partial order.  For a set A of vectors, ``downset(A)`` is the set of
-vectors dominated by some member, ``in_upset`` tests membership in the set
-of vectors dominating some member, and ``complement`` enumerates the finite
+partial order.  For a set A of vectors, ``in_downset`` tests membership in
+the set of vectors dominated by some member, ``in_upset`` in the set of
+vectors dominating some member, and ``complement`` enumerates the finite
 set of vectors dominated by no member of A (when that set is finite).
 
 The counting functions give closed forms for the staircase complements
@@ -47,19 +47,6 @@ def in_upset(b: ExpVec, generators: Iterable[ExpVec]) -> bool:
 def in_downset(b: ExpVec, generators: Iterable[ExpVec]) -> bool:
     """True iff b is componentwise <= some generator."""
     return any(leq(b, a) for a in generators)
-
-
-def downset(vectors: Iterable[ExpVec]) -> set:
-    """Explicit enumeration of all vectors dominated by some member.
-
-    This materializes the full set, which grows as the product of the
-    coordinates; callers on large supports should prefer the predicate
-    ``in_downset`` against the maximal elements.
-    """
-    out: set = set()
-    for a in maximal_elements(vectors):
-        out.update(product(*(range(x + 1) for x in a)))
-    return out
 
 
 def has_finite_complement(generators: Iterable[ExpVec], nvars: int) -> bool:

@@ -46,8 +46,9 @@ class VanishingSpec(MultisetGrid):
     B: Mapping
 
     @classmethod
-    def build(cls, ring: Ring, axes: Sequence[Sequence[Element]], B: Mapping) -> "VanishingSpec":
-        grid = MultisetGrid.build(ring, axes)
+    def build(cls, grid: MultisetGrid, B: Mapping) -> "VanishingSpec":
+        if any(m != 1 for axis in grid.axes for m in axis.psi.values()):
+            raise ValueError("a vanishing spec takes no psi: its multiplicities are in B")
         table = {}
         for point in grid.grid_points():
             if point not in B:
@@ -210,4 +211,4 @@ def multiplicity_family(
         }
         for point in grid.grid_points()
     }
-    return family, VanishingSpec.build(ring, [axis.support for axis in grid.axes], B)
+    return family, VanishingSpec.build(grid, B)

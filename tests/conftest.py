@@ -1,10 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
 from combnull import GF, QQ, ZZ, MonicFamily, Poly, Zmod, parse_poly, root_product
 from combnull.polynomials import random_monic, random_poly
 from combnull.serialization import element_to_json
+from combnull.staircase import maximal_elements
 
 # The rings property tests draw from: a domain of each kind and ZZ/6,
 # where nonzero elements multiply to zero.
@@ -29,6 +31,32 @@ def random_family(rng, ring, nvars, max_members=3):
     return MonicFamily.build(
         [random_monic(rng, ring, nvars) for _ in range(rng.randint(1, max_members))]
     )
+
+
+def variable(ring, nvars, axis):
+    """The variable x_{axis+1} (axes are 0-based)."""
+    exp = tuple(1 if k == axis else 0 for k in range(nvars))
+    return Poly(ring, nvars, {exp: ring.one})
+
+
+def scale(f, c):
+    """f with every coefficient multiplied by the ring element c."""
+    ring = f.ring
+    return Poly(ring, f.nvars, {a: ring.mul(ca, ring.canon(c)) for a, ca in f.terms.items()})
+
+
+def elements(ring):
+    """Every element of a finite ring."""
+    assert ring.is_finite, ring
+    return range(ring.modulus)
+
+
+def downset(vectors):
+    """Every vector dominated by some member, listed explicitly."""
+    out = set()
+    for a in maximal_elements(vectors):
+        out.update(product(*(range(x + 1) for x in a)))
+    return out
 
 
 def meet(a, b):
@@ -63,7 +91,7 @@ def partial_evaluate(f, assignments):
 
 
 def spec_to_json(spec):
-    """The document ``serialization.spec_from_json`` reads back."""
+    """The compact spec document ``serialization.grid_from_json`` reads back."""
     ring = spec.ring
     return {
         "ring": str(ring),

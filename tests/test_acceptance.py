@@ -23,7 +23,6 @@ from combnull import (
     affine_blocking_bound,
     buchberger_certifies,
     covering_audit,
-    downset,
     exists_blocking_of_size,
     level_basis,
     level_membership,
@@ -43,7 +42,7 @@ from combnull import (
 from combnull.covering import CoverInstance
 from combnull.multiset_ideals import level_certificate
 from combnull.vanishing import MultiplicityTable, certify_groebner, multiplicity_family
-from conftest import off_poly, random_monic, random_poly
+from conftest import downset, off_poly, random_monic, random_poly, variable
 
 
 def report(num, ok, detail):
@@ -349,7 +348,7 @@ def test_criterion_8_condition_d_gating():
     ring = Zmod(6)
     grid = MultisetGrid.build(ring, [[0, 3]])
     pgrid = PuncturedGrid.build(grid, [[0]])
-    f = Poly.variable(ring, 1, 0)
+    f = variable(ring, 1, 0)
     gated = []
 
     def expect_inapplicable(name, thunk):

@@ -11,10 +11,9 @@ from combnull import (
     SupportExceedsBeta,
     ZeroPolynomial,
     Zmod,
-    downset,
     nonzero_bound,
 )
-from conftest import P
+from conftest import P, downset
 
 
 def test_single_axis_example():

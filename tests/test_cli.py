@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 import combnull.cli
-from combnull import InternalInvariantError
+from combnull import ZZ, InternalInvariantError, MultisetGrid
 from combnull.cli import main
+from combnull.serialization import grid_to_json
 
 
 def run(capsys, *argv):
@@ -201,6 +202,74 @@ def test_puncture_set_must_match_the_command(capsys, command, grid, message):
         capsys, command, "--ring", "ZZ", "--grid", grid, "--t", "1", "--poly", "x1"
     )
     assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+SPEC_B = '"B":{"(0,)":[[1]],"(1,)":[[1]]}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("groebner-check", "--spec", '{"S":[[0,1]],"psi":[{"0":2,"1":1}],' + SPEC_B + "}"),
+         "a vanishing spec takes no psi: its multiplicities are in B"),
+        (("groebner-check", "--spec", '{"S":[[0,1]],"E":[[0]],' + SPEC_B + "}"),
+         "grid document carries both E and B"),
+        (("groebner-check", "--spec", '{"S":[[0,1]],"E":[[0]]}'),
+         "groebner-check takes no puncture set E"),
+        (("groebner-check", "--spec", '{"S":[[0,1]]}'),
+         "vanishing spec document needs a 'B' entry"),
+        (("membership", "--grid", '{"S":[[0,1]],' + SPEC_B + "}"),
+         "membership takes no vanishing table B"),
+        (("punctured", "--grid", '{"S":[[0,1]],' + SPEC_B + "}"),
+         "punctured takes no vanishing table B"),
+        (("punctured", "--grid", '{"S":[[0,1]],"E":[[0]],' + SPEC_B + "}"),
+         "grid document carries both E and B"),
+    ],
+    ids=["spec_psi", "spec_with_E", "spec_E_only", "spec_without_B", "membership_B",
+         "punctured_B", "punctured_E_and_B"],
+)
+def test_grid_entries_must_match_the_command(capsys, argv, message):
+    # every entry of a grid document is read or refused, never dropped
+    extra = ("--basis", "x1^2-x1") if argv[0] == "groebner-check" else ("--t", "1", "--poly", "x1")
+    code, out, err = run(capsys, *argv, "--ring", "ZZ", *extra)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_canonical_spec_reads_like_compact(capsys, fmt):
+    B = {"(0,0)": [[1, 0], [0, 1]], "(0,2)": [[1, 0], [0, 1]], "(1,0)": [[1, 0], [0, 1]],
+         "(1,2)": [[1, 0], [0, 1]]}
+    compact = {"ring": "ZZ", "S": [[0, 1], [0, 2]], "B": B}
+    canonical = dict(grid_to_json(MultisetGrid.build(ZZ, [[0, 1], [0, 2]])), B=B)
+    answers = [
+        run(capsys, "groebner-check", "--ring", "ZZ", "--spec", json.dumps(doc),
+            "--basis", "x1^2-x1", "--basis", "x2^2-2*x2", "--format", fmt)
+        for doc in (compact, canonical)
+    ]
+    assert answers[0] == answers[1]
+    assert answers[0][0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("membership", "--ring", "ZZ", "--grid", json.dumps({"S": [[0, 1]] * 40}),
+         "--t", "1", "--poly", "x1^2-x1"),
+        # a non-member: its first grid point answered false before the count
+        ("membership", "--ring", "ZZ", "--grid", json.dumps({"S": [[0, 1]] * 40}),
+         "--t", "1", "--poly", "1"),
+        ("alon-furedi", "--ring", "ZZ", "--S", json.dumps([list(range(10))] * 7),
+         "--beta", "(1,0,0,0,0,0,0)", "--poly", "x1-1"),
+    ],
+    ids=["member", "non_member", "alon_furedi"],
+)
+def test_oversized_grid_is_refused_up_front(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.endswith(" grid points exceed the limit of 1000000\n")
+    assert time.perf_counter() - start < 5
 
 
 def test_cover_instance_needs_a_puncture_set(capsys):

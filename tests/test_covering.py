@@ -1,4 +1,5 @@
 import time
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -21,7 +22,7 @@ from combnull import (
     point_cover_threshold,
 )
 from combnull.covering import affine_hyperplanes
-from conftest import P
+from conftest import P, variable
 
 
 def threshold_by_enumeration(psi, t):
@@ -199,8 +200,30 @@ def test_covering_degree_inequality_on_random_instances(rng):
         for k in range(n):
             off = [u for u in supports[k] if u not in set(punctures[k])]
             for u in off:
-                mono = Poly.variable(ZZ, n, k) - Poly.constant(ZZ, n, u)
+                mono = variable(ZZ, n, k) - Poly.constant(ZZ, n, u)
                 threshold = point_cover_threshold((1,) * n, t)
                 planes.extend([(mono, 1)] * threshold)
         report = covering_audit(CoverInstance.build(pg, planes, t))
         assert report.verdict == "bound_holds"
+
+
+@pytest.mark.parametrize(
+    "planes, escape",
+    [(["2", "3"], None), (["x1 + 2", "3"], (1,)), (["x1 + 1", "x1 + 5"], (0,))],
+    ids=["constants", "one_point", "first_point"],
+)
+def test_escape_point_is_a_product_value(planes, escape):
+    # in ZZ/6 two nonzero plane values can multiply to 0 (2 * 3), so the
+    # escape test reads the product, not each plane
+    ring = Zmod(6)
+    pgrid = PuncturedGrid.build(MultisetGrid.build(ring, [[0, 1]]), [[0, 1]])
+    rhos = [P(text, ring=ring, nvars=1) for text in planes]
+    inst = CoverInstance.build(pgrid, [(rho, rho.degree()) for rho in rhos], 1)
+    oracle = [
+        point for point in pgrid.grid_points()
+        if reduce(ring.mul, (rho.evaluate(point) for rho in rhos)) != ring.zero
+    ]
+    report = covering_audit(inst)
+    assert report.escape_point == next(iter(oracle), None) == escape
+    assert report.hypothesis_escape is (escape is not None)
+    assert report.verdict == ("hypotheses_unmet" if escape is None else "bound_holds")

@@ -115,10 +115,10 @@ OPERAND_ENTRY_POINTS = {
         lambda: mixed_membership(X1X2, EMPTY_PGRID, 1), ArityMismatch),
     "mixed_membership_ring": (lambda: mixed_membership(F5, PGRID, 1), RingMismatch),
     "in_vanishing_ideal_empty_spec": (
-        lambda: in_vanishing_ideal(X1X2, VanishingSpec.build(ZZ, [[]], {})),
+        lambda: in_vanishing_ideal(X1X2, VanishingSpec.build(MultisetGrid.build(ZZ, [[]]), {})),
         ArityMismatch),
     "in_vanishing_ideal_ring": (
-        lambda: in_vanishing_ideal(F5, VanishingSpec.build(ZZ, [[]], {})),
+        lambda: in_vanishing_ideal(F5, VanishingSpec.build(MultisetGrid.build(ZZ, [[]]), {})),
         RingMismatch),
     "nonzero_bound_extra_support": (
         lambda: nonzero_bound(X1, [[0, 1], [0, 1]], (1,)), ArityMismatch),
@@ -146,11 +146,12 @@ OPERAND_ENTRY_POINTS = {
         lambda: PuncturedGrid.build(GRID, [[0], [1]]), ArityMismatch),
     # B's exponent vectors have one entry per axis
     "vanishing_spec_long_vectors": (
-        lambda: VanishingSpec.build(ZZ, [[0, 1]], {(0,): [(1, 7)], (1,): [(1, 7)]}),
+        lambda: VanishingSpec.build(
+            MultisetGrid.build(ZZ, [[0, 1]]), {(0,): [(1, 7)], (1,): [(1, 7)]}),
         ArityMismatch),
     "vanishing_spec_short_vectors": (
         lambda: VanishingSpec.build(
-            ZZ, [[0, 1], [0, 1]], {p: [(1,)] for p in GRID2.grid_points()}),
+            MultisetGrid.build(ZZ, [[0, 1], [0, 1]]), {p: [(1,)] for p in GRID2.grid_points()}),
         ArityMismatch),
 }
 

@@ -14,6 +14,7 @@ from combnull import (
     NotMember,
     Poly,
     PuncturedGrid,
+    ScaleExceeded,
     Zmod,
     buchberger_certifies,
     level_basis,
@@ -29,7 +30,8 @@ from combnull import (
     reduce,
     taylor_shift,
 )
-from conftest import P, off_poly, partial_evaluate, random_poly
+from combnull.multiset_ideals import MAX_GRID_POINTS
+from conftest import P, off_poly, partial_evaluate, random_poly, scale, variable
 
 
 def cube(ring=ZZ, n=2):
@@ -76,7 +78,7 @@ AXIS_CONFIGS = [
 
 
 def _root_power_product(ring, n, k, psi):
-    x = Poly.variable(ring, n, k)
+    x = variable(ring, n, k)
     g = Poly.one(ring, n)
     for u, m in psi.items():
         g = g * (x - Poly.constant(ring, n, u)) ** m
@@ -248,7 +250,7 @@ def test_punctured_analysis_product_example():
         pg = punctured_cube(n=n)
         f = Poly.one(ZZ, n)
         for k in range(n):
-            f = f * (Poly.variable(ZZ, n, k) - Poly.one(ZZ, n))
+            f = f * (variable(ZZ, n, k) - Poly.one(ZZ, n))
         report = punctured_analysis(f, pg, 1)
         assert report.eta == f
         assert report.cofactor == Poly.one(ZZ, n)
@@ -463,7 +465,28 @@ def test_partial_specialization_divisibility():
             a = ring.one
             for k in others:
                 a = ring.mul(a, off_poly(pg, k).evaluate(u))
-            specialized = partial_evaluate(phi, {k: u[k] for k in others}).scale(a)
+            specialized = scale(partial_evaluate(phi, {k: u[k] for k in others}), a)
             power = off_poly(pg, m) ** (t - 1)
             rem = reduce(specialized, MonicFamily.build([power])).remainder
             assert rem.is_zero()
+
+
+def test_grid_points_are_counted_up_front():
+    # 10^6 points pass, one axis value more does not; nothing is listed first
+    at_limit = MultisetGrid.build(ZZ, [range(10)] * 6)
+    assert MAX_GRID_POINTS == 10**6
+    assert next(at_limit.grid_points()) == (0,) * 6
+    over = MultisetGrid.build(ZZ, [range(10)] * 5 + [range(11)])
+    for scan in (over.grid_points, lambda: over.nonzero_points(P("x1", nvars=6))):
+        with pytest.raises(ScaleExceeded, match="1100000 grid points exceed the limit of 1000000"):
+            scan()
+    with pytest.raises(ScaleExceeded):
+        level_membership(Poly.one(ZZ, 6), over, 1)
+
+
+def test_nonzero_points():
+    grid = MultisetGrid.build(Zmod(6), [[0, 1, 2], [0, 3]])
+    f = P("2*x1*x2 + 3*x1", ring=Zmod(6))
+    # 2*x1*x2 + 3*x1 at (x1, x2): (1,0) -> 3, (2,0) -> 0, (1,3) -> 3, (2,3) -> 0 mod 6
+    assert list(grid.nonzero_points(f)) == [(1, 0), (1, 3)]
+    assert list(grid.nonzero_points(Poly.zero(Zmod(6), 2))) == []

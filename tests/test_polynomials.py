@@ -25,7 +25,7 @@ from combnull import (
     taylor_shift,
 )
 from combnull import polynomials
-from conftest import P, partial_evaluate, random_monic, random_poly
+from conftest import P, partial_evaluate, random_monic, random_poly, scale, variable
 
 
 def shift_by_substitution(f, u):
@@ -33,7 +33,7 @@ def shift_by_substitution(f, u):
     ring = f.ring
     out = Poly.zero(ring, f.nvars)
     shifted_vars = [
-        Poly.variable(ring, f.nvars, k) + Poly.constant(ring, f.nvars, v)
+        variable(ring, f.nvars, k) + Poly.constant(ring, f.nvars, v)
         for k, v in enumerate(u)
     ]
     for alpha, c in f.terms.items():
@@ -242,7 +242,7 @@ def test_parse_round_trip(rng):
             n = rng.randint(1, 3)
             f = random_poly(rng, ring, n)
             if ring is QQ:
-                f = f.scale(Fraction(1, rng.randint(1, 5)))
+                f = scale(f, Fraction(1, rng.randint(1, 5)))
             assert parse_poly(format_poly(f), ring, n) == f
 
 

@@ -104,14 +104,19 @@ def test_level_ideal_is_the_vanishing_ideal_of_its_simplex(ring, n, t, data):
     axes = [data.draw(st.lists(st.integers(-2, 6), min_size=1, max_size=3)) for _ in range(n)]
     grid = MultisetGrid.build(ring, axes)
     simplex = set(compositions(t, n))
-    spec = VanishingSpec.build(ring, axes, dict.fromkeys(grid.grid_points(), simplex))
+    spec = VanishingSpec.build(grid, dict.fromkeys(grid.grid_points(), simplex))
     basis = level_basis(grid, t)
     assert certify_groebner(spec, basis).verdict == "groebner"
     f = data.draw(ring_polys(ring, n).filter(lambda f: not f.is_zero()))
     if data.draw(st.booleans()):
         members = st.sampled_from(basis.members)
         f = f * data.draw(members) + data.draw(ring_polys(ring, n)) * data.draw(members)
-    assert level_membership(f, grid, t) == in_vanishing_ideal(f, spec)
+    member = level_membership(f, grid, t)
+    assert member == in_vanishing_ideal(f, spec)
+    nonzero = list(grid.nonzero_points(f))
+    assert nonzero == [a for a in grid.grid_points() if f.evaluate(a) != ring.zero]
+    # a member of a positive level vanishes on the whole grid
+    assert not (member and t >= 1 and nonzero)
 
 
 @PROPERTY

@@ -13,7 +13,6 @@ from combnull import (
     Zmod,
     buchberger_certifies,
     decompose_member,
-    downset,
     level_basis,
     membership_refutation,
     normal_form,
@@ -21,7 +20,7 @@ from combnull import (
     s_polynomial,
 )
 from combnull import MultisetGrid
-from conftest import P, random_family, random_poly
+from conftest import P, downset, random_family, random_poly
 
 
 def family(*texts, ring=ZZ, nvars=None):

@@ -20,7 +20,6 @@ from combnull.serialization import (
     certificate_to_json,
     grid_from_json,
     grid_to_json,
-    spec_from_json,
     verify_certificate_json,
 )
 from conftest import P, spec_to_json
@@ -66,6 +65,15 @@ def test_grid_forms_read_alike(psis):
     assert grid == MultisetGrid.build(ZZ, supports, expected)
 
 
+def test_grid_entries_pick_the_grid_type():
+    B = {"(0,)": [[1]], "(1,)": [[1]]}
+    spec = grid_from_json({"ring": "ZZ", "S": [[0, 1]], "B": B})
+    assert spec == VanishingSpec.build(MultisetGrid.build(ZZ, [[0, 1]]), {(0,): {(1,)}, (1,): {(1,)}})
+    assert type(grid_from_json({"ring": "ZZ", "S": [[0, 1]], "E": [[0]]})) is PuncturedGrid
+    with pytest.raises(ParseError, match="both E and B"):
+        grid_from_json({"ring": "ZZ", "S": [[0, 1]], "E": [[0]], "B": B})
+
+
 def test_rational_grid_round_trip():
     grid = MultisetGrid.build(QQ, [[Fraction(1, 2), 0]])
     doc = grid_to_json(grid)
@@ -84,10 +92,10 @@ def test_punctured_round_trip():
 
 def test_spec_round_trip():
     spec = VanishingSpec.build(
-        ZZ, [[0, 1]], {(0,): {(1,)}, (1,): {(2,), (1,)}}
+        MultisetGrid.build(ZZ, [[0, 1]]), {(0,): {(1,)}, (1,): {(2,), (1,)}}
     )
     doc = spec_to_json(spec)
-    again = spec_from_json(json.loads(json.dumps(doc)))
+    again = grid_from_json(json.loads(json.dumps(doc)))
     assert again.axes == spec.axes
     assert again.B == spec.B
 

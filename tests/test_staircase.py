@@ -8,7 +8,6 @@ from combnull import (
     InfiniteComplement,
     complement,
     compositions,
-    downset,
     has_finite_complement,
     in_upset,
     leq,
@@ -17,7 +16,7 @@ from combnull import (
     staircase_count,
 )
 from combnull.staircase import format_expvec, parse_expvec
-from conftest import meet
+from conftest import downset, meet
 
 
 def brute_complement(gens, nvars, halo=1):

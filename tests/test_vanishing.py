@@ -25,7 +25,7 @@ from conftest import P, random_poly
 
 def classical_spec(ring=ZZ):
     # one variable, S = {0, 1}, first-order vanishing at both points
-    return VanishingSpec.build(ring, [[0, 1]], {(0,): {(1,)}, (1,): {(1,)}})
+    return VanishingSpec.build(MultisetGrid.build(ring, [[0, 1]]), {(0,): {(1,)}, (1,): {(1,)}})
 
 
 def test_spec_is_its_grid():
@@ -35,7 +35,7 @@ def test_spec_is_its_grid():
     axes = [[3, 0, 9], [7, 2]]
     grid = MultisetGrid.build(R, axes)
     B = {point: {(1, 0), (0, 1)} for point in grid.grid_points()}
-    spec = VanishingSpec.build(R, axes, B)
+    spec = VanishingSpec.build(MultisetGrid.build(R, axes), B)
     assert spec.axes == grid.axes
     assert spec.condition_d() == grid.condition_d() == (False, True)
     assert list(spec.grid_points()) == list(grid.grid_points())
@@ -45,7 +45,7 @@ def test_spec_is_its_grid():
 def test_membership_examples():
     spec = classical_spec()
     assert in_vanishing_ideal(Poly.zero(ZZ, 1), spec)
-    point_spec = VanishingSpec.build(ZZ, [[0]], {(0,): {(1,)}})
+    point_spec = VanishingSpec.build(MultisetGrid.build(ZZ, [[0]]), {(0,): {(1,)}})
     assert in_vanishing_ideal(P("x1"), point_spec)
     assert not in_vanishing_ideal(P("1"), point_spec)
     assert in_vanishing_ideal(P("x1^2 - x1"), spec)
@@ -54,25 +54,33 @@ def test_membership_examples():
 
 def test_spec_requires_finite_complements():
     with pytest.raises(InfiniteComplement):
-        VanishingSpec.build(ZZ, [[0], [0]], {(0, 0): {(1, 1)}})
+        VanishingSpec.build(MultisetGrid.build(ZZ, [[0], [0]]), {(0, 0): {(1, 1)}})
 
 
 def test_spec_rejects_off_grid_points():
     B = {(0,): {(1,)}, (1,): {(1,)}, (5,): {(9,)}}
     with pytest.raises(ValueError, match=r"\(5,\)"):
-        VanishingSpec.build(ZZ, [[0, 1]], B)
+        VanishingSpec.build(MultisetGrid.build(ZZ, [[0, 1]]), B)
     with pytest.raises(ValueError, match=r"\(0,\)"):
-        VanishingSpec.build(ZZ, [[]], {(0,): {(1,)}})
+        VanishingSpec.build(MultisetGrid.build(ZZ, [[]]), {(0,): {(1,)}})
+
+
+def test_spec_takes_no_psi():
+    # B carries the multiplicities, so the grid must have every psi 1
+    B = {(0,): {(1,)}, (1,): {(1,)}}
+    with pytest.raises(ValueError, match="takes no psi"):
+        VanishingSpec.build(MultisetGrid.build(ZZ, [[0, 1]], [{0: 2, 1: 1}]), B)
+    spec = VanishingSpec.build(MultisetGrid.build(ZZ, [[0, 1]], [{0: 1, 1: 1}]), B)
+    assert spec == classical_spec()
 
 
 def test_grid_staircase_count():
     assert grid_staircase_count(classical_spec()) == 2
-    empty = VanishingSpec.build(ZZ, [[], [0]], {})
+    empty = VanishingSpec.build(MultisetGrid.build(ZZ, [[], [0]]), {})
     assert grid_staircase_count(empty) == 0
     assert empty.empty_grid
     spec = VanishingSpec.build(
-        ZZ,
-        [[0, 1], [0]],
+        MultisetGrid.build(ZZ, [[0, 1], [0]]),
         {pt: {(1, 0), (0, 1)} for pt in [(0, 0), (1, 0)]},
     )
     assert grid_staircase_count(spec) == 2
@@ -106,7 +114,7 @@ def test_certify_overshooting_basis():
 
 def test_certify_inapplicable_on_condition_d_failure():
     ring = Zmod(6)
-    spec = VanishingSpec.build(ring, [[0, 3]], {(0,): {(1,)}, (3,): {(1,)}})
+    spec = VanishingSpec.build(MultisetGrid.build(ring, [[0, 3]]), {(0,): {(1,)}, (3,): {(1,)}})
     g = P("x1^2 - 3*x1", ring=ring)
     assert in_vanishing_ideal(g, spec)
     report = certify_groebner(spec, MonicFamily.build([g]))
@@ -233,8 +241,7 @@ def test_grid_count_never_exceeds_leading_count_sampled(rng):
 
 def test_ideal_closure_sampled(rng):
     spec = VanishingSpec.build(
-        ZZ,
-        [[0, 1], [0, 1]],
+        MultisetGrid.build(ZZ, [[0, 1], [0, 1]]),
         {pt: {(1, 0), (0, 1)} for pt in product([0, 1], repeat=2)},
     )
     g1 = P("x1^2 - x1", nvars=2)
