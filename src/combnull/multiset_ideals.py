@@ -19,11 +19,13 @@ ideal additionally keeps a relaxed requirement on the puncture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 from math import comb, prod
 from operator import floordiv
+from types import MappingProxyType
 from typing import Mapping, Sequence
+from weakref import WeakValueDictionary
 
 from .errors import (
     ArityMismatch,
@@ -55,28 +57,47 @@ from .staircase import compositions, require_level
 MAX_GRID_POINTS = 10**6
 
 
+# Every live ``Axis``, by ring, support and multiplicities.  The ring is part
+# of the key: Fraction(1) == 1, and QQ must not share ZZ's axes.
+_AXES = WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class Axis:
-    """One grid axis: sorted support values and their multiplicities."""
+    """One grid axis: sorted support values, their read-only multiplicities,
+    and its axis polynomial ``g = prod (x - u)^psi(u)`` as sparse univariate
+    ``(exponents, coefficients)`` tuples.
+
+    ``build`` interns: equal inputs over one ring return the same object, so
+    g is computed once per distinct axis however many grids repeat it.  The
+    table holds axes weakly; powers of g are never kept.
+    """
 
     support: tuple
     psi: Mapping
+    terms: tuple = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, ring: Ring, values: Sequence[Element], psi=None) -> "Axis":
         support = tuple(sorted({ring.canon(u) for u in values}))
-        table = {}
+        mults = []
         for u in support:
             m = 1 if psi is None else psi.get(u)
             if m is None:
                 raise NonPositiveMultiplicity(f"no multiplicity for {u}")
             require_multiplicity(u, m)
-            table[u] = m
+            mults.append(m)
         if psi is not None:
             extra = set(psi) - set(support)
             if extra:
                 raise ValueError(f"multiplicities for absent elements {extra}")
-        return cls(support, table)
+        key = (ring, support, tuple(mults))
+        axis = _AXES.get(key)
+        if axis is None:
+            table = dict(zip(support, mults))
+            terms = _root_terms(ring, support, table)
+            axis = _AXES[key] = cls(support, MappingProxyType(table), terms)
+        return axis
 
     @property
     def degree(self) -> int:
@@ -109,8 +130,9 @@ class MultisetGrid:
         return root_product(self.ring, self.nvars, k, axis.support, axis.psi)
 
     def _axis_terms(self) -> list:
-        """Every axis polynomial as sparse univariate lists."""
-        return [_root_terms(self.ring, axis.support, axis.psi) for axis in self.axes]
+        """Every axis polynomial as sparse univariate tuples, as built once
+        per distinct axis."""
+        return [axis.terms for axis in self.axes]
 
     @property
     def empty_grid(self) -> bool:

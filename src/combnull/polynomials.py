@@ -261,7 +261,7 @@ def require_multiplicity(u, m) -> None:
 
 def _root_terms(ring: Ring, elements: Iterable[Element], psi) -> tuple:
     """``prod (x - u)^psi(u)`` in one variable, as sparse ``(exponents,
-    coefficients)`` lists, lowest degree first.
+    coefficients)`` tuples, lowest degree first.
 
     Multiplicities default to one and go through ``require_multiplicity``;
     each element goes through ``ring.canon``.  The product is kept as a
@@ -276,11 +276,11 @@ def _root_terms(ring: Ring, elements: Iterable[Element], psi) -> tuple:
         for _ in range(m):
             # (x - u) * c has coefficient c[i-1] - u * c[i] at degree i.
             coeffs = [
-                ring.sub(lower, ring.mul(u, c))
+                ring.submul(lower, u, c)
                 for c, lower in zip(coeffs + [zero], [zero] + coeffs)
             ]
-    exps = [e for e, c in enumerate(coeffs) if c != zero]
-    return exps, [coeffs[e] for e in exps]
+    exps = tuple(e for e, c in enumerate(coeffs) if c != zero)
+    return exps, tuple(coeffs[e] for e in exps)
 
 
 def root_product(

@@ -103,7 +103,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from operator import add
+from operator import add, mul
 from typing import Hashable, Sequence
 
 from .errors import (
@@ -265,12 +265,11 @@ def _packing(corner: ExpVec):
     mask = (1 << width) - 1
     offsets = range(width * (len(corner) - 1), -1, -width)
     guards = sum(1 << (s + width - 1) for s in offsets)
+    # x_k contributes 1 to the total degree field and 1 to its own.
+    weights = [(1 << width * len(corner)) + (1 << s) for s in offsets]
 
     def pack(alpha: ExpVec) -> int:
-        key = sum(alpha)
-        for e in alpha:
-            key = (key << width) | e
-        return key
+        return sum(map(mul, alpha, weights))
 
     def unpack(ring, terms: dict) -> Poly:
         return _raw(ring, len(corner), {
@@ -283,17 +282,26 @@ def _packing(corner: ExpVec):
 def _divide(ring, work: dict, divisors: list, guards: int, size: int):
     """The division loop on packed keys, under the fixed strategy.
 
-    ``divisors`` lists ``(index, theta, terms)`` by increasing index, with
-    packed witness and terms; ``work`` is reduced in place to the
-    remainder.  Returns the ``size`` quotient dicts, keyed by packed shift,
-    and the number of steps.
+    ``divisors`` lists ``(index, theta, tail)`` by increasing index, with
+    packed witness and the packed terms other than the witness's (whose
+    coefficient is 1); ``work`` is reduced in place to the remainder.
+    Returns the ``size`` quotient dicts, keyed by packed shift, and the
+    number of steps.
 
-    A step only adds keys below the one it cancels, so a term no witness
-    divides stays in the remainder for good, and copies of one key leave
-    the heap one after another.  The loop stops once every term left in
-    ``work`` is such a remainder term: what the heap still holds is stale.
+    A step cancels gamma, the greatest key in ``work``: it deletes gamma and
+    subtracts c x^shift times the tail, one ``ring.submul`` per tail term.
+    Tail keys lie below theta, so a step only adds keys below gamma: no
+    gamma is cancelled twice (each quotient key is set once), a term no
+    witness divides stays in the remainder for good, and copies of one key
+    leave the heap one after another.  Invariant: every key in ``work`` is
+    in the heap; a key is pushed only when it is new to ``work``, and the
+    heap may also hold keys that have since left ``work``.  The loop stops
+    once every term left in ``work`` is a remainder term: what the heap
+    still holds is stale.
     """
     zero = ring.zero
+    submul = ring.submul
+    push = heapq.heappush
     quotients = [dict() for _ in range(size)]
     heap = [-key for key in work]
     heapq.heapify(heap)
@@ -308,7 +316,7 @@ def _divide(ring, work: dict, divisors: list, guards: int, size: int):
         c = work.get(gamma)
         if c is None:
             continue
-        for i, theta, terms in divisors:
+        for i, theta, tail in divisors:
             if not (gamma - theta) & guards:
                 break
         else:
@@ -316,27 +324,31 @@ def _divide(ring, work: dict, divisors: list, guards: int, size: int):
             continue
         steps += 1
         shift = gamma - theta
-        q = quotients[i]
-        q[shift] = ring.add(q.get(shift, zero), c)
-        if q[shift] == zero:
-            del q[shift]
-        for beta, gc in terms:
+        quotients[i][shift] = c
+        del work[gamma]
+        for beta, gc in tail:
             key = shift + beta
-            s = ring.sub(work.get(key, zero), ring.mul(c, gc))
-            if s == zero:
-                work.pop(key, None)
+            old = work.get(key)
+            if old is None:
+                s = submul(zero, c, gc)
+                if s != zero:
+                    work[key] = s
+                    push(heap, -key)
             else:
-                work[key] = s
-                if key != gamma:
-                    heapq.heappush(heap, -key)
+                s = submul(old, c, gc)
+                if s == zero:
+                    del work[key]
+                else:
+                    work[key] = s
     return quotients, steps
 
 
-def _s_pair(ring, f_terms: list, u: int, g_terms: list, v: int) -> dict:
-    """x^u f - x^v g on packed terms; the shifted witnesses cancel."""
+def _s_pair(ring, f_tail: list, u: int, g_tail: list, v: int) -> dict:
+    """x^u f - x^v g on packed tails: the shifted witnesses cancel, so only
+    the tails enter."""
     zero = ring.zero
-    out = {a + u: c for a, c in f_terms}
-    for b, c in g_terms:
+    out = {a + u: c for a, c in f_tail}
+    for b, c in g_tail:
         key = b + v
         s = ring.sub(out.get(key, zero), c)
         if s == zero:
@@ -344,6 +356,11 @@ def _s_pair(ring, f_terms: list, u: int, g_terms: list, v: int) -> dict:
         else:
             out[key] = s
     return out
+
+
+def _packed_tail(pack, g: Poly, theta: ExpVec) -> list:
+    """g's packed terms other than its witness."""
+    return [(pack(beta), c) for beta, c in g.terms.items() if beta != theta]
 
 
 def reduce(f: Poly, family: MonicFamily) -> ReductionOutcome:
@@ -357,7 +374,7 @@ def reduce(f: Poly, family: MonicFamily) -> ReductionOutcome:
     # A member whose witness leaves f's box can never be chosen, and its
     # exponents need not fit the fields.
     reachable = [
-        (i, pack(theta), [(pack(beta), c) for beta, c in g.terms.items()])
+        (i, pack(theta), _packed_tail(pack, g, theta))
         for i, (g, theta) in enumerate(zip(family.members, family.witnesses))
         if leq(theta, corner)
     ]
@@ -378,8 +395,8 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
     join = tuple(map(max, alpha, beta))
     pack, unpack, _ = _packing(join)
     top = pack(join)
-    f_terms, g_terms = ([(pack(a), c) for a, c in p.terms.items()] for p in (f, g))
-    return unpack(f.ring, _s_pair(f.ring, f_terms, top - pack(alpha), g_terms, top - pack(beta)))
+    f_tail, g_tail = _packed_tail(pack, f, alpha), _packed_tail(pack, g, beta)
+    return unpack(f.ring, _s_pair(f.ring, f_tail, top - pack(alpha), g_tail, top - pack(beta)))
 
 
 def _root(parent: dict, i: int) -> int:
@@ -410,7 +427,7 @@ def buchberger_certifies(family: MonicFamily) -> bool:
     thetas = family.witnesses
     pack, _, guards = _packing(tuple(map(max, *thetas)))
     divisors = [
-        (i, pack(theta), [(pack(beta), c) for beta, c in g.terms.items()])
+        (i, pack(theta), _packed_tail(pack, g, theta))
         for i, (g, theta) in enumerate(zip(members, thetas))
     ]
     size = len(members)
@@ -421,9 +438,9 @@ def buchberger_certifies(family: MonicFamily) -> bool:
             lcms[i][j] = lcms[j][i] = pack(tuple(map(max, theta, thetas[j])))
     # One union-find per packed lcm, joined by the pairs divided so far.
     forests = {}
-    for i, top_i, terms_i in divisors:
+    for i, top_i, tail_i in divisors:
         row_i = lcms[i]
-        for j, top_j, terms_j in divisors[i + 1:]:
+        for j, top_j, tail_j in divisors[i + 1:]:
             top = row_i[j]
             # top_i + top_j - top packs the componentwise min of the two
             # witnesses, which is zero exactly when they are coprime.
@@ -438,7 +455,7 @@ def buchberger_certifies(family: MonicFamily) -> bool:
                 parent = forests.setdefault(top, {})
                 root_i, root_j = _root(parent, i), _root(parent, j)
                 if root_i != root_j:
-                    s = _s_pair(ring, terms_i, top - top_i, terms_j, top - top_j)
+                    s = _s_pair(ring, tail_i, top - top_i, tail_j, top - top_j)
                     _divide(ring, s, divisors, guards, size)
                     if s:
                         return False

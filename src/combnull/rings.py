@@ -131,6 +131,10 @@ class Ring:
     def mul(self, a: Element, b: Element) -> Element:
         return (a * b) % self._mod if self._mod else a * b
 
+    def submul(self, a: Element, b: Element, c: Element) -> Element:
+        """``a - b*c`` with one reduction: the division loops' one call per term."""
+        return (a - b * c) % self._mod if self._mod else a - b * c
+
     def neg(self, a: Element) -> Element:
         return (-a) % self._mod if self._mod else -a
 
@@ -199,7 +203,7 @@ class Ring:
         return self.kind
 
     def require_same(self, other: "Ring") -> None:
-        if self != other:
+        if self is not other and self != other:
             raise RingMismatch(f"{self} vs {other}")
 
 

@@ -66,7 +66,8 @@ def _label_from_key(key: str):
 
 
 def grid_to_json(grid: MultisetGrid) -> dict:
-    """The canonical axes form, with an ``E`` entry for a ``PuncturedGrid``."""
+    """The canonical axes form, with an ``E`` entry for a ``PuncturedGrid``
+    and a ``B`` entry, keyed ``"(a1,...,an)"``, for a ``VanishingSpec``."""
     doc = {
         "ring": str(grid.ring),
         "axes": [
@@ -82,6 +83,12 @@ def grid_to_json(grid: MultisetGrid) -> dict:
     }
     if isinstance(grid, PuncturedGrid):
         doc["E"] = [[element_to_json(grid.ring, u) for u in E] for E in grid.punctures]
+    if isinstance(grid, VanishingSpec):
+        doc["B"] = {
+            "(" + ",".join(str(element_to_json(grid.ring, v)) for v in point) + ")":
+                [list(vec) for vec in sorted(gens)]
+            for point, gens in grid.B.items()
+        }
     return doc
 
 

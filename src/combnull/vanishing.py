@@ -27,7 +27,7 @@ from .errors import (
     NotCertified,
     NotInIdeal,
 )
-from .multiset_ideals import MultisetGrid, _grid_condition
+from .multiset_ideals import MultisetGrid, PuncturedGrid, _grid_condition
 from .polynomials import Poly, _power_products, _root_terms
 from .reduction import MonicFamily, ReductionOutcome, decompose_member
 from .rings import Element, Ring
@@ -47,6 +47,8 @@ class VanishingSpec(MultisetGrid):
 
     @classmethod
     def build(cls, grid: MultisetGrid, B: Mapping) -> "VanishingSpec":
+        if isinstance(grid, PuncturedGrid):
+            raise ValueError("a vanishing spec takes no puncture set E")
         if any(m != 1 for axis in grid.axes for m in axis.psi.values()):
             raise ValueError("a vanishing spec takes no psi: its multiplicities are in B")
         table = {}

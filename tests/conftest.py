@@ -5,7 +5,6 @@ import pytest
 
 from combnull import GF, QQ, ZZ, MonicFamily, Poly, Zmod, parse_poly, root_product
 from combnull.polynomials import random_monic, random_poly
-from combnull.serialization import element_to_json
 from combnull.staircase import maximal_elements
 
 # The rings property tests draw from: a domain of each kind and ZZ/6,
@@ -89,17 +88,3 @@ def partial_evaluate(f, assignments):
         out[key] = ring.add(out.get(key, ring.zero), c)
     return Poly(ring, f.nvars, out)
 
-
-def spec_to_json(spec):
-    """The compact spec document ``serialization.grid_from_json`` reads back."""
-    ring = spec.ring
-    return {
-        "ring": str(ring),
-        "S": [[element_to_json(ring, u) for u in axis.support] for axis in spec.axes],
-        "B": {
-            "(" + ",".join(str(element_to_json(ring, v)) for v in point) + ")": [
-                list(vec) for vec in sorted(spec.B[point])
-            ]
-            for point in spec.grid_points()
-        },
-    }

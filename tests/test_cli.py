@@ -272,6 +272,19 @@ def test_oversized_grid_is_refused_up_front(capsys, argv):
     assert time.perf_counter() - start < 5
 
 
+def test_oversized_staircase_box_is_refused_up_front(capsys):
+    # the spec and basis are valid; zeta1 would scan the 10^7 vectors below
+    # 10 * e_k on 7 axes
+    tens = [[10 if k == j else 0 for j in range(7)] for k in range(7)]
+    spec = {"S": [[0]] * 7, "B": {"(0,0,0,0,0,0,0)": tens}}
+    basis = [arg for k in range(7) for arg in ("--basis", f"x{k + 1}^10")]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "groebner-check", "--ring", "ZZ", "--spec", json.dumps(spec), *basis)
+    assert (code, out) == (3, "")
+    assert err == "error: 10000000 box points exceed the limit of 1000000\n"
+    assert time.perf_counter() - start < 5
+
+
 def test_cover_instance_needs_a_puncture_set(capsys):
     doc = {"pgrid": {"ring": "ZZ", "S": [[0, 1]]}, "planes": [{"poly": "x1"}], "t": 1}
     code, out, err = run(capsys, "cover", "--instance", json.dumps(doc))

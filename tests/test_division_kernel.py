@@ -160,6 +160,34 @@ def test_zero_and_constant_dividends():
     assert_matches_oracle(Poly.constant(ZZ, 2, 4), family)
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(4), Zmod(6), GF(5)], ids=str)
+def test_submul_is_sub_of_mul(ring):
+    values = st.fractions(-20, 20, max_denominator=7) if ring == QQ else st.integers(-40, 40)
+
+    @PROPERTY
+    @given(values, values, values)
+    def check(a, b, c):
+        a, b, c = ring.canon(a), ring.canon(b), ring.canon(c)
+        got = ring.submul(a, b, c)
+        assert got == ring.sub(a, ring.mul(b, c))
+        assert type(got) is type(ring.zero) and ring.canon(got) == got
+
+    check()
+
+
+@pytest.mark.parametrize("ring", [QQ, Zmod(6)], ids=str)
+def test_kernel_matches_oracles_on_random_monic_families(rng, ring):
+    # tail-only divisors, fused submul and the new-key heap rule change no
+    # quotient, remainder, step count or sweep verdict
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        family = random_family(rng, ring, n, max_members=4)
+        assert_matches_oracle(random_poly(rng, ring, n, max_deg=5, max_terms=8), family)
+        verdicts.add(assert_sweep_matches(family))
+    assert verdicts == {True, False}
+
+
 # -- rewrites pinned against their old definitions ------------------------------
 
 

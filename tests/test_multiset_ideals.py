@@ -1,3 +1,7 @@
+import gc
+import weakref
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -5,7 +9,9 @@ import pytest
 
 from combnull import (
     GF,
+    QQ,
     ZZ,
+    Axis,
     EmptyPuncture,
     Inapplicable,
     MonicFamily,
@@ -30,6 +36,7 @@ from combnull import (
     reduce,
     taylor_shift,
 )
+from combnull import multiset_ideals, polynomials
 from combnull.multiset_ideals import MAX_GRID_POINTS
 from conftest import P, off_poly, partial_evaluate, random_poly, scale, variable
 
@@ -51,6 +58,57 @@ def test_axis_validation():
         MultisetGrid.build(ZZ, [[0]], [{0: 1, 5: 1}])
     with pytest.raises(ValueError):
         PuncturedGrid.build(cube(), [[0], [7]])
+
+
+def test_axes_are_interned():
+    # equal inputs give one Axis, whatever the order or repeats of the values
+    grid = MultisetGrid.build(ZZ, [[0, 1], [1, 0, 1]], [{0: 2, 1: 1}, {1: 1, 0: 2}])
+    axis = grid.axes[0]
+    assert grid.axes[1] is axis
+    assert Axis.build(ZZ, (1, 0), {0: 2, 1: 1}) is axis
+    assert Axis.build(ZZ, [0, 1]) is not axis
+    # g = x^2 (x - 1), computed once for the axis
+    assert axis.terms == ((2, 3), (-1, 1))
+    assert grid._axis_terms() == [axis.terms] * 2
+    # Fraction(1) == 1, yet QQ keeps its own axes, with its own coefficients
+    zz, qq, z6 = (Axis.build(ring, [0, 1]) for ring in (ZZ, QQ, Zmod(6)))
+    assert zz == qq and zz is not qq and z6 is not zz
+    assert qq.terms == zz.terms == ((1, 2), (-1, 1))
+    assert [type(c) for c in qq.terms[1]] == [Fraction, Fraction]
+    assert z6.terms == ((1, 2), (5, 1))
+
+
+def test_axis_multiplicities_are_read_only():
+    axis = MultisetGrid.build(ZZ, [[0, 1]], [{0: 2, 1: 1}]).axes[0]
+    with pytest.raises(TypeError):
+        axis.psi[0] = 5
+    with pytest.raises(FrozenInstanceError):
+        axis.psi = {0: 5, 1: 1}
+    assert axis.psi == {0: 2, 1: 1} and axis.degree == 3
+
+
+def test_intern_table_holds_axes_weakly():
+    ring = GF(101)
+    key = (ring, (3, 7), (2, 5))
+    grid = MultisetGrid.build(ring, [[7, 3]], [{3: 2, 7: 5}])
+    ref = weakref.ref(grid.axes[0])
+    assert multiset_ideals._AXES.get(key) is ref()
+    level_basis(grid, 2)
+    del grid
+    gc.collect()
+    assert ref() is None
+    assert key not in multiset_ideals._AXES
+
+
+def test_scale_refusal_ignores_earlier_builds(monkeypatch):
+    # no power of an axis polynomial outlives its call: the second build of
+    # one grid counts its power tables as the first did
+    monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 17)
+    grid = MultisetGrid.build(ZZ, [[0, 1]])
+    for _ in range(2):
+        assert len(level_basis(grid, 4).members[0].terms) == 5
+        with pytest.raises(ScaleExceeded, match="powers up to exponent 5"):
+            level_basis(grid, 5)
 
 
 def test_level_basis_members():

@@ -22,7 +22,7 @@ from combnull.serialization import (
     grid_to_json,
     verify_certificate_json,
 )
-from conftest import P, spec_to_json
+from conftest import P
 
 
 def test_grid_round_trip():
@@ -94,10 +94,28 @@ def test_spec_round_trip():
     spec = VanishingSpec.build(
         MultisetGrid.build(ZZ, [[0, 1]]), {(0,): {(1,)}, (1,): {(2,), (1,)}}
     )
-    doc = spec_to_json(spec)
+    doc = grid_to_json(spec)
+    assert doc["B"] == {"(0)": [[1]], "(1)": [[1], [2]]}
     again = grid_from_json(json.loads(json.dumps(doc)))
     assert again.axes == spec.axes
     assert again.B == spec.B
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(6)], ids=str)
+def test_every_grid_type_round_trips(ring):
+    # the one writer keeps every entry the one reader turns into a grid type
+    u = ring.canon(Fraction(1, 2) if ring == QQ else -1)
+    supports = [[0, u], [3]]
+    grid = MultisetGrid.build(ring, supports, [{0: 2, u: 1}, {3: 3}])
+    pgrid = PuncturedGrid.build(grid, [[u], []])
+    plain = MultisetGrid.build(ring, supports)
+    spec = VanishingSpec.build(plain, {
+        point: {(1, 0), (k + 1, 0), (0, 2)} for k, point in enumerate(plain.grid_points())
+    })
+    for g in (grid, pgrid, spec):
+        again = grid_from_json(json.loads(json.dumps(grid_to_json(g))))
+        assert type(again) is type(g)
+        assert again == g
 
 
 def test_outcome_json_shape():

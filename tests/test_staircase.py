@@ -15,6 +15,7 @@ from combnull import (
     punctured_staircase_count,
     staircase_count,
 )
+from combnull import ScaleExceeded, staircase
 from combnull.staircase import format_expvec, parse_expvec
 from conftest import downset, meet
 
@@ -93,6 +94,19 @@ def test_complement_examples():
     assert complement({(1, 0), (0, 1)}, 2) == {(0, 0)}
     with pytest.raises(InfiniteComplement):
         complement({(1, 1)}, 2)
+
+
+def test_complement_counts_its_box_up_front(monkeypatch):
+    # 10^4 * e_k on 3 axes would list 10^12 points
+    wide = {(10**4, 0, 0), (0, 10**4, 0), (0, 0, 10**4)}
+    with pytest.raises(ScaleExceeded, match="1000000000000 box points exceed the limit of 1000000"):
+        complement(wide, 3)
+    # the box is counted, not the complement: {(3, 0), (0, 2), (1, 1)} boxes 6
+    monkeypatch.setattr(staircase, "MAX_COMPLEMENT_BOX", 6)
+    assert complement({(3, 0), (0, 2), (1, 1)}, 2) == {(0, 0), (1, 0), (2, 0), (0, 1)}
+    monkeypatch.setattr(staircase, "MAX_COMPLEMENT_BOX", 5)
+    with pytest.raises(ScaleExceeded, match="6 box points"):
+        complement({(3, 0), (0, 2), (1, 1)}, 2)
 
 
 def test_complement_against_brute_scan(rng):

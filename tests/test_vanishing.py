@@ -11,6 +11,8 @@ from combnull import (
     NotCertified,
     NotInIdeal,
     Poly,
+    PuncturedGrid,
+    ScaleExceeded,
     VanishingSpec,
     Zmod,
     certify_groebner,
@@ -74,6 +76,14 @@ def test_spec_takes_no_psi():
     assert spec == classical_spec()
 
 
+def test_spec_takes_no_puncture_set():
+    # a spec built on a punctured grid would drop its E
+    B = {(0,): {(1,)}, (1,): {(1,)}}
+    pgrid = PuncturedGrid.build(MultisetGrid.build(ZZ, [[0, 1]]), [[0]])
+    with pytest.raises(ValueError, match="takes no puncture set E"):
+        VanishingSpec.build(pgrid, B)
+
+
 def test_grid_staircase_count():
     assert grid_staircase_count(classical_spec()) == 2
     empty = VanishingSpec.build(MultisetGrid.build(ZZ, [[], [0]]), {})
@@ -84,6 +94,18 @@ def test_grid_staircase_count():
         {pt: {(1, 0), (0, 1)} for pt in [(0, 0), (1, 0)]},
     )
     assert grid_staircase_count(spec) == 2
+
+
+def test_staircase_counts_refuse_huge_boxes():
+    # one grid point whose B_a boxes 10^12 exponent vectors, and a family
+    # whose leading exponents box as many
+    wide = {(10**4, 0, 0), (0, 10**4, 0), (0, 0, 10**4)}
+    spec = VanishingSpec.build(MultisetGrid.build(ZZ, [[0]] * 3), {(0, 0, 0): wide})
+    with pytest.raises(ScaleExceeded, match="box points exceed the limit"):
+        grid_staircase_count(spec)
+    family = MonicFamily.build([Poly(ZZ, 3, {theta: 1}) for theta in sorted(wide)])
+    with pytest.raises(ScaleExceeded, match="box points exceed the limit"):
+        leading_staircase_count(family)
 
 
 def test_leading_staircase_count():
