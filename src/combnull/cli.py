@@ -19,12 +19,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .alon_furedi import nonzero_bound
-from .covering import (
-    affine_blocking_bound,
-    blocking_audit,
-    covering_audit,
-)
 from .errors import (
     CombnullError,
     Inapplicable,
@@ -58,7 +52,6 @@ from .serialization import (
     element_from_json,
     family_to_json,
     grid_from_json,
-    instance_from_json,
     verify_certificate_json,
 )
 from .staircase import (
@@ -66,7 +59,6 @@ from .staircase import (
     punctured_staircase_count,
     staircase_count,
 )
-from .vanishing import VanishingSpec, certify_groebner
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -116,7 +108,12 @@ def _emit(args, payload, lines) -> None:
             print(line)
 
 
-def _infer_nvars(texts) -> int:
+def _nvars(args, texts) -> int:
+    """``--nvars`` when given, else the largest k of an x<k> in ``texts``."""
+    if args.nvars is not None:
+        if args.nvars < 1:
+            raise _UsageError("nvars must be at least 1")
+        return args.nvars
     n = 1
     for text in texts:
         for m in re.finditer(r"x(\d+)", text):
@@ -127,14 +124,14 @@ def _infer_nvars(texts) -> int:
 def _grid_arg(args, kind=MultisetGrid):
     """``--spec`` for a spec command, ``--grid`` otherwise, read by
     ``grid_from_json``; the document must read as exactly ``kind``."""
-    doc = _loose_json(args.spec if kind is VanishingSpec else args.grid)
+    doc = _loose_json(args.spec if args.command == "groebner-check" else args.grid)
     ring = parse_ring(args.ring) if args.ring else None
     grid = grid_from_json(doc, ring)
     if type(grid) is kind:
         return grid
     if isinstance(grid, PuncturedGrid):
         raise ParseError(f"{args.command} takes no puncture set E")
-    if isinstance(grid, VanishingSpec):
+    if hasattr(grid, "B"):  # a VanishingSpec
         raise ParseError(f"{args.command} takes no vanishing table B")
     if kind is PuncturedGrid:
         raise ParseError("punctured grid document needs an 'E' entry")
@@ -146,7 +143,7 @@ def _grid_arg(args, kind=MultisetGrid):
 
 def _cmd_reduce(args) -> int:
     texts = [args.poly] + list(args.basis)
-    nvars = args.nvars or _infer_nvars([_read_arg(t) for t in texts])
+    nvars = _nvars(args, [_read_arg(t) for t in texts])
     ring = parse_ring(args.ring)
     f = parse_poly(_read_arg(args.poly), ring, nvars)
     family = MonicFamily.build(
@@ -163,6 +160,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_groebner_check(args) -> int:
     if args.spec:
+        from .vanishing import VanishingSpec, certify_groebner
         spec = _grid_arg(args, VanishingSpec)
         family = MonicFamily.build(
             [parse_poly(_read_arg(t), spec.ring, spec.nvars) for t in args.basis]
@@ -183,7 +181,7 @@ def _cmd_groebner_check(args) -> int:
         return EXIT_NO
     ring = parse_ring(args.ring)
     texts = list(args.basis)
-    nvars = args.nvars or _infer_nvars([_read_arg(t) for t in texts])
+    nvars = _nvars(args, [_read_arg(t) for t in texts])
     family = MonicFamily.build(
         [parse_poly(_read_arg(t), ring, nvars) for t in texts]
     )
@@ -271,6 +269,7 @@ def _cmd_mixed(args) -> int:
 
 
 def _cmd_cover(args) -> int:
+    from .covering import affine_blocking_bound, blocking_audit, covering_audit, instance_from_json
     if args.bound_only or args.points:
         for flag in ("q", "n"):
             if getattr(args, flag) is None:
@@ -307,6 +306,7 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_alon_furedi(args) -> int:
+    from .alon_furedi import nonzero_bound
     ring = parse_ring(args.ring)
     supports_doc = _loose_json(args.supports)
     supports = [[element_from_json(ring, v) for v in S] for S in supports_doc]

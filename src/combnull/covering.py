@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .errors import InternalInvariantError, ScaleExceeded
+from .errors import InternalInvariantError, ParseError, ScaleExceeded
 from .multiset_ideals import PuncturedGrid
-from .polynomials import Poly
+from .polynomials import Poly, parse_poly
 from .rings import GF
+from .serialization import _json_int, grid_from_json
 from .staircase import require_level
 
 
@@ -58,6 +59,22 @@ class CoverInstance:
                 )
             checked.append((rho, e))
         return cls(pgrid, tuple(checked), t)
+
+
+def instance_from_json(doc: Mapping) -> CoverInstance:
+    """``{pgrid, planes: [{poly, degree?}], t}``; a degree, when given, is a
+    JSON integer and must be the plane's."""
+    pgrid = grid_from_json(doc["pgrid"])
+    if not isinstance(pgrid, PuncturedGrid):
+        raise ParseError("punctured grid document needs an 'E' entry")
+    planes = []
+    for plane in doc["planes"]:
+        rho = parse_poly(plane["poly"], pgrid.ring, pgrid.nvars)
+        degree = rho.degree()
+        if "degree" in plane:
+            degree = _json_int(plane["degree"], "degree", 0)
+        planes.append((rho, degree))
+    return CoverInstance.build(pgrid, planes, doc["t"])
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,8 @@ class PuncturedGrid(MultisetGrid):
 
     @classmethod
     def build(cls, grid: MultisetGrid, punctures: Sequence) -> "PuncturedGrid":
+        if hasattr(grid, "B"):  # a VanishingSpec
+            raise ValueError("a punctured grid takes no vanishing table B")
         if len(punctures) != grid.nvars:
             raise ArityMismatch(f"{grid.nvars} axes but {len(punctures)} puncture sets")
         canon = []

@@ -1,4 +1,4 @@
-"""JSON wire formats for grids, specs, cover instances and certificates.
+"""JSON wire formats for grids, specs and certificates.
 
 There is one certificate document, written by ``certificate_to_json`` for
 any ``ReductionOutcome``.  It carries the ring, the arity, the divided
@@ -19,14 +19,12 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .covering import CoverInstance
 from .errors import ParseError
 from .multiset_ideals import MultisetGrid, PuncturedGrid
 from .polynomials import format_poly, parse_poly
 from .reduction import MonicFamily, ReductionOutcome
 from .rings import Ring, parse_ring
 from .staircase import compositions, format_expvec, parse_expvec, require_level
-from .vanishing import VanishingSpec
 
 
 def element_to_json(ring: Ring, value):
@@ -83,7 +81,7 @@ def grid_to_json(grid: MultisetGrid) -> dict:
     }
     if isinstance(grid, PuncturedGrid):
         doc["E"] = [[element_to_json(grid.ring, u) for u in E] for E in grid.punctures]
-    if isinstance(grid, VanishingSpec):
+    if hasattr(grid, "B"):  # a VanishingSpec
         doc["B"] = {
             "(" + ",".join(str(element_to_json(grid.ring, v)) for v in point) + ")":
                 [list(vec) for vec in sorted(gens)]
@@ -136,23 +134,8 @@ def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
         if not (inner.startswith("(") and inner.endswith(")")):
             raise ParseError(f"bad grid point key {key!r}")
         B[tuple(ring.parse_element(p) for p in inner[1:-1].split(",") if p.strip())] = vecs
+    from .vanishing import VanishingSpec
     return VanishingSpec.build(grid, B)
-
-
-def instance_from_json(doc: Mapping) -> CoverInstance:
-    """``{pgrid, planes: [{poly, degree?}], t}``; a degree, when given, is a
-    JSON integer and must be the plane's."""
-    pgrid = grid_from_json(doc["pgrid"])
-    if not isinstance(pgrid, PuncturedGrid):
-        raise ParseError("punctured grid document needs an 'E' entry")
-    planes = []
-    for plane in doc["planes"]:
-        rho = parse_poly(plane["poly"], pgrid.ring, pgrid.nvars)
-        degree = rho.degree()
-        if "degree" in plane:
-            degree = _json_int(plane["degree"], "degree", 0)
-        planes.append((rho, degree))
-    return CoverInstance.build(pgrid, planes, doc["t"])
 
 
 # -- certificates --------------------------------------------------------------

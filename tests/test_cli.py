@@ -386,6 +386,18 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "mixed", "--grid", "{S:[[0,1]],E:[[0]]}", "--t", "1")[0] == 3
 
 
+@pytest.mark.parametrize("nvars", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [("reduce", "--poly", "x1", "--basis", "x1"), ("groebner-check", "--basis", "x1")],
+    ids=["reduce", "groebner_check"],
+)
+def test_nvars_must_be_positive(capsys, argv, nvars):
+    # only a missing --nvars is inferred; 0 used to certify, -1 to blame x1
+    code, out, err = run(capsys, *argv, "--ring", "ZZ", "--nvars", nvars)
+    assert (code, out, err) == (3, "", "usage error: nvars must be at least 1\n")
+
+
 def test_count_matches_formula(capsys):
     code, out, _ = run(capsys, "count", "--alpha", "(2,3)", "--t", "2")
     assert code == 0

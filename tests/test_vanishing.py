@@ -84,6 +84,12 @@ def test_spec_takes_no_puncture_set():
         VanishingSpec.build(pgrid, B)
 
 
+def test_punctured_grid_takes_no_spec():
+    # the mirror: a punctured grid built on a spec would drop its B
+    with pytest.raises(ValueError, match="takes no vanishing table B"):
+        PuncturedGrid.build(classical_spec(), [[0]])
+
+
 def test_grid_staircase_count():
     assert grid_staircase_count(classical_spec()) == 2
     empty = VanishingSpec.build(MultisetGrid.build(ZZ, [[], [0]]), {})
