@@ -48,7 +48,8 @@ EXPORTS = {
 
 def loaded_after(code: str) -> set:
     """The combnull submodules a fresh interpreter holds after running code."""
-    probe = "\nimport sys\nprint(*sorted(k[9:] for k in sys.modules if k.startswith('combnull.')))"
+    probe = ("\nimport sys\nprint(*sorted(k.removeprefix('combnull.') for k in sys.modules"
+             " if k.startswith('combnull.')))")
     proc = subprocess.run(
         [sys.executable, "-c", code + probe],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
