@@ -19,7 +19,7 @@ from .errors import InternalInvariantError, ParseError, ScaleExceeded
 from .multiset_ideals import PuncturedGrid
 from .polynomials import Poly, parse_poly
 from .rings import GF
-from .serialization import _json_int, grid_from_json
+from .serialization import _json_int, _json_list, _json_object, grid_from_json
 from .staircase import require_level
 
 
@@ -64,11 +64,13 @@ class CoverInstance:
 def instance_from_json(doc: Mapping) -> CoverInstance:
     """``{pgrid, planes: [{poly, degree?}], t}``; a degree, when given, is a
     JSON integer and must be the plane's."""
+    _json_object(doc, "cover instance", ("pgrid", "planes", "t"))
     pgrid = grid_from_json(doc["pgrid"])
     if not isinstance(pgrid, PuncturedGrid):
         raise ParseError("punctured grid document needs an 'E' entry")
     planes = []
-    for plane in doc["planes"]:
+    for k, plane in enumerate(_json_list(doc["planes"], object, "planes must be a JSON list"), 1):
+        _json_object(plane, f"plane {k}", ("poly",))
         rho = parse_poly(plane["poly"], pgrid.ring, pgrid.nvars)
         degree = rho.degree()
         if "degree" in plane:

@@ -27,8 +27,10 @@ certificates all divide through it.
 
 ``buchberger_certifies`` runs the sufficiency test on S-polynomials; a True
 answer certifies the Groebner property, a False answer is inconclusive.
-It packs the family once, at one field width for every pair, and builds
-and divides each kept S-pair (see the criteria below) on packed keys
+A family whose witnesses are pairwise coprime (one member included) is
+certified by the first criterion below before anything is packed.  Any
+other family is packed once, at one field width for every pair, and each
+kept S-pair (see the criteria below) is built and divided on packed keys
 with the same S-pair builder and division loop.  It checks only that each
 S-pair S reduces to 0, because with the true witnesses ``MonicFamily``
 derives, (2) and (4) cannot fail:
@@ -103,6 +105,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from operator import add, mul
 from typing import Hashable, Sequence
 
@@ -417,14 +420,16 @@ def buchberger_certifies(family: MonicFamily) -> bool:
     are coprime; when a third witness theta(k) divides m while
     lcm(theta(i), theta(k)) and lcm(theta(j), theta(k)) are both proper
     divisors of m; or when pairs of lcm m already divided join i to j.
-    Every other pair is divided on packed keys, with the quotients,
-    remainder and steps ``reduce`` would give.
+    When every pair is coprime, nothing is packed.  Every pair kept is
+    divided on packed keys, with the quotients, remainder and steps
+    ``reduce`` would give.
     """
-    members = family.members
-    if len(members) < 2:
-        return True
-    ring = family.ring
     thetas = family.witnesses
+    # Pairwise coprime witnesses: the first criterion settles every pair.
+    if not any(any(map(min, a, b)) for a, b in combinations(thetas, 2)):
+        return True
+    members = family.members
+    ring = family.ring
     pack, _, guards = _packing(tuple(map(max, *thetas)))
     divisors = [
         (i, pack(theta), _packed_tail(pack, g, theta))

@@ -44,6 +44,24 @@ def _json_int(value, what: str, least: int) -> int:
     return value
 
 
+def _json_object(doc, what: str, required=()) -> Mapping:
+    """``doc`` when it is a JSON object holding every ``required`` key; one
+    ParseError names every key it lacks."""
+    if not isinstance(doc, Mapping):
+        raise ParseError(f"{what} must be a JSON object")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ParseError(f"{what} lacks {', '.join(missing)}")
+    return doc
+
+
+def _json_list(value, item, message: str) -> list:
+    """``value`` when it is a JSON list of ``item`` entries."""
+    if not isinstance(value, list) or not all(isinstance(v, item) for v in value):
+        raise ParseError(message)
+    return value
+
+
 def _label_to_key(label) -> str:
     if isinstance(label, tuple):
         return format_expvec(label)
@@ -95,22 +113,23 @@ def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
     form; a ring given explicitly overrides the document.  A document with
     an ``E`` entry is read as a ``PuncturedGrid``, one with a ``B`` entry as
     a ``VanishingSpec``; one with both is a ``ParseError``."""
+    form = "axes" if isinstance(doc, Mapping) and "axes" in doc else "S"
+    _json_object(doc, "grid document", ("ring",) * (ring is None) + (form,))
     if "E" in doc and "B" in doc:
         raise ParseError("grid document carries both E and B")
     if ring is None:
-        if "ring" not in doc:
-            raise ParseError("grid document carries no ring")
         ring = parse_ring(doc["ring"])
-    if "axes" in doc:
-        supports = [axis_doc["S"] for axis_doc in doc["axes"]]
-        psi_docs = [axis_doc.get("psi") for axis_doc in doc["axes"]]
-    elif "S" in doc:
-        supports = doc["S"]
-        psi_docs = doc.get("psi", [None] * len(supports))
+    if form == "axes":
+        axes = _json_list(doc["axes"], object, "grid entry axes must be a JSON list")
+        axes = [_json_object(a, f"grid axis {k}", ("S",)) for k, a in enumerate(axes, 1)]
+        supports = [a["S"] for a in axes]
+        psi_docs = [a.get("psi") for a in axes]
     else:
-        raise ParseError("grid document needs an 'axes' or 'S' entry")
-    if any(psi is not None and not isinstance(psi, Mapping) for psi in psi_docs):
-        raise ParseError("each psi entry must be a JSON object or null")
+        supports = doc["S"]
+        psi_docs = doc.get("psi", [None] * len(supports) if isinstance(supports, list) else ())
+    _json_list(supports, list, "grid entry S must be a JSON list of lists")
+    _json_list(psi_docs, (Mapping, type(None)),
+               "grid entry psi must be a JSON list of objects or nulls")
     grid = MultisetGrid.build(
         ring,
         [[element_from_json(ring, v) for v in S] for S in supports],
@@ -122,7 +141,8 @@ def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
     )
     if "E" in doc:
         return PuncturedGrid.build(
-            grid, [[element_from_json(ring, v) for v in E] for E in doc["E"]]
+            grid, [[element_from_json(ring, v) for v in E] for E in
+                   _json_list(doc["E"], list, "grid entry E must be a JSON list of lists")]
         )
     if "B" not in doc:
         return grid
@@ -216,12 +236,7 @@ def _check_claim(kind: str, t, nvars: int, labels) -> None:
 def verify_certificate_json(doc: Mapping) -> dict:
     """Re-check a serialized division or certificate from the document
     alone: rebuild the outcome and run the ``verify()`` its writer ran."""
-    if not isinstance(doc, Mapping):
-        raise ParseError("certificate document must be a JSON object")
-    required = ("ring", "nvars", "poly", "quotients", "remainder")
-    missing = [k for k in required if k not in doc]
-    if missing:
-        raise ParseError(f"certificate document lacks {', '.join(missing)}")
+    _json_object(doc, "certificate document", ("ring", "nvars", "poly", "quotients", "remainder"))
     ring = parse_ring(doc["ring"])
     nvars = _json_int(doc["nvars"], "nvars", 1)
     f = parse_poly(doc["poly"], ring, nvars)

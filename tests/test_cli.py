@@ -160,31 +160,47 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("punctured", "--ring", "ZZ", "--grid", "{S:[[0,1]], E:[[0],[1]]}"),
-        ("membership", "--ring", "ZZ",
-         "--grid", '{"S":[[0,1],[0,1]], "psi":[{"0":1,"1":1}]}'),
-        ("membership", "--ring", "ZZ",
-         "--grid", '{"S":[[0,1]], "psi":[{"0":1,"1":1},{"0":3}]}'),
-        ("membership", "--ring", "QQ", "--grid", "{S:[[true,0]]}"),
-        ("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"psi":[{"0":1.9,"1":1}]}'),
-        ("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"psi":[{"0":true,"1":1}]}'),
-        ("membership", "--grid", '{"ring":5,"S":[[0,1]]}'),
-        ("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"psi":[5]}'),
-        ("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"E":[[0]]}'),
-        ("certificate", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"E":[[0]]}'),
-        ("normal-form", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"E":[[0]]}'),
+        (("punctured", "--ring", "ZZ", "--grid", "{S:[[0,1]], E:[[0],[1]]}"), None),
+        (("membership", "--ring", "ZZ",
+          "--grid", '{"S":[[0,1],[0,1]], "psi":[{"0":1,"1":1}]}'), None),
+        (("membership", "--ring", "ZZ",
+          "--grid", '{"S":[[0,1]], "psi":[{"0":1,"1":1},{"0":3}]}'), None),
+        (("membership", "--ring", "QQ", "--grid", "{S:[[true,0]]}"), None),
+        (("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"psi":[{"0":1.9,"1":1}]}'), None),
+        (("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"psi":[{"0":true,"1":1}]}'), None),
+        (("membership", "--grid", '{"ring":5,"S":[[0,1]]}'), None),
+        (("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"psi":[5]}'), None),
+        (("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"E":[[0]]}'), None),
+        (("certificate", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"E":[[0]]}'), None),
+        (("normal-form", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"E":[[0]]}'), None),
+        # The reader names what is missing or mistyped.
+        (("membership", "--ring", "ZZ", "--grid", "null"),
+         "grid document must be a JSON object"),
+        (("membership", "--grid", "{}"), "grid document lacks ring, S"),
+        (("membership", "--ring", "ZZ", "--grid", '{"axes":[{}]}'), "grid axis 1 lacks S"),
+        (("membership", "--ring", "ZZ", "--grid", '{"axes":5}'),
+         "grid entry axes must be a JSON list"),
+        (("membership", "--ring", "ZZ", "--grid", '{"S":[0,1]}'),
+         "grid entry S must be a JSON list of lists"),
+        (("membership", "--grid", '{"S":[[0,1]],"ring":"ZZ","psi":null}'),
+         "grid entry psi must be a JSON list of objects or nulls"),
+        (("punctured", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"E":null}'),
+         "grid entry E must be a JSON list of lists"),
     ],
     ids=["extra_puncture", "short_psi", "extra_psi", "bool_element", "fractional_psi",
          "bool_psi", "number_ring", "number_psi", "membership_puncture",
-         "certificate_puncture", "normal_form_puncture"],
+         "certificate_puncture", "normal_form_puncture", "null_grid", "no_ring_no_S",
+         "axis_without_S", "number_axes", "flat_S", "null_psi", "null_E"],
 )
-def test_malformed_grid_exit_code(capsys, argv):
+def test_malformed_grid_exit_code(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--t", "1", "--poly", "x1^2-x1")
     assert code == 3
     assert out == ""
     assert err.startswith("error:")
+    if message is not None:
+        assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -344,23 +360,37 @@ COVER_INSTANCE = {
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "doc, message",
     [
-        {"t": 1.9},
-        {"t": True},
-        {"planes": [{"poly": "x1 - 1", "degree": 1.7}, {"poly": "x2 - 1"}]},
-        {"planes": [{"poly": "x1 - 1", "degree": True}, {"poly": "x2 - 1"}]},
-        {"planes": [{"poly": 5}, {"poly": "x2 - 1"}]},
-        {"planes": [{"poly": "0"}, {"poly": "x2 - 1"}]},
+        ({**COVER_INSTANCE, "t": 1.9}, None),
+        ({**COVER_INSTANCE, "t": True}, None),
+        ({**COVER_INSTANCE,
+          "planes": [{"poly": "x1 - 1", "degree": 1.7}, {"poly": "x2 - 1"}]}, None),
+        ({**COVER_INSTANCE,
+          "planes": [{"poly": "x1 - 1", "degree": True}, {"poly": "x2 - 1"}]}, None),
+        ({**COVER_INSTANCE, "planes": [{"poly": 5}, {"poly": "x2 - 1"}]}, None),
+        ({**COVER_INSTANCE, "planes": [{"poly": "0"}, {"poly": "x2 - 1"}]}, None),
+        # The reader names what is missing or mistyped.
+        ({}, "cover instance lacks pgrid, planes, t"),
+        (None, "cover instance must be a JSON object"),
+        ({"planes": [], "t": 1}, "cover instance lacks pgrid"),
+        ({**COVER_INSTANCE, "planes": 5}, "planes must be a JSON list"),
+        ({**COVER_INSTANCE, "planes": [{"poly": "x1 - 1"}, {"degree": 1}]},
+         "plane 2 lacks poly"),
+        ({**COVER_INSTANCE, "pgrid": {"ring": "ZZ", "S": [[0, 1], [0, 1]], "E": None}},
+         "grid entry E must be a JSON list of lists"),
     ],
     ids=["fractional_t", "bool_t", "fractional_degree", "bool_degree", "number_poly",
-         "zero_plane"],
+         "zero_plane", "empty_instance", "null_instance", "no_pgrid", "number_planes",
+         "plane_without_poly", "null_E"],
 )
-def test_malformed_instance_exit_code(capsys, edit):
-    code, out, err = run(capsys, "cover", "--instance", json.dumps({**COVER_INSTANCE, **edit}))
+def test_malformed_instance_exit_code(capsys, doc, message):
+    code, out, err = run(capsys, "cover", "--instance", json.dumps(doc))
     assert code == 3
     assert out == ""
     assert err.startswith("error:")
+    if message is not None:
+        assert err == f"error: {message}\n"
 
 
 def _readme_cli_commands():

@@ -450,6 +450,48 @@ def test_sweep_skips_coprime_and_tied_pairs(monkeypatch, members, expected, divi
     assert oracle_buchberger(family) is expected
 
 
+def _coprime_families(ring):
+    yield level_basis(MultisetGrid.build(ring, [[0, 1]] * 2), 0)
+    for n in (1, 2, 3):
+        for m in (1, 2):
+            grid = MultisetGrid.build(ring, [[0, 1]] * n, [{0: m, 1: m}] * n)
+            yield level_basis(grid, 1)
+    yield MonicFamily.build([P(text, ring, nvars=3) for text in
+                             ["x1^2 - x1", "x2^2 - x2", "x3 - 2"]])
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_sweep_certifies_coprime_witnesses_without_packing(monkeypatch, ring):
+    # Pairwise coprime witnesses (Alon's level-1 basis among them) are
+    # settled by the first criterion before the family is packed.
+    families = list(_coprime_families(ring))
+    assert all(oracle_buchberger(family) for family in families)
+
+    def refuse(corner):
+        raise AssertionError("a coprime family was packed")
+
+    monkeypatch.setattr(reduction, "_packing", refuse)
+    for family in families:
+        assert buchberger_certifies(family) is True
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_sweep_packs_a_family_with_a_shared_variable(monkeypatch, ring):
+    corners = []
+    packing = reduction._packing
+
+    def counted(corner):
+        corners.append(corner)
+        return packing(corner)
+
+    monkeypatch.setattr(reduction, "_packing", counted)
+    family = MonicFamily.build([P(text, ring, nvars=3) for text in
+                                ["x1^2 - x1", "x1*x2 + 2*x1", "x3 - 2"]])
+    assert buchberger_certifies(family) is True
+    assert corners == [(2, 1, 1)]
+    assert oracle_buchberger(family) is True
+
+
 def test_sweep_needs_strictly_smaller_lcms():
     # Every pair's lcm is x1*x2 and x1*x2 divides it, but each pair's other
     # two lcms tie with its own; skipping on "some third witness divides the
