@@ -6,7 +6,8 @@ punctured, mixed, cover, alon-furedi, count, verify, selftest.
 Exit codes: 0 when the computed verdict is affirmative (or the command is
 purely computational), 1 when the verdict is negative or hypotheses are
 unmet, 2 when Condition (D) fails and the question is inapplicable, 3 on
-parse or usage errors, 4 when an internal invariant fails (a library bug).
+parse or usage errors, 4 on any other error: an internal invariant that
+failed, or an exception no library check raised (a library bug).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .polynomials import (
 from .reduction import MonicFamily, buchberger_certifies, reduce
 from .rings import ZZ, Zmod, parse_ring
 from .serialization import (
+    _json_list,
     certificate_to_json,
     element_from_json,
     family_to_json,
@@ -228,14 +230,15 @@ def _cmd_normal_form(args) -> int:
 def _cmd_punctured(args) -> int:
     pgrid = _grid_arg(args, PuncturedGrid)
     f = parse_poly(_read_arg(args.poly), pgrid.ring, pgrid.nvars)
-    verdict = punctured_membership(f, pgrid, args.t)
     if not args.analyze:
+        verdict = punctured_membership(f, pgrid, args.t)
         _emit(args, {"member": verdict, "t": args.t}, [str(verdict).lower()])
         return EXIT_YES if verdict else EXIT_NO
-    if not verdict:
+    try:
+        report = punctured_analysis(f, pgrid, args.t)
+    except NotMember:
         _emit(args, {"member": False, "t": args.t}, ["false"])
         return EXIT_NO
-    report = punctured_analysis(f, pgrid, args.t)
     payload = {"member": True, "t": args.t, "analysis": report.to_json_dict()}
     lines = [
         "true",
@@ -258,12 +261,16 @@ def _cmd_mixed(args) -> int:
     if not args.poly:
         raise _UsageError("mixed needs --poly unless --min-extra-degree is given")
     f = parse_poly(_read_arg(args.poly), pgrid.ring, pgrid.nvars)
-    verdict = mixed_membership(f, pgrid, args.t)
-    if args.certificate and verdict:
-        payload = certificate_to_json(mixed_certificate(f, pgrid, args.t))
+    if args.certificate:
+        try:
+            payload = certificate_to_json(mixed_certificate(f, pgrid, args.t))
+        except NotMember:
+            _emit(args, {"member": False, "t": args.t}, ["false"])
+            return EXIT_NO
         support = payload["checks"]["support"]
         _emit(args, payload, ["true", f"support containment: {support}"])
         return EXIT_YES
+    verdict = mixed_membership(f, pgrid, args.t)
     _emit(args, {"member": verdict, "t": args.t}, [str(verdict).lower()])
     return EXIT_YES if verdict else EXIT_NO
 
@@ -308,7 +315,7 @@ def _cmd_cover(args) -> int:
 def _cmd_alon_furedi(args) -> int:
     from .alon_furedi import nonzero_bound
     ring = parse_ring(args.ring)
-    supports_doc = _loose_json(args.supports)
+    supports_doc = _json_list(_loose_json(args.supports), list, "--S must be a JSON list of lists")
     supports = [[element_from_json(ring, v) for v in S] for S in supports_doc]
     nvars = len(supports)
     f = parse_poly(_read_arg(args.poly), ring, nvars)
@@ -479,9 +486,14 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (CombnullError, OSError, KeyError, ValueError, TypeError) as exc:
+    except (CombnullError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # raised by no library check: a bug
+        import traceback
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

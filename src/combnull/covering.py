@@ -15,12 +15,12 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
 from typing import Mapping, Sequence
 
-from .errors import InternalInvariantError, ParseError, ScaleExceeded
+from .errors import InternalInvariantError, NonPositiveMultiplicity, ParseError, ScaleExceeded
 from .multiset_ideals import PuncturedGrid
 from .polynomials import Poly, parse_poly
 from .rings import GF
-from .serialization import _json_int, _json_list, _json_object, grid_from_json
-from .staircase import require_level
+from .serialization import _json_list, _json_object, grid_from_json
+from .staircase import require_int
 
 
 def point_cover_threshold(psi_at_point: Sequence[int], t: int) -> int:
@@ -30,10 +30,8 @@ def point_cover_threshold(psi_at_point: Sequence[int], t: int) -> int:
     multiplicity floors sum to at most t-1, which closes to
     ``sum(psi_i - 1) + (t - 1) * max(psi_i) + 1``.
     """
-    require_level(t, 1)
-    psi = tuple(psi_at_point)
-    if any(m < 1 for m in psi):
-        raise ValueError("multiplicities must be positive")
+    require_int(t, 1, "t", ValueError)
+    psi = tuple(require_int(m, 1, "multiplicity", NonPositiveMultiplicity) for m in psi_at_point)
     return sum(m - 1 for m in psi) + (t - 1) * max(psi) + 1
 
 
@@ -48,7 +46,7 @@ class CoverInstance:
 
     @classmethod
     def build(cls, pgrid: PuncturedGrid, planes: Sequence, t: int) -> "CoverInstance":
-        require_level(t, 1)
+        require_int(t, 1, "t", ValueError)
         checked = []
         for rho, e in planes:
             if rho.is_zero():
@@ -70,11 +68,11 @@ def instance_from_json(doc: Mapping) -> CoverInstance:
         raise ParseError("punctured grid document needs an 'E' entry")
     planes = []
     for k, plane in enumerate(_json_list(doc["planes"], object, "planes must be a JSON list"), 1):
-        _json_object(plane, f"plane {k}", ("poly",))
+        _json_object(plane, f"plane {k}", ("poly",), ("degree",))
         rho = parse_poly(plane["poly"], pgrid.ring, pgrid.nvars)
         degree = rho.degree()
         if "degree" in plane:
-            degree = _json_int(plane["degree"], "degree", 0)
+            degree = require_int(plane["degree"], 0, "degree", ParseError)
         planes.append((rho, degree))
     return CoverInstance.build(pgrid, planes, doc["t"])
 
@@ -181,9 +179,8 @@ def _require_blocking(q: int, n: int, t: int) -> None:
     never per search candidate: ``GF(q)`` refuses a q that is not prime,
     then n and t must be >= 1."""
     GF(q)
-    if n < 1:
-        raise ValueError("n must be positive")
-    require_level(t, 1)
+    require_int(n, 1, "n", ValueError)
+    require_int(t, 1, "t", ValueError)
 
 
 def affine_blocking_bound(q: int, n: int, t: int) -> int:

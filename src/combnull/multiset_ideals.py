@@ -42,13 +42,12 @@ from .polynomials import (
     Poly,
     _power_products,
     _root_terms,
-    require_multiplicity,
     root_product,
     taylor_shift,
 )
 from .reduction import MonicFamily, ReductionOutcome, decompose_member, reduce
 from .rings import Element, Ring
-from .staircase import compositions, require_level
+from .staircase import compositions, require_int
 
 # Grid points one scan may visit.  On a 2 vCPU Xeon, membership of
 # x1^2 - x1 in I_1 of {0, 1}^19 (2^19 Taylor shifts) takes ~18 s, of
@@ -83,14 +82,10 @@ class Axis:
         mults = []
         for u in support:
             m = 1 if psi is None else psi.get(u)
-            if m is None:
-                raise NonPositiveMultiplicity(f"no multiplicity for {u}")
-            require_multiplicity(u, m)
-            mults.append(m)
-        if psi is not None:
-            extra = set(psi) - set(support)
-            if extra:
-                raise ValueError(f"multiplicities for absent elements {extra}")
+            mults.append(require_int(m, 1, f"psi({u})", NonPositiveMultiplicity))
+        # psi holds every support element now, so it holds others iff it is longer
+        if psi is not None and len(psi) > len(support):
+            raise ValueError(f"multiplicities for absent elements {set(psi) - set(support)}")
         key = (ring, support, tuple(mults))
         axis = _AXES.get(key)
         if axis is None:
@@ -237,7 +232,7 @@ def level_basis(grid: MultisetGrid, t: int) -> MonicFamily:
     of monic axis polynomials, so it is certified at construction and has
     ``C(n + t - 1, n - 1)`` members.
     """
-    require_level(t, 0)
+    require_int(t, 0, "t", ValueError)
     alphas = _exponent_vectors(t, grid.nvars)
     built = _power_products(grid.ring, grid._axis_terms(), alphas)
     family = MonicFamily.build([g for g, _ in built], labels=alphas, certified=True)
@@ -278,7 +273,7 @@ def level_membership(f: Poly, grid: MultisetGrid, t: int) -> bool:
     Valid only under Condition (D) on every axis; raises Inapplicable
     otherwise.
     """
-    require_level(t, 0)
+    require_int(t, 0, "t", ValueError)
     return _grid_condition(f, grid, _floor_sum_checks(grid, (grid.grid_points(), t)))
 
 
@@ -313,7 +308,7 @@ def punctured_membership(f: Poly, pgrid: PuncturedGrid, t: int) -> bool:
     The vanishing conditions run over the grid minus the punctured
     subgrid.  Gated by Condition (D) on every axis of the grid.
     """
-    require_level(t, 0)
+    require_int(t, 0, "t", ValueError)
     checks = _floor_sum_checks(pgrid, (pgrid.off_puncture_points(), t))
     return _grid_condition(f, pgrid, checks)
 
@@ -357,7 +352,7 @@ def punctured_analysis(f: Poly, pgrid: PuncturedGrid, t: int) -> PuncturedReport
     asserts and reports the degree chain
     ``deg f >= deg eta >= (t-1)*max_m offsum_m + sum_k offsum_k``.
     """
-    require_level(t, 1)
+    require_int(t, 1, "t", ValueError)
     if not punctured_membership(f, pgrid, t):
         raise NotMember("not in the punctured intersection")
     eta = level_normal_form(f, pgrid, t)
@@ -407,7 +402,7 @@ def mixed_basis(pgrid: PuncturedGrid, t: int) -> MonicFamily:
     full off-puncture product, ``prod_k off_k g_k^(alpha_k)``, built per
     axis like the plain ones.
     """
-    require_level(t, 1)
+    require_int(t, 1, "t", ValueError)
     n = pgrid.nvars
     upper = _exponent_vectors(t, n)
     lower = _exponent_vectors(t - 1, n)
@@ -420,7 +415,7 @@ def mixed_basis(pgrid: PuncturedGrid, t: int) -> MonicFamily:
 def mixed_membership(f: Poly, pgrid: PuncturedGrid, t: int) -> bool:
     """Membership in the mixed ideal: full-strength vanishing conditions
     off the puncture, one level weaker on the puncture subgrid."""
-    require_level(t, 1)
+    require_int(t, 1, "t", ValueError)
     checks = _floor_sum_checks(
         pgrid, (pgrid.off_puncture_points(), t), (pgrid.puncture_points(), t - 1)
     )
@@ -444,7 +439,7 @@ def min_extra_degree(pgrid: PuncturedGrid, t: int):
     polynomial times the full off-puncture product.  Requires a nonempty
     puncture subgrid on every axis.
     """
-    require_level(t, 1)
+    require_int(t, 1, "t", ValueError)
     if any(not E for E in pgrid.punctures):
         raise EmptyPuncture("every axis needs a nonempty puncture set")
     pgrid.require_condition_d()

@@ -27,7 +27,7 @@ from .errors import (
     ScaleExceeded,
 )
 from .rings import Element, Ring
-from .staircase import ExpVec, grlex_key, maximal_elements
+from .staircase import ExpVec, grlex_key, maximal_elements, require_int
 
 NEG_INF = float("-inf")
 
@@ -38,8 +38,7 @@ class Poly:
     __slots__ = ("ring", "nvars", "terms")
 
     def __init__(self, ring: Ring, nvars: int, terms: Mapping | None = None):
-        if nvars < 1:
-            raise ValueError("nvars must be at least 1")
+        require_int(nvars, 1, "nvars", ValueError)
         clean: dict = {}
         for alpha, c in (terms or {}).items():
             alpha = tuple(alpha)
@@ -253,25 +252,19 @@ def taylor_shift(f: Poly, u: Sequence[Element]) -> Poly:
 # -- grid constructors ---------------------------------------------------------
 
 
-def require_multiplicity(u, m) -> None:
-    """The one multiplicity rule: psi(u) is an ``int`` (not a ``bool``) >= 1."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise NonPositiveMultiplicity(f"psi({u}) = {m!r}")
-
-
 def _root_terms(ring: Ring, elements: Iterable[Element], psi) -> tuple:
     """``prod (x - u)^psi(u)`` in one variable, as sparse ``(exponents,
     coefficients)`` tuples, lowest degree first.
 
-    Multiplicities default to one and go through ``require_multiplicity``;
+    Multiplicities default to one and must be integers >= 1;
     each element goes through ``ring.canon``.  The product is kept as a
     dense coefficient list and multiplied by ``x - u`` one factor at a time.
     """
     zero = ring.zero
     coeffs = [ring.one]
     for u in elements:
-        m = 1 if psi is None else psi[u]
-        require_multiplicity(u, m)
+        m = 1 if psi is None else psi.get(u)
+        require_int(m, 1, f"psi({u})", NonPositiveMultiplicity)
         u = ring.canon(u)
         for _ in range(m):
             # (x - u) * c has coefficient c[i-1] - u * c[i] at degree i.
@@ -295,8 +288,7 @@ def root_product(
     With an empty element set this is the constant one.  Multiplicities
     default to one and must be positive.
     """
-    if nvars < 1:
-        raise ValueError("nvars must be at least 1")
+    require_int(nvars, 1, "nvars", ValueError)
     if not 0 <= axis < nvars:
         raise ValueError(f"axis {axis} out of range for {nvars} variables")
     before, after = (0,) * axis, (0,) * (nvars - axis - 1)
@@ -398,12 +390,10 @@ def monic_power_product(axis_polys: Sequence[Poly], alphas: Iterable[ExpVec]) ->
             raise NotMonic(f"axis polynomial {k + 1} is not monic")
         axis_terms = sorted((alpha[k], c) for alpha, c in g.terms.items())
         factors.append(tuple(map(list, zip(*axis_terms))))
-    alphas = [tuple(alpha) for alpha in alphas]
+    alphas = [tuple(require_int(e, 0, "exponent", ValueError) for e in alpha) for alpha in alphas]
     for alpha in alphas:
         if len(alpha) != n:
             raise ArityMismatch(f"exponent {alpha} for {n} axis polynomials")
-        if min(alpha) < 0:
-            raise ValueError(f"negative exponent in {alpha}")
     return _power_products(ring, factors, alphas)
 
 

@@ -24,7 +24,7 @@ from .multiset_ideals import MultisetGrid, PuncturedGrid
 from .polynomials import format_poly, parse_poly
 from .reduction import MonicFamily, ReductionOutcome
 from .rings import Ring, parse_ring
-from .staircase import compositions, format_expvec, parse_expvec, require_level
+from .staircase import compositions, format_expvec, parse_expvec, require_int
 
 
 def element_to_json(ring: Ring, value):
@@ -37,21 +37,18 @@ def element_from_json(ring: Ring, value):
     return ring.canon(value)
 
 
-def _json_int(value, what: str, least: int) -> int:
-    """A JSON integer >= least; a float, a bool or a string is a ParseError."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ParseError(f"{what} must be an integer >= {least}, got {value!r}")
-    return value
-
-
-def _json_object(doc, what: str, required=()) -> Mapping:
-    """``doc`` when it is a JSON object holding every ``required`` key; one
-    ParseError names every key it lacks."""
+def _json_object(doc, what: str, required=(), optional=()) -> Mapping:
+    """``doc`` when it is a JSON object holding every ``required`` key and
+    no key outside ``required`` and ``optional``; one ParseError names
+    every key it lacks, another every key it does not know."""
     if not isinstance(doc, Mapping):
         raise ParseError(f"{what} must be a JSON object")
     missing = [k for k in required if k not in doc]
     if missing:
         raise ParseError(f"{what} lacks {', '.join(missing)}")
+    unknown = [str(k) for k in doc if k not in required and k not in optional]
+    if unknown:
+        raise ParseError(f"{what} has unknown keys {', '.join(unknown)}")
     return doc
 
 
@@ -114,14 +111,16 @@ def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
     an ``E`` entry is read as a ``PuncturedGrid``, one with a ``B`` entry as
     a ``VanishingSpec``; one with both is a ``ParseError``."""
     form = "axes" if isinstance(doc, Mapping) and "axes" in doc else "S"
-    _json_object(doc, "grid document", ("ring",) * (ring is None) + (form,))
+    _json_object(doc, "grid document", ("ring",) * (ring is None) + (form,),
+                 ("ring", "E", "B") + ("psi",) * (form == "S"))
     if "E" in doc and "B" in doc:
         raise ParseError("grid document carries both E and B")
     if ring is None:
         ring = parse_ring(doc["ring"])
     if form == "axes":
         axes = _json_list(doc["axes"], object, "grid entry axes must be a JSON list")
-        axes = [_json_object(a, f"grid axis {k}", ("S",)) for k, a in enumerate(axes, 1)]
+        axes = [_json_object(a, f"grid axis {k}", ("S",), ("psi",))
+                for k, a in enumerate(axes, 1)]
         supports = [a["S"] for a in axes]
         psi_docs = [a.get("psi") for a in axes]
     else:
@@ -153,7 +152,8 @@ def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
         inner = key.strip()
         if not (inner.startswith("(") and inner.endswith(")")):
             raise ParseError(f"bad grid point key {key!r}")
-        B[tuple(ring.parse_element(p) for p in inner[1:-1].split(",") if p.strip())] = vecs
+        point = tuple(ring.parse_element(p) for p in inner[1:-1].split(",") if p.strip())
+        B[point] = _json_list(vecs, list, "spec entry B must hold JSON lists of lists")
     from .vanishing import VanishingSpec
     return VanishingSpec.build(grid, B)
 
@@ -214,11 +214,7 @@ def _check_claim(kind: str, t, nvars: int, labels) -> None:
     level: ``compositions(t, n)``, after ``compositions(t - 1, n)`` for a
     mixed claim.  The labels are counted against C(t+n-1, n-1) (plus
     C(t+n-2, n-1) for a mixed claim) before any vector is listed."""
-    least = 0 if kind == "I_t" else 1
-    try:
-        require_level(t, least)
-    except ValueError as exc:
-        raise ParseError(f"{kind} claim: {exc}") from None
+    require_int(t, 0 if kind == "I_t" else 1, f"{kind} claim: t", ParseError)
     count = comb(t + nvars - 1, nvars - 1)
     if kind == "mixed":
         count += comb(t + nvars - 2, nvars - 1)
@@ -236,9 +232,10 @@ def _check_claim(kind: str, t, nvars: int, labels) -> None:
 def verify_certificate_json(doc: Mapping) -> dict:
     """Re-check a serialized division or certificate from the document
     alone: rebuild the outcome and run the ``verify()`` its writer ran."""
-    _json_object(doc, "certificate document", ("ring", "nvars", "poly", "quotients", "remainder"))
+    _json_object(doc, "certificate document", ("ring", "nvars", "poly", "quotients", "remainder"),
+                 ("checks", "basis", "t", "basis_polys", "degree_report"))
     ring = parse_ring(doc["ring"])
-    nvars = _json_int(doc["nvars"], "nvars", 1)
+    nvars = require_int(doc["nvars"], 1, "nvars", ParseError)
     f = parse_poly(doc["poly"], ring, nvars)
     kind = doc.get("basis")
     if not isinstance(kind, str):
@@ -252,6 +249,8 @@ def verify_certificate_json(doc: Mapping) -> dict:
     if kind is not None:
         _check_claim(kind, doc.get("t"), nvars, family.labels)
     quotient_doc = doc["quotients"]
+    if not isinstance(quotient_doc, Mapping):
+        raise ParseError("certificate entry quotients must be a JSON object")
     quotients = []
     for label in family.labels:
         key = _label_to_key(label)

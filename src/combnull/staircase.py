@@ -119,10 +119,12 @@ def compositions(total: int, parts: int) -> Iterator[ExpVec]:
         yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
-def require_level(t: int, least: int) -> None:
-    """The one gate on a level t: an ``int`` (not a ``bool``) >= least."""
-    if not isinstance(t, int) or isinstance(t, bool) or t < least:
-        raise ValueError(f"t must be an integer >= {least}, got {t!r}")
+def require_int(value, least: int, what: str, error) -> int:
+    """The one integer rule: ``value`` when it is an ``int`` (not a
+    ``bool``) >= least, else ``error`` naming ``what``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise error(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def staircase_count(alpha: ExpVec, t: int) -> int:
@@ -133,7 +135,7 @@ def staircase_count(alpha: ExpVec, t: int) -> int:
     ``prod(alpha) * C(n + t - 1, n)`` points; when every alpha_i is
     positive these are the beta with ``sum(floor(beta_i / alpha_i)) <= t - 1``.
     """
-    require_level(t, 0)
+    require_int(t, 0, "t", ValueError)
     n = len(alpha)
     prod_alpha = 1
     for a in alpha:
@@ -149,7 +151,7 @@ def punctured_staircase_count(alpha: ExpVec, gamma: ExpVec, t: int) -> int:
     C = {alpha*theta + alpha - gamma : sum(theta)=t-1}, which equals
     ``prod(alpha)*C(n+t-1, n) - prod(gamma)*C(n+t-2, n-1)``.
     """
-    require_level(t, 1)
+    require_int(t, 1, "t", ValueError)
     if len(alpha) != len(gamma):
         raise GammaExceedsAlpha("alpha and gamma must share a length")
     if not leq(gamma, alpha):

@@ -31,7 +31,7 @@ from .multiset_ideals import MultisetGrid, PuncturedGrid, _grid_condition
 from .polynomials import Poly, _power_products, _root_terms
 from .reduction import MonicFamily, ReductionOutcome, decompose_member
 from .rings import Element, Ring
-from .staircase import complement, has_finite_complement, in_upset
+from .staircase import complement, has_finite_complement, in_upset, require_int
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,8 @@ class VanishingSpec(MultisetGrid):
         for point in grid.grid_points():
             if point not in B:
                 raise ValueError(f"missing B entry for grid point {point}")
-            gens = frozenset(tuple(v) for v in B[point])
+            gens = frozenset(tuple(require_int(e, 0, f"exponent in B at {point}", ValueError)
+                                   for e in v) for v in B[point])
             if any(len(v) != grid.nvars for v in gens):
                 raise ArityMismatch(f"B at {point} needs exponent vectors of length {grid.nvars}")
             if not has_finite_complement(gens, grid.nvars):
@@ -170,8 +171,7 @@ class MultiplicityTable:
 
     def __post_init__(self):
         for key, v in self.values.items():
-            if v < 0:
-                raise ValueError(f"negative multiplicity at {key}")
+            require_int(v, 0, f"multiplicity at {key}", ValueError)
 
     def get(self, axis: int, element, label) -> int:
         return self.values.get((axis, element, label), 0)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import combnull.cli
-from combnull import ZZ, InternalInvariantError, MultisetGrid
+from combnull import ZZ, InternalInvariantError, MultisetGrid, multiset_ideals
 from combnull.cli import main
 from combnull.serialization import grid_to_json
 
@@ -160,6 +160,24 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "exc, message",
+    [(TypeError("forced"), "TypeError: forced"), (KeyError("forced"), "KeyError: 'forced'")],
+    ids=["type_error", "key_error"],
+)
+def test_unexpected_exception_exit_code(capsys, monkeypatch, exc, message):
+    # only errors the library raises on purpose are usage errors (exit 3)
+    def broken(*_):
+        raise exc
+
+    monkeypatch.setattr(combnull.cli, "level_membership", broken)
+    code, out, err = run(
+        capsys, "membership", "--ring", "ZZ", "--grid", "{S:[[0,1]]}", "--t", "1", "--poly", "x1"
+    )
+    assert (code, out) == (4, "")
+    assert err.endswith(f"internal error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (("punctured", "--ring", "ZZ", "--grid", "{S:[[0,1]], E:[[0],[1]]}"), None),
@@ -188,11 +206,27 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
          "grid entry psi must be a JSON list of objects or nulls"),
         (("punctured", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"E":null}'),
          "grid entry E must be a JSON list of lists"),
+        # An entry the reader does not know is refused, not dropped.
+        (("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"pis":[{"0":2,"1":1}]}'),
+         "grid document has unknown keys pis"),
+        (("membership", "--ring", "ZZ", "--grid", '{"axes":[{"S":[0,1]}],"S":[[0,1,2],[0,1]]}'),
+         "grid document has unknown keys S"),
+        (("membership", "--ring", "ZZ", "--grid", '{"axes":[{"S":[0,1]}],"psi":[{"0":2,"1":1}]}'),
+         "grid document has unknown keys psi"),
+        (("membership", "--ring", "ZZ", "--grid", '{"axes":[{"S":[0,1],"pis":{"0":2}}]}'),
+         "grid axis 1 has unknown keys pis"),
+        (("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"pis":[],"e":[]}'),
+         "grid document has unknown keys pis, e"),
+        # psi(u) follows the one integer rule, a missing entry included.
+        (("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"psi":[{"0":1}]}'),
+         "psi(1) must be an integer >= 1, got None"),
     ],
     ids=["extra_puncture", "short_psi", "extra_psi", "bool_element", "fractional_psi",
          "bool_psi", "number_ring", "number_psi", "membership_puncture",
          "certificate_puncture", "normal_form_puncture", "null_grid", "no_ring_no_S",
-         "axis_without_S", "number_axes", "flat_S", "null_psi", "null_E"],
+         "axis_without_S", "number_axes", "flat_S", "null_psi", "null_E", "misspelt_psi",
+         "axes_and_S", "axes_and_psi", "axis_misspelt_psi", "two_unknown_keys",
+         "missing_psi_entry"],
 )
 def test_malformed_grid_exit_code(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--t", "1", "--poly", "x1^2-x1")
@@ -308,22 +342,39 @@ def test_cover_instance_needs_a_puncture_set(capsys):
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, message",
     [
-        '{"S":[[0,1]],"B":{"(0,)":[[1,7]],"(1,)":[[1,7]]}}',
-        '{"S":[[0,1],[0,1]],"B":{"(0,0)":[[1]],"(0,1)":[[1]],"(1,0)":[[1]],"(1,1)":[[1]]}}',
-        '{"S":[[0,1]],"B":{"(0,)":[[1]],"(1,)":[[1]],"(5,)":[[9]]}}',
-        '{"S":[[0,1]],"B":[]}',
+        ('{"S":[[0,1]],"B":{"(0,)":[[1,7]],"(1,)":[[1,7]]}}', None),
+        ('{"S":[[0,1],[0,1]],"B":{"(0,0)":[[1]],"(0,1)":[[1]],"(1,0)":[[1]],"(1,1)":[[1]]}}',
+         None),
+        ('{"S":[[0,1]],"B":{"(0,)":[[1]],"(1,)":[[1]],"(5,)":[[9]]}}', None),
+        ('{"S":[[0,1]],"B":[]}', None),
+        # B's exponents follow the one integer rule, and its vectors are lists.
+        ('{"S":[[0,1]],"B":{"(0,)":[[-1]],"(1,)":[[1]]}}',
+         "exponent in B at (0,) must be an integer >= 0, got -1"),
+        ('{"S":[[0,1]],"B":{"(0,)":[[true]],"(1,)":[[1]]}}',
+         "exponent in B at (0,) must be an integer >= 0, got True"),
+        ('{"S":[[0,1]],"B":{"(0,)":[[1.0]],"(1,)":[[1]]}}',
+         "exponent in B at (0,) must be an integer >= 0, got 1.0"),
+        ('{"S":[[0,1]],"B":{"(0,)":[[[1]]],"(1,)":[[1]]}}',
+         "exponent in B at (0,) must be an integer >= 0, got [1]"),
+        ('{"S":[[0,1]],"B":{"(0,)":[null],"(1,)":[[1]]}}',
+         "spec entry B must hold JSON lists of lists"),
+        ('{"S":[[0,1]],"B":{"(0,)":5,"(1,)":[[1]]}}',
+         "spec entry B must hold JSON lists of lists"),
     ],
-    ids=["long_vectors", "short_vectors", "off_grid_point", "list_B"],
+    ids=["long_vectors", "short_vectors", "off_grid_point", "list_B", "negative_exponent",
+         "bool_exponent", "float_exponent", "nested_exponent", "null_vector", "number_entry"],
 )
-def test_malformed_spec_exit_code(capsys, spec):
+def test_malformed_spec_exit_code(capsys, spec, message):
     code, out, err = run(
         capsys, "groebner-check", "--ring", "ZZ", "--spec", spec, "--basis", "x1^2-x1"
     )
     assert code == 3
     assert out == ""
     assert err.startswith("error:")
+    if message is not None:
+        assert err == f"error: {message}\n"
 
 
 def _level_certificate_doc(capsys):
@@ -336,13 +387,17 @@ def _level_certificate_doc(capsys):
 
 
 @pytest.mark.parametrize(
-    "field, value",
-    [("nvars", 1.9), ("nvars", True), ("nvars", 0), ("poly", 0), ("remainder", None),
-     ("ring", 5)],
+    "field, value, message",
+    [("nvars", 1.9, None), ("nvars", True, None), ("nvars", 0, None), ("poly", 0, None),
+     ("remainder", None, None), ("ring", 5, None),
+     ("nvars", "2", "nvars must be an integer >= 1, got '2'"),
+     ("t", 1.0, "I_t claim: t must be an integer >= 0, got 1.0"),
+     ("quotients", 5, "certificate entry quotients must be a JSON object"),
+     ("quotient", {}, "certificate document has unknown keys quotient")],
     ids=["fractional_nvars", "bool_nvars", "zero_nvars", "number_poly", "null_remainder",
-         "number_ring"],
+         "number_ring", "string_nvars", "float_t", "number_quotients", "unknown_key"],
 )
-def test_malformed_certificate_exit_code(capsys, field, value):
+def test_malformed_certificate_exit_code(capsys, field, value, message):
     doc = _level_certificate_doc(capsys)
     assert run(capsys, "verify", "--certificate", json.dumps(doc))[0] == 0
     doc[field] = value
@@ -350,6 +405,8 @@ def test_malformed_certificate_exit_code(capsys, field, value):
     assert code == 3
     assert out == ""
     assert err.startswith("error:")
+    if message is not None:
+        assert err == f"error: {message}\n"
 
 
 COVER_INSTANCE = {
@@ -379,10 +436,15 @@ COVER_INSTANCE = {
          "plane 2 lacks poly"),
         ({**COVER_INSTANCE, "pgrid": {"ring": "ZZ", "S": [[0, 1], [0, 1]], "E": None}},
          "grid entry E must be a JSON list of lists"),
+        ({**COVER_INSTANCE, "planes": [{"poly": "x1 - 1", "degre": 3}, {"poly": "x2 - 1"}]},
+         "plane 1 has unknown keys degre"),
+        ({**COVER_INSTANCE, "T": 2}, "cover instance has unknown keys T"),
+        ({**COVER_INSTANCE, "planes": [{"poly": "x1 - 1", "degree": "1"}]},
+         "degree must be an integer >= 0, got '1'"),
     ],
     ids=["fractional_t", "bool_t", "fractional_degree", "bool_degree", "number_poly",
          "zero_plane", "empty_instance", "null_instance", "no_pgrid", "number_planes",
-         "plane_without_poly", "null_E"],
+         "plane_without_poly", "null_E", "misspelt_degree", "unknown_key", "string_degree"],
 )
 def test_malformed_instance_exit_code(capsys, doc, message):
     code, out, err = run(capsys, "cover", "--instance", json.dumps(doc))
@@ -641,6 +703,51 @@ def test_punctured_analyze(capsys):
     assert payload["analysis"]["bound_holds"] is True
 
 
+PGRID_2 = "{S:[[0,1],[0,1]], E:[[0],[0]]}"
+
+
+@pytest.mark.parametrize(
+    "argv, decider, code, out",
+    [
+        (("punctured", "--poly", "x1*x2 - x1 - x2 + 1", "--analyze"), "punctured_membership",
+         0, "true\nnormal form: x1*x2 - x1 - x2 + 1\ndivisor: x1*x2 - x1 - x2 + 1\n"
+            "cofactor: 1\ndegree bound: 2 (holds: True)\n"),
+        (("punctured", "--poly", "x1", "--analyze"), "punctured_membership", 1, "false\n"),
+        (("mixed", "--poly", "x1*x2 - x1 - x2 + 1", "--certificate"), "mixed_membership",
+         0, "true\nsupport containment: True\n"),
+        (("mixed", "--poly", "x1", "--certificate"), "mixed_membership", 1, "false\n"),
+    ],
+    ids=["analyze_member", "analyze_non_member", "certificate_member",
+         "certificate_non_member"],
+)
+def test_membership_is_decided_once(capsys, monkeypatch, argv, decider, code, out):
+    # --analyze and --certificate take the verdict from the analysis or the
+    # certificate, without a membership test of their own
+    calls = []
+    real = getattr(multiset_ideals, decider)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (combnull.cli, multiset_ideals):
+        monkeypatch.setattr(module, decider, counted)
+    assert run(capsys, *argv, "--ring", "ZZ", "--grid", PGRID_2, "--t", "1")[:2] == (code, out)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("flag", ["--analyze", "--certificate"])
+@pytest.mark.parametrize(
+    "ring, grid, t, code",
+    [("ZZ", PGRID_2, "0", 3), ("ZZ/6", "{S:[[0,3]], E:[[0]]}", "1", 2)],
+    ids=["level_zero", "condition_d_fails"],
+)
+def test_analysis_and_certificate_refusals(capsys, flag, ring, grid, t, code):
+    command = "punctured" if flag == "--analyze" else "mixed"
+    argv = (command, "--ring", ring, "--grid", grid, "--t", t, "--poly", "x1", flag)
+    assert run(capsys, *argv)[:2] == (code, "")
+
+
 def test_mixed_min_extra_degree(capsys):
     code, out, _ = run(
         capsys,
@@ -668,6 +775,14 @@ def test_mixed_membership_and_certificate(capsys):
     code, out, _ = run(capsys, *args, "--certificate", "--format", "json")
     assert code == 0
     assert json.loads(out)["basis"] == "mixed"
+
+
+@pytest.mark.parametrize("supports", ["5", "[5]", "null", '{"S":[[0]]}'])
+def test_alon_furedi_needs_a_list_of_lists(capsys, supports):
+    code, out, err = run(
+        capsys, "alon-furedi", "--ring", "ZZ", "--S", supports, "--beta", "(0,)", "--poly", "1"
+    )
+    assert (code, out, err) == (3, "", "error: --S must be a JSON list of lists\n")
 
 
 def test_alon_furedi(capsys):

@@ -1,7 +1,8 @@
 """Every entry point applies the same input rule the same way.
 
 One parametrized test per rule: the level t, the operand ring and arity,
-the prime q, Condition (D), and the multiplicity psi(u).
+the prime q, Condition (D), the multiplicity psi(u), and every other count
+or exponent.
 """
 
 import re
@@ -16,8 +17,11 @@ from combnull import (
     CoverInstance,
     Inapplicable,
     MonicFamily,
+    MultiplicityTable,
     MultisetGrid,
     NonPositiveMultiplicity,
+    ParseError,
+    Poly,
     PuncturedGrid,
     RingMismatch,
     UnsupportedField,
@@ -37,6 +41,7 @@ from combnull import (
     mixed_basis,
     mixed_certificate,
     mixed_membership,
+    monic_power_product,
     nonzero_bound,
     point_cover_threshold,
     punctured_analysis,
@@ -46,7 +51,8 @@ from combnull import (
     root_product,
     staircase_count,
 )
-from combnull.serialization import grid_from_json
+from combnull.covering import instance_from_json
+from combnull.serialization import certificate_to_json, grid_from_json, verify_certificate_json
 from conftest import P
 
 GRID = MultisetGrid.build(ZZ, [[0, 1]])
@@ -225,5 +231,55 @@ BAD_MULTIPLICITIES = {
 @pytest.mark.parametrize("entry", sorted(MULTIPLICITY_ENTRY_POINTS))
 def test_multiplicity_gate(entry, bad):
     m = BAD_MULTIPLICITIES[bad]
-    with pytest.raises(NonPositiveMultiplicity, match=re.escape(f"psi(0) = {m!r}")):
+    message = f"psi(0) must be an integer >= 1, got {m!r}"
+    with pytest.raises(NonPositiveMultiplicity, match=re.escape(message)):
         MULTIPLICITY_ENTRY_POINTS[entry](m)
+
+
+# Every other count or exponent read from outside goes through the same
+# integer rule: entry point -> (call with the value, least valid value,
+# the error it raises).
+CERTIFICATE = certificate_to_json(level_certificate(P("x1^2 - x1"), GRID, 1))
+INSTANCE = {"pgrid": {"ring": "ZZ", "S": [[0, 1]], "E": [[0]]}, "planes": [{"poly": "x1"}], "t": 1}
+
+NATURAL_ENTRY_POINTS = {
+    "VanishingSpec.build_B": (
+        lambda e: VanishingSpec.build(GRID, {(0,): [(e,)], (1,): [(1,)]}), 0, ValueError),
+    "grid_from_json_B": (
+        lambda e: grid_from_json({"S": [[0, 1]], "B": {"(0,)": [[e]], "(1,)": [[1]]}}, ZZ),
+        0, ValueError),
+    "MultiplicityTable": (
+        lambda e: MultiplicityTable(1, ("a",), {(0, 0, "a"): e}), 0, ValueError),
+    "point_cover_threshold": (
+        lambda m: point_cover_threshold((1, m), 1), 1, NonPositiveMultiplicity),
+    "affine_blocking_bound_n": (lambda n: affine_blocking_bound(2, n, 1), 1, ValueError),
+    "blocking_audit_n": (lambda n: blocking_audit(2, n, 1, [(0,)]), 1, ValueError),
+    "exists_blocking_of_size_n": (lambda n: exists_blocking_of_size(2, n, 1, 1), 1, ValueError),
+    "minimal_blocking_size_n": (lambda n: minimal_blocking_size(2, n, 1), 1, ValueError),
+    "monic_power_product": (
+        lambda e: monic_power_product([P("x1^2 - x1")], [(e,)]), 0, ValueError),
+    "Poly_nvars": (lambda n: Poly(ZZ, n), 1, ValueError),
+    "root_product_nvars": (lambda n: root_product(ZZ, n, 0, [0]), 1, ValueError),
+    "instance_from_json_degree": (
+        lambda e: instance_from_json({**INSTANCE, "planes": [{"poly": "x1", "degree": e}]}),
+        0, ParseError),
+    "verify_certificate_json_nvars": (
+        lambda n: verify_certificate_json({**CERTIFICATE, "nvars": n}), 1, ParseError),
+}
+
+BAD_NATURALS = {
+    "below_least": lambda least: least - 1,
+    "bool": lambda least: True,
+    "fractional": lambda least: 1.5,
+    "string": lambda least: "2",
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_NATURALS))
+@pytest.mark.parametrize("entry", sorted(NATURAL_ENTRY_POINTS))
+def test_natural_number_gate(entry, bad):
+    call, least, error = NATURAL_ENTRY_POINTS[entry]
+    value = BAD_NATURALS[bad](least)
+    message = f"must be an integer >= {least}, got {value!r}"
+    with pytest.raises(error, match=re.escape(message)):
+        call(value)
