@@ -93,12 +93,12 @@ def _loose_json(text: str):
     text = _read_arg(text).strip()
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         pass
     quoted = _BARE_KEY.sub(r'\1"\2"\3', text)
     try:
         return json.loads(quoted)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad JSON argument: {exc}") from None
 
 

@@ -217,6 +217,8 @@ def test_unexpected_exception_exit_code(capsys, monkeypatch, exc, message):
          "grid axis 1 has unknown keys pis"),
         (("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"pis":[],"e":[]}'),
          "grid document has unknown keys pis, e"),
+        # JSON nested past the decoder's recursion limit is bad input, not a bug.
+        (("membership", "--ring", "ZZ", "--grid", "[" * 100000 + "]" * 100000), None),
         # psi(u) follows the one integer rule, a missing entry included.
         (("membership", "--ring", "ZZ", "--grid", '{"S":[[0,1]],"psi":[{"0":1}]}'),
          "psi(1) must be an integer >= 1, got None"),
@@ -226,7 +228,7 @@ def test_unexpected_exception_exit_code(capsys, monkeypatch, exc, message):
          "certificate_puncture", "normal_form_puncture", "null_grid", "no_ring_no_S",
          "axis_without_S", "number_axes", "flat_S", "null_psi", "null_E", "misspelt_psi",
          "axes_and_S", "axes_and_psi", "axis_misspelt_psi", "two_unknown_keys",
-         "missing_psi_entry"],
+         "deep_nesting", "missing_psi_entry"],
 )
 def test_malformed_grid_exit_code(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--t", "1", "--poly", "x1^2-x1")
