@@ -11,7 +11,6 @@ the brute-force count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 from typing import Sequence
@@ -19,7 +18,7 @@ from typing import Sequence
 from .errors import CombnullError, InternalInvariantError, ZeroPolynomial
 from .multiset_ideals import MultisetGrid
 from .polynomials import Poly
-from .rings import Element
+from .rings import Element, FrozenValue
 from .staircase import leq
 
 
@@ -27,11 +26,11 @@ class SupportExceedsBeta(CombnullError):
     """Some support exponent escapes the declared cap vector."""
 
 
-@dataclass(frozen=True)
-class NonzeroBoundReport:
-    mu: tuple
-    bound: int
-    actual: int
+class NonzeroBoundReport(FrozenValue):
+    _fields = ("mu", "bound", "actual")
+
+    def __init__(self, mu: tuple, bound: int, actual: int):
+        self.__dict__.update(mu=mu, bound=bound, actual=actual)
 
     def to_json_dict(self) -> dict:
         return {"mu": list(self.mu), "bound": self.bound, "actual": self.actual}

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
 from pathlib import Path
@@ -350,6 +349,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    import random
     rng = random.Random(args.seed)
     failures = []
     for ring in (ZZ, Zmod(6)):

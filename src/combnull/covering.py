@@ -10,7 +10,6 @@ prime fields, where the bound ``(n + t - 1)(q - 1) + 1`` is sharp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
 from typing import Mapping, Sequence
@@ -18,8 +17,8 @@ from typing import Mapping, Sequence
 from .errors import InternalInvariantError, NonPositiveMultiplicity, ParseError, ScaleExceeded
 from .multiset_ideals import PuncturedGrid
 from .polynomials import Poly, parse_poly
-from .rings import GF
-from .serialization import _json_list, _json_object, grid_from_json
+from .rings import FrozenValue, GF
+from .serialization import _json_list, _json_object, element_to_json, grid_from_json
 from .staircase import require_int
 
 
@@ -35,14 +34,14 @@ def point_cover_threshold(psi_at_point: Sequence[int], t: int) -> int:
     return sum(m - 1 for m in psi) + (t - 1) * max(psi) + 1
 
 
-@dataclass(frozen=True)
-class CoverInstance:
-    """A punctured grid, a list of plane polynomials with their stated
-    degrees, and the multiplicity level t."""
+class CoverInstance(FrozenValue):
+    """A punctured grid, a tuple of (plane polynomial, stated degree)
+    pairs, and the multiplicity level t."""
 
-    pgrid: PuncturedGrid
-    planes: tuple  # tuple of (Poly, degree)
-    t: int
+    _fields = ("pgrid", "planes", "t")
+
+    def __init__(self, pgrid: PuncturedGrid, planes: tuple, t: int):
+        self.__dict__.update(pgrid=pgrid, planes=planes, t=t)
 
     @classmethod
     def build(cls, pgrid: PuncturedGrid, planes: Sequence, t: int) -> "CoverInstance":
@@ -77,28 +76,32 @@ def instance_from_json(doc: Mapping) -> CoverInstance:
     return CoverInstance.build(pgrid, planes, doc["t"])
 
 
-@dataclass(frozen=True)
-class CoverReport:
-    hypothesis_coverage: bool
-    uncovered_point: tuple | None
-    hypothesis_escape: bool
-    escape_point: tuple | None
-    sum_degrees: int
-    product_degree: float | None
-    bounds: tuple | None  # per-axis right-hand sides, when hypotheses hold
-    verdict: str  # "bound_holds" | "hypotheses_unmet"
+def _point_to_json(point):
+    return None if point is None else list(map(element_to_json, point))
+
+
+class CoverReport(FrozenValue):
+    """Both hypotheses, the degrees, the per-axis ``bounds`` when they hold, and the verdict."""
+
+    _fields = ("hypothesis_coverage", "uncovered_point", "hypothesis_escape", "escape_point",
+               "sum_degrees", "product_degree", "bounds", "verdict")
+
+    def __init__(self, hypothesis_coverage: bool, uncovered_point: tuple | None,
+                 hypothesis_escape: bool, escape_point: tuple | None, sum_degrees: int,
+                 product_degree: float | None, bounds: tuple | None, verdict: str):
+        self.__dict__.update(
+            hypothesis_coverage=hypothesis_coverage, uncovered_point=uncovered_point,
+            hypothesis_escape=hypothesis_escape, escape_point=escape_point,
+            sum_degrees=sum_degrees, product_degree=product_degree, bounds=bounds,
+            verdict=verdict)
 
     def to_json_dict(self) -> dict:
         return {
             "hypotheses": {
                 "coverage": self.hypothesis_coverage,
-                "uncovered_point": list(self.uncovered_point)
-                if self.uncovered_point is not None
-                else None,
+                "uncovered_point": _point_to_json(self.uncovered_point),
                 "escape": self.hypothesis_escape,
-                "escape_point": list(self.escape_point)
-                if self.escape_point is not None
-                else None,
+                "escape_point": _point_to_json(self.escape_point),
             },
             "lhs": {
                 "sum_degrees": self.sum_degrees,
@@ -248,12 +251,12 @@ def blocks_all_hyperplanes(q: int, n: int, t: int, points: Sequence) -> tuple:
     return True, None
 
 
-@dataclass(frozen=True)
-class BlockingReport:
-    blocked: bool
-    unblocked_hyperplane: tuple | None
-    size: int
-    bound: int
+class BlockingReport(FrozenValue):
+    _fields = ("blocked", "unblocked_hyperplane", "size", "bound")
+
+    def __init__(self, blocked: bool, unblocked_hyperplane: tuple | None, size: int, bound: int):
+        self.__dict__.update(blocked=blocked, unblocked_hyperplane=unblocked_hyperplane,
+                             size=size, bound=bound)
 
     def to_json_dict(self) -> dict:
         return {

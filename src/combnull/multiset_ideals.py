@@ -19,7 +19,6 @@ ideal additionally keeps a relaxed requirement on the puncture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from itertools import product
 from math import comb, prod
 from operator import floordiv
@@ -46,7 +45,7 @@ from .polynomials import (
     taylor_shift,
 )
 from .reduction import MonicFamily, ReductionOutcome, decompose_member, reduce
-from .rings import Element, Ring
+from .rings import Element, FrozenValue, Ring
 from .staircase import compositions, require_int
 
 # Grid points one scan may visit.  On a 2 vCPU Xeon, membership of
@@ -61,8 +60,7 @@ MAX_GRID_POINTS = 10**6
 _AXES = WeakValueDictionary()
 
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(FrozenValue):
     """One grid axis: sorted support values, their read-only multiplicities,
     and its axis polynomial ``g = prod (x - u)^psi(u)`` as sparse univariate
     ``(exponents, coefficients)`` tuples.
@@ -72,9 +70,10 @@ class Axis:
     table holds axes weakly; powers of g are never kept.
     """
 
-    support: tuple
-    psi: Mapping
-    terms: tuple = field(repr=False, compare=False)
+    _fields = ("support", "psi")  # terms follows from them
+
+    def __init__(self, support: tuple, psi: Mapping, terms: tuple):
+        self.__dict__.update(support=support, psi=psi, terms=terms)
 
     @classmethod
     def build(cls, ring: Ring, values: Sequence[Element], psi=None) -> "Axis":
@@ -100,12 +99,13 @@ class Axis:
         return sum(self.psi.values())
 
 
-@dataclass(frozen=True)
-class MultisetGrid:
+class MultisetGrid(FrozenValue):
     """A finite grid S_1 x ... x S_n of ``Axis`` objects over one ring."""
 
-    ring: Ring
-    axes: tuple
+    _fields = ("ring", "axes")
+
+    def __init__(self, ring: Ring, axes: tuple):
+        self.__dict__.update(ring=ring, axes=axes)
 
     @classmethod
     def build(cls, ring: Ring, supports: Sequence, psis: Sequence | None = None) -> "MultisetGrid":
@@ -163,11 +163,13 @@ class MultisetGrid:
         return tuple(axis.psi[v] for axis, v in zip(self.axes, point))
 
 
-@dataclass(frozen=True)
 class PuncturedGrid(MultisetGrid):
     """A multiset grid with a per-axis punctured subgrid E_k of S_k."""
 
-    punctures: tuple
+    _fields = ("ring", "axes", "punctures")
+
+    def __init__(self, ring: Ring, axes: tuple, punctures: tuple):
+        self.__dict__.update(ring=ring, axes=axes, punctures=punctures)
 
     @classmethod
     def build(cls, grid: MultisetGrid, punctures: Sequence) -> "PuncturedGrid":
@@ -296,7 +298,7 @@ def level_certificate(f: Poly, grid: MultisetGrid, t: int) -> ReductionOutcome:
     if not level_membership(f, grid, t):
         raise NotMember("not in the level ideal")
     out = decompose_member(f, level_basis(grid, t))
-    return replace(out, kind="I_t", t=t, degree_report={"leading_cover": True})
+    return out.replace(kind="I_t", t=t, degree_report={"leading_cover": True})
 
 
 # -- punctured ideals -------------------------------------------------------
@@ -313,29 +315,30 @@ def punctured_membership(f: Poly, pgrid: PuncturedGrid, t: int) -> bool:
     return _grid_condition(f, pgrid, checks)
 
 
-@dataclass(frozen=True)
-class PuncturedReport:
+class PuncturedReport(FrozenValue):
     """Normal form, extracted cofactor, and the degree consequence."""
 
-    eta: Poly
-    divisor: Poly
-    cofactor: Poly
-    nonvanishing_point: tuple | None
-    degree_f: float
-    degree_eta: float
-    degree_bound: int | None
-    bound_holds: bool | None
+    _fields = ("eta", "divisor", "cofactor", "nonvanishing_point", "degree_f",
+               "degree_eta", "degree_bound", "bound_holds")
+
+    def __init__(self, eta: Poly, divisor: Poly, cofactor: Poly, nonvanishing_point: tuple | None,
+                 degree_f: float, degree_eta: float, degree_bound: int | None,
+                 bound_holds: bool | None):
+        self.__dict__.update(
+            eta=eta, divisor=divisor, cofactor=cofactor, nonvanishing_point=nonvanishing_point,
+            degree_f=degree_f, degree_eta=degree_eta, degree_bound=degree_bound,
+            bound_holds=bound_holds)
 
     def to_json_dict(self) -> dict:
         from .polynomials import format_poly
+        from .serialization import element_to_json
 
+        point = self.nonvanishing_point
         return {
             "eta": format_poly(self.eta),
             "divisor": format_poly(self.divisor),
             "cofactor": format_poly(self.cofactor),
-            "nonvanishing_point": list(self.nonvanishing_point)
-            if self.nonvanishing_point is not None
-            else None,
+            "nonvanishing_point": None if point is None else list(map(element_to_json, point)),
             "degree_f": self.degree_f if self.degree_f != float("-inf") else None,
             "degree_eta": self.degree_eta if self.degree_eta != float("-inf") else None,
             "degree_bound": self.degree_bound,
@@ -427,7 +430,7 @@ def mixed_certificate(f: Poly, pgrid: PuncturedGrid, t: int) -> ReductionOutcome
     two-layer basis, with support containment."""
     if not mixed_membership(f, pgrid, t):
         raise NotMember("not in the mixed ideal")
-    return replace(decompose_member(f, mixed_basis(pgrid, t)), kind="mixed", t=t)
+    return decompose_member(f, mixed_basis(pgrid, t)).replace(kind="mixed", t=t)
 
 
 def min_extra_degree(pgrid: PuncturedGrid, t: int):

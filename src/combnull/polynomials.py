@@ -44,8 +44,11 @@ class Poly:
             alpha = tuple(alpha)
             if len(alpha) != nvars:
                 raise ArityMismatch(f"exponent {alpha} in {nvars} variables")
-            if any(e < 0 for e in alpha):
-                raise ValueError(f"negative exponent in {alpha}")
+            if any([type(e) is not int or e < 0 for e in alpha]):  # plain naturals take one test
+                if all(type(e) is int for e in alpha):
+                    raise ValueError(f"negative exponent in {alpha}")
+                for e in alpha:
+                    require_int(e, 0, f"exponent in {alpha}", ValueError)
             c = ring.canon(c)
             if c != ring.zero:
                 clean[alpha] = c

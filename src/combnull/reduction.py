@@ -104,7 +104,6 @@ degree is smaller.  The verdict is the full sweep's:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
 from itertools import combinations
 from operator import add, mul
 from typing import Hashable, Sequence
@@ -117,11 +116,11 @@ from .errors import (
     ZeroPolynomial,
 )
 from .polynomials import Poly, _raw
+from .rings import FrozenValue
 from .staircase import ExpVec, in_downset, leq
 
 
-@dataclass(frozen=True)
-class MonicFamily:
+class MonicFamily(FrozenValue):
     """An indexed family of monic polynomials over one ring and arity.
 
     ``labels[i]`` names ``members[i]`` in quotient maps and serialized
@@ -133,22 +132,20 @@ class MonicFamily:
     constructor that can guarantee it).
     """
 
-    members: tuple
-    labels: tuple
-    witnesses: tuple = field(init=False)
-    certified: bool = field(default=False, kw_only=True)
+    _fields = ("members", "labels", "witnesses", "certified")
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.members):
+    def __init__(self, members: tuple, labels: tuple, *, certified: bool = False):
+        if len(labels) != len(members):
             raise ValueError("one label per member required")
         witnesses = []
-        for label, g in zip(self.labels, self.members):
-            g.require_on(self.members[0].ring, self.members[0].nvars)
+        for label, g in zip(labels, members):
+            g.require_on(members[0].ring, members[0].nvars)
             theta = g.monic_witness()
             if theta is None:
                 raise NotMonic(f"family member {label!r} is not monic")
             witnesses.append(theta)
-        object.__setattr__(self, "witnesses", tuple(witnesses))
+        self.__dict__.update(members=members, labels=labels, witnesses=tuple(witnesses),
+                             certified=certified)
 
     @classmethod
     def build(
@@ -178,12 +175,11 @@ class MonicFamily:
     def certify(self) -> "MonicFamily":
         """Buchberger-check the family; return a certified copy on success."""
         if self.certified or buchberger_certifies(self):
-            return replace(self, certified=True)
+            return self.replace(certified=True)
         raise UncertifiedBasis("Buchberger test inconclusive for this family")
 
 
-@dataclass(frozen=True)
-class ReductionOutcome:
+class ReductionOutcome(FrozenValue):
     """One division of ``poly`` by a family; also the membership certificate.
 
     ``reduce`` fills in the dividend, quotients and remainder.  A
@@ -193,14 +189,13 @@ class ReductionOutcome:
     from a document is rechecked by the same code that wrote it.
     """
 
-    family: MonicFamily
-    quotients: tuple
-    remainder: Poly
-    poly: Poly
-    steps: int = 0
-    kind: str | None = None
-    t: int | None = None
-    degree_report: dict | None = None
+    _fields = ("family", "quotients", "remainder", "poly", "steps", "kind", "t", "degree_report")
+
+    def __init__(self, family: MonicFamily, quotients: tuple, remainder: Poly, poly: Poly,
+                 steps: int = 0, kind: str | None = None, t: int | None = None,
+                 degree_report: dict | None = None):
+        self.__dict__.update(family=family, quotients=quotients, remainder=remainder, poly=poly,
+                             steps=steps, kind=kind, t=t, degree_report=degree_report)
 
     @property
     def quotient_map(self) -> dict:

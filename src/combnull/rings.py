@@ -12,9 +12,9 @@ nothing in the library rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 from typing import Iterable, Union
 
 from .errors import ParseError, RingMismatch, UnsupportedField
@@ -59,8 +59,44 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Ring:
+class FrozenValue:
+    """An immutable value with the equality, hash and repr of a frozen
+    dataclass over its ``_fields``: equal only within one class, unhashable
+    when a field is.  ``__init__`` checks its arguments and stores them
+    through ``__dict__`` or ``object.__setattr__``."""
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = property(attrgetter(*cls._fields))  # one C call per hash
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy with ``changes``, built by ``__init__``, so every check runs again."""
+        code = type(self).__init__.__code__
+        names = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
+        return type(self)(**{name: getattr(self, name) for name in names} | changes)
+
+
+class Ring(FrozenValue):
     """A commutative ring descriptor; all element operations live here.
 
     Instances are immutable and compare structurally, so two descriptors of
@@ -68,27 +104,27 @@ class Ring:
     of its inputs.
     """
 
-    kind: str
-    modulus: int | None = None
+    _fields = ("kind", "modulus")
 
-    def __post_init__(self):
-        if self.kind in (_INTEGERS, _RATIONALS):
-            if self.modulus is not None:
-                raise ValueError(f"{self.kind} takes no modulus")
-        elif self.kind == _MODULAR:
-            if self.modulus is None or self.modulus < 2:
+    def __init__(self, kind: str, modulus: int | None = None):
+        if kind in (_INTEGERS, _RATIONALS):
+            if modulus is not None:
+                raise ValueError(f"{kind} takes no modulus")
+        elif kind == _MODULAR:
+            if modulus is None or modulus < 2:
                 raise ValueError("ZZ/m needs a modulus m >= 2")
-        elif self.kind == _PRIME_FIELD:
-            if self.modulus is None or not _is_prime(self.modulus):
+        elif kind == _PRIME_FIELD:
+            if modulus is None or not _is_prime(modulus):
                 raise UnsupportedField(
-                    f"GF({self.modulus}) is not a prime field; "
+                    f"GF({modulus}) is not a prime field; "
                     "extension fields are unsupported"
                 )
         else:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
-        # The modulus element ops reduce by, or None.  Not a field, so
-        # equality, hashing and repr still see only kind and modulus.
-        object.__setattr__(self, "_mod", self.modulus if self.is_finite else None)
+            raise ValueError(f"unknown ring kind {kind!r}")
+        # Element ops read the modulus (None for ZZ and QQ) on every call, and
+        # object.__setattr__ keeps the inline values that read faster than __dict__.
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "modulus", modulus)
 
     # -- construction ----------------------------------------------------
 
@@ -111,37 +147,37 @@ class Ring:
             if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
                 return Fraction(value)
         elif isinstance(value, int) and not isinstance(value, bool):
-            return value % self._mod if self._mod else value
+            return value % self.modulus if self.modulus else value
         raise ParseError(f"not an element of {self}: {value!r}")
 
     def from_int(self, k: int) -> Element:
         """Canonical ring image of an integer (the unique map ZZ -> R)."""
         if self.kind == _RATIONALS:
             return Fraction(k)
-        return k % self._mod if self._mod else k
+        return k % self.modulus if self.modulus else k
 
     # -- arithmetic -------------------------------------------------------
 
     def add(self, a: Element, b: Element) -> Element:
-        return (a + b) % self._mod if self._mod else a + b
+        return (a + b) % self.modulus if self.modulus else a + b
 
     def sub(self, a: Element, b: Element) -> Element:
-        return (a - b) % self._mod if self._mod else a - b
+        return (a - b) % self.modulus if self.modulus else a - b
 
     def mul(self, a: Element, b: Element) -> Element:
-        return (a * b) % self._mod if self._mod else a * b
+        return (a * b) % self.modulus if self.modulus else a * b
 
     def submul(self, a: Element, b: Element, c: Element) -> Element:
         """``a - b*c`` with one reduction: the division loops' one call per term."""
-        return (a - b * c) % self._mod if self._mod else a - b * c
+        return (a - b * c) % self.modulus if self.modulus else a - b * c
 
     def neg(self, a: Element) -> Element:
-        return (-a) % self._mod if self._mod else -a
+        return (-a) % self.modulus if self.modulus else -a
 
     def pow(self, a: Element, k: int) -> Element:
         if k < 0:
             raise ValueError("negative exponent")
-        return pow(a, k, self._mod) if self._mod else a ** k
+        return pow(a, k, self.modulus) if self.modulus else a ** k
 
     # -- predicates -------------------------------------------------------
 

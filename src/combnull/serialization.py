@@ -27,7 +27,7 @@ from .rings import Ring, parse_ring
 from .staircase import compositions, format_expvec, parse_expvec, require_int
 
 
-def element_to_json(ring: Ring, value):
+def element_to_json(value):
     return str(value) if isinstance(value, Fraction) else value
 
 
@@ -85,9 +85,9 @@ def grid_to_json(grid: MultisetGrid) -> dict:
         "ring": str(grid.ring),
         "axes": [
             {
-                "S": [element_to_json(grid.ring, u) for u in axis.support],
+                "S": [element_to_json(u) for u in axis.support],
                 "psi": {
-                    str(element_to_json(grid.ring, u)): m
+                    str(element_to_json(u)): m
                     for u, m in sorted(axis.psi.items())
                 },
             }
@@ -95,10 +95,10 @@ def grid_to_json(grid: MultisetGrid) -> dict:
         ],
     }
     if isinstance(grid, PuncturedGrid):
-        doc["E"] = [[element_to_json(grid.ring, u) for u in E] for E in grid.punctures]
+        doc["E"] = [[element_to_json(u) for u in E] for E in grid.punctures]
     if hasattr(grid, "B"):  # a VanishingSpec
         doc["B"] = {
-            "(" + ",".join(str(element_to_json(grid.ring, v)) for v in point) + ")":
+            "(" + ",".join(str(element_to_json(v)) for v in point) + ")":
                 [list(vec) for vec in sorted(gens)]
             for point, gens in grid.B.items()
         }

@@ -16,7 +16,6 @@ certification is inapplicable and is reported as such, never as a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Mapping, Sequence
 
@@ -30,11 +29,10 @@ from .errors import (
 from .multiset_ideals import MultisetGrid, PuncturedGrid, _grid_condition
 from .polynomials import Poly, _power_products, _root_terms
 from .reduction import MonicFamily, ReductionOutcome, decompose_member
-from .rings import Element, Ring
+from .rings import Element, FrozenValue, Ring
 from .staircase import complement, has_finite_complement, in_upset, require_int
 
 
-@dataclass(frozen=True)
 class VanishingSpec(MultisetGrid):
     """A grid with one support-upset generator set per point.
 
@@ -43,7 +41,10 @@ class VanishingSpec(MultisetGrid):
     otherwise membership would constrain infinitely many coefficients.
     """
 
-    B: Mapping
+    _fields = ("ring", "axes", "B")
+
+    def __init__(self, ring: Ring, axes: tuple, B: Mapping):
+        self.__dict__.update(ring=ring, axes=axes, B=B)
 
     @classmethod
     def build(cls, grid: MultisetGrid, B: Mapping) -> "VanishingSpec":
@@ -88,15 +89,16 @@ def leading_staircase_count(family: MonicFamily) -> int:
     return len(complement(set(family.witnesses), family.nvars))
 
 
-@dataclass(frozen=True)
-class GroebnerReport:
-    """Outcome of the count-comparison certification."""
+class GroebnerReport(FrozenValue):
+    """Count comparison; ``verdict``: groebner, not_groebner or inapplicable."""
 
-    condition_d: tuple
-    grid_count: int
-    leading_count: int
-    verdict: str  # "groebner" | "not_groebner" | "inapplicable"
-    degenerate_empty_grid: bool = False
+    _fields = ("condition_d", "grid_count", "leading_count", "verdict", "degenerate_empty_grid")
+
+    def __init__(self, condition_d: tuple, grid_count: int, leading_count: int, verdict: str,
+                 degenerate_empty_grid: bool = False):
+        self.__dict__.update(condition_d=condition_d, grid_count=grid_count,
+                             leading_count=leading_count, verdict=verdict,
+                             degenerate_empty_grid=degenerate_empty_grid)
 
     @property
     def groebner(self) -> bool | None:
@@ -158,20 +160,19 @@ def groebner_decompose(
     return decompose_member(f, family)
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
+class MultiplicityTable(FrozenValue):
     """Per-(axis, element, member) root multiplicities.
 
     Missing entries default to zero; stored entries must be naturals.
     """
 
-    nvars: int
-    member_labels: tuple
-    values: Mapping = field(default_factory=dict)
+    _fields = ("nvars", "member_labels", "values")
 
-    def __post_init__(self):
-        for key, v in self.values.items():
+    def __init__(self, nvars: int, member_labels: tuple, values: Mapping | None = None):
+        values = {} if values is None else values
+        for key, v in values.items():
             require_int(v, 0, f"multiplicity at {key}", ValueError)
+        self.__dict__.update(nvars=nvars, member_labels=member_labels, values=values)
 
     def get(self, axis: int, element, label) -> int:
         return self.values.get((axis, element, label), 0)

@@ -547,6 +547,22 @@ def test_cover_instance_json(capsys, tmp_path):
     assert payload["verdict"] == "bound_holds"
 
 
+def test_qq_points_in_json_reports(capsys):
+    # A QQ grid point is written as element strings, as grid documents are.
+    code, out, _ = run(capsys, "punctured", "--ring", "QQ",
+                       "--grid", '{S:[["1/2",1],[0,1]],E:[["1/2"],[0]]}', "--t", "1",
+                       "--poly", "x1*x2 - x1 - x2 + 1", "--analyze", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["analysis"]["nonvanishing_point"] == ["1/2", "0"]
+    pgrid = {"ring": "QQ", "S": [["1/2", "3/2"]], "E": [["1/2"]]}
+    for plane, exit_code, key, point in (("x1 - 3/2", 0, "escape_point", ["1/2"]),
+                                         ("x1 - 1/2", 1, "uncovered_point", ["3/2"])):
+        doc = {"pgrid": pgrid, "planes": [{"poly": plane}], "t": 1}
+        code, out, _ = run(capsys, "cover", "--instance", json.dumps(doc), "--format", "json")
+        assert code == exit_code
+        assert json.loads(out)["hypotheses"][key] == point
+
+
 def test_reduce_text_and_json_agree(capsys):
     args = [
         "reduce",

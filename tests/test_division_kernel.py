@@ -10,7 +10,6 @@ derandomized so every run checks the same cases.
 import heapq
 import math
 import pickle
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -212,9 +211,9 @@ def test_support_contained_matches_term_products(rng):
             k = rng.randrange(len(out.quotients))
             quotients = list(out.quotients)
             quotients[k] = quotients[k] + bump
-            tampered = replace(out, quotients=tuple(quotients))
+            tampered = out.replace(quotients=tuple(quotients))
         else:
-            tampered = replace(out, remainder=out.remainder + bump)
+            tampered = out.replace(remainder=out.remainder + bump)
         for outcome in (out, tampered):
             expected = support_contained_by_term_products(outcome)
             assert outcome.support_contained() == expected
@@ -290,9 +289,9 @@ def test_ring_cached_modulus_stays_private():
         copy = pickle.loads(pickle.dumps(ring))
         assert copy == ring and hash(copy) == hash(ring)
         assert copy.add(copy.one, copy.from_int(7)) == ring.add(ring.one, ring.from_int(7))
-    moved = replace(GF(5), modulus=7)
+    moved = GF(5).replace(modulus=7)
     assert moved == GF(7) and moved.add(5, 4) == 2
-    widened = replace(Zmod(6), kind="ZZ", modulus=None)
+    widened = Zmod(6).replace(kind="ZZ", modulus=None)
     assert widened == ZZ and widened.add(5, 4) == 9
     assert QQ.mul(Fraction(1, 2), Fraction(2, 3)) == Fraction(1, 3)
 
@@ -540,7 +539,7 @@ def test_sweep_never_certifies_a_wrong_stored_witness():
     family = MonicFamily(members, (0, 1))
     assert family.witnesses == ((1, 0), (0, 1))
     assert assert_sweep_matches(family) is True
-    moved = replace(family, members=(P("x1^2 - x1", nvars=2), P("x2^3", nvars=2)))
+    moved = family.replace(members=(P("x1^2 - x1", nvars=2), P("x2^3", nvars=2)))
     assert moved.witnesses == ((2, 0), (0, 3))
     # Built with a stored witness 1 for x1^2 + x1, this family let ``reduce``
     # climb past the dividend's box to remainder x1^5.  Its S-pair is -x1^2,
@@ -561,7 +560,7 @@ def test_sweep_refuses_a_non_monic_member():
     for construct in (
         lambda: MonicFamily(members, labels),
         lambda: MonicFamily.build(members),
-        lambda: replace(family, members=members, labels=labels),
+        lambda: family.replace(members=members, labels=labels),
         lambda: family_from_json(doc, ZZ, 2),
     ):
         with pytest.raises(NotMonic):

@@ -6,7 +6,6 @@ or exponent.
 """
 
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -135,7 +134,7 @@ OPERAND_ENTRY_POINTS = {
     "monic_family_positional": (
         lambda: MonicFamily((P("x1"), X1X2), (0, 1)), ArityMismatch),
     "monic_family_replace": (
-        lambda: replace(MonicFamily.build([X1]), members=(X1, F5), labels=(0, 1)),
+        lambda: MonicFamily.build([X1]).replace(members=(X1, F5), labels=(0, 1)),
         RingMismatch),
     "poly_mul": (lambda: X1 * F5, RingMismatch),
     # one per-axis list entry per axis, counted before any zip or index
@@ -283,3 +282,14 @@ def test_natural_number_gate(entry, bad):
     message = f"must be an integer >= {least}, got {value!r}"
     with pytest.raises(error, match=re.escape(message)):
         call(value)
+
+
+# A Poly exponent entry follows the same rule; a negative int keeps the
+# message that names the whole exponent vector.
+@pytest.mark.parametrize("bad", sorted(BAD_NATURALS))
+def test_poly_exponent_gate(bad):
+    value = BAD_NATURALS[bad](0)
+    message = (f"negative exponent in (1, {value})" if bad == "below_least"
+               else f"exponent in (1, {value!r}) must be an integer >= 0, got {value!r}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Poly(ZZ, 2, {(1, value): 1})

@@ -1,4 +1,5 @@
-"""The package and the CLI import only the modules that a call runs."""
+"""The package and the CLI import only the modules that a call runs, and
+the value types that load no ``dataclasses`` keep frozen-dataclass semantics."""
 
 import os
 import subprocess
@@ -8,6 +9,18 @@ from pathlib import Path
 import pytest
 
 import combnull
+from combnull import (
+    GF,
+    ZZ,
+    BlockingReport,
+    MonicFamily,
+    MultiplicityTable,
+    MultisetGrid,
+    NotMonic,
+    UnsupportedField,
+    Zmod,
+)
+from conftest import P
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -46,12 +59,16 @@ EXPORTS = {
 }
 
 
-def loaded_after(code: str) -> set:
-    """The combnull submodules a fresh interpreter holds after running code."""
-    probe = ("\nimport sys\nprint(*sorted(k.removeprefix('combnull.') for k in sys.modules"
-             " if k.startswith('combnull.')))")
+def loaded_after(code: str, watched=None, flags=()) -> set:
+    """The combnull submodules a fresh interpreter holds after running code,
+    or, given ``watched`` module names, those of them it holds."""
+    if watched is None:
+        probe = ("\nimport sys\nprint(*sorted(k.removeprefix('combnull.') for k in sys.modules"
+                 " if k.startswith('combnull.')))")
+    else:
+        probe = f"\nimport sys\nprint(*(m for m in {tuple(watched)!r} if m in sys.modules))"
     proc = subprocess.run(
-        [sys.executable, "-c", code + probe],
+        [sys.executable, *flags, "-c", code + probe],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, timeout=60,
     )
@@ -63,35 +80,50 @@ HEAVY = {"alon_furedi", "covering", "vanishing"}
 SPEC = '{"ring":"ZZ","S":[[0,1]],"B":{"(0)":[[1]],"(1)":[[1]]}}'
 
 
-@pytest.mark.parametrize(
-    "argv, needs",
-    [
-        (None, set()),
-        (("membership", "--ring", "ZZ", "--grid", "{S:[[0,1]]}", "--t", "1",
-          "--poly", "x1^2-x1"), set()),
-        (("cover", "--q", "2", "--n", "2", "--bound-only"), {"covering"}),
-        (("alon-furedi", "--ring", "ZZ", "--S", "[[0,1]]", "--beta", "(1)",
-          "--poly", "x1"), {"alon_furedi"}),
-        (("groebner-check", "--ring", "ZZ", "--spec", SPEC, "--basis", "x1^2-x1"),
-         {"vanishing"}),
-    ],
-    ids=["import", "membership", "cover", "alon_furedi", "groebner_check_spec"],
-)
-def test_cli_loads_only_what_its_command_runs(argv, needs):
+COMMANDS = {  # id -> (argv, or None for the bare import; heavy modules it loads)
+    "import": (None, set()),
+    "membership": (("membership", "--ring", "ZZ", "--grid", "{S:[[0,1]]}", "--t", "1",
+                    "--poly", "x1^2-x1"), set()),
+    "cover": (("cover", "--q", "2", "--n", "2", "--bound-only"), {"covering"}),
+    "alon_furedi": (("alon-furedi", "--ring", "ZZ", "--S", "[[0,1]]", "--beta", "(1)",
+                     "--poly", "x1"), {"alon_furedi"}),
+    "groebner_check_spec": (("groebner-check", "--ring", "ZZ", "--spec", SPEC,
+                             "--basis", "x1^2-x1"), {"vanishing"}),
+}
+EVERY_SUBMODULE = (f"import combnull, types\nfor m in {SUBMODULES!r}:\n"
+                   "    assert isinstance(getattr(combnull, m), types.ModuleType), m")
+
+
+def cli_call(argv) -> str:
     code = "import combnull.cli"
     if argv is not None:
         code += f"\nassert combnull.cli.main({list(argv)!r}) == 0"
-    loaded = loaded_after(code)
+    return code
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_loads_only_what_its_command_runs(command):
+    argv, needs = COMMANDS[command]
+    loaded = loaded_after(cli_call(argv))
     assert loaded & HEAVY == needs
+
+
+# Standard modules no call needs: dataclasses pulls in inspect, and only
+# selftest draws random numbers.  ``-S`` keeps site hooks from preloading them.
+@pytest.mark.parametrize("code, loads", [
+    *(pytest.param(cli_call(argv), set(), id=name) for name, (argv, _) in COMMANDS.items()),
+    pytest.param(cli_call(("selftest", "--seed", "7")), {"random"}, id="selftest"),
+    pytest.param(EVERY_SUBMODULE, set(), id="every_submodule"),
+])
+def test_no_call_loads_dataclasses_or_inspect(code, loads):
+    assert loaded_after(code, ("dataclasses", "inspect", "random"), ("-S",)) == loads
 
 
 def test_bare_import_loads_no_submodule():
     assert loaded_after("import combnull") == set()
     assert loaded_after("import combnull; combnull.reduction.reduce") == {
         "errors", "polynomials", "reduction", "rings", "staircase"}
-    every = f"import combnull, types\nfor m in {SUBMODULES!r}:\n" \
-            "    assert isinstance(getattr(combnull, m), types.ModuleType), m"
-    assert loaded_after(every) == set(SUBMODULES)
+    assert loaded_after(EVERY_SUBMODULE) == set(SUBMODULES)
 
 
 def test_exports_are_their_definitions():
@@ -108,3 +140,41 @@ def test_exports_are_their_definitions():
     assert all(star[name] is getattr(combnull, name) for name in exported)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         combnull.no_such_name
+
+
+def test_value_types_keep_frozen_dataclass_semantics():
+    ring = GF(5)
+    assert ring == GF(5) and hash(ring) == hash(GF(5)) and ring != Zmod(5)
+    assert repr(ring) == "Ring(kind='GF', modulus=5)"
+    assert ring.__eq__(("GF", 5)) is NotImplemented
+    report = BlockingReport(True, None, 3, 3)
+    assert report == BlockingReport(True, None, 3, 3) != BlockingReport(True, None, 3, 4)
+    assert hash(report) == hash((True, None, 3, 3))
+    assert repr(report) == ("BlockingReport(blocked=True, unblocked_hyperplane=None, "
+                            "size=3, bound=3)")
+    # equal fields in another class are not equal
+    assert type("Subclass", (BlockingReport,), {})(True, None, 3, 3) != report
+    # Axis.terms is neither compared nor shown; a mapping or Poly field is unhashable
+    axis = MultisetGrid.build(ZZ, [[0, 1]], [{0: 2, 1: 1}]).axes[0]
+    assert axis == type(axis)(axis.support, axis.psi, ())
+    assert repr(axis) == "Axis(support=(0, 1), psi=mappingproxy({0: 2, 1: 1}))"
+    family = MonicFamily.build([P("x1^2 - x1")])
+    assert family == MonicFamily.build([P("x1^2 - x1")]) != family.replace(certified=True)
+    for value in (axis, family):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    for value, name in ((ring, "modulus"), (axis, "psi"), (family, "witnesses"), (report, "size")):
+        with pytest.raises(AttributeError, match=name):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=name):
+            delattr(value, name)
+    # replace builds through the constructor, so every check runs again
+    assert ring.replace(modulus=7) == GF(7)
+    assert family.replace(certified=True).witnesses == family.witnesses
+    with pytest.raises(NotMonic):
+        family.replace(members=(P("2*x1"),))
+    with pytest.raises(UnsupportedField):
+        ring.replace(modulus=6)
+    table = MultiplicityTable(1, ("a",), {(0, 0, "a"): 1})
+    with pytest.raises(ValueError, match="multiplicity at"):
+        table.replace(values={(0, 0, "a"): -1})

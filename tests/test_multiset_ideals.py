@@ -1,6 +1,5 @@
 import gc
 import weakref
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -82,7 +81,7 @@ def test_axis_multiplicities_are_read_only():
     axis = MultisetGrid.build(ZZ, [[0, 1]], [{0: 2, 1: 1}]).axes[0]
     with pytest.raises(TypeError):
         axis.psi[0] = 5
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError, match="psi"):
         axis.psi = {0: 5, 1: 1}
     assert axis.psi == {0: 2, 1: 1} and axis.degree == 3
 
