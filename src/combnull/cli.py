@@ -16,7 +16,6 @@ import argparse
 import json
 import re
 import sys
-from pathlib import Path
 
 from . import __version__
 from .errors import (
@@ -80,7 +79,8 @@ class _Parser(argparse.ArgumentParser):
 def _read_arg(text: str) -> str:
     """Inline value, or @path to read from a file."""
     if text.startswith("@"):
-        return Path(text[1:]).read_text()
+        with open(text[1:]) as handle:
+            return handle.read()
     return text
 
 
@@ -214,7 +214,8 @@ def _cmd_certificate(args) -> int:
     lines.append(f"support containment: {payload['checks']['support']}")
     _emit(args, payload, lines)
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True))
+        with open(args.out, "w") as handle:
+            handle.write(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_YES
 
 

@@ -19,6 +19,7 @@ ideal additionally keeps a relaxed requirement on the puncture.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import comb, prod
 from operator import floordiv
@@ -63,17 +64,27 @@ _AXES = WeakValueDictionary()
 class Axis(FrozenValue):
     """One grid axis: sorted support values, their read-only multiplicities,
     and its axis polynomial ``g = prod (x - u)^psi(u)`` as sparse univariate
-    ``(exponents, coefficients)`` tuples.
+    ``(exponents, coefficients)`` tuples over the ring it was built over.
 
     ``build`` interns: equal inputs over one ring return the same object, so
     g is computed once per distinct axis however many grids repeat it.  The
-    table holds axes weakly; powers of g are never kept.
+    table holds axes weakly; powers of g are never kept.  ``replace``,
+    ``pickle`` and ``copy`` go through ``build`` too, so g always follows
+    the support and psi it is stored with.
     """
 
-    _fields = ("support", "psi")  # terms follows from them
+    _fields = ("support", "psi")  # terms and ring follow from build's key
 
-    def __init__(self, support: tuple, psi: Mapping, terms: tuple):
-        self.__dict__.update(support=support, psi=psi, terms=terms)
+    def __init__(self, support: tuple, psi: Mapping, terms: tuple, ring: Ring):
+        self.__dict__.update(support=support, psi=psi, terms=terms, ring=ring)
+
+    def replace(self, **changes) -> "Axis":
+        """The interned axis with ``changes`` to ``ring``, ``support`` or ``psi``."""
+        fields = {"ring": self.ring, "support": self.support, "psi": self.psi} | changes
+        return Axis.build(fields.pop("ring"), fields.pop("support"), **fields)
+
+    def __reduce__(self):
+        return Axis.build, (self.ring, self.support, dict(self.psi))
 
     @classmethod
     def build(cls, ring: Ring, values: Sequence[Element], psi=None) -> "Axis":
@@ -90,7 +101,7 @@ class Axis(FrozenValue):
         if axis is None:
             table = dict(zip(support, mults))
             terms = _root_terms(ring, support, table)
-            axis = _AXES[key] = cls(support, MappingProxyType(table), terms)
+            axis = _AXES[key] = cls(support, MappingProxyType(table), terms, ring)
         return axis
 
     @property
@@ -105,6 +116,9 @@ class MultisetGrid(FrozenValue):
     _fields = ("ring", "axes")
 
     def __init__(self, ring: Ring, axes: tuple):
+        for axis in axes:  # an axis's values and g are canonical in its own ring only
+            if axis.ring is not ring:
+                ring.require_same(axis.ring)
         self.__dict__.update(ring=ring, axes=axes)
 
     @classmethod
@@ -169,7 +183,8 @@ class PuncturedGrid(MultisetGrid):
     _fields = ("ring", "axes", "punctures")
 
     def __init__(self, ring: Ring, axes: tuple, punctures: tuple):
-        self.__dict__.update(ring=ring, axes=axes, punctures=punctures)
+        super().__init__(ring, axes)
+        self.__dict__["punctures"] = punctures
 
     @classmethod
     def build(cls, grid: MultisetGrid, punctures: Sequence) -> "PuncturedGrid":
@@ -216,14 +231,27 @@ class PuncturedGrid(MultisetGrid):
 # -- level ideals ---------------------------------------------------------
 
 
-def _exponent_vectors(t: int, n: int) -> list:
-    """``compositions(t, n)`` as a list, counted before any is listed: every
-    member they label holds a term, so more than ``MAX_BASIS_TERMS`` of
-    them is ``ScaleExceeded``."""
+# Exponent listings of at most this many vectors are cached, 64 listings at
+# most, so the cache never holds more than 64 * 4 096 vectors.
+MAX_CACHED_LISTING = 4096
+
+
+def _exponent_vectors(t: int, n: int) -> tuple:
+    """``compositions(t, n)`` as a tuple, counted on every call before any is
+    listed: every member they label holds a term, so more than
+    ``MAX_BASIS_TERMS`` of them is ``ScaleExceeded``.  Listings of at most
+    ``MAX_CACHED_LISTING`` vectors are shared between calls."""
     count = comb(t + n - 1, n - 1)
     if count > MAX_BASIS_TERMS:
         raise ScaleExceeded(f"{count} power products need over {MAX_BASIS_TERMS} terms")
-    return list(compositions(t, n))
+    if count > MAX_CACHED_LISTING:
+        return tuple(compositions(t, n))
+    return _small_listing(t, n)
+
+
+@lru_cache(maxsize=64)
+def _small_listing(t: int, n: int) -> tuple:
+    return tuple(compositions(t, n))
 
 
 def level_basis(grid: MultisetGrid, t: int) -> MonicFamily:

@@ -338,8 +338,10 @@ def _power_products(ring: Ring, factors: Sequence, alphas: Sequence, seeds=None)
     unit = ([0], [ring.one])
     tables = [[unit, g] for g in factors] if seeds is None else [[seed] for seed in seeds]
     table_terms = terms_out = 0
+    chosen = []  # per alpha, its factors' powers, as the count found them
     for alpha in alphas:
         size = 1
+        powers = []
         for table, g, e in zip(tables, factors, alpha):
             while len(table) <= e:
                 table.append(_next_power(ring, table[-1], g))
@@ -348,23 +350,30 @@ def _power_products(ring: Ring, factors: Sequence, alphas: Sequence, seeds=None)
                     raise ScaleExceeded(
                         f"powers up to exponent {e} need over {MAX_BASIS_TERMS} terms"
                     )
-            size *= len(table[e][0])
+            power = table[e]
+            powers.append(power)
+            size *= len(power[0])
         terms_out += size
         if terms_out > MAX_BASIS_TERMS:
             raise ScaleExceeded(
                 f"{len(alphas)} power products need over {MAX_BASIS_TERMS} terms"
             )
+        chosen.append(powers)
     zero = ring.zero
     mul = ring.mul
+    nvars = len(factors)
     out = []
-    for alpha in alphas:
-        coeffs = [ring.one]
-        for table, e in zip(tables, alpha):
-            if table[e] is not unit:
-                coeffs = [mul(c, d) for c in coeffs for d in table[e][1]]
-        entries = [table[e][0] for table, e in zip(tables, alpha)]
+    for powers in chosen:
+        coeffs = None  # the first non-unit factor's coefficients are taken as they are
+        for power in powers:
+            if power is not unit:
+                coeffs = power[1] if coeffs is None else [
+                    mul(c, d) for c in coeffs for d in power[1]]
+        if coeffs is None:
+            coeffs = unit[1]
+        entries = [power[0] for power in powers]
         terms = {key: c for key, c in zip(product(*entries), coeffs) if c != zero}
-        out.append((_raw(ring, len(factors), terms), tuple(exps[-1] for exps in entries)))
+        out.append((_raw(ring, nvars, terms), tuple([exps[-1] for exps in entries])))
     return out
 
 

@@ -138,8 +138,10 @@ class MonicFamily(FrozenValue):
         if len(labels) != len(members):
             raise ValueError("one label per member required")
         witnesses = []
+        if members:
+            ring, nvars = members[0].ring, members[0].nvars
         for label, g in zip(labels, members):
-            g.require_on(members[0].ring, members[0].nvars)
+            g.require_on(ring, nvars)
             theta = g.monic_witness()
             if theta is None:
                 raise NotMonic(f"family member {label!r} is not monic")

@@ -121,20 +121,16 @@ class Ring(FrozenValue):
                 )
         else:
             raise ValueError(f"unknown ring kind {kind!r}")
-        # Element ops read the modulus (None for ZZ and QQ) on every call, and
-        # object.__setattr__ keeps the inline values that read faster than __dict__.
+        # Element ops read the modulus (None for ZZ and QQ) and the constants on
+        # every call, and object.__setattr__ keeps the inline values that read
+        # faster than __dict__.  zero and one follow from kind, so they are not
+        # fields: equality, hash, repr and replace see kind and modulus only.
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "zero", Fraction(0) if kind == _RATIONALS else 0)
+        object.__setattr__(self, "one", Fraction(1) if kind == _RATIONALS else 1)
 
     # -- construction ----------------------------------------------------
-
-    @property
-    def zero(self) -> Element:
-        return Fraction(0) if self.kind == _RATIONALS else 0
-
-    @property
-    def one(self) -> Element:
-        return Fraction(1) if self.kind == _RATIONALS else 1
 
     @property
     def is_finite(self) -> bool:

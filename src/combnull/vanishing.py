@@ -44,7 +44,8 @@ class VanishingSpec(MultisetGrid):
     _fields = ("ring", "axes", "B")
 
     def __init__(self, ring: Ring, axes: tuple, B: Mapping):
-        self.__dict__.update(ring=ring, axes=axes, B=B)
+        super().__init__(ring, axes)
+        self.__dict__["B"] = B
 
     @classmethod
     def build(cls, grid: MultisetGrid, B: Mapping) -> "VanishingSpec":

@@ -294,6 +294,18 @@ def test_ring_cached_modulus_stays_private():
     widened = Zmod(6).replace(kind="ZZ", modulus=None)
     assert widened == ZZ and widened.add(5, 4) == 9
     assert QQ.mul(Fraction(1, 2), Fraction(2, 3)) == Fraction(1, 3)
+    # zero and one are set once, follow kind, and stay out of the fields
+    for ring in (ZZ, QQ, GF(5), Zmod(6)):
+        for name in ("zero", "one"):
+            with pytest.raises(AttributeError, match=name):
+                setattr(ring, name, 7)
+        copy = pickle.loads(pickle.dumps(ring))
+        assert (copy.zero, copy.one) == (ring.zero, ring.one) == (0, 1)
+    assert [type(c) for c in (QQ.zero, QQ.one, ZZ.zero, ZZ.one)] == [Fraction, Fraction, int, int]
+    rational = Zmod(6).replace(kind="QQ", modulus=None)
+    assert rational.one == Fraction(1) and type(rational.one) is Fraction
+    assert type(QQ.replace().zero) is Fraction and type(widened.one) is int
+    assert hash(QQ) == hash(("QQ", None)) and repr(QQ) == "Ring(kind='QQ', modulus=None)"
 
 
 # -- the packed Buchberger sweep ----------------------------------------------------

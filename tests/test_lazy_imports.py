@@ -108,15 +108,16 @@ def test_cli_loads_only_what_its_command_runs(command):
     assert loaded & HEAVY == needs
 
 
-# Standard modules no call needs: dataclasses pulls in inspect, and only
-# selftest draws random numbers.  ``-S`` keeps site hooks from preloading them.
+# Standard modules no call needs: dataclasses pulls in inspect, only selftest
+# draws random numbers, and only @path arguments and certificate --out touch
+# files (through open, not pathlib).  ``-S`` keeps site hooks from preloading them.
 @pytest.mark.parametrize("code, loads", [
     *(pytest.param(cli_call(argv), set(), id=name) for name, (argv, _) in COMMANDS.items()),
     pytest.param(cli_call(("selftest", "--seed", "7")), {"random"}, id="selftest"),
     pytest.param(EVERY_SUBMODULE, set(), id="every_submodule"),
 ])
 def test_no_call_loads_dataclasses_or_inspect(code, loads):
-    assert loaded_after(code, ("dataclasses", "inspect", "random"), ("-S",)) == loads
+    assert loaded_after(code, ("dataclasses", "inspect", "random", "pathlib"), ("-S",)) == loads
 
 
 def test_bare_import_loads_no_submodule():
@@ -154,9 +155,10 @@ def test_value_types_keep_frozen_dataclass_semantics():
                             "size=3, bound=3)")
     # equal fields in another class are not equal
     assert type("Subclass", (BlockingReport,), {})(True, None, 3, 3) != report
-    # Axis.terms is neither compared nor shown; a mapping or Poly field is unhashable
+    # Axis.terms and Axis.ring are neither compared nor shown; a mapping or Poly
+    # field is unhashable
     axis = MultisetGrid.build(ZZ, [[0, 1]], [{0: 2, 1: 1}]).axes[0]
-    assert axis == type(axis)(axis.support, axis.psi, ())
+    assert axis == type(axis)(axis.support, axis.psi, (), GF(5))
     assert repr(axis) == "Axis(support=(0, 1), psi=mappingproxy({0: 2, 1: 1}))"
     family = MonicFamily.build([P("x1^2 - x1")])
     assert family == MonicFamily.build([P("x1^2 - x1")]) != family.replace(certified=True)

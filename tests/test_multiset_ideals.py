@@ -1,4 +1,7 @@
+import copy
 import gc
+import pickle
+import random
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -11,6 +14,7 @@ from combnull import (
     QQ,
     ZZ,
     Axis,
+    CoverInstance,
     EmptyPuncture,
     Inapplicable,
     MonicFamily,
@@ -19,7 +23,9 @@ from combnull import (
     NotMember,
     Poly,
     PuncturedGrid,
+    RingMismatch,
     ScaleExceeded,
+    VanishingSpec,
     Zmod,
     buchberger_certifies,
     level_basis,
@@ -57,6 +63,11 @@ def test_axis_validation():
         MultisetGrid.build(ZZ, [[0]], [{0: 1, 5: 1}])
     with pytest.raises(ValueError):
         PuncturedGrid.build(cube(), [[0], [7]])
+    # 7 is canonical in ZZ, not in GF(5): a grid takes only axes of its own ring
+    with pytest.raises(RingMismatch):
+        MultisetGrid.build(ZZ, [[0, 7]]).replace(ring=GF(5))
+    with pytest.raises(RingMismatch):
+        punctured_cube().replace(ring=QQ)
 
 
 def test_axes_are_interned():
@@ -75,6 +86,28 @@ def test_axes_are_interned():
     assert qq.terms == zz.terms == ((1, 2), (-1, 1))
     assert [type(c) for c in qq.terms[1]] == [Fraction, Fraction]
     assert z6.terms == ((1, 2), (5, 1))
+    # replace, pickle and copy rebuild through build: the interned axis, with
+    # the g of its own support and psi over its own ring
+    simple = Axis.build(ZZ, [0, 1])
+    assert simple.replace(psi={0: 2, 1: 1}) is axis
+    assert axis.replace(ring=QQ) is Axis.build(QQ, [0, 1], {0: 2, 1: 1})
+    assert axis.replace(ring=QQ).terms == axis.terms
+    assert pickle.loads(pickle.dumps(axis)) is axis is copy.deepcopy(axis)
+    doubled = MultisetGrid.build(ZZ, [[0, 1]]).replace(axes=(axis,))
+    [g] = level_basis(doubled, 1).members
+    assert g == P("x1^3 - x1^2") and level_membership(g, doubled, 1)
+
+
+def test_grids_round_trip_through_pickle_and_deepcopy():
+    half = Fraction(1, 2)
+    grid = MultisetGrid.build(QQ, [[0, half], [1]], [{0: 2, half: 1}, None])
+    pgrid = PuncturedGrid.build(grid, [[half], [1]])
+    spec = VanishingSpec.build(cube(), {a: {(1, 0), (0, 1)} for a in product([0, 1], repeat=2)})
+    instance = CoverInstance.build(pgrid, [(P("2*x1 - 1", QQ, nvars=2), 1)], 2)
+    for value in (grid, pgrid, spec, instance):
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert copied == value and copied is not value
+    assert pickle.loads(pickle.dumps(grid)).axes[0] is grid.axes[0]
 
 
 def test_axis_multiplicities_are_read_only():
@@ -100,6 +133,12 @@ def test_intern_table_holds_axes_weakly():
 
 
 def test_scale_refusal_ignores_earlier_builds(monkeypatch):
+    # a cached exponent listing is counted again on every call
+    cube3 = cube(n=3)
+    assert len(level_basis(cube3, 2)) == 6
+    monkeypatch.setattr(multiset_ideals, "MAX_BASIS_TERMS", 5)
+    with pytest.raises(ScaleExceeded, match="^6 power products"):
+        level_basis(cube3, 2)
     # no power of an axis polynomial outlives its call: the second build of
     # one grid counts its power tables as the first did
     monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 17)
@@ -155,10 +194,14 @@ def _products(gs, t):
     return out
 
 
-@pytest.mark.parametrize("ring", [ZZ, GF(5)], ids=str)
+# Every one- and two-axis config, then a seeded sample of the 216 three-axis
+# ones, where the level-1 bases are the groebner sweep's median op.  Over
+# ZZ/6 some products of nonzero coefficients are 0, and the oracle prunes them.
+@pytest.mark.parametrize("ring", [ZZ, GF(5), QQ, Zmod(6)], ids=str)
 @pytest.mark.parametrize(
     "combo",
-    [(c,) for c in AXIS_CONFIGS] + list(product(AXIS_CONFIGS, repeat=2)),
+    [(c,) for c in AXIS_CONFIGS] + list(product(AXIS_CONFIGS, repeat=2))
+    + random.Random(19).sample(list(product(AXIS_CONFIGS, repeat=3)), 12),
 )
 def test_basis_members_pinned(ring, combo):
     n = len(combo)
@@ -182,6 +225,12 @@ def test_basis_members_pinned(ring, combo):
             mixed = mixed_basis(pgrid, t)
             assert list(mixed.labels) == [alpha for alpha, _ in lower + expected]
             assert list(mixed.members) == [g for _, g in lower + expected]
+
+
+def test_power_product_of_no_power_is_one():
+    # every exponent 0: no non-unit factor, so the product is the constant one
+    gs = [P("x1^2 - x1", nvars=2), P("x2 + 3", nvars=2)]
+    assert polynomials.monic_power_product(gs, [(0, 0)]) == [(Poly.one(ZZ, 2), (0, 0))]
 
 
 def test_level_basis_prunes_zero_products():
