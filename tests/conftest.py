@@ -3,7 +3,18 @@ from itertools import product
 
 import pytest
 
-from combnull import GF, QQ, ZZ, MonicFamily, Poly, Zmod, parse_poly, root_product
+from combnull import (
+    GF,
+    QQ,
+    ZZ,
+    MonicFamily,
+    Poly,
+    Zmod,
+    level_basis,
+    parse_poly,
+    reduce,
+    root_product,
+)
 from combnull.polynomials import random_monic, random_poly
 from combnull.staircase import maximal_elements
 
@@ -24,6 +35,12 @@ def P(text, ring=ZZ, nvars=None):
 
         nvars = max((int(m.group(1)) for m in re.finditer(r"x(\d+)", text)), default=1)
     return parse_poly(text, ring, nvars)
+
+
+def level_normal_form_oracle(f, grid, t):
+    """The level-t normal form by division over the level basis, the
+    reference for the digit computation in ``level_normal_form``."""
+    return reduce(f, level_basis(grid, t)).remainder
 
 
 def random_family(rng, ring, nvars, max_members=3):

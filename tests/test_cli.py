@@ -84,18 +84,21 @@ def test_negative_level_exit_code(capsys):
 
 
 def test_oversized_basis_exit_code(capsys):
-    # level 60 on {0,1}^3: a basis of 1 891 members with 8 259 888 terms
+    # level 60 on {0,1}^3: a basis of 1 891 members with 8 259 888 terms;
+    # 0 is a member, so the certificate needs the basis
+    start = time.perf_counter()
     code, out, err = run(
         capsys,
-        "normal-form",
+        "certificate",
         "--ring", "ZZ",
         "--grid", "{S:[[0,1],[0,1],[0,1]]}",
         "--t", "60",
-        "--poly", "x1",
+        "--poly", "0",
     )
     assert code == 3
     assert out == ""
     assert err.startswith("error: 1891 power products need over 1000000 terms")
+    assert time.perf_counter() - start < 5
 
 
 def test_oversized_level_is_refused_before_listing(capsys):
@@ -104,15 +107,48 @@ def test_oversized_level_is_refused_before_listing(capsys):
     start = time.perf_counter()
     code, out, err = run(
         capsys,
-        "normal-form",
+        "certificate",
         "--ring", "ZZ",
         "--grid", "{S:[[0,1],[0,1],[0,1]]}",
         "--t", "100000",
-        "--poly", "x1",
+        "--poly", "0",
     )
     assert code == 3
     assert out == ""
     assert err.startswith("error: 5000150001 power products need over 1000000 terms")
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("t", ["60", "100000"])
+def test_normal_form_at_a_level_whose_basis_is_refused(capsys, t):
+    # the normal form needs no basis: x1 is reduced at every level >= 1
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "normal-form",
+        "--ring", "ZZ",
+        "--grid", "{S:[[0,1],[0,1],[0,1]]}",
+        "--t", t,
+        "--poly", "x1",
+    )
+    assert (code, out, err) == (0, "x1\n", "")
+    assert time.perf_counter() - start < 5
+
+
+def test_normal_form_of_a_huge_power_answers_or_is_refused_quickly(capsys):
+    # the digits of x1^m are computed step by step, so their count is
+    # checked before the first step
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "normal-form",
+        "--ring", "ZZ",
+        "--grid", "{S:[[0,1]]}",
+        "--t", "1",
+        "--poly", "x1^1000000000",
+    )
+    assert code in (0, 3)
+    assert (out == "x1\n") if code == 0 else err.startswith("error: ")
     assert time.perf_counter() - start < 5
 
 

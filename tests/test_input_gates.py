@@ -112,6 +112,10 @@ OPERAND_ENTRY_POINTS = {
         lambda: level_membership(X1X2, EMPTY, 1), ArityMismatch),
     "level_membership_t0": (lambda: level_membership(X1X2, GRID, 0), ArityMismatch),
     "level_membership_ring": (lambda: level_membership(F5, GRID, 1), RingMismatch),
+    "level_normal_form_empty_axis": (
+        lambda: level_normal_form(X1X2, EMPTY, 1), ArityMismatch),
+    "level_normal_form_t0": (lambda: level_normal_form(X1X2, GRID, 0), ArityMismatch),
+    "level_normal_form_ring": (lambda: level_normal_form(F5, GRID, 1), RingMismatch),
     "punctured_membership_empty_axis": (
         lambda: punctured_membership(X1X2, EMPTY_PGRID, 1), ArityMismatch),
     "punctured_membership_t0": (
@@ -233,6 +237,15 @@ def test_multiplicity_gate(entry, bad):
     message = f"psi(0) must be an integer >= 1, got {m!r}"
     with pytest.raises(NonPositiveMultiplicity, match=re.escape(message)):
         MULTIPLICITY_ENTRY_POINTS[entry](m)
+
+
+def test_psi_keys_are_read_as_ring_elements():
+    # 7 is 2 in GF(5): a psi key names the element it canonicalizes to
+    grid = MultisetGrid.build(GF(5), [[0, 7]], [{0: 1, 7: 2}])
+    assert dict(grid.axes[0].psi) == {0: 1, 2: 2}
+    assert MultisetGrid.build(ZZ, [[0, 7]]).axes[0].replace(ring=GF(5)).support == (0, 2)
+    with pytest.raises(ValueError, match=re.escape("psi keys 2 and 7 both name the element 2")):
+        MultisetGrid.build(GF(5), [[0, 2]], [{0: 1, 2: 2, 7: 3}])
 
 
 # Every other count or exponent read from outside goes through the same

@@ -43,7 +43,15 @@ from combnull import (
 )
 from combnull import multiset_ideals, polynomials
 from combnull.multiset_ideals import MAX_GRID_POINTS
-from conftest import P, off_poly, partial_evaluate, random_poly, scale, variable
+from conftest import (
+    P,
+    level_normal_form_oracle,
+    off_poly,
+    partial_evaluate,
+    random_poly,
+    scale,
+    variable,
+)
 
 
 def cube(ring=ZZ, n=2):
@@ -317,6 +325,21 @@ def test_level_normal_form_examples():
     nf = level_normal_form(f, grid, 1)
     for a in product([0, 1], repeat=2):
         assert f.evaluate(a) == nf.evaluate(a)
+
+
+def test_level_normal_form_builds_no_basis_and_divides_nothing(monkeypatch):
+    grid = MultisetGrid.build(ZZ, [[0, 1], [0, 1, 2]], [{0: 2, 1: 1}, None])
+    f = P("x1^7*x2^5 - 3*x1^4*x2 + x1*x2^6 + 2", nvars=2)
+    expected = {t: level_normal_form_oracle(f, grid, t) for t in range(4)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the level normal form built a basis or divided")
+
+    monkeypatch.setattr(multiset_ideals, "level_basis", refuse)
+    monkeypatch.setattr(multiset_ideals, "reduce", refuse)
+    for t, nf in expected.items():
+        assert level_normal_form(f, grid, t) == nf
+    assert not expected[3].is_zero()
 
 
 def test_level_membership_agrees_with_normal_form(rng):

@@ -30,6 +30,7 @@ from combnull import (
     level_basis,
     level_certificate,
     level_membership,
+    level_normal_form,
     monic_power_product,
     parse_poly,
     reduce,
@@ -37,7 +38,7 @@ from combnull import (
     taylor_shift,
 )
 from combnull.serialization import certificate_to_json, verify_certificate_json
-from conftest import RINGS
+from conftest import RINGS, level_normal_form_oracle
 from test_multiset_ideals import _products, _root_power_product
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -94,6 +95,29 @@ def test_level_basis_matches_the_product_oracle(ring, n, t, data):
     basis = level_basis(MultisetGrid.build(ring, supports, psis), t)
     assert list(basis.labels) == [alpha for alpha, _ in expected]
     assert list(basis.members) == [g for _, g in expected]
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.sampled_from(RINGS), st.integers(1, 3), st.integers(0, 4), st.data())
+def test_level_normal_form_matches_the_division_oracle(ring, n, t, data):
+    # a support may be empty (g_k = 1) or, in ZZ/6, hold -3 and 3, which
+    # collide after canon; half the cases add basis members
+    supports = [data.draw(st.just([]) if data.draw(st.integers(0, 9)) == 0
+                          else st.lists(elements(ring), min_size=1, max_size=3))
+                for _ in range(n)]
+    psis = [{ring.canon(u): data.draw(st.integers(1, 3)) for u in S} for S in supports]
+    grid = MultisetGrid.build(ring, supports, psis)
+    exps = st.tuples(*[st.integers(0, 8)] * n)
+    f = data.draw(st.dictionaries(exps, elements(ring, 7), max_size=6).map(
+        lambda terms: Poly(ring, n, terms)))
+    if data.draw(st.booleans()):
+        members = st.sampled_from(level_basis(grid, t).members)
+        f = f + data.draw(polys(ring, n)) * data.draw(members)
+        f = f + data.draw(polys(ring, n)) * data.draw(members)
+    nf = level_normal_form(f, grid, t)
+    assert nf == level_normal_form_oracle(f, grid, t)
+    degs = [axis.degree for axis in grid.axes]
+    assert all(sum(g // d for g, d in zip(gamma, degs)) < t for gamma in nf.terms)
 
 
 @PROPERTY
