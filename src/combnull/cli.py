@@ -171,7 +171,8 @@ def _cmd_groebner_check(args) -> int:
         lines = [
             f"condition (D) per axis: {list(report.condition_d)}",
             f"grid staircase count (zeta1): {report.grid_count}",
-            f"leading staircase count (zeta2): {report.leading_count}",
+            "leading staircase count (zeta2): "
+            f"{'infinite' if report.leading_count is None else report.leading_count}",
             f"verdict: {report.verdict}",
         ]
         _emit(args, payload, lines)

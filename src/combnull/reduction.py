@@ -27,13 +27,17 @@ certificates all divide through it.
 
 ``buchberger_certifies`` runs the sufficiency test on S-polynomials; a True
 answer certifies the Groebner property, a False answer is inconclusive.
-A family whose witnesses are pairwise coprime (one member included) is
-certified by the first criterion below before anything is packed.  Any
-other family is packed once, at one field width for every pair, and each
-kept S-pair (see the criteria below) is built and divided on packed keys
-with the same S-pair builder and division loop.  It checks only that each
-S-pair S reduces to 0, because with the true witnesses ``MonicFamily``
-derives, (2) and (4) cannot fail:
+It is split in two.  The planner, ``_plan_sweep``, reads only the
+witnesses and is kept per witness tuple (level bases over grids with equal
+axis degrees, over any ring, share one): it applies the criteria below and
+returns the pairs to divide, in order, with the packing they are divided
+at, one field width for every pair.  A family whose witnesses are pairwise
+coprime (one member included) gets no plan: the first criterion certifies
+it before anything is packed.  The divider packs the family's tails once
+per call and builds and divides each planned S-pair on packed keys with
+the same S-pair builder and division loop, stopping at the first nonzero
+remainder.  It checks only that each S-pair S reduces to 0, because with
+the true witnesses ``MonicFamily`` derives, (2) and (4) cannot fail:
 
   * Every exponent that enters ``_divide``'s work dict lies componentwise
     under some point of supp(S); this holds at the start.
@@ -72,11 +76,18 @@ degree is smaller.  The verdict is the full sweep's:
     cancel.
   * Equal lcms: among the pairs with one lcm m that the first two criteria
     keep, the sweep divides only a spanning forest.  A union-find per m,
-    joined only by pairs it divided, skips pair (i, j) when i and j are
+    joined only by pairs it divides, skips pair (i, j) when i and j are
     already joined.  Along the forest path i = k(0), ..., k(r) = j every
     edge has lcm m, so S(i, j) = sum S(k(s), k(s+1)) telescopes: the
     x^(m - theta(k(s))) g(k(s)) terms of the inner nodes cancel.  Each
     edge reduced to 0, so it has an lcm representation, and so has the sum.
+  * The planner joins each forest as it plans the pair, before anything
+    is divided.  This is the forest a sweep that joins after each zero
+    remainder builds: a pair is joined only when it is kept, and every
+    kept pair before the first nonzero remainder reduced to 0, so up to
+    that pair both make the same choices; at it the sweep stops.  So the
+    divider divides the same pairs in the same order, and a plan does not
+    depend on which family with these witnesses made it.
   * The induction runs on m(i, j) under divisibility; a proper divisor has
     smaller total degree, so it is well founded.  A divided pair that
     reduces to 0 has an lcm representation, and so has a coprime pair.  A
@@ -104,6 +115,7 @@ degree is smaller.  The verdict is the full sweep's:
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 from itertools import combinations
 from operator import add, mul
 from typing import Hashable, Sequence
@@ -406,6 +418,60 @@ def _root(parent: dict, i: int) -> int:
     return i
 
 
+# Witness tuples whose sweep plans are kept.  The benchmark's `groebner`
+# ops hold 251 distinct tuples over eight rings; a plan is a packing and a
+# few pairs.
+_PLAN_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan_sweep(thetas: tuple):
+    """The sweep's pair schedule, read from the witnesses alone.
+
+    None when the witnesses are pairwise coprime (one member included):
+    the first criterion settles every pair and nothing is packed.
+    Otherwise ``(pack, guards, tops, pairs)``: the packing by the corner of
+    all witnesses, the packed witnesses, and the kept pairs
+    ``(i, j, shift_i, shift_j)`` in the order they are divided, with
+    ``shift_i`` the packed m(i, j) - theta(i).  Each equal-lcm forest is
+    joined as its pair is planned (see the module docstring).
+    """
+    if not any(any(map(min, a, b)) for a, b in combinations(thetas, 2)):
+        return None
+    pack, _, guards = _packing(tuple(map(max, *thetas)))
+    tops = tuple(map(pack, thetas))
+    size = len(thetas)
+    # lcms[i][j] is the packed lcm(theta(i), theta(j)); the diagonal is theta(i).
+    lcms = [[top] * size for top in tops]
+    for i, theta in enumerate(thetas):
+        for j in range(i + 1, size):
+            lcms[i][j] = lcms[j][i] = pack(tuple(map(max, theta, thetas[j])))
+    # One union-find per packed lcm, joined by the pairs planned so far.
+    forests = {}
+    pairs = []
+    for i, top_i in enumerate(tops):
+        row_i = lcms[i]
+        for j in range(i + 1, size):
+            top_j = tops[j]
+            top = row_i[j]
+            # top_i + top_j - top packs the componentwise min of the two
+            # witnesses, which is zero exactly when they are coprime.
+            if top == top_i + top_j:
+                continue
+            row_j = lcms[j]
+            # k = i and k = j never qualify: row_j[i] and row_i[j] are top.
+            for k, top_k in enumerate(tops):
+                if not (top - top_k) & guards and row_i[k] != top and row_j[k] != top:
+                    break
+            else:
+                parent = forests.setdefault(top, {})
+                root_i, root_j = _root(parent, i), _root(parent, j)
+                if root_i != root_j:
+                    pairs.append((i, j, top - top_i, top - top_j))
+                    parent[root_i] = root_j
+    return pack, guards, tops, tuple(pairs)
+
+
 def buchberger_certifies(family: MonicFamily) -> bool:
     """Sufficiency test: every S-polynomial the sweep's criteria keep
     reduces to zero, which carries the support-containment certificate (see
@@ -416,52 +482,27 @@ def buchberger_certifies(family: MonicFamily) -> bool:
     with m = lcm(theta(i), theta(j)), is skipped when theta(i) and theta(j)
     are coprime; when a third witness theta(k) divides m while
     lcm(theta(i), theta(k)) and lcm(theta(j), theta(k)) are both proper
-    divisors of m; or when pairs of lcm m already divided join i to j.
+    divisors of m; or when pairs of lcm m planned before it join i to j.
+    The pairs come from ``_plan_sweep``, planned once per witness tuple.
     When every pair is coprime, nothing is packed.  Every pair kept is
     divided on packed keys, with the quotients, remainder and steps
-    ``reduce`` would give.
+    ``reduce`` would give, and the first nonzero remainder ends the sweep.
     """
-    thetas = family.witnesses
-    # Pairwise coprime witnesses: the first criterion settles every pair.
-    if not any(any(map(min, a, b)) for a, b in combinations(thetas, 2)):
+    plan = _plan_sweep(family.witnesses)
+    if plan is None:
         return True
-    members = family.members
+    pack, guards, tops, pairs = plan
     ring = family.ring
-    pack, _, guards = _packing(tuple(map(max, *thetas)))
     divisors = [
-        (i, pack(theta), _packed_tail(pack, g, theta))
-        for i, (g, theta) in enumerate(zip(members, thetas))
+        (i, top, _packed_tail(pack, g, theta))
+        for i, (g, theta, top) in enumerate(zip(family.members, family.witnesses, tops))
     ]
-    size = len(members)
-    # lcms[i][j] is the packed lcm(theta(i), theta(j)); the diagonal is theta(i).
-    lcms = [[top] * size for _, top, _ in divisors]
-    for i, theta in enumerate(thetas):
-        for j in range(i + 1, size):
-            lcms[i][j] = lcms[j][i] = pack(tuple(map(max, theta, thetas[j])))
-    # One union-find per packed lcm, joined by the pairs divided so far.
-    forests = {}
-    for i, top_i, tail_i in divisors:
-        row_i = lcms[i]
-        for j, top_j, tail_j in divisors[i + 1:]:
-            top = row_i[j]
-            # top_i + top_j - top packs the componentwise min of the two
-            # witnesses, which is zero exactly when they are coprime.
-            if top == top_i + top_j:
-                continue
-            row_j = lcms[j]
-            # k = i and k = j never qualify: row_j[i] and row_i[j] are top.
-            for k, top_k, _ in divisors:
-                if not (top - top_k) & guards and row_i[k] != top and row_j[k] != top:
-                    break
-            else:
-                parent = forests.setdefault(top, {})
-                root_i, root_j = _root(parent, i), _root(parent, j)
-                if root_i != root_j:
-                    s = _s_pair(ring, tail_i, top - top_i, tail_j, top - top_j)
-                    _divide(ring, s, divisors, guards, size)
-                    if s:
-                        return False
-                    parent[root_i] = root_j
+    size = len(divisors)
+    for i, j, shift_i, shift_j in pairs:
+        s = _s_pair(ring, divisors[i][2], shift_i, divisors[j][2], shift_j)
+        _divide(ring, s, divisors, guards, size)
+        if s:
+            return False
     return True
 
 

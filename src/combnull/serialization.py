@@ -105,6 +105,18 @@ def grid_to_json(grid: MultisetGrid) -> dict:
     return doc
 
 
+def _psi_from_json(ring: Ring, doc: Mapping) -> dict:
+    """A psi table keyed by ring elements; two keys naming one element are
+    a ParseError, not a silent overwrite."""
+    keys = {}
+    for key in doc:
+        u = element_from_json(ring, key)
+        if u in keys:
+            raise ParseError(f"psi keys {keys[u]!r} and {key!r} both name the element {u}")
+        keys[u] = key
+    return {u: doc[key] for u, key in keys.items()}
+
+
 def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
     """Accepts the canonical axes form and the compact ``{S: [[...]]}``
     form; a ring given explicitly overrides the document.  A document with
@@ -132,11 +144,7 @@ def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
     grid = MultisetGrid.build(
         ring,
         [[element_from_json(ring, v) for v in S] for S in supports],
-        [
-            None if psi is None
-            else {element_from_json(ring, k): m for k, m in psi.items()}
-            for psi in psi_docs
-        ],
+        [None if psi is None else _psi_from_json(ring, psi) for psi in psi_docs],
     )
     if "E" in doc:
         return PuncturedGrid.build(

@@ -85,18 +85,23 @@ def grid_staircase_count(spec: VanishingSpec) -> int:
     return total
 
 
-def leading_staircase_count(family: MonicFamily) -> int:
-    """Size of the staircase complement of the leading exponents."""
-    return len(complement(set(family.witnesses), family.nvars))
+def leading_staircase_count(family: MonicFamily) -> int | None:
+    """Size of the staircase complement of the leading exponents, or None
+    when it is infinite (some axis bounds no witness on its own)."""
+    witnesses = set(family.witnesses)
+    if not has_finite_complement(witnesses, family.nvars):
+        return None
+    return len(complement(witnesses, family.nvars))
 
 
 class GroebnerReport(FrozenValue):
-    """Count comparison; ``verdict``: groebner, not_groebner or inapplicable."""
+    """Count comparison; ``verdict``: groebner, not_groebner or inapplicable.
+    ``leading_count`` is None when the leading staircase is infinite."""
 
     _fields = ("condition_d", "grid_count", "leading_count", "verdict", "degenerate_empty_grid")
 
-    def __init__(self, condition_d: tuple, grid_count: int, leading_count: int, verdict: str,
-                 degenerate_empty_grid: bool = False):
+    def __init__(self, condition_d: tuple, grid_count: int, leading_count: int | None,
+                 verdict: str, degenerate_empty_grid: bool = False):
         self.__dict__.update(condition_d=condition_d, grid_count=grid_count,
                              leading_count=leading_count, verdict=verdict,
                              degenerate_empty_grid=degenerate_empty_grid)
@@ -124,7 +129,9 @@ def certify_groebner(spec: VanishingSpec, family: MonicFamily) -> GroebnerReport
     Every family member must satisfy the vanishing conditions; a violation
     is an input error.  With Condition (D) on every axis the verdict is
     decided by comparing the two staircase counts; without it the counts
-    are still reported but the verdict is inapplicable.
+    are still reported but the verdict is inapplicable.  The grid count is
+    finite, so an infinite leading staircase (reported as None) is a
+    not_groebner verdict under Condition (D).
     """
     for label, g, _ in family:
         if not in_vanishing_ideal(g, spec):
@@ -137,7 +144,7 @@ def certify_groebner(spec: VanishingSpec, family: MonicFamily) -> GroebnerReport
     elif z1 == z2:
         verdict = "groebner"
     else:
-        if z1 > z2:
+        if z2 is not None and z1 > z2:
             raise InternalInvariantError(
                 f"grid count {z1} exceeds leading count {z2} under Condition (D)"
             )

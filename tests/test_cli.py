@@ -669,6 +669,45 @@ def test_groebner_check_with_spec(capsys):
     assert payload["zeta1"] == payload["zeta2"] == 2
 
 
+INFINITE_STAIRCASE_SPEC = json.dumps({
+    "S": [[0, 1], [0, 1]],
+    "B": {f"({a},{b})": [[1, 0], [0, 1]] for a in (0, 1) for b in (0, 1)},
+})
+
+
+def test_groebner_check_infinite_leading_staircase(capsys):
+    # x1^2 - x1 bounds no power of x2, so its leading staircase is infinite
+    # while the grid count is 4: not a Groebner basis of I(spec).
+    argv = ("groebner-check", "--ring", "GF(5)", "--spec", INFINITE_STAIRCASE_SPEC,
+            "--basis", "x1^2-x1")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == [
+        "grid staircase count (zeta1): 4",
+        "leading staircase count (zeta2): infinite",
+        "verdict: not_groebner",
+    ]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 1
+    assert (payload["zeta1"], payload["zeta2"], payload["groebner"]) == (4, None, False)
+    code, out, _ = run(capsys, *argv, "--basis", "x2^2-x2")
+    assert code == 0 and out.splitlines()[-1] == "verdict: groebner"
+
+
+def test_psi_keys_naming_one_element_exit_3(capsys):
+    code, out, err = run(
+        capsys,
+        "normal-form",
+        "--ring", "GF(5)",
+        "--grid", '{"S": [[0, 2]], "psi": [{"0": 1, "2": 1, "7": 3}]}',
+        "--t", "1",
+        "--poly", "x1^3",
+    )
+    assert (code, out) == (3, "")
+    assert "psi keys '2' and '7' both name the element 2" in err
+
+
 def test_certificate_verify_round_trip(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     code, out, _ = run(

@@ -311,6 +311,15 @@ def test_ring_cached_modulus_stays_private():
 # -- the packed Buchberger sweep ----------------------------------------------------
 
 
+@pytest.fixture(autouse=True)
+def fresh_plans():
+    """Start every test with no sweep plan kept, so a test that counts
+    packings or plans does not depend on which tests ran before it."""
+    reduction._plan_sweep.cache_clear()
+    yield
+    reduction._plan_sweep.cache_clear()
+
+
 def oracle_buchberger(family):
     """The tuple-space sweep: ``s_polynomial``, ``reduce`` and
     ``support_contained`` per pair."""
@@ -500,7 +509,64 @@ def test_sweep_packs_a_family_with_a_shared_variable(monkeypatch, ring):
                                 ["x1^2 - x1", "x1*x2 + 2*x1", "x3 - 2"]])
     assert buchberger_certifies(family) is True
     assert corners == [(2, 1, 1)]
-    assert oracle_buchberger(family) is True
+    # The plan is kept per witness tuple: a repeat call, or another family
+    # with the same witnesses, packs nothing more.
+    same_witnesses = MonicFamily.build([P(text, ring, nvars=3) for text in
+                                        ["x1^2 + x1", "x1*x2 + x2", "x3 + 1"]])
+    assert buchberger_certifies(family) is True
+    assert buchberger_certifies(same_witnesses) is True
+    assert corners == [(2, 1, 1)]
+    assert reduction._plan_sweep.cache_info().misses == 1
+    assert oracle_buchberger(family) is oracle_buchberger(same_witnesses) is True
+
+
+@pytest.mark.parametrize(
+    "groebner, other, divided",
+    [
+        # The other family's second divided pair leaves x1 - x2.
+        (["x1^2*x2 - x1*x2", "x1*x2^2 - x1*x2", "x1^2*x2^2 - x1*x2"],
+         ["x1^2*x2 - x1", "x1*x2^2 - x2", "x1^2*x2^2"], (2, 2)),
+        # The other family's only divided pair leaves 2*x2.
+        (["x1^2 - x1", "x1*x2 + 2*x1", "x3 - 2"], ["x1^2 - x1", "x1*x2 + x2", "x3 - 2"], (1, 1)),
+    ],
+)
+@pytest.mark.parametrize("ring", RINGS)
+def test_sweep_plan_is_shared_by_families_with_equal_witnesses(monkeypatch, groebner, other,
+                                                               divided, ring):
+    # One plan serves both families, whichever is swept first: a sweep that
+    # stops at a nonzero remainder leaves the plan whole for the next family.
+    families = [MonicFamily.build([P(text, ring, nvars=3) for text in members])
+                for members in (groebner, other)]
+    assert families[0].witnesses == families[1].witnesses
+    expected = (True, False)
+    assert tuple(oracle_buchberger(family) for family in families) == expected
+    calls = counting_divisions(monkeypatch)
+    for order in ((0, 1), (1, 0)):
+        reduction._plan_sweep.cache_clear()
+        for k in order + order:
+            calls.clear()
+            assert buchberger_certifies(families[k]) is expected[k]
+            assert len(calls) == divided[k]
+        assert reduction._plan_sweep.cache_info().misses == 1
+
+
+def test_benchmark_sweep_division_and_plan_counts(monkeypatch):
+    # The `groebner` benchmark's ops: criterion 3's sweep over ZZ and seven
+    # prime fields, 8 256 level bases whose order its seed only shuffles.
+    # They divide 41 184 S-pairs, and their 251 distinct witness tuples are
+    # each planned once.
+    calls = counting_divisions(monkeypatch)
+    ops = 0
+    for ring in (ZZ, GF(5), GF(7), GF(11), GF(13), GF(17), GF(19), GF(23)):
+        for n in (1, 2, 3):
+            for grid in _sweep_grids(ring, n):
+                for t in range(4):
+                    assert buchberger_certifies(level_basis(grid, t)) is True
+                    ops += 1
+    assert ops == 8256
+    assert len(calls) == 41184
+    info = reduction._plan_sweep.cache_info()
+    assert info.misses == 251 and info.hits == ops - 251
 
 
 def test_sweep_needs_strictly_smaller_lcms():

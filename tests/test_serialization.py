@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from combnull import (
+    GF,
     QQ,
     ZZ,
     MonicFamily,
@@ -63,6 +64,16 @@ def test_grid_forms_read_alike(psis):
     expected = [None if psi is None else {int(k): m for k, m in psi.items()}
                 for psi in psis or [None, None]]
     assert grid == MultisetGrid.build(ZZ, supports, expected)
+
+
+def test_psi_keys_naming_one_element_are_refused():
+    # "2" and "7" both read as 2 in GF(5); the later key must not win.
+    for doc in ({"S": [[0, 2]], "psi": [{"0": 1, "2": 1, "7": 3}]},
+                {"axes": [{"S": [0, 2], "psi": {"0": 1, "2": 1, "7": 3}}]}):
+        with pytest.raises(ParseError, match="psi keys '2' and '7' both name the element 2"):
+            grid_from_json(doc, GF(5))
+    grid = grid_from_json({"S": [[0, 2]], "psi": [{"0": 1, "7": 3}]}, GF(5))
+    assert dict(grid.axes[0].psi) == {0: 1, 2: 3}
 
 
 def test_grid_entries_pick_the_grid_type():

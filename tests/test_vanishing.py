@@ -121,6 +121,9 @@ def test_leading_staircase_count():
     assert leading_staircase_count(with_unit) == 0
     single = MonicFamily.build([P("x1 - 1")])
     assert leading_staircase_count(single) == 1
+    # no witness is a power of x2 alone
+    assert leading_staircase_count(MonicFamily.build([P("x1^2 - x1", nvars=2)])) is None
+    assert leading_staircase_count(MonicFamily.build([P("x1*x2 - 1")])) is None
 
 
 def test_certify_classical_case():
@@ -149,6 +152,22 @@ def test_certify_inapplicable_on_condition_d_failure():
     assert report.verdict == "inapplicable"
     assert report.groebner is None
     assert report.condition_d == (False,)
+
+
+def test_certify_infinite_leading_staircase():
+    # The grid count is finite, so a family whose witnesses bound no power
+    # of x2 is no Groebner basis of I(spec): not_groebner under Condition
+    # (D), inapplicable without it; zeta2 is reported as None either way.
+    for ring, values, g, verdict in (
+        (ZZ, [0, 1], "x1^2 - x1", "not_groebner"),
+        (Zmod(6), [0, 3], "x1^2 - 3*x1", "inapplicable"),
+    ):
+        grid = MultisetGrid.build(ring, [values, [0, 1]])
+        spec = VanishingSpec.build(grid, {pt: {(1, 0), (0, 1)} for pt in grid.grid_points()})
+        report = certify_groebner(spec, MonicFamily.build([P(g, ring, nvars=2)]))
+        assert (report.grid_count, report.leading_count, report.verdict) == (4, None, verdict)
+        assert report.to_json_dict()["zeta2"] is None
+        assert report.groebner is {"not_groebner": False, "inapplicable": None}[verdict]
 
 
 def test_certify_rejects_non_members():
@@ -234,8 +253,10 @@ def test_grid_count_never_exceeds_leading_count_small_exhaustive():
             for axes, table in _sweep_tables(1, sizes, n_lambdas, 2):
                 try:
                     family, spec = multiplicity_family(ZZ, axes, table)
-                    z2 = leading_staircase_count(family)
                 except InfiniteComplement:
+                    continue
+                z2 = leading_staircase_count(family)
+                if z2 is None:
                     continue
                 z1 = grid_staircase_count(spec)
                 assert z1 <= z2, (table.values, z1, z2)
@@ -259,8 +280,10 @@ def test_grid_count_never_exceeds_leading_count_sampled(rng):
         table = MultiplicityTable(n, labels, values)
         try:
             family, spec = multiplicity_family(ZZ, axes, table)
-            z2 = leading_staircase_count(family)
         except InfiniteComplement:
+            continue
+        z2 = leading_staircase_count(family)
+        if z2 is None:
             # an infinite leading staircase bounds nothing; the comparison
             # is only made when both counts are finite
             continue
