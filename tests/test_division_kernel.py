@@ -42,6 +42,15 @@ from test_acceptance import _sweep_grids
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 
+@pytest.fixture(autouse=True)
+def fresh_plans():
+    """Start every test with no sweep plan kept, so a test that counts
+    packings or plans does not depend on which tests ran before it."""
+    reduction._plan_sweep.cache_clear()
+    yield
+    reduction._plan_sweep.cache_clear()
+
+
 def oracle_reduce(f, family):
     """The tuple-keyed division loop: same strategy, exponent tuples
     throughout, a heap ordered by negated graded-lex keys."""
@@ -309,15 +318,6 @@ def test_ring_cached_modulus_stays_private():
 
 
 # -- the packed Buchberger sweep ----------------------------------------------------
-
-
-@pytest.fixture(autouse=True)
-def fresh_plans():
-    """Start every test with no sweep plan kept, so a test that counts
-    packings or plans does not depend on which tests ran before it."""
-    reduction._plan_sweep.cache_clear()
-    yield
-    reduction._plan_sweep.cache_clear()
 
 
 def oracle_buchberger(family):
