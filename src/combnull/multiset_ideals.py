@@ -63,6 +63,18 @@ MAX_GRID_POINTS = 10**6
 _AXES = WeakValueDictionary()
 
 
+def psi_by_element(psi: Mapping, read, error: type[Exception] = ValueError) -> dict:
+    """``psi`` keyed by the element ``read`` makes of each key; two keys
+    naming one element raise ``error``, naming both."""
+    given = {}
+    for key in psi:
+        u = read(key)
+        if u in given:
+            raise error(f"psi keys {given[u]!r} and {key!r} both name the element {u}")
+        given[u] = key
+    return {u: psi[key] for u, key in given.items()}
+
+
 class Axis(FrozenValue):
     """One grid axis: sorted support values, their read-only multiplicities,
     and its axis polynomial ``g = prod (x - u)^psi(u)`` as sparse univariate
@@ -93,13 +105,8 @@ class Axis(FrozenValue):
         elements = {ring.canon(u) for u in values}
         support = tuple(sorted(elements))
         if psi is not None and psi.keys() != elements:
-            given = {}  # keys in another form, or for absent elements: read each as its element
-            for key in psi:
-                u = ring.canon(key)
-                if u in given:
-                    raise ValueError(f"psi keys {given[u]!r} and {key!r} both name the element {u}")
-                given[u] = key
-            psi = {u: psi[key] for u, key in given.items()}
+            # keys in another form, or for absent elements: read each as its element
+            psi = psi_by_element(psi, ring.canon)
         mults = []
         for u in support:
             m = 1 if psi is None else psi.get(u)

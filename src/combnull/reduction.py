@@ -27,16 +27,19 @@ certificates all divide through it.
 
 ``buchberger_certifies`` runs the sufficiency test on S-polynomials; a True
 answer certifies the Groebner property, a False answer is inconclusive.
-It is split in two.  The planner, ``_plan_sweep``, reads only the
-witnesses and is kept per witness tuple (level bases over grids with equal
-axis degrees, over any ring, share one): it applies the criteria below and
-returns the pairs to divide, in order, with the packing they are divided
-at, one field width for every pair.  A family whose witnesses are pairwise
-coprime (one member included) gets no plan: the first criterion certifies
-it before anything is packed.  The divider packs the family's tails once
-per call and builds and divides each planned S-pair on packed keys with
-the same S-pair builder and division loop, stopping at the first nonzero
-remainder.  It checks only that each S-pair S reduces to 0, because with
+It chooses the pairs to divide by the criteria below, reading only the
+witnesses, and divides each pair as it chooses it, stopping at the first
+nonzero remainder.  A family whose witnesses are pairwise coprime (one
+member included) is certified by the first criterion before anything is
+packed.  Any other family is packed once, by the corner of all witnesses,
+at one field width for every pair, and each chosen S-pair is built and
+divided on packed keys with the same S-pair builder and division loop.  A
+sweep that divides every chosen pair to 0 keeps its plan (the packing, the
+packed witnesses and the pairs in order) per witness tuple, for families
+of at most ``MAX_PLANNED_MEMBERS`` members; level bases over grids with
+equal axis degrees, over any ring, share one.  A later family with those
+witnesses packs its tails and divides the planned pairs without choosing
+them again.  It checks only that each S-pair S reduces to 0, because with
 the true witnesses ``MonicFamily`` derives, (2) and (4) cannot fail:
 
   * Every exponent that enters ``_divide``'s work dict lies componentwise
@@ -81,13 +84,14 @@ degree is smaller.  The verdict is the full sweep's:
     edge has lcm m, so S(i, j) = sum S(k(s), k(s+1)) telescopes: the
     x^(m - theta(k(s))) g(k(s)) terms of the inner nodes cancel.  Each
     edge reduced to 0, so it has an lcm representation, and so has the sum.
-  * The planner joins each forest as it plans the pair, before anything
-    is divided.  This is the forest a sweep that joins after each zero
-    remainder builds: a pair is joined only when it is kept, and every
-    kept pair before the first nonzero remainder reduced to 0, so up to
-    that pair both make the same choices; at it the sweep stops.  So the
-    divider divides the same pairs in the same order, and a plan does not
-    depend on which family with these witnesses made it.
+  * A kept plan serves every family with its witnesses.  The choices
+    read only the witnesses and the forests, and a forest is joined only
+    by pairs that were divided; a plan is kept only when all of them
+    reduced to 0, so it joined every pair it kept.  A sweep of another
+    family with these witnesses makes the same choices up to its first
+    nonzero remainder, where it stops, so dividing the planned pairs in
+    order until one leaves a remainder divides the same pairs as that
+    sweep and gives its verdict.
   * The induction runs on m(i, j) under divisibility; a proper divisor has
     smaller total degree, so it is well founded.  A divided pair that
     reduces to 0 has an lcm representation, and so has a coprime pair.  A
@@ -115,7 +119,6 @@ degree is smaller.  The verdict is the full sweep's:
 from __future__ import annotations
 
 import heapq
-from functools import lru_cache
 from itertools import combinations
 from operator import add, mul
 from typing import Hashable, Sequence
@@ -418,35 +421,55 @@ def _root(parent: dict, i: int) -> int:
     return i
 
 
-# Witness tuples whose sweep plans are kept.  The benchmark's `groebner`
-# ops hold 251 distinct tuples over eight rings; a plan is a packing and a
-# few pairs.
+# Sweep plans of families with at most this many members are kept, the
+# oldest dropped past _PLAN_CACHE_SIZE, so a kept plan holds at most 16
+# packed witnesses and C(16, 2) = 120 pairs.  The benchmark's `groebner` ops
+# keep 160 plans, about 2 KB each with their keys; their largest family has
+# 10 members.
+MAX_PLANNED_MEMBERS = 16
 _PLAN_CACHE_SIZE = 1024
+_plans: dict = {}
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan_sweep(thetas: tuple):
-    """The sweep's pair schedule, read from the witnesses alone.
+def _reduces_to_zero(ring, divisors: list, guards: int, i: int, j: int, top: int) -> bool:
+    """Whether S(i, j), of packed lcm ``top``, divides to 0."""
+    top_i, tail_i = divisors[i][1:]
+    top_j, tail_j = divisors[j][1:]
+    s = _s_pair(ring, tail_i, top - top_i, tail_j, top - top_j)
+    _divide(ring, s, divisors, guards, len(divisors))
+    return not s
 
-    None when the witnesses are pairwise coprime (one member included):
-    the first criterion settles every pair and nothing is packed.
-    Otherwise ``(pack, guards, tops, pairs)``: the packing by the corner of
-    all witnesses, the packed witnesses, and the kept pairs
-    ``(i, j, shift_i, shift_j)`` in the order they are divided, with
-    ``shift_i`` the packed m(i, j) - theta(i).  Each equal-lcm forest is
-    joined as its pair is planned (see the module docstring).
+
+def _packed_divisors(family: MonicFamily, pack, tops: tuple) -> list:
+    return [
+        (i, top, _packed_tail(pack, g, theta))
+        for i, (g, theta, top) in enumerate(zip(family.members, family.witnesses, tops))
+    ]
+
+
+def _plan_and_divide(family: MonicFamily) -> bool:
+    """The sweep on a family whose witnesses have no kept plan: choose each
+    pair by the criteria and divide it at once, stopping at the first
+    nonzero remainder.  A sweep that divides every pair to 0 keeps its
+    plan, ``(pack, guards, tops, pairs)``: the packing by the corner of all
+    witnesses, the packed witnesses and the divided pairs in order, flat,
+    as ``i, j, top`` with ``top`` the packed m(i, j).
     """
+    thetas = family.witnesses
+    # Pairwise coprime witnesses: the first criterion settles every pair.
     if not any(any(map(min, a, b)) for a, b in combinations(thetas, 2)):
-        return None
+        return True
+    ring = family.ring
     pack, _, guards = _packing(tuple(map(max, *thetas)))
     tops = tuple(map(pack, thetas))
+    divisors = _packed_divisors(family, pack, tops)
     size = len(thetas)
     # lcms[i][j] is the packed lcm(theta(i), theta(j)); the diagonal is theta(i).
     lcms = [[top] * size for top in tops]
     for i, theta in enumerate(thetas):
         for j in range(i + 1, size):
             lcms[i][j] = lcms[j][i] = pack(tuple(map(max, theta, thetas[j])))
-    # One union-find per packed lcm, joined by the pairs planned so far.
+    # One union-find per packed lcm, joined by the pairs divided so far.
     forests = {}
     pairs = []
     for i, top_i in enumerate(tops):
@@ -467,9 +490,15 @@ def _plan_sweep(thetas: tuple):
                 parent = forests.setdefault(top, {})
                 root_i, root_j = _root(parent, i), _root(parent, j)
                 if root_i != root_j:
-                    pairs.append((i, j, top - top_i, top - top_j))
+                    if not _reduces_to_zero(ring, divisors, guards, i, j, top):
+                        return False
+                    pairs += i, j, top
                     parent[root_i] = root_j
-    return pack, guards, tops, tuple(pairs)
+    if size <= MAX_PLANNED_MEMBERS:
+        if len(_plans) >= _PLAN_CACHE_SIZE:
+            del _plans[next(iter(_plans))]
+        _plans[thetas] = (pack, guards, tops, tuple(pairs))
+    return True
 
 
 def buchberger_certifies(family: MonicFamily) -> bool:
@@ -482,28 +511,21 @@ def buchberger_certifies(family: MonicFamily) -> bool:
     with m = lcm(theta(i), theta(j)), is skipped when theta(i) and theta(j)
     are coprime; when a third witness theta(k) divides m while
     lcm(theta(i), theta(k)) and lcm(theta(j), theta(k)) are both proper
-    divisors of m; or when pairs of lcm m planned before it join i to j.
-    The pairs come from ``_plan_sweep``, planned once per witness tuple.
+    divisors of m; or when pairs of lcm m divided before it join i to j.
     When every pair is coprime, nothing is packed.  Every pair kept is
     divided on packed keys, with the quotients, remainder and steps
     ``reduce`` would give, and the first nonzero remainder ends the sweep.
+    A family whose witnesses have a kept plan divides its pairs without
+    choosing them again.
     """
-    plan = _plan_sweep(family.witnesses)
+    plan = _plans.get(family.witnesses)
     if plan is None:
-        return True
+        return _plan_and_divide(family)
     pack, guards, tops, pairs = plan
     ring = family.ring
-    divisors = [
-        (i, top, _packed_tail(pack, g, theta))
-        for i, (g, theta, top) in enumerate(zip(family.members, family.witnesses, tops))
-    ]
-    size = len(divisors)
-    for i, j, shift_i, shift_j in pairs:
-        s = _s_pair(ring, divisors[i][2], shift_i, divisors[j][2], shift_j)
-        _divide(ring, s, divisors, guards, size)
-        if s:
-            return False
-    return True
+    divisors = _packed_divisors(family, pack, tops)
+    it = iter(pairs)
+    return all(_reduces_to_zero(ring, divisors, guards, *pair) for pair in zip(it, it, it))
 
 
 def membership_refutation(f: Poly, family: MonicFamily) -> ExpVec | None:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Mapping
 
 from .errors import ParseError
-from .multiset_ideals import MultisetGrid, PuncturedGrid
+from .multiset_ideals import MultisetGrid, PuncturedGrid, psi_by_element
 from .polynomials import format_poly, parse_poly
 from .reduction import MonicFamily, ReductionOutcome
 from .rings import Ring, parse_ring
@@ -105,18 +106,6 @@ def grid_to_json(grid: MultisetGrid) -> dict:
     return doc
 
 
-def _psi_from_json(ring: Ring, doc: Mapping) -> dict:
-    """A psi table keyed by ring elements; two keys naming one element are
-    a ParseError, not a silent overwrite."""
-    keys = {}
-    for key in doc:
-        u = element_from_json(ring, key)
-        if u in keys:
-            raise ParseError(f"psi keys {keys[u]!r} and {key!r} both name the element {u}")
-        keys[u] = key
-    return {u: doc[key] for u, key in keys.items()}
-
-
 def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
     """Accepts the canonical axes form and the compact ``{S: [[...]]}``
     form; a ring given explicitly overrides the document.  A document with
@@ -144,7 +133,8 @@ def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
     grid = MultisetGrid.build(
         ring,
         [[element_from_json(ring, v) for v in S] for S in supports],
-        [None if psi is None else _psi_from_json(ring, psi) for psi in psi_docs],
+        [None if psi is None else psi_by_element(psi, partial(element_from_json, ring), ParseError)
+         for psi in psi_docs],
     )
     if "E" in doc:
         return PuncturedGrid.build(

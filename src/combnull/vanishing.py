@@ -88,10 +88,10 @@ def grid_staircase_count(spec: VanishingSpec) -> int:
 def leading_staircase_count(family: MonicFamily) -> int | None:
     """Size of the staircase complement of the leading exponents, or None
     when it is infinite (some axis bounds no witness on its own)."""
-    witnesses = set(family.witnesses)
-    if not has_finite_complement(witnesses, family.nvars):
+    try:
+        return len(complement(set(family.witnesses), family.nvars))
+    except InfiniteComplement:
         return None
-    return len(complement(witnesses, family.nvars))
 
 
 class GroebnerReport(FrozenValue):

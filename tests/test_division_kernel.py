@@ -46,9 +46,9 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 def fresh_plans():
     """Start every test with no sweep plan kept, so a test that counts
     packings or plans does not depend on which tests ran before it."""
-    reduction._plan_sweep.cache_clear()
+    reduction._plans.clear()
     yield
-    reduction._plan_sweep.cache_clear()
+    reduction._plans.clear()
 
 
 def oracle_reduce(f, family):
@@ -405,6 +405,19 @@ def counting_divisions(monkeypatch):
     return calls
 
 
+def counting_packings(monkeypatch):
+    """Record the corner of every ``_packing`` call: one per sweep plan."""
+    corners = []
+    packing = reduction._packing
+
+    def counted(corner):
+        corners.append(corner)
+        return packing(corner)
+
+    monkeypatch.setattr(reduction, "_packing", counted)
+    return corners
+
+
 def test_pruned_sweep_matches_oracle_on_larger_families(monkeypatch):
     calls = counting_divisions(monkeypatch)
     verdicts = set()
@@ -497,14 +510,7 @@ def test_sweep_certifies_coprime_witnesses_without_packing(monkeypatch, ring):
 
 @pytest.mark.parametrize("ring", RINGS)
 def test_sweep_packs_a_family_with_a_shared_variable(monkeypatch, ring):
-    corners = []
-    packing = reduction._packing
-
-    def counted(corner):
-        corners.append(corner)
-        return packing(corner)
-
-    monkeypatch.setattr(reduction, "_packing", counted)
+    corners = counting_packings(monkeypatch)
     family = MonicFamily.build([P(text, ring, nvars=3) for text in
                                 ["x1^2 - x1", "x1*x2 + 2*x1", "x3 - 2"]])
     assert buchberger_certifies(family) is True
@@ -516,7 +522,7 @@ def test_sweep_packs_a_family_with_a_shared_variable(monkeypatch, ring):
     assert buchberger_certifies(family) is True
     assert buchberger_certifies(same_witnesses) is True
     assert corners == [(2, 1, 1)]
-    assert reduction._plan_sweep.cache_info().misses == 1
+    assert list(reduction._plans) == [family.witnesses]
     assert oracle_buchberger(family) is oracle_buchberger(same_witnesses) is True
 
 
@@ -533,29 +539,47 @@ def test_sweep_packs_a_family_with_a_shared_variable(monkeypatch, ring):
 @pytest.mark.parametrize("ring", RINGS)
 def test_sweep_plan_is_shared_by_families_with_equal_witnesses(monkeypatch, groebner, other,
                                                                divided, ring):
-    # One plan serves both families, whichever is swept first: a sweep that
-    # stops at a nonzero remainder leaves the plan whole for the next family.
+    # One plan serves both families, whichever is swept first.  Only a sweep
+    # that divides every pair to 0 keeps its plan, so when the other family
+    # comes first it plans, stops at its nonzero remainder and keeps
+    # nothing, and the Groebner family plans again.
     families = [MonicFamily.build([P(text, ring, nvars=3) for text in members])
                 for members in (groebner, other)]
     assert families[0].witnesses == families[1].witnesses
     expected = (True, False)
     assert tuple(oracle_buchberger(family) for family in families) == expected
     calls = counting_divisions(monkeypatch)
-    for order in ((0, 1), (1, 0)):
-        reduction._plan_sweep.cache_clear()
+    packings = counting_packings(monkeypatch)
+    for order, planned in (((0, 1), 1), ((1, 0), 2)):
+        reduction._plans.clear()
+        packings.clear()
         for k in order + order:
             calls.clear()
             assert buchberger_certifies(families[k]) is expected[k]
             assert len(calls) == divided[k]
-        assert reduction._plan_sweep.cache_info().misses == 1
+        assert len(packings) == planned
+        assert list(reduction._plans) == [families[0].witnesses]
+
+
+def test_sweep_keeps_no_plan_for_a_large_family(monkeypatch):
+    # 17 members, one past MAX_PLANNED_MEMBERS: every call plans afresh.
+    family = level_basis(MultisetGrid.build(ZZ, [[0, 1]] * 2), 16)
+    assert len(family) == reduction.MAX_PLANNED_MEMBERS + 1
+    packings = counting_packings(monkeypatch)
+    for _ in range(2):
+        assert buchberger_certifies(family) is True
+    assert len(packings) == 2
+    assert not reduction._plans
 
 
 def test_benchmark_sweep_division_and_plan_counts(monkeypatch):
     # The `groebner` benchmark's ops: criterion 3's sweep over ZZ and seven
     # prime fields, 8 256 level bases whose order its seed only shuffles.
-    # They divide 41 184 S-pairs, and their 251 distinct witness tuples are
-    # each planned once.
+    # They divide 41 184 S-pairs.  Of their 251 distinct witness tuples, 91
+    # are pairwise coprime and never packed; the other 160 are each planned
+    # once, by the first family that has them.
     calls = counting_divisions(monkeypatch)
+    packings = counting_packings(monkeypatch)
     ops = 0
     for ring in (ZZ, GF(5), GF(7), GF(11), GF(13), GF(17), GF(19), GF(23)):
         for n in (1, 2, 3):
@@ -565,8 +589,7 @@ def test_benchmark_sweep_division_and_plan_counts(monkeypatch):
                     ops += 1
     assert ops == 8256
     assert len(calls) == 41184
-    info = reduction._plan_sweep.cache_info()
-    assert info.misses == 251 and info.hits == ops - 251
+    assert len(packings) == len(reduction._plans) == 160
 
 
 def test_sweep_needs_strictly_smaller_lcms():
