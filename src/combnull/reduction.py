@@ -441,6 +441,7 @@ def _reduces_to_zero(ring, divisors: list, guards: int, i: int, j: int, top: int
 
 
 def _packed_divisors(family: MonicFamily, pack, tops: tuple) -> list:
+    """``_divide``'s divisors: each member as (index, packed witness, packed tail)."""
     return [
         (i, top, _packed_tail(pack, g, theta))
         for i, (g, theta, top) in enumerate(zip(family.members, family.witnesses, tops))
