@@ -27,20 +27,19 @@ certificates all divide through it.
 
 ``buchberger_certifies`` runs the sufficiency test on S-polynomials; a True
 answer certifies the Groebner property, a False answer is inconclusive.
-It chooses the pairs to divide by the criteria below, reading only the
-witnesses, and divides each pair as it chooses it, stopping at the first
-nonzero remainder.  A family whose witnesses are pairwise coprime (one
-member included) is certified by the first criterion before anything is
-packed.  Any other family is packed once, by the corner of all witnesses,
-at one field width for every pair, and each chosen S-pair is built and
-divided on packed keys with the same S-pair builder and division loop.  A
-sweep that divides every chosen pair to 0 keeps its plan (the packing, the
-packed witnesses and the pairs in order) per witness tuple, for families
-of at most ``MAX_PLANNED_MEMBERS`` members; level bases over grids with
-equal axis degrees, over any ring, share one.  A later family with those
-witnesses packs its tails and divides the planned pairs without choosing
-them again.  It checks only that each S-pair S reduces to 0, because with
-the true witnesses ``MonicFamily`` derives, (2) and (4) cannot fail:
+A family whose witnesses are pairwise coprime (one member included) is
+certified by the first criterion before anything is packed.  Any other
+family is packed once, by the corner of all witnesses, at one field width
+for every pair.  One loop builds each S-pair and divides it on packed keys
+with ``reduce``'s division loop, stopping at the first nonzero remainder.
+It takes its pairs from the kept plan of the family's witnesses or, when
+there is none, from ``_chosen_pairs``, which chooses them by the criteria
+below, reading only the witnesses, as the loop goes.  A sweep of chosen
+pairs that divides each to 0 keeps them as the plan of its witness tuple,
+for families of at most ``MAX_PLANNED_MEMBERS`` members; level bases over
+grids with equal axis degrees, over any ring, share one.  The loop checks
+only that each S-pair S reduces to 0, because with the true witnesses
+``MonicFamily`` derives, (2) and (4) cannot fail:
 
   * Every exponent that enters ``_divide``'s work dict lies componentwise
     under some point of supp(S); this holds at the start.
@@ -294,14 +293,14 @@ def _packing(corner: ExpVec):
     return pack, unpack, guards
 
 
-def _divide(ring, work: dict, divisors: list, guards: int, size: int):
+def _divide(ring, work: dict, divisors: list, guards: int) -> list:
     """The division loop on packed keys, under the fixed strategy.
 
     ``divisors`` lists ``(index, theta, tail)`` by increasing index, with
     packed witness and the packed terms other than the witness's (whose
     coefficient is 1); ``work`` is reduced in place to the remainder.
-    Returns the ``size`` quotient dicts, keyed by packed shift, and the
-    number of steps.
+    Returns the steps in the order made, one ``(index, shift, c)`` each: the
+    quotient of member ``index`` gains c at packed key ``shift``.
 
     A step cancels gamma, the greatest key in ``work``: it deletes gamma and
     subtracts c x^shift times the tail, one ``ring.submul`` per tail term.
@@ -317,10 +316,10 @@ def _divide(ring, work: dict, divisors: list, guards: int, size: int):
     zero = ring.zero
     submul = ring.submul
     push = heapq.heappush
-    quotients = [dict() for _ in range(size)]
+    steps = []
+    record = steps.append
     heap = [-key for key in work]
     heapq.heapify(heap)
-    steps = 0
     kept = 0
     last = None
     while len(work) > kept:
@@ -337,9 +336,8 @@ def _divide(ring, work: dict, divisors: list, guards: int, size: int):
         else:
             kept += 1
             continue
-        steps += 1
         shift = gamma - theta
-        quotients[i][shift] = c
+        record((i, shift, c))
         del work[gamma]
         for beta, gc in tail:
             key = shift + beta
@@ -355,7 +353,7 @@ def _divide(ring, work: dict, divisors: list, guards: int, size: int):
                     del work[key]
                 else:
                     work[key] = s
-    return quotients, steps
+    return steps
 
 
 def _s_pair(ring, f_tail: list, u: int, g_tail: list, v: int) -> dict:
@@ -394,9 +392,12 @@ def reduce(f: Poly, family: MonicFamily) -> ReductionOutcome:
         if leq(theta, corner)
     ]
     work = {pack(alpha): c for alpha, c in f.terms.items()}
-    quotients, steps = _divide(f.ring, work, reachable, guards, len(family))
+    steps = _divide(f.ring, work, reachable, guards)
+    quotients = [{} for _ in family.members]
+    for i, shift, c in steps:
+        quotients[i][shift] = c
     return ReductionOutcome(
-        family, tuple(unpack(f.ring, q) for q in quotients), unpack(f.ring, work), f, steps
+        family, tuple(unpack(f.ring, q) for q in quotients), unpack(f.ring, work), f, len(steps)
     )
 
 
@@ -421,7 +422,10 @@ def _root(parent: dict, i: int) -> int:
     return i
 
 
-# Sweep plans of families with at most this many members are kept, the
+# A sweep that chose its pairs and divided each to 0 keeps its plan per
+# witness tuple: the packing by the corner of all witnesses, the packed
+# witnesses and the divided pairs in order, flat, as i, j and the packed
+# m(i, j).  Plans of families with at most this many members are kept, the
 # oldest dropped past _PLAN_CACHE_SIZE, so a kept plan holds at most 16
 # packed witnesses and C(16, 2) = 120 pairs.  The benchmark's `groebner` ops
 # keep 160 plans, about 2 KB each with their keys; their largest family has
@@ -431,39 +435,11 @@ _PLAN_CACHE_SIZE = 1024
 _plans: dict = {}
 
 
-def _reduces_to_zero(ring, divisors: list, guards: int, i: int, j: int, top: int) -> bool:
-    """Whether S(i, j), of packed lcm ``top``, divides to 0."""
-    top_i, tail_i = divisors[i][1:]
-    top_j, tail_j = divisors[j][1:]
-    s = _s_pair(ring, tail_i, top - top_i, tail_j, top - top_j)
-    _divide(ring, s, divisors, guards, len(divisors))
-    return not s
-
-
-def _packed_divisors(family: MonicFamily, pack, tops: tuple) -> list:
-    """``_divide``'s divisors: each member as (index, packed witness, packed tail)."""
-    return [
-        (i, top, _packed_tail(pack, g, theta))
-        for i, (g, theta, top) in enumerate(zip(family.members, family.witnesses, tops))
-    ]
-
-
-def _plan_and_divide(family: MonicFamily) -> bool:
-    """The sweep on a family whose witnesses have no kept plan: choose each
-    pair by the criteria and divide it at once, stopping at the first
-    nonzero remainder.  A sweep that divides every pair to 0 keeps its
-    plan, ``(pack, guards, tops, pairs)``: the packing by the corner of all
-    witnesses, the packed witnesses and the divided pairs in order, flat,
-    as ``i, j, top`` with ``top`` the packed m(i, j).
-    """
-    thetas = family.witnesses
-    # Pairwise coprime witnesses: the first criterion settles every pair.
-    if not any(any(map(min, a, b)) for a, b in combinations(thetas, 2)):
-        return True
-    ring = family.ring
-    pack, _, guards = _packing(tuple(map(max, *thetas)))
-    tops = tuple(map(pack, thetas))
-    divisors = _packed_divisors(family, pack, tops)
+def _chosen_pairs(thetas: tuple, tops: tuple, pack, guards: int):
+    """Yield ``(i, j, top)``, with ``top`` the packed m(i, j), for each pair
+    the criteria keep, in sweep order.  A yielded pair joins its lcm's
+    forest when the generator resumes, which the sweep does only after the
+    pair divided to 0."""
     size = len(thetas)
     # lcms[i][j] is the packed lcm(theta(i), theta(j)); the diagonal is theta(i).
     lcms = [[top] * size for top in tops]
@@ -472,15 +448,13 @@ def _plan_and_divide(family: MonicFamily) -> bool:
             lcms[i][j] = lcms[j][i] = pack(tuple(map(max, theta, thetas[j])))
     # One union-find per packed lcm, joined by the pairs divided so far.
     forests = {}
-    pairs = []
     for i, top_i in enumerate(tops):
         row_i = lcms[i]
         for j in range(i + 1, size):
-            top_j = tops[j]
             top = row_i[j]
             # top_i + top_j - top packs the componentwise min of the two
             # witnesses, which is zero exactly when they are coprime.
-            if top == top_i + top_j:
+            if top == top_i + tops[j]:
                 continue
             row_j = lcms[j]
             # k = i and k = j never qualify: row_j[i] and row_i[j] are top.
@@ -491,15 +465,8 @@ def _plan_and_divide(family: MonicFamily) -> bool:
                 parent = forests.setdefault(top, {})
                 root_i, root_j = _root(parent, i), _root(parent, j)
                 if root_i != root_j:
-                    if not _reduces_to_zero(ring, divisors, guards, i, j, top):
-                        return False
-                    pairs += i, j, top
+                    yield i, j, top
                     parent[root_i] = root_j
-    if size <= MAX_PLANNED_MEMBERS:
-        if len(_plans) >= _PLAN_CACHE_SIZE:
-            del _plans[next(iter(_plans))]
-        _plans[thetas] = (pack, guards, tops, tuple(pairs))
-    return True
 
 
 def buchberger_certifies(family: MonicFamily) -> bool:
@@ -516,17 +483,41 @@ def buchberger_certifies(family: MonicFamily) -> bool:
     When every pair is coprime, nothing is packed.  Every pair kept is
     divided on packed keys, with the quotients, remainder and steps
     ``reduce`` would give, and the first nonzero remainder ends the sweep.
-    A family whose witnesses have a kept plan divides its pairs without
-    choosing them again.
+    The pairs are the kept plan's when the witnesses have one, and are
+    chosen while dividing otherwise.
     """
-    plan = _plans.get(family.witnesses)
+    thetas = family.witnesses
+    plan = _plans.get(thetas)
     if plan is None:
-        return _plan_and_divide(family)
-    pack, guards, tops, pairs = plan
+        # Pairwise coprime witnesses: the first criterion settles every pair.
+        if not any(any(map(min, a, b)) for a, b in combinations(thetas, 2)):
+            return True
+        pack, _, guards = _packing(tuple(map(max, *thetas)))
+        tops = tuple(map(pack, thetas))
+        pairs = _chosen_pairs(thetas, tops, pack, guards)
+    else:
+        pack, guards, tops, flat = plan
+        it = iter(flat)
+        pairs = zip(it, it, it)
     ring = family.ring
-    divisors = _packed_divisors(family, pack, tops)
-    it = iter(pairs)
-    return all(_reduces_to_zero(ring, divisors, guards, *pair) for pair in zip(it, it, it))
+    divisors = [
+        (i, top, _packed_tail(pack, g, theta))
+        for i, (g, theta, top) in enumerate(zip(family.members, thetas, tops))
+    ]
+    divided = []
+    for i, j, top in pairs:
+        _, top_i, tail_i = divisors[i]
+        _, top_j, tail_j = divisors[j]
+        s = _s_pair(ring, tail_i, top - top_i, tail_j, top - top_j)
+        _divide(ring, s, divisors, guards)
+        if s:
+            return False
+        divided += i, j, top
+    if plan is None and len(thetas) <= MAX_PLANNED_MEMBERS:
+        if len(_plans) >= _PLAN_CACHE_SIZE:
+            del _plans[next(iter(_plans))]
+        _plans[thetas] = (pack, guards, tops, tuple(divided))
+    return True
 
 
 def membership_refutation(f: Poly, family: MonicFamily) -> ExpVec | None:

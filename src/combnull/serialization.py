@@ -160,9 +160,10 @@ def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
 
 
 def family_to_json(family: MonicFamily) -> dict:
-    return {
-        _label_to_key(label): format_poly(g) for label, g, _ in family
-    }
+    doc = {_label_to_key(label): format_poly(g) for label, g, _ in family}
+    if len(doc) != len(family):
+        raise ValueError("two family labels write the same JSON key")
+    return doc
 
 
 def family_from_json(doc: Mapping, ring: Ring, nvars: int) -> MonicFamily:

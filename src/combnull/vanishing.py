@@ -87,7 +87,10 @@ def grid_staircase_count(spec: VanishingSpec) -> int:
 
 def leading_staircase_count(family: MonicFamily) -> int | None:
     """Size of the staircase complement of the leading exponents, or None
-    when it is infinite (some axis bounds no witness on its own)."""
+    when it is infinite (some axis bounds no witness on its own, as in an
+    empty family)."""
+    if not family.members:
+        return None
     try:
         return len(complement(set(family.witnesses), family.nvars))
     except InfiniteComplement:

@@ -131,7 +131,9 @@ def divisions(draw):
 @given(divisions())
 def test_reduce_matches_tuple_oracle(case):
     f, family = case
-    assert_matches_oracle(f, family)
+    out = assert_matches_oracle(f, family)
+    # Each quotient key is set once, so each step adds one quotient term.
+    assert out.steps == sum(len(p.terms) for p in out.quotients)
 
 
 def test_wide_fields():
@@ -559,6 +561,42 @@ def test_sweep_plan_is_shared_by_families_with_equal_witnesses(monkeypatch, groe
             assert len(calls) == divided[k]
         assert len(packings) == planned
         assert list(reduction._plans) == [families[0].witnesses]
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_kept_plan_divides_the_pairs_a_fresh_sweep_divides(monkeypatch, ring):
+    # A sweep that replays a kept plan hands ``_divide`` the same S-pairs, in
+    # the same order, as a sweep that chooses its pairs: for level bases and
+    # for their twins with 1 added to member 0, which fail at some pair,
+    # whichever of a basis and its twin is swept first.
+    s_pairs = []
+    divide = reduction._divide
+
+    def recorded(ring, work, *args):
+        s_pairs.append(list(work.items()))
+        return divide(ring, work, *args)
+
+    monkeypatch.setattr(reduction, "_divide", recorded)
+    for n in (2, 3):
+        for grid in _sweep_grids(ring, n):
+            for t in (2, 3):
+                basis = level_basis(grid, t)
+                twin = MonicFamily.build(
+                    (basis.members[0] + Poly.one(ring, n),) + basis.members[1:])
+                assert twin.witnesses == basis.witnesses
+                sweeps = {True: set(), False: set()}
+                for order in ((basis, twin), (twin, basis)):
+                    reduction._plans.clear()
+                    for family in order + order:
+                        hit = family.witnesses in reduction._plans
+                        s_pairs.clear()
+                        is_basis = family is basis
+                        assert buchberger_certifies(family) is is_basis
+                        sweeps[is_basis].add((hit, repr(s_pairs)))
+                for seen in sweeps.values():
+                    # A miss and a hit, each dividing the same S-pairs.
+                    assert {hit for hit, _ in seen} == {False, True}
+                    assert len({pairs for _, pairs in seen}) == 1
 
 
 def test_sweep_keeps_no_plan_for_a_large_family(monkeypatch):

@@ -19,6 +19,7 @@ from combnull import (
 )
 from combnull.serialization import (
     certificate_to_json,
+    family_to_json,
     grid_from_json,
     grid_to_json,
     verify_certificate_json,
@@ -142,6 +143,20 @@ def test_outcome_json_shape():
     assert doc["remainder"] == "2*x2"
     checks = verify_certificate_json(json.loads(json.dumps(doc)))
     assert checks["valid"]
+
+
+@pytest.mark.parametrize("labels", [[0, 0], [0, "0"]], ids=["equal", "int_and_str"])
+def test_colliding_labels_are_refused(labels):
+    # Both labels write the JSON key "0": the document would hold one member
+    # and fail verification, though the outcome verifies in memory.
+    family = MonicFamily.build([P("x1^2 - x1", nvars=2), P("x2^2 - x2", nvars=2)],
+                               labels=labels)
+    out = reduce(P("x1^2*x2^2 + x1", nvars=2), family)
+    assert all(out.verify().values())
+    with pytest.raises(ValueError, match="same JSON key"):
+        family_to_json(family)
+    with pytest.raises(ValueError, match="same JSON key"):
+        certificate_to_json(out)
 
 
 def test_certificate_json_self_verifies():

@@ -170,6 +170,24 @@ def test_certify_infinite_leading_staircase():
         assert report.groebner is {"not_groebner": False, "inapplicable": None}[verdict]
 
 
+def test_empty_family_has_an_infinite_leading_staircase():
+    # An empty family generates the zero ideal, whose staircase is all of
+    # N^n: not_groebner under Condition (D), inapplicable without it.
+    empty = MonicFamily.build([])
+    assert leading_staircase_count(empty) is None
+    ring = Zmod(6)
+    without_d = VanishingSpec.build(MultisetGrid.build(ring, [[0, 3]]),
+                                    {(0,): {(1,)}, (3,): {(1,)}})
+    for spec, f, verdict in (
+        (classical_spec(), P("x1^2 - x1"), "not_groebner"),
+        (without_d, P("x1^2 - 3*x1", ring=ring), "inapplicable"),
+    ):
+        report = certify_groebner(spec, empty)
+        assert (report.grid_count, report.leading_count, report.verdict) == (2, None, verdict)
+        with pytest.raises(NotCertified):
+            groebner_decompose(f, spec, empty)
+
+
 def test_certify_rejects_non_members():
     spec = classical_spec()
     with pytest.raises(NotInIdeal):
