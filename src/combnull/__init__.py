@@ -30,9 +30,9 @@ _EXPORTS = {
         "ArityMismatch", "CombnullError", "DivisibilityFailure", "EmptyPuncture",
         "GammaExceedsAlpha", "Inapplicable", "InfiniteComplement",
         "InternalInvariantError", "NonPositiveMultiplicity", "NonzeroRemainder",
-        "NotAxisPoly", "NotCertified", "NotInIdeal", "NotMember", "NotMonic",
-        "ParseError", "RingMismatch", "ScaleExceeded", "UncertifiedBasis",
-        "UnsupportedField", "ZeroPolynomial",
+        "NotCertified", "NotInIdeal", "NotMember", "NotMonic", "ParseError",
+        "RingMismatch", "ScaleExceeded", "UncertifiedBasis", "UnsupportedField",
+        "ZeroPolynomial",
     ),
     "multiset_ideals": (
         "Axis", "MultisetGrid", "PuncturedGrid", "PuncturedReport", "level_basis",
@@ -41,8 +41,7 @@ _EXPORTS = {
         "punctured_analysis", "punctured_membership",
     ),
     "polynomials": (
-        "NEG_INF", "Poly", "format_poly", "monic_power_product", "parse_poly",
-        "root_product", "taylor_shift",
+        "NEG_INF", "Poly", "format_poly", "parse_poly", "root_product", "taylor_shift",
     ),
     "reduction": (
         "MonicFamily", "ReductionOutcome", "buchberger_certifies", "decompose_member",

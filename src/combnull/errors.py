@@ -28,10 +28,6 @@ class NotMonic(CombnullError):
     with coefficient one."""
 
 
-class NotAxisPoly(CombnullError):
-    """A polynomial required to be univariate in a single axis is not."""
-
-
 class NonPositiveMultiplicity(CombnullError):
     """A multiset multiplicity is not a positive integer."""
 

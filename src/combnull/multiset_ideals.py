@@ -7,11 +7,14 @@ products ``prod g_k^(alpha_k)`` with total exponent t; that family is
 always a Groebner basis of the ideal, which makes normal forms available
 unconditionally.
 
-Membership tests, by contrast, go through the grid: they check that the
-Taylor shift of the candidate to each relevant grid point has no support
-below the staircase at that point, and this equivalence is only valid when
-every axis satisfies Condition (D).  Such gated operations raise
-``Inapplicable`` (never a boolean) on a Condition (D) failure.
+So a level certificate decides membership by the normal form, with no
+grid scan.  The membership tests (level, punctured and mixed) go through
+the grid: they check that the Taylor shift of the candidate to each
+relevant grid point has no support below the staircase at that point, and
+this equivalence is only valid when every axis satisfies Condition (D),
+which each ``Axis`` decides once.  Gated operations, level certificates
+included, raise ``Inapplicable`` (never a boolean) on a Condition (D)
+failure.
 
 Puncturing removes a subgrid from the vanishing requirements; the mixed
 ideal additionally keeps a relaxed requirement on the puncture.
@@ -20,7 +23,7 @@ ideal additionally keeps a relaxed requirement on the puncture.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import comb, prod
 from operator import floordiv
 from types import MappingProxyType
@@ -79,6 +82,10 @@ class Axis(FrozenValue):
     """One grid axis: sorted support values, their read-only multiplicities,
     and its axis polynomial ``g = prod (x - u)^psi(u)`` as sparse univariate
     ``(exponents, coefficients)`` tuples over the ring it was built over.
+    ``condition_d`` is Condition (D): no difference of two support values
+    is a zero divisor.  It is decided once, in ``__init__``; its pair scan
+    costs no more than building g, and like ``terms`` and ``ring`` it is not
+    a field.
 
     ``build`` interns: equal inputs over one ring return the same object, so
     g is computed once per distinct axis however many grids repeat it.  The
@@ -90,7 +97,10 @@ class Axis(FrozenValue):
     _fields = ("support", "psi")  # terms and ring follow from build's key
 
     def __init__(self, support: tuple, psi: Mapping, terms: tuple, ring: Ring):
-        self.__dict__.update(support=support, psi=psi, terms=terms, ring=ring)
+        condition_d = not any(
+            ring.is_zero_divisor(ring.sub(b, a)) for a, b in combinations(support, 2))
+        self.__dict__.update(
+            support=support, psi=psi, terms=terms, ring=ring, condition_d=condition_d)
 
     def replace(self, **changes) -> "Axis":
         """The interned axis with ``changes`` to ``ring``, ``support`` or ``psi``."""
@@ -182,9 +192,7 @@ class MultisetGrid(FrozenValue):
         return (point for point in self.grid_points() if f.evaluate(point) != zero)
 
     def condition_d(self) -> tuple:
-        return tuple(
-            self.ring.condition_holds(axis.support, "D") for axis in self.axes
-        )
+        return tuple(axis.condition_d for axis in self.axes)
 
     def require_condition_d(self) -> None:
         cond = self.condition_d()
@@ -451,11 +459,19 @@ def level_normal_form(f: Poly, grid: MultisetGrid, t: int) -> Poly:
 def level_certificate(f: Poly, grid: MultisetGrid, t: int) -> ReductionOutcome:
     """Decompose a member over the level basis with support containment.
 
-    Also records that every maximal support point of f dominates the
-    leading exponent of some basis member, the leading-cover consequence
-    of membership.
+    t, the operand and Condition (D) are checked in that order.  Membership
+    is then decided by ``level_normal_form``, so no grid point is visited,
+    and a member is divided over ``level_basis``.  A nonzero remainder
+    there means the digits and the division disagree, and is raised as
+    ``NonzeroRemainder``.  The digits' ``MAX_DIGIT_TERMS`` and the basis's
+    ``MAX_BASIS_TERMS`` bound the work.  Also records that every maximal
+    support point of f dominates the leading exponent of some basis member,
+    the leading-cover consequence of membership.
     """
-    if not level_membership(f, grid, t):
+    require_int(t, 0, "t", ValueError)
+    f.require_on(grid.ring, grid.nvars)
+    grid.require_condition_d()
+    if not level_normal_form(f, grid, t).is_zero():
         raise NotMember("not in the level ideal")
     out = decompose_member(f, level_basis(grid, t))
     return out.replace(kind="I_t", t=t, degree_report={"leading_cover": True})
@@ -617,6 +633,6 @@ def min_extra_degree(pgrid: PuncturedGrid, t: int):
         raise InternalInvariantError("witness degree disagrees with the formula")
     if not mixed_membership(witness, pgrid, t):
         raise InternalInvariantError("witness fails mixed membership")
-    if level_membership(witness, pgrid, t):
+    if level_normal_form(witness, pgrid, t).is_zero():
         raise InternalInvariantError("witness unexpectedly in the level ideal")
     return value, witness

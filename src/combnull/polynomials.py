@@ -21,8 +21,6 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     ArityMismatch,
     NonPositiveMultiplicity,
-    NotAxisPoly,
-    NotMonic,
     ParseError,
     ScaleExceeded,
 )
@@ -103,12 +101,6 @@ class Poly:
         if self.terms.get(theta) != self.ring.one:
             return None
         return theta
-
-    def is_axis_poly(self, axis: int) -> bool:
-        """True iff every term is supported on the given axis only."""
-        # Exponents are nonnegative: the other entries are all zero iff they
-        # add nothing to the sum.
-        return all(sum(alpha) == alpha[axis] for alpha in self.terms)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -375,38 +367,6 @@ def _power_products(ring: Ring, factors: Sequence, alphas: Sequence, seeds=None)
         terms = {key: c for key, c in zip(product(*entries), coeffs) if c != zero}
         out.append((_raw(ring, nvars, terms), tuple([exps[-1] for exps in entries])))
     return out
-
-
-def monic_power_product(axis_polys: Sequence[Poly], alphas: Iterable[ExpVec]) -> list:
-    """``prod g_k^(alpha_k)`` for each alpha, over monic single-axis polynomials.
-
-    ``axis_polys[k]`` must be a monic polynomial in x_(k+1) alone; all are
-    checked before any product is built, so a bad family raises even when
-    ``alphas`` is empty.  Returns one pair ``(product, theta)`` per alpha,
-    in order, where theta is the greatest support point
-    ``(deg(g_1) alpha_1, ..., deg(g_n) alpha_n)``.  Products are built per
-    axis, with the term limit ``MAX_BASIS_TERMS`` (see ``_power_products``).
-    """
-    if not axis_polys:
-        raise ValueError("need at least one axis polynomial")
-    n = axis_polys[0].nvars
-    if len(axis_polys) != n:
-        raise ArityMismatch("one axis polynomial per variable is required")
-    ring = axis_polys[0].ring
-    factors = []
-    for k, g in enumerate(axis_polys):
-        g.require_on(ring, n)
-        if not g.is_axis_poly(k):
-            raise NotAxisPoly(f"member {k + 1} involves other variables")
-        if g.monic_witness() is None:
-            raise NotMonic(f"axis polynomial {k + 1} is not monic")
-        axis_terms = sorted((alpha[k], c) for alpha, c in g.terms.items())
-        factors.append(tuple(map(list, zip(*axis_terms))))
-    alphas = [tuple(require_int(e, 0, "exponent", ValueError) for e in alpha) for alpha in alphas]
-    for alpha in alphas:
-        if len(alpha) != n:
-            raise ArityMismatch(f"exponent {alpha} for {n} axis polynomials")
-    return _power_products(ring, factors, alphas)
 
 
 def random_poly(rng, ring: Ring, nvars: int, max_deg=3, max_terms=6, coeff_span=4) -> Poly:

@@ -8,6 +8,10 @@ Elements are kept in canonical form as plain Python values: arbitrary
 precision ``int`` for ZZ and the modular rings (representatives in
 ``[0, m)``), and normalized ``Fraction`` for QQ.  All arithmetic is exact;
 nothing in the library rounds.
+
+The one predicate on elements is ``is_zero_divisor``.  Condition (D) on a
+grid axis (no difference of two support values is a zero divisor) is
+decided from it once per axis, when ``multiset_ideals.Axis`` interns it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import ParseError, RingMismatch, UnsupportedField
 
@@ -132,10 +136,6 @@ class Ring(FrozenValue):
 
     # -- construction ----------------------------------------------------
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind in (_MODULAR, _PRIME_FIELD)
-
     def canon(self, value) -> Element:
         """Canonical representative of an int (or, in QQ, a Fraction) in
         this ring; a ``bool`` is not an element of any ring."""
@@ -177,14 +177,6 @@ class Ring(FrozenValue):
 
     # -- predicates -------------------------------------------------------
 
-    def is_unit(self, a: Element) -> bool:
-        """True iff a has a multiplicative inverse in this ring."""
-        if self.kind == _INTEGERS:
-            return a in (1, -1)
-        if self.kind == _RATIONALS:
-            return a != 0
-        return gcd(a % self.modulus, self.modulus) == 1
-
     def is_zero_divisor(self, a: Element) -> bool:
         """True iff aw = 0 for some w != 0.
 
@@ -194,25 +186,6 @@ class Ring(FrozenValue):
         if self.kind in (_INTEGERS, _RATIONALS):
             return a == 0
         return gcd(a % self.modulus, self.modulus) > 1
-
-    def condition_holds(self, values: Iterable[Element], mode: str) -> bool:
-        """Check Condition (D) or (F) for a finite set of elements.
-
-        Mode "D": every pairwise difference is not a zero divisor.
-        Mode "F": every pairwise difference is a unit.  (F) implies (D).
-        """
-        if mode not in ("D", "F"):
-            raise ValueError(f"mode must be 'D' or 'F', got {mode!r}")
-        vals = list(dict.fromkeys(values))
-        for i, a in enumerate(vals):
-            for b in vals[i + 1:]:
-                d = self.sub(b, a)
-                if mode == "D":
-                    if self.is_zero_divisor(d):
-                        return False
-                elif not self.is_unit(d):
-                    return False
-        return True
 
     # -- text forms --------------------------------------------------------
 

@@ -7,9 +7,9 @@ polynomial, the basis polynomials, the quotients and the remainder, so
 containment and remainder reducedness from the document alone.  A
 document whose ``basis`` names a claim (``"I_t"`` or ``"mixed"``, with
 ``t``) is valid only with remainder 0, and its ``t`` and basis labels must
-fit the claim or the document is a ``ParseError``.  The document carries
-no grid, so verification does not prove that the basis is the level or
-mixed basis of any particular grid.
+fit the claim or the document is a ``ParseError``, as are two basis keys
+naming one label.  The document carries no grid, so verification does not
+prove that the basis is the level or mixed basis of any particular grid.
 """
 
 from __future__ import annotations
@@ -167,12 +167,16 @@ def family_to_json(family: MonicFamily) -> dict:
 
 
 def family_from_json(doc: Mapping, ring: Ring, nvars: int) -> MonicFamily:
-    labels = []
-    members = []
-    for key, text in doc.items():
-        labels.append(_label_from_key(key))
-        members.append(parse_poly(text, ring, nvars))
-    return MonicFamily.build(members, labels=labels)
+    """The family a basis object names; two keys read as one label (``"0"``
+    and ``" 0"``) are a ParseError naming both, as the writer refuses them."""
+    keys = {}
+    for key in doc:
+        label = _label_from_key(key)
+        if label in keys:
+            raise ParseError(f"basis keys {keys[label]!r} and {key!r} name one label")
+        keys[label] = key
+    members = [parse_poly(text, ring, nvars) for text in doc.values()]
+    return MonicFamily.build(members, labels=list(keys))
 
 
 def certificate_to_json(outcome: ReductionOutcome) -> dict:

@@ -7,7 +7,9 @@ from combnull import (
     GF,
     QQ,
     ZZ,
+    ArityMismatch,
     MonicFamily,
+    NotMonic,
     Poly,
     Zmod,
     level_basis,
@@ -15,8 +17,8 @@ from combnull import (
     reduce,
     root_product,
 )
-from combnull.polynomials import random_monic, random_poly
-from combnull.staircase import maximal_elements
+from combnull.polynomials import _power_products, random_monic, random_poly
+from combnull.staircase import maximal_elements, require_int
 
 # The rings property tests draw from: a domain of each kind and ZZ/6,
 # where nonzero elements multiply to zero.
@@ -43,6 +45,48 @@ def level_normal_form_oracle(f, grid, t):
     return reduce(f, level_basis(grid, t)).remainder
 
 
+def is_axis_poly(f, axis):
+    """True iff every term of f is supported on the given axis only."""
+    # Exponents are nonnegative: the other entries are all zero iff they
+    # add nothing to the sum.
+    return all(sum(alpha) == alpha[axis] for alpha in f.terms)
+
+
+def monic_power_product(axis_polys, alphas):
+    """``prod g_k^(alpha_k)`` for each alpha, over monic single-axis
+    polynomials: the builder oracle for the library's per-axis power
+    products (``polynomials._power_products``), which take sparse
+    univariate term lists.
+
+    ``axis_polys[k]`` must be a monic polynomial in x_(k+1) alone; all are
+    checked before any product is built, so a bad family raises even when
+    ``alphas`` is empty.  Returns one pair ``(product, theta)`` per alpha,
+    in order, where theta is the greatest support point
+    ``(deg(g_1) alpha_1, ..., deg(g_n) alpha_n)``, under the library's term
+    limit ``MAX_BASIS_TERMS``.
+    """
+    if not axis_polys:
+        raise ValueError("need at least one axis polynomial")
+    n = axis_polys[0].nvars
+    if len(axis_polys) != n:
+        raise ArityMismatch("one axis polynomial per variable is required")
+    ring = axis_polys[0].ring
+    factors = []
+    for k, g in enumerate(axis_polys):
+        g.require_on(ring, n)
+        if not is_axis_poly(g, k):
+            raise ValueError(f"member {k + 1} involves other variables")
+        if g.monic_witness() is None:
+            raise NotMonic(f"axis polynomial {k + 1} is not monic")
+        axis_terms = sorted((alpha[k], c) for alpha, c in g.terms.items())
+        factors.append(tuple(map(list, zip(*axis_terms))))
+    alphas = [tuple(require_int(e, 0, "exponent", ValueError) for e in alpha) for alpha in alphas]
+    for alpha in alphas:
+        if len(alpha) != n:
+            raise ArityMismatch(f"exponent {alpha} for {n} axis polynomials")
+    return _power_products(ring, factors, alphas)
+
+
 def random_family(rng, ring, nvars, max_members=3):
     return MonicFamily.build(
         [random_monic(rng, ring, nvars) for _ in range(rng.randint(1, max_members))]
@@ -63,7 +107,7 @@ def scale(f, c):
 
 def elements(ring):
     """Every element of a finite ring."""
-    assert ring.is_finite, ring
+    assert ring.modulus, ring
     return range(ring.modulus)
 
 

@@ -152,6 +152,37 @@ def test_normal_form_of_a_huge_power_answers_or_is_refused_quickly(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_certificate_of_a_high_degree_member_answers_quickly(capsys):
+    # membership is decided by the digit normal form: no Taylor shift of
+    # x1^1000*x2^1000 to each grid point runs before the division
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "certificate",
+        "--ring", "ZZ",
+        "--grid", "{S:[[0,1],[0,1]]}",
+        "--t", "1",
+        "--poly", "x1^1000*x2^1000 - x1*x2",
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("member of the level-1 ideal; certificate:\n")
+    assert out.endswith("support containment: True\n")
+    assert time.perf_counter() - start < 5
+
+
+def test_verify_refuses_colliding_basis_keys(capsys, tmp_path):
+    # "0" and " 0" name one label; read as one, the single quotient was
+    # applied to both members and the document printed valid: True
+    doc = {"ring": "ZZ", "nvars": 2, "poly": "x1^2 + x2^2 - x1 - x2",
+           "basis": {"0": "x1^2 - x1", " 0": "x2^2 - x2"}, "quotients": {"0": "1"},
+           "remainder": "0"}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--certificate", f"@{path}")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: basis keys '0' and ' 0' name one label")
+
+
 def test_oversized_claim_is_refused_before_listing(capsys):
     # a short document claiming level 100 000 in 3 variables: its one label
     # is counted against C(100 002, 2) before any exponent vector is listed

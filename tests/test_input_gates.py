@@ -40,7 +40,6 @@ from combnull import (
     mixed_basis,
     mixed_certificate,
     mixed_membership,
-    monic_power_product,
     nonzero_bound,
     point_cover_threshold,
     punctured_analysis,
@@ -52,7 +51,7 @@ from combnull import (
 )
 from combnull.covering import instance_from_json
 from combnull.serialization import certificate_to_json, grid_from_json, verify_certificate_json
-from conftest import P
+from conftest import P, monic_power_product
 
 GRID = MultisetGrid.build(ZZ, [[0, 1]])
 PGRID = PuncturedGrid.build(GRID, [[0]])
@@ -268,6 +267,7 @@ NATURAL_ENTRY_POINTS = {
     "blocking_audit_n": (lambda n: blocking_audit(2, n, 1, [(0,)]), 1, ValueError),
     "exists_blocking_of_size_n": (lambda n: exists_blocking_of_size(2, n, 1, 1), 1, ValueError),
     "minimal_blocking_size_n": (lambda n: minimal_blocking_size(2, n, 1), 1, ValueError),
+    # the builder oracle in conftest, which reads exponents by the same rule
     "monic_power_product": (
         lambda e: monic_power_product([P("x1^2 - x1")], [(e,)]), 0, ValueError),
     "Poly_nvars": (lambda n: Poly(ZZ, n), 1, ValueError),

@@ -4,7 +4,7 @@ import pickle
 import random
 import weakref
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -23,6 +23,7 @@ from combnull import (
     NotMember,
     Poly,
     PuncturedGrid,
+    Ring,
     RingMismatch,
     ScaleExceeded,
     VanishingSpec,
@@ -46,6 +47,7 @@ from combnull.multiset_ideals import MAX_GRID_POINTS
 from conftest import (
     P,
     level_normal_form_oracle,
+    monic_power_product,
     off_poly,
     partial_evaluate,
     random_poly,
@@ -238,7 +240,7 @@ def test_basis_members_pinned(ring, combo):
 def test_power_product_of_no_power_is_one():
     # every exponent 0: no non-unit factor, so the product is the constant one
     gs = [P("x1^2 - x1", nvars=2), P("x2 + 3", nvars=2)]
-    assert polynomials.monic_power_product(gs, [(0, 0)]) == [(Poly.one(ZZ, 2), (0, 0))]
+    assert monic_power_product(gs, [(0, 0)]) == [(Poly.one(ZZ, 2), (0, 0))]
 
 
 def test_level_basis_prunes_zero_products():
@@ -311,6 +313,55 @@ def test_level_certificate_examples():
 def test_level_certificate_rejects_non_member():
     with pytest.raises(NotMember):
         level_certificate(P("x1*x2", nvars=2), cube(), 1)
+
+
+def test_level_certificate_needs_no_grid_scan(monkeypatch):
+    # membership is decided by the digit normal form, so no Taylor shift runs
+    def no_shift(*args):
+        raise AssertionError("taylor_shift called")
+
+    monkeypatch.setattr(multiset_ideals, "taylor_shift", no_shift)
+    g1, g2 = P("x1^2 - x1", nvars=2), P("x2^2 - x2", nvars=2)
+    cert = level_certificate(g1 * g2 * P("x1 + 3*x2", nvars=2), cube(), 2)
+    assert cert.remainder.is_zero() and cert.support_contained()
+    with pytest.raises(NotMember):
+        level_certificate(P("x1*x2", nvars=2), cube(), 1)
+    # nor is any grid point counted: {0,1}^21 has more than MAX_GRID_POINTS
+    huge = cube(n=21)
+    with pytest.raises(ScaleExceeded):
+        level_membership(P("x1^2 - x1", nvars=21), huge, 1)
+    cert = level_certificate(P("x1^2 - x1", nvars=21), huge, 1)
+    assert cert.quotient_map[(1,) + (0,) * 20] == Poly.one(ZZ, 21)
+
+
+def test_level_certificate_checks_t_operand_and_condition_d_in_order():
+    # 2^21 points, none of them counted: Condition (D) fails on every axis
+    bad = MultisetGrid.build(Zmod(6), [[0, 3]] * 21)
+    with pytest.raises(ValueError, match="t must be"):
+        level_certificate(P("x1", ZZ, nvars=21), bad, -1)
+    with pytest.raises(RingMismatch):
+        level_certificate(P("x1", ZZ, nvars=21), bad, 1)
+    with pytest.raises(Inapplicable):
+        level_certificate(P("x1", Zmod(6), nvars=21), bad, 1)
+
+
+def test_condition_d_matches_zero_divisor_scan(monkeypatch):
+    # Condition (D): no difference of two support values is a zero divisor
+    assert MultisetGrid.build(Zmod(6), [[0, 3], [0, 1]]).condition_d() == (False, True)
+    assert MultisetGrid.build(ZZ, [[-5, 0, 7, 12]]).condition_d() == (True,)
+    for m in range(2, 13):
+        for size in range(5):
+            for S in combinations(range(m), size):
+                brute = not any((b - a) * w % m == 0
+                                for a, b in combinations(S, 2) for w in range(1, m))
+                grid = MultisetGrid.build(Zmod(m), [S])
+                assert grid.axes[0].condition_d is brute
+                assert grid.condition_d() == (brute,)
+    # decided when the axis is interned: a gated call asks the ring nothing
+    grid = MultisetGrid.build(Zmod(6), [[0, 1]])
+    monkeypatch.setattr(Ring, "is_zero_divisor", lambda self, a: pytest.fail("recomputed"))
+    assert grid.condition_d() == (True,)
+    assert level_certificate(P("x1^2 - x1", Zmod(6)), grid, 1).remainder.is_zero()
 
 
 def test_level_normal_form_examples():
@@ -506,6 +557,16 @@ def test_min_extra_degree_guards():
     )
     with pytest.raises(Inapplicable):
         min_extra_degree(bad, 1)
+
+
+def test_min_extra_degree_needs_no_level_scan(monkeypatch):
+    # the witness is kept out of I_t by its normal form, not by the grid scan
+    def no_scan(*args):
+        raise AssertionError("level_membership called")
+
+    monkeypatch.setattr(multiset_ideals, "level_membership", no_scan)
+    assert min_extra_degree(punctured_cube(), 2)[0] == 4
+    assert min_extra_degree(PuncturedGrid.build(cube(), [[0, 1], [0, 1]]), 3)[0] == 4
 
 
 def test_intersection_identity_membershipwise(rng):

@@ -31,14 +31,13 @@ from combnull import (
     level_certificate,
     level_membership,
     level_normal_form,
-    monic_power_product,
     parse_poly,
     reduce,
     root_product,
     taylor_shift,
 )
 from combnull.serialization import certificate_to_json, verify_certificate_json
-from conftest import RINGS, level_normal_form_oracle
+from conftest import RINGS, level_normal_form_oracle, monic_power_product
 from test_multiset_ideals import _products, _root_power_product
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)

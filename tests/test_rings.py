@@ -39,15 +39,6 @@ def test_bool_is_not_an_element(ring, value):
         ring.canon(value)
 
 
-def test_units():
-    assert Zmod(6).is_unit(5)
-    assert not Zmod(6).is_unit(2)
-    assert not ZZ.is_unit(2)
-    assert ZZ.is_unit(-1)
-    assert not QQ.is_unit(Fraction(0))
-    assert QQ.is_unit(Fraction(-7, 3))
-
-
 def test_zero_divisors():
     assert Zmod(6).is_zero_divisor(2)
     assert not Zmod(6).is_zero_divisor(5)
@@ -70,26 +61,8 @@ def test_zero_divisor_matches_exhaustive_scan(m):
 def test_unit_implies_not_zero_divisor(m):
     R = Zmod(m)
     for a in elements(R):
-        if R.is_unit(a):
+        if any((a * w) % m == 1 for w in range(m)):
             assert not R.is_zero_divisor(a)
-
-
-def test_condition_examples():
-    assert not Zmod(6).condition_holds([0, 3], "D")
-    assert ZZ.condition_holds([-5, 0, 7, 12], "D")
-    assert Zmod(6).condition_holds([0, 1], "F")
-    assert QQ.condition_holds([Fraction(1, 2), Fraction(1, 3), 0], "F")
-
-
-def test_condition_f_implies_d_exhaustive():
-    from itertools import combinations
-
-    for m in range(2, 13):
-        R = Zmod(m)
-        for size in range(1, 5):
-            for S in combinations(range(m), size):
-                if R.condition_holds(S, "F"):
-                    assert R.condition_holds(S, "D")
 
 
 def test_gf_requires_prime():

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,17 @@ def test_colliding_labels_are_refused(labels):
         family_to_json(family)
     with pytest.raises(ValueError, match="same JSON key"):
         certificate_to_json(out)
+
+
+@pytest.mark.parametrize("keys", [("0", " 0"), ("(1,0)", "(1, 0)")], ids=["int", "expvec"])
+def test_colliding_basis_keys_are_refused(keys):
+    # Both keys read as one label, so one quotient would be applied to both
+    # members and the document would verify, though no writer makes it.
+    doc = {"ring": "ZZ", "nvars": 2, "poly": "x1^2 + x2^2 - x1 - x2",
+           "basis": dict(zip(keys, ("x1^2 - x1", "x2^2 - x2"))),
+           "quotients": {keys[0]: "1"}, "remainder": "0"}
+    with pytest.raises(ParseError, match=re.escape(f"basis keys {keys[0]!r} and {keys[1]!r}")):
+        verify_certificate_json(doc)
 
 
 def test_certificate_json_self_verifies():
