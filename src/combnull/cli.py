@@ -1,7 +1,12 @@
 """Command line front end.
 
 Subcommands: reduce, groebner-check, membership, certificate, normal-form,
-punctured, mixed, cover, alon-furedi, count, verify, selftest.
+punctured, mixed, cover, alon-furedi, count, verify, selftest.  Each takes
+``--format text|json`` and reads each argument once, inline or ``@path``.
+Flags a command cannot use together are refused, not dropped: ``cover``
+takes one of ``--bound-only``, ``--points`` and ``--instance`` (the last
+without ``--q``, ``--n`` or ``--t``), ``mixed --min-extra-degree`` neither
+``--poly`` nor ``--certificate``, and ``groebner-check --spec`` no ``--nvars``.
 
 Exit codes: 0 when the computed verdict is affirmative (or the command is
 purely computational), 1 when the verdict is negative or hypotheses are
@@ -109,23 +114,26 @@ def _emit(args, payload, lines) -> None:
             print(line)
 
 
-def _nvars(args, texts) -> int:
-    """``--nvars`` when given, else the largest k of an x<k> in ``texts``."""
-    if args.nvars is not None:
-        if args.nvars < 1:
-            raise _UsageError("nvars must be at least 1")
-        return args.nvars
-    n = 1
-    for text in texts:
-        for m in re.finditer(r"x(\d+)", text):
-            n = max(n, int(m.group(1)))
-    return n
+def _polys(args, texts, grid=None) -> list:
+    """``texts`` (``--poly`` and ``--basis`` values), each read once and
+    parsed over ``grid``'s ring and arity, or else over ``--ring`` in
+    ``--nvars`` variables, by default the largest k of an x<k> in them."""
+    texts = [_read_arg(t) for t in texts]
+    if grid is not None:
+        return [parse_poly(t, grid.ring, grid.nvars) for t in texts]
+    nvars = args.nvars
+    if nvars is None:
+        nvars = max([1] + [int(k) for t in texts for k in re.findall(r"x(\d+)", t)])
+    elif nvars < 1:
+        raise _UsageError("nvars must be at least 1")
+    ring = parse_ring(args.ring)
+    return [parse_poly(t, ring, nvars) for t in texts]
 
 
-def _grid_arg(args, kind=MultisetGrid):
-    """``--spec`` for a spec command, ``--grid`` otherwise, read by
-    ``grid_from_json``; the document must read as exactly ``kind``."""
-    doc = _loose_json(args.spec if args.command == "groebner-check" else args.grid)
+def _grid_arg(args, text, kind):
+    """The grid document ``text`` read by ``grid_from_json``; it must read
+    as exactly ``kind``."""
+    doc = _loose_json(text)
     ring = parse_ring(args.ring) if args.ring else None
     grid = grid_from_json(doc, ring)
     if type(grid) is kind:
@@ -139,18 +147,24 @@ def _grid_arg(args, kind=MultisetGrid):
     raise ParseError("vanishing spec document needs a 'B' entry")
 
 
+def _grid_and_poly(args, kind=MultisetGrid):
+    """The ``--grid`` of ``kind`` and ``--poly`` over it (None when not given)."""
+    grid = _grid_arg(args, args.grid, kind)
+    return grid, None if args.poly is None else _polys(args, [args.poly], grid)[0]
+
+
+def _verdict(args, member: bool) -> int:
+    """Write a membership verdict at level ``--t``; exit 0 for a member."""
+    _emit(args, {"member": member, "t": args.t}, [str(member).lower()])
+    return EXIT_YES if member else EXIT_NO
+
+
 # -- handlers -------------------------------------------------------------------
 
 
 def _cmd_reduce(args) -> int:
-    texts = [args.poly] + list(args.basis)
-    nvars = _nvars(args, [_read_arg(t) for t in texts])
-    ring = parse_ring(args.ring)
-    f = parse_poly(_read_arg(args.poly), ring, nvars)
-    family = MonicFamily.build(
-        [parse_poly(_read_arg(t), ring, nvars) for t in args.basis]
-    )
-    out = reduce(f, family)
+    f, *basis = _polys(args, [args.poly, *args.basis])
+    out = reduce(f, MonicFamily.build(basis))
     payload = certificate_to_json(out)
     lines = [f"quotient[{k}]: {format_poly(p)}" for k, p in out.quotient_map.items()]
     lines.append(f"remainder: {format_poly(out.remainder)}")
@@ -162,12 +176,8 @@ def _cmd_reduce(args) -> int:
 def _cmd_groebner_check(args) -> int:
     if args.spec:
         from .vanishing import VanishingSpec, certify_groebner
-        spec = _grid_arg(args, VanishingSpec)
-        family = MonicFamily.build(
-            [parse_poly(_read_arg(t), spec.ring, spec.nvars) for t in args.basis]
-        )
-        report = certify_groebner(spec, family)
-        payload = report.to_json_dict()
+        spec = _grid_arg(args, args.spec, VanishingSpec)
+        report = certify_groebner(spec, MonicFamily.build(_polys(args, args.basis, spec)))
         lines = [
             f"condition (D) per axis: {list(report.condition_d)}",
             f"grid staircase count (zeta1): {report.grid_count}",
@@ -175,18 +185,10 @@ def _cmd_groebner_check(args) -> int:
             f"{'infinite' if report.leading_count is None else report.leading_count}",
             f"verdict: {report.verdict}",
         ]
-        _emit(args, payload, lines)
-        if report.verdict == "groebner":
-            return EXIT_YES
-        if report.verdict == "inapplicable":
-            return EXIT_INAPPLICABLE
-        return EXIT_NO
-    ring = parse_ring(args.ring)
-    texts = list(args.basis)
-    nvars = _nvars(args, [_read_arg(t) for t in texts])
-    family = MonicFamily.build(
-        [parse_poly(_read_arg(t), ring, nvars) for t in texts]
-    )
+        _emit(args, report.to_json_dict(), lines)
+        exits = {"groebner": EXIT_YES, "inapplicable": EXIT_INAPPLICABLE}
+        return exits.get(report.verdict, EXIT_NO)
+    family = MonicFamily.build(_polys(args, args.basis))
     ok = buchberger_certifies(family)
     payload = {"certified": ok, "basis": family_to_json(family)}
     _emit(args, payload, [f"certified: {ok}" if ok else "inconclusive"])
@@ -194,16 +196,12 @@ def _cmd_groebner_check(args) -> int:
 
 
 def _cmd_membership(args) -> int:
-    grid = _grid_arg(args)
-    f = parse_poly(_read_arg(args.poly), grid.ring, grid.nvars)
-    verdict = level_membership(f, grid, args.t)
-    _emit(args, {"member": verdict, "t": args.t}, [str(verdict).lower()])
-    return EXIT_YES if verdict else EXIT_NO
+    grid, f = _grid_and_poly(args)
+    return _verdict(args, level_membership(f, grid, args.t))
 
 
 def _cmd_certificate(args) -> int:
-    grid = _grid_arg(args)
-    f = parse_poly(_read_arg(args.poly), grid.ring, grid.nvars)
+    grid, f = _grid_and_poly(args)
     cert = level_certificate(f, grid, args.t)
     payload = certificate_to_json(cert)
     lines = [f"member of the level-{args.t} ideal; certificate:"]
@@ -221,25 +219,20 @@ def _cmd_certificate(args) -> int:
 
 
 def _cmd_normal_form(args) -> int:
-    grid = _grid_arg(args)
-    f = parse_poly(_read_arg(args.poly), grid.ring, grid.nvars)
+    grid, f = _grid_and_poly(args)
     nf = level_normal_form(f, grid, args.t)
     _emit(args, {"normal_form": format_poly(nf)}, [format_poly(nf)])
     return EXIT_YES
 
 
 def _cmd_punctured(args) -> int:
-    pgrid = _grid_arg(args, PuncturedGrid)
-    f = parse_poly(_read_arg(args.poly), pgrid.ring, pgrid.nvars)
+    pgrid, f = _grid_and_poly(args, PuncturedGrid)
     if not args.analyze:
-        verdict = punctured_membership(f, pgrid, args.t)
-        _emit(args, {"member": verdict, "t": args.t}, [str(verdict).lower()])
-        return EXIT_YES if verdict else EXIT_NO
+        return _verdict(args, punctured_membership(f, pgrid, args.t))
     try:
         report = punctured_analysis(f, pgrid, args.t)
     except NotMember:
-        _emit(args, {"member": False, "t": args.t}, ["false"])
-        return EXIT_NO
+        return _verdict(args, False)
     payload = {"member": True, "t": args.t, "analysis": report.to_json_dict()}
     lines = [
         "true",
@@ -253,64 +246,57 @@ def _cmd_punctured(args) -> int:
 
 
 def _cmd_mixed(args) -> int:
-    pgrid = _grid_arg(args, PuncturedGrid)
+    if args.min_extra_degree and args.certificate:
+        raise _UsageError("argument --certificate: not allowed with argument --min-extra-degree")
+    pgrid, f = _grid_and_poly(args, PuncturedGrid)
     if args.min_extra_degree:
         value, witness = min_extra_degree(pgrid, args.t)
         payload = {"min_extra_degree": value, "witness": format_poly(witness)}
         _emit(args, payload, [f"{value}", f"witness: {format_poly(witness)}"])
         return EXIT_YES
-    if not args.poly:
+    if f is None:
         raise _UsageError("mixed needs --poly unless --min-extra-degree is given")
-    f = parse_poly(_read_arg(args.poly), pgrid.ring, pgrid.nvars)
-    if args.certificate:
-        try:
-            payload = certificate_to_json(mixed_certificate(f, pgrid, args.t))
-        except NotMember:
-            _emit(args, {"member": False, "t": args.t}, ["false"])
-            return EXIT_NO
-        support = payload["checks"]["support"]
-        _emit(args, payload, ["true", f"support containment: {support}"])
-        return EXIT_YES
-    verdict = mixed_membership(f, pgrid, args.t)
-    _emit(args, {"member": verdict, "t": args.t}, [str(verdict).lower()])
-    return EXIT_YES if verdict else EXIT_NO
+    if not args.certificate:
+        return _verdict(args, mixed_membership(f, pgrid, args.t))
+    try:
+        payload = certificate_to_json(mixed_certificate(f, pgrid, args.t))
+    except NotMember:
+        return _verdict(args, False)
+    _emit(args, payload, ["true", f"support containment: {payload['checks']['support']}"])
+    return EXIT_YES
 
 
 def _cmd_cover(args) -> int:
     from .covering import affine_blocking_bound, blocking_audit, covering_audit, instance_from_json
-    if args.bound_only or args.points:
-        for flag in ("q", "n"):
-            if getattr(args, flag) is None:
-                raise _UsageError(f"cover --bound-only and --points need --{flag}")
-    if args.bound_only:
-        value = affine_blocking_bound(args.q, args.n, args.t)
-        _emit(args, {"bound": value}, [str(value)])
-        return EXIT_YES
-    if args.points:
-        pts = [parse_expvec(p) for p in args.points.split(";") if p.strip()]
-        report = blocking_audit(args.q, args.n, args.t, pts)
-        payload = report.to_json_dict()
-        lines = [
-            f"blocked: {report.blocked}",
-            f"size: {report.size} (bound {report.bound})",
-        ]
-        if report.unblocked_hyperplane:
-            eta, c = report.unblocked_hyperplane
-            lines.append(f"unblocked hyperplane: <{eta}, x> = {c}")
-        _emit(args, payload, lines)
-        return EXIT_YES if report.blocked else EXIT_NO
-    if args.instance:
+    if args.instance is not None:
+        for flag in ("q", "n", "t"):
+            if getattr(args, flag) is not None:
+                raise _UsageError(f"argument --{flag}: not allowed with argument --instance")
         report = covering_audit(instance_from_json(_loose_json(args.instance)))
-        payload = report.to_json_dict()
         lines = [f"verdict: {report.verdict}"]
         if report.verdict == "bound_holds":
             lines.append(
                 f"sum of degrees {report.sum_degrees} >= product degree "
                 f"{report.product_degree} >= {max(report.bounds)}"
             )
-        _emit(args, payload, lines)
+        _emit(args, report.to_json_dict(), lines)
         return EXIT_YES if report.verdict == "bound_holds" else EXIT_NO
-    raise _UsageError("cover needs --bound-only, --points, or --instance")
+    for flag in ("q", "n"):
+        if getattr(args, flag) is None:
+            raise _UsageError(f"cover --bound-only and --points need --{flag}")
+    t = 1 if args.t is None else args.t
+    if args.bound_only:
+        value = affine_blocking_bound(args.q, args.n, t)
+        _emit(args, {"bound": value}, [str(value)])
+        return EXIT_YES
+    pts = [parse_expvec(p) for p in args.points.split(";") if p.strip()]
+    report = blocking_audit(args.q, args.n, t, pts)
+    lines = [f"blocked: {report.blocked}", f"size: {report.size} (bound {report.bound})"]
+    if report.unblocked_hyperplane:
+        eta, c = report.unblocked_hyperplane
+        lines.append(f"unblocked hyperplane: <{eta}, x> = {c}")
+    _emit(args, report.to_json_dict(), lines)
+    return EXIT_YES if report.blocked else EXIT_NO
 
 
 def _cmd_alon_furedi(args) -> int:
@@ -318,17 +304,14 @@ def _cmd_alon_furedi(args) -> int:
     ring = parse_ring(args.ring)
     supports_doc = _json_list(_loose_json(args.supports), list, "--S must be a JSON list of lists")
     supports = [[element_from_json(ring, v) for v in S] for S in supports_doc]
-    nvars = len(supports)
-    f = parse_poly(_read_arg(args.poly), ring, nvars)
-    beta = parse_expvec(args.beta)
-    report = nonzero_bound(f, supports, beta)
-    payload = report.to_json_dict()
+    f = parse_poly(_read_arg(args.poly), ring, len(supports))
+    report = nonzero_bound(f, supports, parse_expvec(args.beta))
     lines = [
         f"mu: {report.mu}",
         f"bound: {report.bound}",
         f"actual nonzero count: {report.actual}",
     ]
-    _emit(args, payload, lines)
+    _emit(args, report.to_json_dict(), lines)
     return EXIT_YES
 
 
@@ -358,10 +341,8 @@ def _cmd_selftest(args) -> int:
         for _ in range(25):
             nvars = rng.randint(1, 3)
             f = random_poly(rng, ring, nvars)
-            gs = []
-            for _ in range(rng.randint(1, 2)):
-                gs.append(random_monic(rng, ring, nvars))
-            family = MonicFamily.build(gs)
+            family = MonicFamily.build(
+                [random_monic(rng, ring, nvars) for _ in range(rng.randint(1, 2))])
             out = reduce(f, family)
             checks = out.verify()
             if not all(checks.values()):
@@ -386,88 +367,78 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ring_required=True):
-        p.add_argument("--ring", required=ring_required, help="ZZ, QQ, ZZ/<m>, GF(<p>)")
+    def command(name, func, help, ring=None, grid=None):
+        """A subcommand taking ``--format``; ``--ring`` too unless ``ring`` is
+        None (True: required), and ``--grid`` and ``--t`` when ``grid`` gives
+        the grid's help text."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if ring is not None:
+            p.add_argument("--ring", required=ring, help="ZZ, QQ, ZZ/<m>, GF(<p>)")
         p.add_argument("--format", choices=("text", "json"), default="text")
+        if grid:
+            p.add_argument("--grid", required=True, help=grid)
+            p.add_argument("--t", type=int, required=True)
+        return p
 
-    p = sub.add_parser("reduce", help="divide against a monic family")
-    common(p)
+    p = command("reduce", _cmd_reduce, "divide against a monic family", ring=True)
     p.add_argument("--poly", required=True)
     p.add_argument("--basis", action="append", required=True)
     p.add_argument("--nvars", type=int)
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("groebner-check", help="Buchberger or count certification")
-    common(p)
+    p = command("groebner-check", _cmd_groebner_check, "Buchberger or count certification",
+                ring=True)
     p.add_argument("--basis", action="append", required=True)
-    p.add_argument("--spec", help="vanishing spec JSON (inline or @file)")
-    p.add_argument("--nvars", type=int)
-    p.set_defaults(func=_cmd_groebner_check)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--spec", help="vanishing spec JSON (inline or @file)")
+    source.add_argument("--nvars", type=int)
 
-    for name, func, extra in (
-        ("membership", _cmd_membership, ()),
-        ("certificate", _cmd_certificate, ("--out",)),
-        ("normal-form", _cmd_normal_form, ()),
+    for name, func, help, extra in (
+        ("membership", _cmd_membership, "level-ideal membership", ()),
+        ("certificate", _cmd_certificate, "level-ideal certificate", ("--out",)),
+        ("normal-form", _cmd_normal_form, "normal form modulo a level ideal", ()),
     ):
-        p = sub.add_parser(name)
-        common(p, ring_required=False)
-        p.add_argument("--grid", required=True, help="grid JSON (inline or @file)")
-        p.add_argument("--t", type=int, required=True)
+        p = command(name, func, help, ring=False, grid="grid JSON (inline or @file)")
         p.add_argument("--poly", required=True)
         for opt in extra:
             p.add_argument(opt)
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("punctured", help="punctured membership and analysis")
-    common(p, ring_required=False)
-    p.add_argument("--grid", required=True, help="grid JSON with an E entry")
-    p.add_argument("--t", type=int, required=True)
+    p = command("punctured", _cmd_punctured, "punctured membership and analysis", ring=False,
+                grid="grid JSON with an E entry")
     p.add_argument("--poly", required=True)
     p.add_argument("--analyze", action="store_true")
-    p.set_defaults(func=_cmd_punctured)
 
-    p = sub.add_parser("mixed", help="mixed-ideal membership and certificates")
-    common(p, ring_required=False)
-    p.add_argument("--grid", required=True, help="grid JSON with an E entry")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--poly")
+    p = command("mixed", _cmd_mixed, "mixed-ideal membership and certificates", ring=False,
+                grid="grid JSON with an E entry")
+    operand = p.add_mutually_exclusive_group()
+    operand.add_argument("--poly")
+    operand.add_argument("--min-extra-degree", action="store_true")
     p.add_argument("--certificate", action="store_true")
-    p.add_argument("--min-extra-degree", action="store_true")
-    p.set_defaults(func=_cmd_mixed)
 
-    p = sub.add_parser("cover", help="covering audits and blocking bounds")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p = command("cover", _cmd_cover, "covering audits and blocking bounds")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--bound-only", action="store_true")
+    mode.add_argument("--points", help="semicolon-separated points, e.g. (0,1);(1,0)")
+    mode.add_argument("--instance", help="cover instance JSON (inline or @file)")
     p.add_argument("--q", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--bound-only", action="store_true")
-    p.add_argument("--points", help="semicolon-separated points, e.g. (0,1);(1,0)")
-    p.add_argument("--instance", help="cover instance JSON (inline or @file)")
-    p.set_defaults(func=_cmd_cover)
+    p.add_argument("--t", type=int, help="default 1; not with --instance")
 
-    p = sub.add_parser("alon-furedi", help="nonzero-count lower bound")
-    common(p)
+    p = command("alon-furedi", _cmd_alon_furedi, "nonzero-count lower bound", ring=True)
     p.add_argument("--S", dest="supports", required=True, help="JSON list of axis sets")
     p.add_argument("--beta", required=True)
     p.add_argument("--poly", required=True)
-    p.set_defaults(func=_cmd_alon_furedi)
 
-    p = sub.add_parser("count", help="staircase complement counts")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p = command("count", _cmd_count, "staircase complement counts")
     p.add_argument("--alpha", required=True)
     p.add_argument("--gamma")
     p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("verify", help="re-check a serialized certificate")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p = command("verify", _cmd_verify, "re-check a serialized certificate")
     p.add_argument("--certificate", required=True, help="JSON (inline or @file)")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("selftest", help="seeded randomized identities")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p = command("selftest", _cmd_selftest, "seeded randomized identities")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 

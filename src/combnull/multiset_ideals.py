@@ -66,16 +66,17 @@ MAX_GRID_POINTS = 10**6
 _AXES = WeakValueDictionary()
 
 
-def psi_by_element(psi: Mapping, read, error: type[Exception] = ValueError) -> dict:
-    """``psi`` keyed by the element ``read`` makes of each key; two keys
-    naming one element raise ``error``, naming both."""
+def keyed_by_value(doc: Mapping, read, what: str, noun: str,
+                   error: type[Exception] = ValueError) -> dict:
+    """``doc`` (psi, basis, quotients or ``B``) keyed by the value ``read`` makes of each
+    key; two keys naming one value raise ``error``: "{what} keys ... both name the {noun} v"."""
     given = {}
-    for key in psi:
+    for key in doc:
         u = read(key)
         if u in given:
-            raise error(f"psi keys {given[u]!r} and {key!r} both name the element {u}")
+            raise error(f"{what} keys {given[u]!r} and {key!r} both name the {noun} {u}")
         given[u] = key
-    return {u: psi[key] for u, key in given.items()}
+    return {u: doc[key] for u, key in given.items()}
 
 
 class Axis(FrozenValue):
@@ -116,7 +117,7 @@ class Axis(FrozenValue):
         support = tuple(sorted(elements))
         if psi is not None and psi.keys() != elements:
             # keys in another form, or for absent elements: read each as its element
-            psi = psi_by_element(psi, ring.canon)
+            psi = keyed_by_value(psi, ring.canon, "psi", "element")
         mults = []
         for u in support:
             m = 1 if psi is None else psi.get(u)

@@ -7,9 +7,10 @@ polynomial, the basis polynomials, the quotients and the remainder, so
 containment and remainder reducedness from the document alone.  A
 document whose ``basis`` names a claim (``"I_t"`` or ``"mixed"``, with
 ``t``) is valid only with remainder 0, and its ``t`` and basis labels must
-fit the claim or the document is a ``ParseError``, as are two basis keys
-naming one label.  The document carries no grid, so verification does not
-prove that the basis is the level or mixed basis of any particular grid.
+fit the claim or the document is a ``ParseError``, as are two keys naming
+one value in any object keyed by values (``keyed_by_value``) and a quotient
+key naming no basis member.  The document carries no grid, so verification
+does not prove that the basis is the level or mixed basis of any grid.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import comb
 from typing import Mapping
 
 from .errors import ParseError
-from .multiset_ideals import MultisetGrid, PuncturedGrid, psi_by_element
+from .multiset_ideals import MultisetGrid, PuncturedGrid, keyed_by_value
 from .polynomials import format_poly, parse_poly
 from .reduction import MonicFamily, ReductionOutcome
 from .rings import Ring, parse_ring
@@ -64,6 +65,17 @@ def _label_to_key(label) -> str:
     if isinstance(label, tuple):
         return format_expvec(label)
     return str(label)
+
+
+def _point_from_key(ring: Ring, key: str) -> tuple:
+    """``"(a1,...,an)"``, an element per part; a trailing comma is tolerated, an empty part not."""
+    text = key.strip()
+    parts = text[1:-1].split(",")
+    if not parts[-1].strip():
+        parts.pop()
+    if not (text.startswith("(") and text.endswith(")") and all(p.strip() for p in parts)):
+        raise ParseError(f"bad grid point key {key!r}")
+    return tuple(ring.parse_element(p) for p in parts)
 
 
 def _label_from_key(key: str):
@@ -133,7 +145,8 @@ def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
     grid = MultisetGrid.build(
         ring,
         [[element_from_json(ring, v) for v in S] for S in supports],
-        [None if psi is None else psi_by_element(psi, partial(element_from_json, ring), ParseError)
+        [None if psi is None else
+         keyed_by_value(psi, partial(element_from_json, ring), "psi", "element", ParseError)
          for psi in psi_docs],
     )
     if "E" in doc:
@@ -145,13 +158,9 @@ def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
         return grid
     if not isinstance(doc["B"], Mapping):
         raise ParseError("spec entry B must be a JSON object")
-    B = {}
-    for key, vecs in doc["B"].items():
-        inner = key.strip()
-        if not (inner.startswith("(") and inner.endswith(")")):
-            raise ParseError(f"bad grid point key {key!r}")
-        point = tuple(ring.parse_element(p) for p in inner[1:-1].split(",") if p.strip())
-        B[point] = _json_list(vecs, list, "spec entry B must hold JSON lists of lists")
+    B = keyed_by_value(doc["B"], partial(_point_from_key, ring), "B", "point", ParseError)
+    for vecs in B.values():
+        _json_list(vecs, list, "spec entry B must hold JSON lists of lists")
     from .vanishing import VanishingSpec
     return VanishingSpec.build(grid, B)
 
@@ -169,14 +178,9 @@ def family_to_json(family: MonicFamily) -> dict:
 def family_from_json(doc: Mapping, ring: Ring, nvars: int) -> MonicFamily:
     """The family a basis object names; two keys read as one label (``"0"``
     and ``" 0"``) are a ParseError naming both, as the writer refuses them."""
-    keys = {}
-    for key in doc:
-        label = _label_from_key(key)
-        if label in keys:
-            raise ParseError(f"basis keys {keys[label]!r} and {key!r} name one label")
-        keys[label] = key
-    members = [parse_poly(text, ring, nvars) for text in doc.values()]
-    return MonicFamily.build(members, labels=list(keys))
+    members = keyed_by_value(doc, _label_from_key, "basis", "label", ParseError)
+    return MonicFamily.build([parse_poly(text, ring, nvars) for text in members.values()],
+                             labels=list(members))
 
 
 def certificate_to_json(outcome: ReductionOutcome) -> dict:
@@ -254,12 +258,15 @@ def verify_certificate_json(doc: Mapping) -> dict:
     quotient_doc = doc["quotients"]
     if not isinstance(quotient_doc, Mapping):
         raise ParseError("certificate entry quotients must be a JSON object")
-    quotients = []
+    by_label = keyed_by_value(quotient_doc, _label_from_key, "quotient", "label", ParseError)
     for label in family.labels:
-        key = _label_to_key(label)
-        if key not in quotient_doc:
-            raise ParseError(f"missing quotient for basis member {key}")
-        quotients.append(parse_poly(quotient_doc[key], ring, nvars))
+        if label not in by_label:
+            raise ParseError(f"missing quotient for basis member {_label_to_key(label)}")
+    labels = set(family.labels)
+    stray = [_label_to_key(label) for label in by_label if label not in labels]
+    if stray:
+        raise ParseError(f"quotient keys name no basis member: {', '.join(stray)}")
+    quotients = [parse_poly(by_label[label], ring, nvars) for label in family.labels]
     remainder = parse_poly(doc["remainder"], ring, nvars)
     outcome = ReductionOutcome(
         family, tuple(quotients), remainder, f, kind=kind, t=doc.get("t")

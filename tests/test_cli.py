@@ -180,7 +180,7 @@ def test_verify_refuses_colliding_basis_keys(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", "--certificate", f"@{path}")
     assert (code, out) == (3, "")
-    assert err.startswith("error: basis keys '0' and ' 0' name one label")
+    assert err.startswith("error: basis keys '0' and ' 0' both name the label 0")
 
 
 def test_oversized_claim_is_refused_before_listing(capsys):
@@ -595,6 +595,47 @@ def test_cover_needs_q_and_n(capsys, mode, given, missing):
     assert code == 3
     assert out == ""
     assert err.startswith("usage error:") and f"need {missing}" in err
+
+
+GRID_1 = "{S:[[0,1]], E:[[0]]}"
+INSTANCE = json.dumps({"pgrid": {"ring": "ZZ", "S": [[0, 1]], "E": [[0]]},
+                       "planes": [{"poly": "x1 - 1", "degree": 1}], "t": 1})
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cover", "--q", "2", "--n", "2", "--t", "1", "--bound-only", "--points", "(0,0)"),
+         "argument --points: not allowed with argument --bound-only"),
+        (("cover", "--q", "2", "--n", "2", "--points", "(0,0)", "--instance", INSTANCE),
+         "argument --instance: not allowed with argument --points"),
+        (("cover", "--instance", INSTANCE, "--q", "2"), "argument --q: not allowed with argument --instance"),
+        (("cover", "--instance", INSTANCE, "--n", "2"), "argument --n: not allowed with argument --instance"),
+        (("cover", "--instance", INSTANCE, "--t", "1"), "argument --t: not allowed with argument --instance"),
+        (("mixed", "--ring", "ZZ", "--grid", GRID_1, "--t", "2", "--min-extra-degree",
+          "--poly", "x1"), "argument --poly: not allowed with argument --min-extra-degree"),
+        (("mixed", "--ring", "ZZ", "--grid", GRID_1, "--t", "2", "--min-extra-degree",
+          "--certificate"), "argument --certificate: not allowed with argument --min-extra-degree"),
+        (("groebner-check", "--ring", "ZZ", "--spec", '{"S":[[0,1]],"B":{"(0,)":[[1]],"(1,)":[[1]]}}',
+          "--basis", "x1^2-x1", "--nvars", "1"), "argument --nvars: not allowed with argument --spec"),
+    ],
+    ids=["bound_only_points", "points_instance", "instance_q", "instance_n", "instance_t",
+         "min_extra_poly", "min_extra_certificate", "spec_nvars"],
+)
+def test_flags_that_exclude_each_other_are_refused(capsys, argv, message):
+    # each of these used to drop a flag and answer from the others
+    assert run(capsys, *argv) == (3, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize("keys", [("(1)", "( 1)"), ("( 1)", "(1)")], ids=["plain_first", "spaced_first"])
+def test_spec_point_keys_naming_one_point_are_refused(capsys, keys):
+    # the later key's vectors won: with "( 1)": [[3]] last the spec was
+    # refused, with it first the spec was certified
+    B = {"(0)": [[1]]} | {key: {"(1)": [[1]], "( 1)": [[3]]}[key] for key in keys}
+    spec = json.dumps({"ring": "ZZ", "S": [[0, 1]], "B": B})
+    code, out, err = run(capsys, "groebner-check", "--ring", "ZZ", "--spec", spec, "--basis", "x1^2-x1")
+    assert (code, out) == (3, "")
+    assert err == f"error: B keys {keys[0]!r} and {keys[1]!r} both name the point (1,)\n"
 
 
 def test_cover_instance_json(capsys, tmp_path):

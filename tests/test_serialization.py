@@ -171,6 +171,46 @@ def test_colliding_basis_keys_are_refused(keys):
         verify_certificate_json(doc)
 
 
+@pytest.mark.parametrize(
+    "ring, other, keys",
+    [(ZZ, "(0)", ("(1)", "( 1)")), (ZZ, "(0)", ("( 1)", "(1)")),
+     (GF(5), "(1)", ("(0)", "(5)")), (GF(5), "(1)", ("(5)", "(0)"))],
+    ids=["spaced", "spaced_first", "gf5", "gf5_reversed"],
+)
+def test_point_keys_naming_one_point_are_refused(ring, other, keys):
+    # read as one point, the later key's vectors won: one order certified
+    # and the other was refused
+    doc = {"S": [[0, 1]], "B": {other: [[1]], keys[0]: [[1]], keys[1]: [[3]]}}
+    point = ring.parse_element(keys[0][1:-1])
+    with pytest.raises(ParseError, match=re.escape(
+            f"B keys {keys[0]!r} and {keys[1]!r} both name the point ({point},)")):
+        grid_from_json(doc, ring)
+
+
+@pytest.mark.parametrize("key", ["(0,,1)", "(,0,1)", "(0,1,,)", "(,)"])
+def test_point_key_with_an_empty_part_is_refused(key):
+    B = {f"({a},{b})": [[1, 0], [0, 1]] for a in (0, 1) for b in (0, 1)}
+    B[key] = B.pop("(0,1)")
+    with pytest.raises(ParseError, match=re.escape(f"bad grid point key {key!r}")):
+        grid_from_json({"S": [[0, 1], [0, 1]], "B": B}, ZZ)
+    B["(0,1,)"] = B.pop(key)  # a trailing comma is tolerated
+    assert (0, 1) in grid_from_json({"S": [[0, 1], [0, 1]], "B": B}, ZZ).B
+
+
+@pytest.mark.parametrize(
+    "quotients, message",
+    [({"0": "1", "7": "x1^5"}, "quotient keys name no basis member: 7"),
+     ({"0": "1", " 0": "x1^5"}, "quotient keys '0' and ' 0' both name the label 0")],
+    ids=["stray", "colliding"],
+)
+def test_every_quotient_key_names_one_basis_member(quotients, message):
+    # the second quotient was never read and the document verified
+    doc = {"ring": "ZZ", "nvars": 1, "poly": "x1^2 - x1", "basis": {"0": "x1^2 - x1"},
+           "quotients": quotients, "remainder": "0"}
+    with pytest.raises(ParseError, match=re.escape(message)):
+        verify_certificate_json(doc)
+
+
 def test_certificate_json_self_verifies():
     grid = MultisetGrid.build(ZZ, [[0, 1], [0, 1]])
     f = P("x1^2 - x1", nvars=2) * P("x2^2 - x2", nvars=2)
