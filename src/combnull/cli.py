@@ -7,6 +7,8 @@ Flags a command cannot use together are refused, not dropped: ``cover``
 takes one of ``--bound-only``, ``--points`` and ``--instance`` (the last
 without ``--q``, ``--n`` or ``--t``), ``mixed --min-extra-degree`` neither
 ``--poly`` nor ``--certificate``, and ``groebner-check --spec`` no ``--nvars``.
+A call builds the parser of the subcommand it names and no other; help,
+``--version`` and a missing or unknown subcommand build them all.
 
 Exit codes: 0 when the computed verdict is affirmative (or the command is
 purely computational), 1 when the verdict is negative or hypotheses are
@@ -362,60 +364,41 @@ def _cmd_selftest(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="combnull", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help, ring=None, grid=None):
-        """A subcommand taking ``--format``; ``--ring`` too unless ``ring`` is
-        None (True: required), and ``--grid`` and ``--t`` when ``grid`` gives
-        the grid's help text."""
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        if ring is not None:
-            p.add_argument("--ring", required=ring, help="ZZ, QQ, ZZ/<m>, GF(<p>)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        if grid:
-            p.add_argument("--grid", required=True, help=grid)
-            p.add_argument("--t", type=int, required=True)
-        return p
-
-    p = command("reduce", _cmd_reduce, "divide against a monic family", ring=True)
+def _poly_flags(p):
     p.add_argument("--poly", required=True)
+
+
+def _reduce_flags(p):
+    _poly_flags(p)
     p.add_argument("--basis", action="append", required=True)
     p.add_argument("--nvars", type=int)
 
-    p = command("groebner-check", _cmd_groebner_check, "Buchberger or count certification",
-                ring=True)
+
+def _groebner_check_flags(p):
     p.add_argument("--basis", action="append", required=True)
     source = p.add_mutually_exclusive_group()
     source.add_argument("--spec", help="vanishing spec JSON (inline or @file)")
     source.add_argument("--nvars", type=int)
 
-    for name, func, help, extra in (
-        ("membership", _cmd_membership, "level-ideal membership", ()),
-        ("certificate", _cmd_certificate, "level-ideal certificate", ("--out",)),
-        ("normal-form", _cmd_normal_form, "normal form modulo a level ideal", ()),
-    ):
-        p = command(name, func, help, ring=False, grid="grid JSON (inline or @file)")
-        p.add_argument("--poly", required=True)
-        for opt in extra:
-            p.add_argument(opt)
 
-    p = command("punctured", _cmd_punctured, "punctured membership and analysis", ring=False,
-                grid="grid JSON with an E entry")
-    p.add_argument("--poly", required=True)
+def _certificate_flags(p):
+    _poly_flags(p)
+    p.add_argument("--out")
+
+
+def _punctured_flags(p):
+    _poly_flags(p)
     p.add_argument("--analyze", action="store_true")
 
-    p = command("mixed", _cmd_mixed, "mixed-ideal membership and certificates", ring=False,
-                grid="grid JSON with an E entry")
+
+def _mixed_flags(p):
     operand = p.add_mutually_exclusive_group()
     operand.add_argument("--poly")
     operand.add_argument("--min-extra-degree", action="store_true")
     p.add_argument("--certificate", action="store_true")
 
-    p = command("cover", _cmd_cover, "covering audits and blocking bounds")
+
+def _cover_flags(p):
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--bound-only", action="store_true")
     mode.add_argument("--points", help="semicolon-separated points, e.g. (0,1);(1,0)")
@@ -424,28 +407,85 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int)
     p.add_argument("--t", type=int, help="default 1; not with --instance")
 
-    p = command("alon-furedi", _cmd_alon_furedi, "nonzero-count lower bound", ring=True)
+
+def _alon_furedi_flags(p):
     p.add_argument("--S", dest="supports", required=True, help="JSON list of axis sets")
     p.add_argument("--beta", required=True)
-    p.add_argument("--poly", required=True)
+    _poly_flags(p)
 
-    p = command("count", _cmd_count, "staircase complement counts")
+
+def _count_flags(p):
     p.add_argument("--alpha", required=True)
     p.add_argument("--gamma")
     p.add_argument("--t", type=int, required=True)
 
-    p = command("verify", _cmd_verify, "re-check a serialized certificate")
+
+def _verify_flags(p):
     p.add_argument("--certificate", required=True, help="JSON (inline or @file)")
 
-    p = command("selftest", _cmd_selftest, "seeded randomized identities")
+
+def _selftest_flags(p):
     p.add_argument("--seed", type=int, default=0)
 
+
+_GRID = "grid JSON (inline or @file)"
+_PGRID = "grid JSON with an E entry"
+
+# The one command table, in help order: name -> (handler, help, --ring (None:
+# absent, False: optional, True: required), --grid help (None: no --grid and
+# --t), the command's own flags).
+_COMMANDS = {
+    "reduce": (_cmd_reduce, "divide against a monic family", True, None, _reduce_flags),
+    "groebner-check": (_cmd_groebner_check, "Buchberger or count certification", True, None,
+                       _groebner_check_flags),
+    "membership": (_cmd_membership, "level-ideal membership", False, _GRID, _poly_flags),
+    "certificate": (_cmd_certificate, "level-ideal certificate", False, _GRID,
+                    _certificate_flags),
+    "normal-form": (_cmd_normal_form, "normal form modulo a level ideal", False, _GRID,
+                    _poly_flags),
+    "punctured": (_cmd_punctured, "punctured membership and analysis", False, _PGRID,
+                  _punctured_flags),
+    "mixed": (_cmd_mixed, "mixed-ideal membership and certificates", False, _PGRID,
+              _mixed_flags),
+    "cover": (_cmd_cover, "covering audits and blocking bounds", None, None, _cover_flags),
+    "alon-furedi": (_cmd_alon_furedi, "nonzero-count lower bound", True, None,
+                    _alon_furedi_flags),
+    "count": (_cmd_count, "staircase complement counts", None, None, _count_flags),
+    "verify": (_cmd_verify, "re-check a serialized certificate", None, None, _verify_flags),
+    "selftest": (_cmd_selftest, "seeded randomized identities", None, None, _selftest_flags),
+}
+
+
+def _build_parser(names=_COMMANDS) -> _Parser:
+    """The parser with the subcommands ``names``, by default all of them.
+    Each takes ``--format``, ``--ring`` unless its table entry says None,
+    ``--grid`` and ``--t`` when the entry gives the grid's help text, and
+    then its own flags."""
+    parser = _Parser(prog="combnull", description=__doc__)
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        func, help, ring, grid, flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if ring is not None:
+            p.add_argument("--ring", required=ring, help="ZZ, QQ, ZZ/<m>, GF(<p>)")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        if grid:
+            p.add_argument("--grid", required=True, help=grid)
+            p.add_argument("--t", type=int, required=True)
+        flags(p)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None).  Only
+    the subcommand named first is built; help, ``--version`` and a missing or
+    unknown command get every subcommand, as their output lists them all."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+        args = _build_parser(named).parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -7,7 +7,12 @@ the modular rings ``ZZ/m`` with m >= 2, and the prime fields ``GF(p)``
 Elements are kept in canonical form as plain Python values: arbitrary
 precision ``int`` for ZZ and the modular rings (representatives in
 ``[0, m)``), and normalized ``Fraction`` for QQ.  All arithmetic is exact;
-nothing in the library rounds.
+nothing in the library rounds.  Only QQ imports ``fractions`` (which loads
+``decimal`` and ``numbers``): ``QQ`` is built on first access (PEP 562
+``__getattr__``), ``Ring.__init__`` imports ``Fraction`` for QQ alone, and
+QQ's element methods take the class from ``type(self.one)``, so no call
+over ZZ, ZZ/m or GF(p) pays for it.  A modulus m or p must be an
+``int``, by the one integer rule ``staircase.require_int``.
 
 The one predicate on elements is ``is_zero_divisor``.  Condition (D) on a
 grid axis (no difference of two support values is a zero divisor) is
@@ -16,14 +21,19 @@ decided from it once per axis, when ``multiset_ideals.Axis`` interns it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import attrgetter
-from typing import Union
+from typing import TYPE_CHECKING, TypeAlias, Union
 
 from .errors import ParseError, RingMismatch, UnsupportedField
+from .staircase import require_int
 
-Element = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# A string alias: a typing forward reference would call compile() at import,
+# whose first call in a process costs over a millisecond.
+Element: TypeAlias = "Union[int, Fraction]"
 
 _INTEGERS = "ZZ"
 _RATIONALS = "QQ"
@@ -111,14 +121,17 @@ class Ring(FrozenValue):
     _fields = ("kind", "modulus")
 
     def __init__(self, kind: str, modulus: int | None = None):
+        zero, one = 0, 1
         if kind in (_INTEGERS, _RATIONALS):
             if modulus is not None:
                 raise ValueError(f"{kind} takes no modulus")
+            if kind == _RATIONALS:
+                from fractions import Fraction
+                zero, one = Fraction(0), Fraction(1)
         elif kind == _MODULAR:
-            if modulus is None or modulus < 2:
-                raise ValueError("ZZ/m needs a modulus m >= 2")
+            require_int(modulus, 2, "ZZ/m modulus m", ValueError)
         elif kind == _PRIME_FIELD:
-            if modulus is None or not _is_prime(modulus):
+            if not _is_prime(require_int(modulus, 0, "GF modulus p", ValueError)):
                 raise UnsupportedField(
                     f"GF({modulus}) is not a prime field; "
                     "extension fields are unsupported"
@@ -131,8 +144,8 @@ class Ring(FrozenValue):
         # fields: equality, hash, repr and replace see kind and modulus only.
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "zero", Fraction(0) if kind == _RATIONALS else 0)
-        object.__setattr__(self, "one", Fraction(1) if kind == _RATIONALS else 1)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "one", one)
 
     # -- construction ----------------------------------------------------
 
@@ -140,8 +153,9 @@ class Ring(FrozenValue):
         """Canonical representative of an int (or, in QQ, a Fraction) in
         this ring; a ``bool`` is not an element of any ring."""
         if self.kind == _RATIONALS:
-            if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-                return Fraction(value)
+            fraction = type(self.one)  # Fraction, which only QQ's __init__ imports
+            if isinstance(value, (int, fraction)) and not isinstance(value, bool):
+                return fraction(value)
         elif isinstance(value, int) and not isinstance(value, bool):
             return value % self.modulus if self.modulus else value
         raise ParseError(f"not an element of {self}: {value!r}")
@@ -149,7 +163,7 @@ class Ring(FrozenValue):
     def from_int(self, k: int) -> Element:
         """Canonical ring image of an integer (the unique map ZZ -> R)."""
         if self.kind == _RATIONALS:
-            return Fraction(k)
+            return type(self.one)(k)
         return k % self.modulus if self.modulus else k
 
     # -- arithmetic -------------------------------------------------------
@@ -195,7 +209,7 @@ class Ring(FrozenValue):
             if "/" in text:
                 if self.kind != _RATIONALS:
                     raise ParseError(f"fractions are not elements of {self}")
-                return Fraction(text)
+                return type(self.one)(text)
             return self.canon(int(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad element {text!r} for {self}: {exc}") from None
@@ -213,7 +227,22 @@ class Ring(FrozenValue):
 
 
 ZZ = Ring(_INTEGERS)
-QQ = Ring(_RATIONALS)
+
+
+def _rationals() -> Ring:
+    """``QQ``, built and bound as a module global on first use."""
+    global QQ
+    try:
+        return QQ
+    except NameError:
+        QQ = Ring(_RATIONALS)
+        return QQ
+
+
+def __getattr__(name):
+    if name == "QQ":
+        return _rationals()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def Zmod(m: int) -> Ring:
@@ -232,7 +261,7 @@ def parse_ring(text: str) -> Ring:
     if text == "ZZ":
         return ZZ
     if text == "QQ":
-        return QQ
+        return _rationals()
     if text.startswith("ZZ/"):
         try:
             m = int(text[3:])

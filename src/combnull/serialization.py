@@ -16,7 +16,6 @@ does not prove that the basis is the level or mixed basis of any grid.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import partial
 from math import comb
 from typing import Mapping
@@ -30,7 +29,7 @@ from .staircase import compositions, format_expvec, parse_expvec, require_int
 
 
 def element_to_json(value):
-    return str(value) if isinstance(value, Fraction) else value
+    return value if isinstance(value, int) else str(value)
 
 
 def element_from_json(ring: Ring, value):

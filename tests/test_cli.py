@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 import time
 from pathlib import Path
@@ -545,6 +546,62 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "no-such-command")[0] == 3
     assert run(capsys, "mixed", "--grid", "{S:[[0,1]],E:[[0]]}", "--t", "1")[0] == 3
+
+
+COMMAND_NAMES = list(combnull.cli._COMMANDS)
+build_parser = combnull.cli._build_parser
+
+
+def test_command_table_is_the_documented_list():
+    listed = re.search(r"Subcommands: ([^.]*)\.", combnull.cli.__doc__).group(1)
+    assert COMMAND_NAMES == [name.strip() for name in listed.split(",")]
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The subcommand names of every parser ``main`` builds."""
+    built = []
+    monkeypatch.setattr(combnull.cli, "_build_parser",
+                        lambda names: built.append(list(names)) or build_parser(names))
+    return built
+
+
+def help_of(call, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        call()
+    return exit_.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", COMMAND_NAMES)
+def test_a_command_builds_only_its_own_parser(capsys, parsers_built, name):
+    expected = help_of(lambda: build_parser().parse_args([name, "--help"]), capsys)
+    assert help_of(lambda: main([name, "--help"]), capsys) == expected
+    assert expected[0] == 0 and expected[1].err == ""
+    assert parsers_built == [[name]]
+
+
+CHOICES = ", ".join(f"'{name}'" for name in COMMAND_NAMES)
+
+
+@pytest.mark.parametrize("argv, err", [
+    ([], "usage error: the following arguments are required: command\n"),
+    (["bogus"], f"usage error: argument command: invalid choice: 'bogus' (choose from {CHOICES})\n"),
+    (["--format", "json", "membership"],
+     f"usage error: argument command: invalid choice: 'json' (choose from {CHOICES})\n"),
+], ids=["no_command", "unknown_command", "option_first"])
+def test_calls_naming_no_command_build_every_parser(capsys, parsers_built, argv, err):
+    assert run(capsys, *argv) == (3, "", err)
+    assert parsers_built == [COMMAND_NAMES]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--version"]])
+def test_help_and_version_list_every_command(capsys, parsers_built, argv):
+    expected = help_of(lambda: build_parser().parse_args(argv), capsys)
+    assert help_of(lambda: main(argv), capsys) == expected
+    assert expected[0] == 0 and expected[1].err == ""
+    assert parsers_built == [COMMAND_NAMES]
+    if argv != ["--version"]:
+        assert all(name in expected[1].out for name in COMMAND_NAMES)
 
 
 @pytest.mark.parametrize("nvars", ["0", "-1"])

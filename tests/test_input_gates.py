@@ -277,6 +277,9 @@ NATURAL_ENTRY_POINTS = {
         0, ParseError),
     "verify_certificate_json_nvars": (
         lambda n: verify_certificate_json({**CERTIFICATE, "nvars": n}), 1, ParseError),
+    # the modulus of ZZ/m, and GF(p)'s p, whose ints 0 and 1 fail the prime gate
+    "Zmod": (lambda m: Zmod(m), 2, ValueError),
+    "GF": (lambda p: GF(p), 0, ValueError),
 }
 
 BAD_NATURALS = {

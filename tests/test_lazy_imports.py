@@ -108,15 +108,36 @@ def test_cli_loads_only_what_its_command_runs(command):
 
 
 # Standard modules no call needs: dataclasses pulls in inspect, only selftest
-# draws random numbers, and only @path arguments and certificate --out touch
-# files (through open, not pathlib).  ``-S`` keeps site hooks from preloading them.
+# draws random numbers, only @path arguments and certificate --out touch
+# files (through open, not pathlib), and only QQ needs fractions, which loads
+# decimal.  ``-S`` keeps site hooks from preloading them.
+QQ_MEMBERSHIP = ("membership", "--ring", "QQ", "--grid", '{S:[[0,"1/2"]]}', "--t", "1",
+                 "--poly", "x1^2-1/2*x1")
+WATCHED = ("dataclasses", "inspect", "random", "pathlib", "fractions", "decimal")
+
+
 @pytest.mark.parametrize("code, loads", [
     *(pytest.param(cli_call(argv), set(), id=name) for name, (argv, _) in COMMANDS.items()),
     pytest.param(cli_call(("selftest", "--seed", "7")), {"random"}, id="selftest"),
+    pytest.param(cli_call(QQ_MEMBERSHIP), {"fractions", "decimal"}, id="membership_qq"),
     pytest.param(EVERY_SUBMODULE, set(), id="every_submodule"),
 ])
 def test_no_call_loads_dataclasses_or_inspect(code, loads):
-    assert loaded_after(code, ("dataclasses", "inspect", "random", "pathlib"), ("-S",)) == loads
+    assert loaded_after(code, WATCHED, ("-S",)) == loads
+
+
+def test_qq_is_one_ring_built_on_first_use():
+    code = """import pickle, sys
+import combnull
+import combnull.rings as rings
+assert "QQ" not in vars(rings) and "fractions" not in sys.modules
+ring = rings.parse_ring("QQ")
+from combnull.rings import QQ
+assert combnull.QQ is QQ is ring is rings.parse_ring(" QQ ")
+copy = pickle.loads(pickle.dumps(ring))
+assert copy == ring and copy.canon(3) == copy.from_int(3) == copy.parse_element("6/2") == 3
+"""
+    assert loaded_after(code, ("fractions",), ("-S",)) == {"fractions"}
 
 
 def test_bare_import_loads_no_submodule():
