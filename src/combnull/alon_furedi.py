@@ -19,7 +19,7 @@ from .errors import CombnullError, InternalInvariantError, ZeroPolynomial
 from .multiset_ideals import MultisetGrid
 from .polynomials import Poly
 from .rings import Element, FrozenValue
-from .staircase import leq
+from .staircase import leq, require_int
 
 
 class SupportExceedsBeta(CombnullError):
@@ -28,9 +28,6 @@ class SupportExceedsBeta(CombnullError):
 
 class NonzeroBoundReport(FrozenValue):
     _fields = ("mu", "bound", "actual")
-
-    def __init__(self, mu: tuple, bound: int, actual: int):
-        self.__dict__.update(mu=mu, bound=bound, actual=actual)
 
     def to_json_dict(self) -> dict:
         return {"mu": list(self.mu), "bound": self.bound, "actual": self.actual}
@@ -44,7 +41,7 @@ def nonzero_bound(f: Poly, supports: Sequence[Sequence[Element]], beta) -> Nonze
     grid.require_condition_d()
     if f.is_zero():
         raise ZeroPolynomial("the bound concerns nonzero polynomials")
-    beta = tuple(beta)
+    beta = tuple(require_int(b, 0, "beta entry", ValueError) for b in beta)
     if len(beta) != f.nvars:
         raise ValueError(f"beta of length {len(beta)} in {f.nvars} variables")
     sizes = [len(axis.support) for axis in grid.axes]

@@ -132,26 +132,10 @@ def _polys(args, texts, grid=None) -> list:
     return [parse_poly(t, ring, nvars) for t in texts]
 
 
-def _grid_arg(args, text, kind):
-    """The grid document ``text`` read by ``grid_from_json``; it must read
-    as exactly ``kind``."""
-    doc = _loose_json(text)
-    ring = parse_ring(args.ring) if args.ring else None
-    grid = grid_from_json(doc, ring)
-    if type(grid) is kind:
-        return grid
-    if isinstance(grid, PuncturedGrid):
-        raise ParseError(f"{args.command} takes no puncture set E")
-    if hasattr(grid, "B"):  # a VanishingSpec
-        raise ParseError(f"{args.command} takes no vanishing table B")
-    if kind is PuncturedGrid:
-        raise ParseError("punctured grid document needs an 'E' entry")
-    raise ParseError("vanishing spec document needs a 'B' entry")
-
-
 def _grid_and_poly(args, kind=MultisetGrid):
     """The ``--grid`` of ``kind`` and ``--poly`` over it (None when not given)."""
-    grid = _grid_arg(args, args.grid, kind)
+    grid = grid_from_json(_loose_json(args.grid), parse_ring(args.ring) if args.ring else None,
+                          kind, args.command)
     return grid, None if args.poly is None else _polys(args, [args.poly], grid)[0]
 
 
@@ -178,7 +162,8 @@ def _cmd_reduce(args) -> int:
 def _cmd_groebner_check(args) -> int:
     if args.spec:
         from .vanishing import VanishingSpec, certify_groebner
-        spec = _grid_arg(args, args.spec, VanishingSpec)
+        spec = grid_from_json(_loose_json(args.spec), parse_ring(args.ring) if args.ring else None,
+                              VanishingSpec, args.command)
         report = certify_groebner(spec, MonicFamily.build(_polys(args, args.basis, spec)))
         lines = [
             f"condition (D) per axis: {list(report.condition_d)}",

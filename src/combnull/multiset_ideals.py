@@ -498,14 +498,6 @@ class PuncturedReport(FrozenValue):
     _fields = ("eta", "divisor", "cofactor", "nonvanishing_point", "degree_f",
                "degree_eta", "degree_bound", "bound_holds")
 
-    def __init__(self, eta: Poly, divisor: Poly, cofactor: Poly, nonvanishing_point: tuple | None,
-                 degree_f: float, degree_eta: float, degree_bound: int | None,
-                 bound_holds: bool | None):
-        self.__dict__.update(
-            eta=eta, divisor=divisor, cofactor=cofactor, nonvanishing_point=nonvanishing_point,
-            degree_f=degree_f, degree_eta=degree_eta, degree_bound=degree_bound,
-            bound_holds=bound_holds)
-
     def to_json_dict(self) -> dict:
         from .polynomials import format_poly
         from .serialization import element_to_json

@@ -76,14 +76,25 @@ def _is_prime(p: int) -> bool:
 class FrozenValue:
     """An immutable value with the equality, hash and repr of a frozen
     dataclass over its ``_fields``: equal only within one class, unhashable
-    when a field is.  ``__init__`` checks its arguments and stores them
-    through ``__dict__`` or ``object.__setattr__``."""
+    when a field is.  ``__init__`` stores one value per field; one that checks
+    or derives a value stores through ``__dict__`` or ``object.__setattr__``."""
 
     _fields: tuple = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._values = property(attrgetter(*cls._fields))  # one C call per hash
+
+    def __init__(self, *args, **kwargs):
+        """One value per name in ``_fields``, positional ones in that order;
+        a missing or unknown field is a TypeError."""
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            rest = fields[len(args):]
+            if len(args) + len(kwargs) != len(fields) or not kwargs.keys() <= set(rest):
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+            args += tuple(map(kwargs.get, rest))
+        self.__dict__.update(zip(fields, args))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -104,9 +115,14 @@ class FrozenValue:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def replace(self, **changes):
-        """A copy with ``changes``, built by ``__init__``, so every check runs again."""
-        code = type(self).__init__.__code__
-        names = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
+        """A copy with ``changes``, built by ``__init__``, so every check runs
+        again; a class on this ``__init__`` takes its ``_fields``, any other
+        its ``__init__`` parameters."""
+        init = type(self).__init__
+        names = self._fields
+        if init is not FrozenValue.__init__:
+            code = init.__code__
+            names = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
         return type(self)(**{name: getattr(self, name) for name in names} | changes)
 
 

@@ -117,11 +117,15 @@ def grid_to_json(grid: MultisetGrid) -> dict:
     return doc
 
 
-def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
+def grid_from_json(doc: Mapping, ring: Ring | None = None, kind: type | None = None,
+                   what: str = "grid document") -> MultisetGrid:
     """Accepts the canonical axes form and the compact ``{S: [[...]]}``
     form; a ring given explicitly overrides the document.  A document with
     an ``E`` entry is read as a ``PuncturedGrid``, one with a ``B`` entry as
-    a ``VanishingSpec``; one with both is a ``ParseError``."""
+    a ``VanishingSpec``; one with both is a ``ParseError``.  A ``kind``
+    other than None is the one grid class the caller (``what``) takes: once
+    the axes are read and before ``E`` or ``B`` is, an entry it does not
+    take is refused, then one it needs and lacks."""
     form = "axes" if isinstance(doc, Mapping) and "axes" in doc else "S"
     _json_object(doc, "grid document", ("ring",) * (ring is None) + (form,),
                  ("ring", "E", "B") + ("psi",) * (form == "S"))
@@ -148,6 +152,15 @@ def grid_from_json(doc: Mapping, ring: Ring | None = None) -> MultisetGrid:
          keyed_by_value(psi, partial(element_from_json, ring), "psi", "element", ParseError)
          for psi in psi_docs],
     )
+    if kind is not None:
+        takes = "E" if kind is PuncturedGrid else "" if kind is MultisetGrid else "B"
+        for key, entry in (("E", "puncture set E"), ("B", "vanishing table B")):
+            if key in doc and key != takes:
+                raise ParseError(f"{what} takes no {entry}")
+        if takes == "E" and "E" not in doc:
+            raise ParseError("punctured grid document needs an 'E' entry")
+        if takes == "B" and "B" not in doc:
+            raise ParseError("vanishing spec document needs a 'B' entry")
     if "E" in doc:
         return PuncturedGrid.build(
             grid, [[element_from_json(ring, v) for v in E] for E in

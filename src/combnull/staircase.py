@@ -136,11 +136,9 @@ def staircase_count(alpha: ExpVec, t: int) -> int:
     positive these are the beta with ``sum(floor(beta_i / alpha_i)) <= t - 1``.
     """
     require_int(t, 0, "t", ValueError)
+    alpha = tuple(require_int(a, 0, "alpha entry", ValueError) for a in alpha)
     n = len(alpha)
-    prod_alpha = 1
-    for a in alpha:
-        prod_alpha *= a
-    return prod_alpha * comb(n + t - 1, n)
+    return prod(alpha) * comb(n + t - 1, n)
 
 
 def punctured_staircase_count(alpha: ExpVec, gamma: ExpVec, t: int) -> int:
@@ -152,17 +150,14 @@ def punctured_staircase_count(alpha: ExpVec, gamma: ExpVec, t: int) -> int:
     ``prod(alpha)*C(n+t-1, n) - prod(gamma)*C(n+t-2, n-1)``.
     """
     require_int(t, 1, "t", ValueError)
+    alpha = tuple(require_int(a, 0, "alpha entry", ValueError) for a in alpha)
+    gamma = tuple(require_int(g, 0, "gamma entry", ValueError) for g in gamma)
     if len(alpha) != len(gamma):
         raise GammaExceedsAlpha("alpha and gamma must share a length")
     if not leq(gamma, alpha):
         raise GammaExceedsAlpha(f"{gamma} is not dominated by {alpha}")
     n = len(alpha)
-    prod_alpha = 1
-    prod_gamma = 1
-    for a, g in zip(alpha, gamma):
-        prod_alpha *= a
-        prod_gamma *= g
-    return prod_alpha * comb(n + t - 1, n) - prod_gamma * comb(n + t - 2, n - 1)
+    return prod(alpha) * comb(n + t - 1, n) - prod(gamma) * comb(n + t - 2, n - 1)
 
 
 def parse_expvec(text: str) -> ExpVec:

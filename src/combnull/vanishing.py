@@ -103,12 +103,6 @@ class GroebnerReport(FrozenValue):
 
     _fields = ("condition_d", "grid_count", "leading_count", "verdict", "degenerate_empty_grid")
 
-    def __init__(self, condition_d: tuple, grid_count: int, leading_count: int | None,
-                 verdict: str, degenerate_empty_grid: bool = False):
-        self.__dict__.update(condition_d=condition_d, grid_count=grid_count,
-                             leading_count=leading_count, verdict=verdict,
-                             degenerate_empty_grid=degenerate_empty_grid)
-
     @property
     def groebner(self) -> bool | None:
         if self.verdict == "inapplicable":

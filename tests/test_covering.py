@@ -179,6 +179,18 @@ def test_blocking_search_work_is_estimated_up_front():
     assert minimal_blocking_size(3, 2, 3)[0] == 9
 
 
+def test_blocking_audit_work_is_counted_up_front():
+    # GF(31)^2 has 992 affine lines: 2 016 points make 1 999 872 point-line
+    # tests, within MAX_SEARCH_TESTS, and 2 017 points 2 000 864, refused
+    # before any test.
+    start = time.perf_counter()
+    with pytest.raises(ScaleExceeded, match=r"blocking audit in GF\(31\)\^2 needs 2000864 "):
+        blocking_audit(31, 2, 1, [(0, 0)] * 2017)
+    assert time.perf_counter() - start < 1.0
+    report = blocking_audit(31, 2, 1, [(0, 0)] * 2016)
+    assert report.unblocked_hyperplane == ((0, 1), 1) and report.size == 2016
+
+
 def test_covering_degree_inequality_on_random_instances(rng):
     # coordinate-plane covers of random Condition (D) grids satisfy both
     # hypotheses by construction; the audit then asserts the inequality

@@ -610,6 +610,26 @@ def test_sweep_keeps_no_plan_for_a_large_family(monkeypatch):
     assert not reduction._plans
 
 
+def test_plan_cache_drops_its_oldest_plan_past_its_size():
+    # 1 025 families [x1^a + x1, x1*x2^b] with distinct witnesses (a, 0) and
+    # (1, b) share x1, so each is planned; the S-pair x1*x2^b divides to 0.
+    families = [MonicFamily.build([P(f"x1^{a} + x1", nvars=2), P(f"x1*x2^{b}")])
+                for a in range(2, 43) for b in range(1, 26)]
+    assert len({family.witnesses for family in families}) == 1025
+    for family in families:
+        assert buchberger_certifies(family) is True
+    assert len(reduction._plans) == reduction._PLAN_CACHE_SIZE == 1024
+    assert families[0].witnesses not in reduction._plans
+    assert list(reduction._plans) == [family.witnesses for family in families[1:]]
+    # newest first: 1 024 kept plans, then the dropped one planned again
+    hits = []
+    for family in reversed(families):
+        hits.append(family.witnesses in reduction._plans)
+        assert buchberger_certifies(family) is True
+    assert hits == [True] * 1024 + [False]
+    assert len(reduction._plans) == 1024 and families[0].witnesses in reduction._plans
+    assert all(oracle_buchberger(family) for family in families[::64])
+
 def test_benchmark_sweep_division_and_plan_counts(monkeypatch):
     # The `groebner` benchmark's ops: criterion 3's sweep over ZZ and seven
     # prime fields, 8 256 level bases whose order its seed only shuffles.

@@ -271,6 +271,13 @@ NATURAL_ENTRY_POINTS = {
     "monic_power_product": (
         lambda e: monic_power_product([P("x1^2 - x1")], [(e,)]), 0, ValueError),
     "Poly_nvars": (lambda n: Poly(ZZ, n), 1, ValueError),
+    # exponent vectors: each entry of alpha, gamma and beta
+    "staircase_count_alpha": (lambda e: staircase_count((2, e), 1), 0, ValueError),
+    "punctured_staircase_count_alpha": (
+        lambda e: punctured_staircase_count((2, e), (1, 0), 1), 0, ValueError),
+    "punctured_staircase_count_gamma": (
+        lambda e: punctured_staircase_count((2, 2), (1, e), 1), 0, ValueError),
+    "nonzero_bound_beta": (lambda e: nonzero_bound(X1, [[0, 1]], (e,)), 0, ValueError),
     "root_product_nvars": (lambda n: root_product(ZZ, n, 0, [0]), 1, ValueError),
     "instance_from_json_degree": (
         lambda e: instance_from_json({**INSTANCE, "planes": [{"poly": "x1", "degree": e}]}),

@@ -2,6 +2,7 @@
 the value types that load no ``dataclasses`` keep frozen-dataclass semantics."""
 
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +14,20 @@ from combnull import (
     GF,
     ZZ,
     BlockingReport,
+    CoverInstance,
     MonicFamily,
     MultiplicityTable,
     MultisetGrid,
     NotMonic,
+    PuncturedGrid,
     UnsupportedField,
+    VanishingSpec,
     Zmod,
+    blocking_audit,
+    certify_groebner,
+    covering_audit,
+    nonzero_bound,
+    punctured_analysis,
 )
 from conftest import P
 
@@ -203,3 +212,84 @@ def test_value_types_keep_frozen_dataclass_semantics():
     table = MultiplicityTable(1, ("a",), {(0, 0, "a"): 1})
     with pytest.raises(ValueError, match="multiplicity at"):
         table.replace(values={(0, 0, "a"): -1})
+
+
+# The report types that store their fields through FrozenValue.__init__, each
+# with the repr it had when it wrote its own storing __init__.
+SQUARE = PuncturedGrid.build(MultisetGrid.build(ZZ, [[0, 1], [0, 1]]), [[0], [0]])
+COVER = CoverInstance.build(SQUARE, [(P("x1 - 1", nvars=2), 1), (P("x2 - 1", nvars=2), 1)], 1)
+REPORTS = {
+    "NonzeroBoundReport": (
+        lambda: nonzero_bound(P("x1^2*x2 - x1*x2"), [[0, 1, 2], [0, 1, 2]], (2, 1)),
+        "NonzeroBoundReport(mu=(1, 2), bound=2, actual=2)"),
+    "CoverInstance": (
+        lambda: COVER,
+        "CoverInstance(pgrid=PuncturedGrid(ring=Ring(kind='ZZ', modulus=None), axes=("
+        "Axis(support=(0, 1), psi=mappingproxy({0: 1, 1: 1})), "
+        "Axis(support=(0, 1), psi=mappingproxy({0: 1, 1: 1}))), punctures=((0,), (0,))), "
+        "planes=((Poly(ZZ, 'x1 - 1'), 1), (Poly(ZZ, 'x2 - 1'), 1)), t=1)"),
+    "CoverReport": (
+        lambda: covering_audit(COVER),
+        "CoverReport(hypothesis_coverage=True, uncovered_point=None, hypothesis_escape=True, "
+        "escape_point=(0, 0), sum_degrees=2, product_degree=2, bounds=(2, 2), "
+        "verdict='bound_holds')"),
+    "CoverReport_unmet": (
+        lambda: covering_audit(COVER.replace(planes=COVER.planes[:1])),
+        "CoverReport(hypothesis_coverage=False, uncovered_point=(0, 1), hypothesis_escape=True, "
+        "escape_point=(0, 0), sum_degrees=1, product_degree=None, bounds=None, "
+        "verdict='hypotheses_unmet')"),
+    "BlockingReport": (
+        lambda: blocking_audit(2, 2, 1, [(0, 0), (0, 1)]),
+        "BlockingReport(blocked=False, unblocked_hyperplane=((1, 0), 1), size=2, bound=3)"),
+    "PuncturedReport": (
+        lambda: punctured_analysis(P("x1*x2 - x1 - x2 + 1"), SQUARE, 1),
+        "PuncturedReport(eta=Poly(ZZ, 'x1*x2 - x1 - x2 + 1'), "
+        "divisor=Poly(ZZ, 'x1*x2 - x1 - x2 + 1'), cofactor=Poly(ZZ, '1'), "
+        "nonvanishing_point=(0, 0), degree_f=2, degree_eta=2, degree_bound=2, "
+        "bound_holds=True)"),
+    "GroebnerReport": (
+        lambda: certify_groebner(
+            VanishingSpec.build(MultisetGrid.build(ZZ, [[0, 1]]), {(0,): [(1,)], (1,): [(1,)]}),
+            MonicFamily.build([P("x1^2 - x1")])),
+        "GroebnerReport(condition_d=(True,), grid_count=2, leading_count=2, "
+        "verdict='groebner', degenerate_empty_grid=False)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_types_store_one_value_per_field(name):
+    build, shown = REPORTS[name]
+    report = build()
+    cls = type(report)
+    assert cls.__init__ is combnull.rings.FrozenValue.__init__
+    assert repr(report) == shown
+    values = tuple(getattr(report, field) for field in cls._fields)
+    named = dict(zip(cls._fields, values))
+    # positional, named and mixed calls store the same values
+    mixed = cls(values[0], **dict(list(named.items())[1:]))
+    assert cls(*values) == cls(**named) == mixed == report
+    assert list(vars(report)) == list(cls._fields)
+    try:
+        expected = hash(values)
+    except TypeError:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(report)
+    else:
+        assert hash(report) == expected
+    again = pickle.loads(pickle.dumps(report))
+    assert type(again) is cls and again == report and repr(again) == shown
+    # replace keeps every other field
+    last = cls._fields[-1]
+    moved = report.replace(**{last: "moved"})
+    assert getattr(moved, last) == "moved"
+    assert moved == cls(*values[:-1], "moved") != report
+    for bad in (
+        lambda: cls(*values[:-1]),                       # missing, positional
+        lambda: cls(**dict(list(named.items())[1:])),    # missing, named
+        lambda: cls(*values, "extra"),                   # one positional too many
+        lambda: cls(*values[:-1], **{last: values[-1], "extra": 1}),  # unknown name
+        lambda: cls(*values, **{cls._fields[0]: values[0]}),  # a field given twice
+        lambda: report.replace(extra=1),
+    ):
+        with pytest.raises(TypeError, match=f"{cls.__name__}\\(\\) takes the fields"):
+            bad()

@@ -44,6 +44,7 @@ from combnull import (
 )
 from combnull import multiset_ideals, polynomials
 from combnull.multiset_ideals import MAX_GRID_POINTS
+from combnull.staircase import compositions
 from conftest import (
     P,
     level_normal_form_oracle,
@@ -680,3 +681,13 @@ def test_nonzero_points():
     # 2*x1*x2 + 3*x1 at (x1, x2): (1,0) -> 3, (2,0) -> 0, (1,3) -> 3, (2,3) -> 0 mod 6
     assert list(grid.nonzero_points(f)) == [(1, 0), (1, 3)]
     assert list(grid.nonzero_points(Poly.zero(Zmod(6), 2))) == []
+
+
+def test_listings_past_the_cached_size_are_listed_afresh():
+    # C(92, 2) = 4 186 vectors, past MAX_CACHED_LISTING: listed, not cached
+    assert comb(92, 2) > multiset_ideals.MAX_CACHED_LISTING
+    cached = multiset_ideals._small_listing.cache_info().currsize
+    listing = multiset_ideals._exponent_vectors(90, 3)
+    assert listing == tuple(compositions(90, 3))
+    assert multiset_ideals._exponent_vectors(90, 3) is not listing
+    assert multiset_ideals._small_listing.cache_info().currsize == cached

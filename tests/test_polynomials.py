@@ -275,3 +275,11 @@ def test_partial_evaluate():
     g = partial_evaluate(f, {0: 2})
     assert g == P("7*x2 + 2", nvars=2)
     assert g.nvars == 2
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(6), GF(5)], ids=str)
+def test_negation_negates_every_coefficient(ring):
+    f = parse_poly("3*x1^2*x2 - x2 + 2", ring, 2)
+    assert -f == parse_poly("-3*x1^2*x2 + x2 - 2", ring, 2)
+    assert -f + f == Poly(ring, 2) and -(-f) == f
+    assert -Poly(ring, 2) == Poly(ring, 2)

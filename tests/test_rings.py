@@ -105,6 +105,10 @@ def test_ring_text_round_trip():
         parse_ring("ZZ/x")
     with pytest.raises(ParseError):
         parse_ring("RR")
+    with pytest.raises(ParseError, match=r"^modulus must be >= 2 in 'ZZ/1'$"):
+        parse_ring("ZZ/1")
+    with pytest.raises(ParseError, match=r"^bad prime in 'GF\(x\)'$"):
+        parse_ring("GF(x)")
 
 
 def test_element_parsing():

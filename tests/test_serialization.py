@@ -18,6 +18,7 @@ from combnull import (
     mixed_certificate,
     reduce,
 )
+from combnull.covering import instance_from_json
 from combnull.serialization import (
     certificate_to_json,
     family_to_json,
@@ -316,3 +317,46 @@ def test_zmod_certificate_round_trip():
     cert = level_certificate(member, grid, 1)
     doc = certificate_to_json(cert)
     assert verify_certificate_json(json.loads(json.dumps(doc)))["valid"]
+
+
+B_ENTRY = {"(0,)": [[1]], "(1,)": [[1]]}
+
+
+@pytest.mark.parametrize(
+    "kind, extra, message",
+    [
+        (MultisetGrid, {"E": [[0]]}, "reader takes no puncture set E"),
+        (MultisetGrid, {"B": B_ENTRY}, "reader takes no vanishing table B"),
+        (PuncturedGrid, {}, "punctured grid document needs an 'E' entry"),
+        (PuncturedGrid, {"B": B_ENTRY}, "reader takes no vanishing table B"),
+        (VanishingSpec, {}, "vanishing spec document needs a 'B' entry"),
+        (VanishingSpec, {"E": [[0]]}, "reader takes no puncture set E"),
+        # a document that fails twice keeps its first fault: the axes are
+        # read before the kind's rule, the E entry after it
+        (PuncturedGrid, {"S": [[0, None]]}, "not an element of ZZ: None"),
+        (MultisetGrid, {"E": "bad"}, "reader takes no puncture set E"),
+        (VanishingSpec, {"E": [[0]], "B": B_ENTRY}, "grid document carries both E and B"),
+    ],
+)
+def test_grid_reader_takes_exactly_the_kind_asked_for(kind, extra, message):
+    doc = {"ring": "ZZ", "S": [[0, 1]], **extra}
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        grid_from_json(doc, kind=kind, what="reader")
+
+
+def test_grid_reader_returns_the_kind_asked_for():
+    docs = {MultisetGrid: {}, PuncturedGrid: {"E": [[0]]}, VanishingSpec: {"B": B_ENTRY}}
+    for kind, extra in docs.items():
+        doc = {"ring": "ZZ", "S": [[0, 1]], **extra}
+        assert type(grid_from_json(doc, kind=kind)) is kind
+        assert grid_from_json(doc, kind=kind) == grid_from_json(doc)
+
+
+def test_cover_instance_refuses_a_vanishing_table_first():
+    # the pgrid carries B and no E: B is refused before E is asked for
+    doc = {"pgrid": {"ring": "ZZ", "S": [[0, 1]], "B": B_ENTRY}, "planes": [], "t": 1}
+    with pytest.raises(ParseError, match="^cover instance pgrid takes no vanishing table B$"):
+        instance_from_json(doc)
+    doc["pgrid"] = {"ring": "ZZ", "S": [[0, 1]]}
+    with pytest.raises(ParseError, match="^punctured grid document needs an 'E' entry$"):
+        instance_from_json(doc)
