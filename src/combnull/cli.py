@@ -132,10 +132,14 @@ def _polys(args, texts, grid=None) -> list:
     return [parse_poly(t, ring, nvars) for t in texts]
 
 
+def _given_ring(args):
+    """The ``--ring`` ring, or None when the flag is absent (an empty text is parsed)."""
+    return None if args.ring is None else parse_ring(args.ring)
+
+
 def _grid_and_poly(args, kind=MultisetGrid):
     """The ``--grid`` of ``kind`` and ``--poly`` over it (None when not given)."""
-    grid = grid_from_json(_loose_json(args.grid), parse_ring(args.ring) if args.ring else None,
-                          kind, args.command)
+    grid = grid_from_json(_loose_json(args.grid), _given_ring(args), kind, args.command)
     return grid, None if args.poly is None else _polys(args, [args.poly], grid)[0]
 
 
@@ -162,8 +166,8 @@ def _cmd_reduce(args) -> int:
 def _cmd_groebner_check(args) -> int:
     if args.spec:
         from .vanishing import VanishingSpec, certify_groebner
-        spec = grid_from_json(_loose_json(args.spec), parse_ring(args.ring) if args.ring else None,
-                              VanishingSpec, args.command)
+        spec = grid_from_json(_loose_json(args.spec), _given_ring(args), VanishingSpec,
+                              args.command)
         report = certify_groebner(spec, MonicFamily.build(_polys(args, args.basis, spec)))
         lines = [
             f"condition (D) per axis: {list(report.condition_d)}",

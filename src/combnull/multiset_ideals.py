@@ -7,14 +7,16 @@ products ``prod g_k^(alpha_k)`` with total exponent t; that family is
 always a Groebner basis of the ideal, which makes normal forms available
 unconditionally.
 
-So a level certificate decides membership by the normal form, with no
-grid scan.  The membership tests (level, punctured and mixed) go through
-the grid: they check that the Taylor shift of the candidate to each
-relevant grid point has no support below the staircase at that point, and
-this equivalence is only valid when every axis satisfies Condition (D),
-which each ``Axis`` decides once.  Gated operations, level certificates
-included, raise ``Inapplicable`` (never a boolean) on a Condition (D)
-failure.
+Under Condition (D) on every axis, which each ``Axis`` decides once, f
+lies in the level-t ideal exactly when it vanishes to level t at every grid
+point: the Taylor shift of f to the point has support only where the
+per-axis multiplicity floors sum to at least t.  The level normal form
+decides membership in the ideal with no grid scan, so under (D) it decides
+that vanishing too.  It decides level certificates, and, applied to
+subgrids, the punctured and mixed tests, since each of those ideals asks
+for level vanishing on a union of subgrids.  Only ``level_membership``
+still scans the grid point by point.  Gated operations raise
+``Inapplicable`` (never a boolean) on a Condition (D) failure.
 
 Puncturing removes a subgrid from the vanishing requirements; the mixed
 ideal additionally keeps a relaxed requirement on the puncture.
@@ -205,13 +207,23 @@ class MultisetGrid(FrozenValue):
 
 
 class PuncturedGrid(MultisetGrid):
-    """A multiset grid with a per-axis punctured subgrid E_k of S_k."""
+    """A multiset grid with a per-axis punctured subgrid E_k of S_k.
+
+    Each axis is split once into two interned sub-axes with the grid's psi:
+    ``puncture_axes`` on E_k and ``off_axes`` on S_k minus E_k.  Like an
+    axis's ``terms`` they are not fields.
+    """
 
     _fields = ("ring", "axes", "punctures")
 
     def __init__(self, ring: Ring, axes: tuple, punctures: tuple):
         super().__init__(ring, axes)
-        self.__dict__["punctures"] = punctures
+        on, off = [], []
+        for axis, E in zip(axes, punctures):
+            rest = [u for u in axis.support if u not in E]
+            on.append(axis.replace(support=E, psi={u: axis.psi[u] for u in E}))
+            off.append(axis.replace(support=rest, psi={u: axis.psi[u] for u in rest}))
+        self.__dict__.update(punctures=punctures, puncture_axes=tuple(on), off_axes=tuple(off))
 
     @classmethod
     def build(cls, grid: MultisetGrid, punctures: Sequence) -> "PuncturedGrid":
@@ -228,11 +240,8 @@ class PuncturedGrid(MultisetGrid):
         return cls(grid.ring, grid.axes, tuple(canon))
 
     def _off_terms(self) -> list:
-        """Every g_k / h_k as sparse univariate lists."""
-        return [
-            _root_terms(self.ring, [u for u in axis.support if u not in E], axis.psi)
-            for axis, E in zip(self.axes, self.punctures)
-        ]
+        """Every g_k / h_k as sparse univariate tuples."""
+        return [axis.terms for axis in self.off_axes]
 
     def off_product(self) -> Poly:
         """The product of the off-puncture axis polynomials over all axes."""
@@ -240,19 +249,25 @@ class PuncturedGrid(MultisetGrid):
 
     def off_sums(self) -> list:
         """Per axis, the multiplicity total off the puncture: deg(g_k / h_k)."""
-        return [
-            sum(m for u, m in axis.psi.items() if u not in E)
-            for axis, E in zip(self.axes, self.punctures)
-        ]
+        return [axis.degree for axis in self.off_axes]
+
+    def off_pieces(self) -> list:
+        """The grids G_k = S_1 x ... x (S_k minus E_k) x ... x S_n with the
+        grid's psi, one per k with points off E_k.  A point lies off the
+        punctured subgrid iff some coordinate lies off its E_k, so their
+        union is the grid minus prod_k E_k."""
+        return [MultisetGrid(self.ring, self.axes[:k] + (off,) + self.axes[k + 1:])
+                for k, off in enumerate(self.off_axes) if off.support]
+
+    def puncture_grid(self) -> MultisetGrid:
+        """The punctured subgrid prod_k E_k with the grid's psi."""
+        return MultisetGrid(self.ring, self.puncture_axes)
 
     def off_puncture_points(self):
         punct = [set(E) for E in self.punctures]
         for point in self.grid_points():
             if not all(v in punct[k] for k, v in enumerate(point)):
                 yield point
-
-    def puncture_points(self):
-        return product(*self.punctures)
 
 
 # -- level ideals ---------------------------------------------------------
@@ -299,7 +314,8 @@ def level_basis(grid: MultisetGrid, t: int) -> MonicFamily:
 
 
 def _grid_condition(f: Poly, grid: MultisetGrid, checks) -> bool:
-    """The one shift-then-scan loop behind every grid membership test.
+    """The one shift-then-scan loop, behind ``level_membership`` and
+    ``vanishing.in_vanishing_ideal``.
 
     ``checks`` yields ``(point, accepts)`` pairs; f passes at a pair when
     ``accepts`` holds for every support vector of the Taylor shift of f to
@@ -312,16 +328,15 @@ def _grid_condition(f: Poly, grid: MultisetGrid, checks) -> bool:
     return True
 
 
-def _floor_sum_checks(grid: MultisetGrid, *groups):
-    """The level-type checks: at each point of a ``(points, level)`` group,
-    accept the vectors whose per-axis multiplicity floors sum to at least
-    the level (a level below 1 accepts all, so its points are skipped).
-    Condition (D) is required as the first check is drawn."""
+def _floor_sum_checks(grid: MultisetGrid, points, level: int):
+    """The level-type checks: at each of ``points``, accept the vectors
+    whose per-axis multiplicity floors sum to at least the level (a level
+    below 1 accepts all, so the points are skipped).  Condition (D) is
+    required as the first check is drawn."""
     grid.require_condition_d()
-    for points, level in groups:
-        for point in points if level >= 1 else ():
-            psi = grid.psi_at(point)
-            yield point, lambda a, psi=psi, level=level: sum(map(floordiv, a, psi)) >= level
+    for point in points if level >= 1 else ():
+        psi = grid.psi_at(point)
+        yield point, lambda a, psi=psi, level=level: sum(map(floordiv, a, psi)) >= level
 
 
 def level_membership(f: Poly, grid: MultisetGrid, t: int) -> bool:
@@ -331,7 +346,7 @@ def level_membership(f: Poly, grid: MultisetGrid, t: int) -> bool:
     otherwise.
     """
     require_int(t, 0, "t", ValueError)
-    return _grid_condition(f, grid, _floor_sum_checks(grid, (grid.grid_points(), t)))
+    return _grid_condition(f, grid, _floor_sum_checks(grid, grid.grid_points(), t))
 
 
 # Digit entries one level normal form may compute, counted before each batch
@@ -482,14 +497,21 @@ def level_certificate(f: Poly, grid: MultisetGrid, t: int) -> ReductionOutcome:
 
 
 def punctured_membership(f: Poly, pgrid: PuncturedGrid, t: int) -> bool:
-    """Membership in the intersection of the per-axis punctured ideals.
+    """Membership in the punctured ideal: level-t vanishing at every point
+    of the grid off the punctured subgrid E = prod_k E_k.
 
-    The vanishing conditions run over the grid minus the punctured
-    subgrid.  Gated by Condition (D) on every axis of the grid.
+    t, the operand and Condition (D) on the whole grid are checked in that
+    order.  The grid minus E is the union of the pieces ``off_pieces``, so
+    f vanishes to level t there exactly when it does on every piece.  A
+    piece has the grid's psi and supports inside the grid's, so it inherits
+    Condition (D); under (D), level-t vanishing on a grid is membership in
+    its level ideal, that is, a level normal form of 0.  No grid point is
+    visited.
     """
     require_int(t, 0, "t", ValueError)
-    checks = _floor_sum_checks(pgrid, (pgrid.off_puncture_points(), t))
-    return _grid_condition(f, pgrid, checks)
+    f.require_on(pgrid.ring, pgrid.nvars)
+    pgrid.require_condition_d()
+    return all(level_normal_form(f, piece, t).is_zero() for piece in pgrid.off_pieces())
 
 
 class PuncturedReport(FrozenValue):
@@ -586,12 +608,16 @@ def mixed_basis(pgrid: PuncturedGrid, t: int) -> MonicFamily:
 
 def mixed_membership(f: Poly, pgrid: PuncturedGrid, t: int) -> bool:
     """Membership in the mixed ideal: full-strength vanishing conditions
-    off the puncture, one level weaker on the puncture subgrid."""
+    off the puncture, one level weaker on the puncture subgrid.
+
+    t is checked, then f is tested as ``punctured_membership`` does, with
+    its operand and Condition (D) checks.  The puncture subgrid
+    ``puncture_grid`` inherits (D) like the pieces, so level t - 1 there is
+    a level normal form of 0 on it.
+    """
     require_int(t, 1, "t", ValueError)
-    checks = _floor_sum_checks(
-        pgrid, (pgrid.off_puncture_points(), t), (pgrid.puncture_points(), t - 1)
-    )
-    return _grid_condition(f, pgrid, checks)
+    return (punctured_membership(f, pgrid, t)
+            and level_normal_form(f, pgrid.puncture_grid(), t - 1).is_zero())
 
 
 def mixed_certificate(f: Poly, pgrid: PuncturedGrid, t: int) -> ReductionOutcome:

@@ -17,6 +17,7 @@ from combnull import (
     reduce,
     root_product,
 )
+from combnull import multiset_ideals
 from combnull.polynomials import _power_products, random_monic, random_poly
 from combnull.staircase import maximal_elements, require_int
 
@@ -43,6 +44,25 @@ def level_normal_form_oracle(f, grid, t):
     """The level-t normal form by division over the level basis, the
     reference for the digit computation in ``level_normal_form``."""
     return reduce(f, level_basis(grid, t)).remainder
+
+
+def punctured_scan(f, pgrid, t):
+    """Punctured membership by the grid scan: the floor-sum rule at level t
+    at every point off the puncture, the reference for the pieces in
+    ``punctured_membership``.  t, the operand and Condition (D) are checked
+    in that order."""
+    require_int(t, 0, "t", ValueError)
+    checks = multiset_ideals._floor_sum_checks(pgrid, pgrid.off_puncture_points(), t)
+    return multiset_ideals._grid_condition(f, pgrid, checks)
+
+
+def mixed_scan(f, pgrid, t):
+    """Mixed membership by the grid scan: ``punctured_scan`` at level t and
+    the floor-sum rule at level t - 1 at every point of prod_k E_k, the
+    reference for ``mixed_membership``."""
+    require_int(t, 1, "t", ValueError)
+    on_puncture = multiset_ideals._floor_sum_checks(pgrid, product(*pgrid.punctures), t - 1)
+    return punctured_scan(f, pgrid, t) and multiset_ideals._grid_condition(f, pgrid, on_puncture)
 
 
 def is_axis_poly(f, axis):

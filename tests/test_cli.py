@@ -804,6 +804,21 @@ INFINITE_STAIRCASE_SPEC = json.dumps({
 })
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("membership", "--ring", "", "--grid", "{S:[[0,1]]}", "--t", "1", "--poly", "x1"),
+        ("groebner-check", "--ring", "", "--basis", "x1^2-x1", "--spec",
+         json.dumps({"ring": "GF(5)", "S": [[0, 1]], "B": {"(0)": [[1]], "(1)": [[1]]}})),
+    ],
+    ids=["membership", "groebner_check"],
+)
+def test_empty_ring_text_is_refused(capsys, argv):
+    # an empty --ring is a ring text to parse, not an absent flag that
+    # defers to the document's ring
+    assert run(capsys, *argv) == (3, "", "error: unrecognized ring ''\n")
+
+
 def test_groebner_check_infinite_leading_staircase(capsys):
     # x1^2 - x1 bounds no power of x2, so its leading staircase is infinite
     # while the grid count is 4: not a Groebner basis of I(spec).
@@ -997,6 +1012,31 @@ def test_mixed_membership_and_certificate(capsys):
     code, out, _ = run(capsys, *args, "--certificate", "--format", "json")
     assert code == 0
     assert json.loads(out)["basis"] == "mixed"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (("punctured", "--grid", PGRID_2, "--t", "1", "--poly", "x1^1000*x2^1000 - x1*x2"),
+         0, "true\n"),
+        (("mixed", "--grid", PGRID_2, "--t", "1", "--poly", "x1^1000*x2^1000 - x1*x2"),
+         0, "true\n"),
+        (("punctured", "--grid", PGRID_2, "--t", "2", "--poly", "x1^1000*x2^1000 - x1*x2"),
+         1, "false\n"),
+        (("mixed", "--grid", PGRID_2, "--t", "2", "--poly", "x1^1000*x2^1000"), 1, "false\n"),
+        # 2^21 grid points, which no scan may visit
+        (("punctured", "--grid", json.dumps({"S": [[0, 1]] * 21, "E": [[0]] * 21}), "--t", "1",
+          "--poly", "x1^2-x1"), 0, "true\n"),
+    ],
+    ids=["punctured_member", "mixed_member", "punctured_non_member", "mixed_non_member",
+         "punctured_21_axes"],
+)
+def test_punctured_and_mixed_answer_quickly(capsys, argv, code, out):
+    # both are decided by level normal forms on subgrids: no Taylor shift
+    # to each grid point, and no grid point count
+    start = time.perf_counter()
+    assert run(capsys, *argv, "--ring", "ZZ") == (code, out, "")
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("supports", ["5", "[5]", "null", '{"S":[[0]]}'])

@@ -48,9 +48,11 @@ from combnull.staircase import compositions
 from conftest import (
     P,
     level_normal_form_oracle,
+    mixed_scan,
     monic_power_product,
     off_poly,
     partial_evaluate,
+    punctured_scan,
     random_poly,
     scale,
     variable,
@@ -570,6 +572,68 @@ def test_min_extra_degree_needs_no_level_scan(monkeypatch):
     assert min_extra_degree(PuncturedGrid.build(cube(), [[0, 1], [0, 1]]), 3)[0] == 4
 
 
+def test_punctured_and_mixed_need_no_grid_scan(monkeypatch):
+    # both ideals are decided by level normal forms on subgrids
+    def no_scan(*args):
+        raise AssertionError("grid scan called")
+
+    monkeypatch.setattr(multiset_ideals, "_grid_condition", no_scan)
+    monkeypatch.setattr(multiset_ideals, "taylor_shift", no_scan)
+    monkeypatch.setattr(polynomials, "taylor_shift", no_scan)
+    pg = punctured_cube()
+    member = P("x1*x2 - x1 - x2 + 1", nvars=2)  # (x1 - 1)(x2 - 1)
+    with monkeypatch.context() as m:
+        m.setattr(MultisetGrid, "grid_points", no_scan)
+        assert punctured_membership(member, pg, 1)
+        assert not punctured_membership(member, pg, 2)
+        assert mixed_membership(member, pg, 1)
+        assert not mixed_membership(P("1", nvars=2), pg, 1)
+    assert punctured_analysis(member, pg, 1).bound_holds
+    assert mixed_certificate(member, pg, 1).remainder.is_zero()
+    assert min_extra_degree(pg, 2)[0] == 4
+
+
+def _outcome(decide, f, pgrid, t):
+    """``decide``'s verdict, or the type of the error it raises."""
+    try:
+        return decide(f, pgrid, t)
+    except (Inapplicable, ValueError) as exc:
+        return type(exc)
+
+
+def test_subgrid_normal_forms_match_the_grid_scans():
+    # seeded draws of punctured grids, E_k from empty to full; a third of
+    # the operands are sums of multiples of mixed-basis members, half of
+    # those with one member perturbed by a term
+    rng = random.Random(27)
+    verdicts = []
+    for _ in range(300):
+        ring = rng.choice((ZZ, GF(5), GF(7), Zmod(6)))
+        n = rng.randint(1, 3)
+        supports = [rng.sample(range(5), rng.randint(1, 3)) for _ in range(n)]
+        psis = [{u: rng.randint(1, 2) for u in S} for S in supports]
+        punctures = [rng.sample(S, rng.randint(0, len(S))) for S in supports]
+        pg = PuncturedGrid.build(MultisetGrid.build(ring, supports, psis), punctures)
+        t = rng.randint(0, 3)
+        for _ in range(2):
+            if rng.random() < 1 / 3:
+                members = list(mixed_basis(pg, max(t, 1)).members)
+                if rng.random() < 0.5:
+                    term = random_poly(rng, ring, n, max_deg=2, max_terms=1)
+                    members[rng.randrange(len(members))] += term
+                f = Poly.zero(ring, n)
+                for g in rng.sample(members, min(3, len(members))):
+                    f += random_poly(rng, ring, n, max_deg=1, max_terms=2) * g
+            else:
+                f = random_poly(rng, ring, n, max_deg=4)
+            for engine, scan in ((punctured_membership, punctured_scan),
+                                 (mixed_membership, mixed_scan)):
+                verdict = _outcome(engine, f, pg, t)
+                assert verdict == _outcome(scan, f, pg, t), (engine.__name__, f, pg, t)
+                verdicts.append(verdict)
+    assert {True, False, Inapplicable, ValueError} <= set(verdicts)
+
+
 def test_intersection_identity_membershipwise(rng):
     # punctured intersection and the puncture-grid level ideal cut out
     # exactly the full-grid level ideal
@@ -617,7 +681,7 @@ def test_outside_level_ideal_detector(rng):
             f = f + random_poly(rng, ZZ, 2, max_deg=1, max_terms=2) * g
         in_level = level_membership(f, pg, t)
         detector = False
-        for v in pg.puncture_points():
+        for v in pg.puncture_grid().grid_points():
             psi = pg.psi_at(v)
             for gamma in product(range(2 * t), repeat=2):
                 if sum(g // m for g, m in zip(gamma, psi)) == t - 1:
