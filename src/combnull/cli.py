@@ -164,7 +164,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_groebner_check(args) -> int:
-    if args.spec:
+    if args.spec is not None:
         from .vanishing import VanishingSpec, certify_groebner
         spec = grid_from_json(_loose_json(args.spec), _given_ring(args), VanishingSpec,
                               args.command)
@@ -203,7 +203,7 @@ def _cmd_certificate(args) -> int:
     ]
     lines.append(f"support containment: {payload['checks']['support']}")
     _emit(args, payload, lines)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as handle:
             handle.write(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_YES
@@ -308,7 +308,7 @@ def _cmd_alon_furedi(args) -> int:
 
 def _cmd_count(args) -> int:
     alpha = parse_expvec(args.alpha)
-    if args.gamma:
+    if args.gamma is not None:
         gamma = parse_expvec(args.gamma)
         value = punctured_staircase_count(alpha, gamma, args.t)
     else:

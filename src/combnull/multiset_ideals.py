@@ -45,7 +45,7 @@ from .errors import (
 from .polynomials import (
     MAX_BASIS_TERMS,
     Poly,
-    _next_power,
+    PowerTable,
     _power_products,
     _raw,
     _root_terms,
@@ -92,18 +92,26 @@ class Axis(FrozenValue):
 
     ``build`` interns: equal inputs over one ring return the same object, so
     g is computed once per distinct axis however many grids repeat it.  The
-    table holds axes weakly; powers of g are never kept.  ``replace``,
-    ``pickle`` and ``copy`` go through ``build`` too, so g always follows
-    the support and psi it is stored with.
+    table holds axes weakly.  ``replace``, ``pickle`` and ``copy`` go
+    through ``build`` too, so g always follows the support and psi it is
+    stored with, and two axes are equal exactly when they are one object:
+    equality and hash are identity, and they see the ring, which the fields
+    do not.
+
+    ``powers`` is the axis's ``PowerTable`` of g^0, g^1, ...: the powers a
+    level basis or a normal form needs are kept while g^2, g^3, ... hold at
+    most ``MAX_KEPT_POWER_TERMS`` terms, for as long as the axis lives.
     """
 
     _fields = ("support", "psi")  # terms and ring follow from build's key
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, support: tuple, psi: Mapping, terms: tuple, ring: Ring):
         condition_d = not any(
             ring.is_zero_divisor(ring.sub(b, a)) for a, b in combinations(support, 2))
-        self.__dict__.update(
-            support=support, psi=psi, terms=terms, ring=ring, condition_d=condition_d)
+        self.__dict__.update(support=support, psi=psi, terms=terms, ring=ring,
+                             condition_d=condition_d, powers=PowerTable(ring, terms))
 
     def replace(self, **changes) -> "Axis":
         """The interned axis with ``changes`` to ``ring``, ``support`` or ``psi``."""
@@ -174,6 +182,10 @@ class MultisetGrid(FrozenValue):
         per distinct axis."""
         return [axis.terms for axis in self.axes]
 
+    def _axis_powers(self) -> list:
+        """Every axis's kept ``PowerTable``."""
+        return [axis.powers for axis in self.axes]
+
     @property
     def empty_grid(self) -> bool:
         return any(not axis.support for axis in self.axes)
@@ -239,13 +251,15 @@ class PuncturedGrid(MultisetGrid):
             canon.append(E)
         return cls(grid.ring, grid.axes, tuple(canon))
 
-    def _off_terms(self) -> list:
-        """Every g_k / h_k as sparse univariate tuples."""
-        return [axis.terms for axis in self.off_axes]
+    def _seeded_powers(self) -> list:
+        """Per axis, a new ``PowerTable`` of ``(g_k / h_k) g_k^e``."""
+        return [PowerTable(self.ring, axis.terms, off.terms)
+                for axis, off in zip(self.axes, self.off_axes)]
 
     def off_product(self) -> Poly:
         """The product of the off-puncture axis polynomials over all axes."""
-        return _power_products(self.ring, self._off_terms(), [(1,) * self.nvars])[0][0]
+        tables = [axis.powers for axis in self.off_axes]
+        return _power_products(self.ring, tables, [(1,) * self.nvars])[0][0]
 
     def off_sums(self) -> list:
         """Per axis, the multiplicity total off the puncture: deg(g_k / h_k)."""
@@ -306,7 +320,7 @@ def level_basis(grid: MultisetGrid, t: int) -> MonicFamily:
     """
     require_int(t, 0, "t", ValueError)
     alphas = _exponent_vectors(t, grid.nvars)
-    built = _power_products(grid.ring, grid._axis_terms(), alphas)
+    built = _power_products(grid.ring, grid._axis_powers(), alphas)
     family = MonicFamily.build([g for g, _ in built], labels=alphas, certified=True)
     if family.witnesses != tuple(theta for _, theta in built):
         raise InternalInvariantError("level basis witness mismatch")
@@ -427,12 +441,13 @@ def level_normal_form(f: Poly, grid: MultisetGrid, t: int) -> Poly:
     if not hard:
         return _raw(ring, n, out)
     work = 0
+    refusal = f"the level-{t} normal form needs over {MAX_DIGIT_TERMS} digits"
 
     def spend(count: int) -> None:
         nonlocal work
         work += count
         if work > MAX_DIGIT_TERMS:
-            raise ScaleExceeded(f"the level-{t} normal form needs over {MAX_DIGIT_TERMS} digits")
+            raise ScaleExceeded(refusal)
 
     tables = []
     for k, (g, d) in enumerate(zip(gs, degs)):
@@ -454,16 +469,18 @@ def level_normal_form(f: Poly, grid: MultisetGrid, t: int) -> Poly:
         acc = {key: a for key, a in expanded.items() if a != zero}
     acc = {key[1:]: a for key, a in acc.items()}
     for k, (g, d) in enumerate(zip(gs, degs)):  # axis k's q becomes an exponent
-        powers = [([0], [ring.one])]
-        for _ in range(max([key[k] for key in acc], default=0) // d):
-            powers.append(_next_power(ring, powers[-1], g))
-            spend(len(powers[-1][0]))
-        spend(len(acc) * len(powers[-1][0]))
+        # g^1 .. g^top are counted as work, kept in the axis's table or not
+        top = max([key[k] for key in acc], default=0) // d
+        spend(len(g[0]) if top else 0)
+        powers = grid.axes[k].powers.upto(top, MAX_DIGIT_TERMS - work)
+        if powers is None:
+            raise ScaleExceeded(refusal)
+        spend(powers[top][2] + len(acc) * len(powers[top][0]))
         converted = {}
         for key, a in acc.items():
             j, e = divmod(key[k], d)
             head, tail = key[:k], key[k + 1:]
-            for p, b in zip(*powers[j]):
+            for p, b in zip(powers[j][0], powers[j][1]):
                 new = head + (p + e,) + tail
                 converted[new] = add(converted.get(new, zero), mul(a, b))
         acc = converted
@@ -600,9 +617,8 @@ def mixed_basis(pgrid: PuncturedGrid, t: int) -> MonicFamily:
     n = pgrid.nvars
     upper = _exponent_vectors(t, n)
     lower = _exponent_vectors(t - 1, n)
-    axes = pgrid._axis_terms()
-    built = _power_products(pgrid.ring, axes, lower, pgrid._off_terms())
-    built += _power_products(pgrid.ring, axes, upper)
+    built = _power_products(pgrid.ring, pgrid._seeded_powers(), lower)
+    built += _power_products(pgrid.ring, pgrid._axis_powers(), upper)
     return MonicFamily.build([g for g, _ in built], labels=lower + upper)
 
 
@@ -647,7 +663,7 @@ def min_extra_degree(pgrid: PuncturedGrid, t: int):
     value = (t - 1) * e + sum(pgrid.off_sums())
 
     alpha = tuple(t - 1 if k == l else 0 for k in range(pgrid.nvars))
-    [(witness, _)] = _power_products(pgrid.ring, pgrid._axis_terms(), [alpha], pgrid._off_terms())
+    [(witness, _)] = _power_products(pgrid.ring, pgrid._seeded_powers(), [alpha])
     if witness.degree() != value:
         raise InternalInvariantError("witness degree disagrees with the formula")
     if not mixed_membership(witness, pgrid, t):

@@ -293,79 +293,147 @@ def root_product(
 
 
 # Terms a power-product family may hold, counted before any product is
-# built.  Level 38 on {0,1}^3 holds 962 598 and takes about 0.7 s and
+# built: the products' terms and the running counts of the powers they use,
+# which do not depend on which powers a ``PowerTable`` kept from earlier
+# calls.  Level 38 on {0,1}^3 holds 962 598 and takes about 0.7 s and
 # 140 MB to build; level 60 would hold 8 259 888.  No benchmark or test
 # basis holds more than 819.
 MAX_BASIS_TERMS = 1_000_000
 
+# Terms of the powers g^2, g^3, ... one ``PowerTable`` keeps between calls.
+# The benchmark's tables keep at most 12 (level 3, g of degree 4).  A full
+# table takes ~0.3 MB for {0, ..., 5} over ZZ (g^2 .. g^39) and ~1 MB for
+# g = x (4 096 entries of one term each), measured with tracemalloc.
+MAX_KEPT_POWER_TERMS = 4096
+
 
 def _next_power(ring: Ring, power: tuple, g: tuple) -> tuple:
     """The univariate product of two sparse ``(exponents, coefficients)``
-    pairs, accumulated in a dense list and pruned of zeros."""
+    pairs (further entries of ``power`` are ignored), accumulated in a
+    dense list and pruned of zeros."""
     zero = ring.zero
     acc = [zero] * (power[0][-1] + g[0][-1] + 1)
-    for a, ca in zip(*power):
+    for a, ca in zip(power[0], power[1]):
         for b, cb in zip(*g):
             acc[a + b] = ring.add(acc[a + b], ring.mul(ca, cb))
-    exps = [e for e, c in enumerate(acc) if c != zero]
-    return exps, [acc[e] for e in exps]
+    exps = tuple([e for e, c in enumerate(acc) if c != zero])
+    return exps, tuple([acc[e] for e in exps])
 
 
-def _power_products(ring: Ring, factors: Sequence, alphas: Sequence, seeds=None) -> list:
-    """``prod_k seed_k g_k^(alpha_k)`` for each alpha, on sparse univariate
-    ``(exponents, coefficients)`` lists of monic factors ``g_k`` and seeds
-    (each seed defaults to one).  Returns ``(product, theta)`` pairs, theta
+class PowerTable:
+    """The powers ``seed * g^e``, e = 0, 1, ..., of a monic univariate g,
+    given like the seed as sparse ``(exponents, coefficients)`` pairs; the
+    seed defaults to one.  Entry e is ``(exponents, coefficients, count)``,
+    count being the running number of terms of the entries ``upto``
+    computes: entry 1 onwards with a seed, entry 2 onwards without.  An
+    entry's count is the same whether it was kept or computed in this call.
+
+    ``powers`` is a list never changed once stored: ``upto`` extends a copy
+    and stores it with one attribute store, so a concurrent reader sees the
+    old list or the whole new one.  Only the entries whose count is at most
+    ``MAX_KEPT_POWER_TERMS`` are stored; the rest serve one call.
+    """
+
+    __slots__ = ("ring", "g", "powers")
+
+    def __init__(self, ring: Ring, g: tuple, seed: tuple | None = None):
+        self.ring = ring
+        self.g = tuple(g[0]), tuple(g[1])
+        if seed is None:
+            self.powers = [((0,), (ring.one,), 0), (*self.g, 0)]
+        else:
+            self.powers = [(tuple(seed[0]), tuple(seed[1]), 0)]
+
+    def upto(self, e: int, limit, row: list = ()) -> list | None:
+        """A list holding entries 0..e at least, or None as soon as an entry
+        would count more than ``limit`` terms.  It extends the stored list
+        or ``row``, whichever is longer: a list this table returned before
+        and did not store."""
+        stored = self.powers
+        if len(row) < len(stored):
+            row = stored
+        if e < len(row):
+            return row
+        ring, g = self.ring, self.g
+        row = list(row)
+        kept = len(stored)  # the entries of a row not stored are past the bound
+        while len(row) <= e:
+            exps, coeffs = _next_power(ring, row[-1], g)
+            count = row[-1][2] + len(exps)
+            if count > limit:
+                break
+            row.append((exps, coeffs, count))
+            if count <= MAX_KEPT_POWER_TERMS:
+                kept = len(row)
+        if kept > len(self.powers):
+            self.powers = row[:kept]
+        return row if e < len(row) else None
+
+
+def _too_many_power_terms(e: int) -> ScaleExceeded:
+    return ScaleExceeded(f"powers up to exponent {e} need over {MAX_BASIS_TERMS} terms")
+
+
+def _too_many_products(count: int) -> ScaleExceeded:
+    if count == 1:
+        return ScaleExceeded(f"1 power product needs over {MAX_BASIS_TERMS} terms")
+    return ScaleExceeded(f"{count} power products need over {MAX_BASIS_TERMS} terms")
+
+
+def _power_products(ring: Ring, tables: Sequence[PowerTable], alphas: Sequence) -> list:
+    """``prod_k seed_k g_k^(alpha_k)`` for each alpha, from one
+    ``PowerTable`` per axis.  Returns ``(product, theta)`` pairs, theta
     being the product's greatest support point.
 
-    Each axis keeps a table of ``seed_k g_k^e``, extended one factor at a
-    time.  Factors in distinct variables never share a term, so a product
-    is the Cartesian product of its factors' terms: one ``ring.mul`` per
-    factor, and a zero coefficient (possible in ZZ/m) is pruned.  Before
-    any product is built, the tables give each product's exact number of
-    terms; ``ScaleExceeded`` is raised as soon as their running sum, or the
-    terms held by the tables, pass ``MAX_BASIS_TERMS``.
+    Factors in distinct variables never share a term, so a product is the
+    Cartesian product of its factors' terms: one ``ring.mul`` per factor
+    that is not a lone coefficient one, and zeros (possible in ZZ/m) are
+    pruned where a product makes one.  Before any product is built, the
+    tables give each product's exact number of terms; ``ScaleExceeded`` is
+    raised as soon as their running sum, or the counts of the highest
+    powers used so far on each axis, pass ``MAX_BASIS_TERMS``.
     """
-    if not factors:
+    if not tables:
         raise ValueError("need at least one axis polynomial")
-    unit = ([0], [ring.one])
-    tables = [[unit, g] for g in factors] if seeds is None else [[seed] for seed in seeds]
-    table_terms = terms_out = 0
+    rows = [table.powers for table in tables]
+    used = [0] * len(rows)  # per axis, the count of the highest power used so far
+    held = terms_out = 0
     chosen = []  # per alpha, its factors' powers, as the count found them
     for alpha in alphas:
         size = 1
         powers = []
-        for table, g, e in zip(tables, factors, alpha):
-            while len(table) <= e:
-                table.append(_next_power(ring, table[-1], g))
-                table_terms += len(table[-1][0])
-                if table_terms > MAX_BASIS_TERMS:
-                    raise ScaleExceeded(
-                        f"powers up to exponent {e} need over {MAX_BASIS_TERMS} terms"
-                    )
-            power = table[e]
+        for k, e in enumerate(alpha):
+            row = rows[k]
+            if e >= len(row):
+                row = rows[k] = tables[k].upto(e, MAX_BASIS_TERMS - held + used[k], row)
+                if row is None:
+                    raise _too_many_power_terms(e)
+            power = row[e]
+            if power[2] > used[k]:
+                held += power[2] - used[k]
+                used[k] = power[2]
+                if held > MAX_BASIS_TERMS:  # only kept powers reach this
+                    raise _too_many_power_terms(e)
             powers.append(power)
             size *= len(power[0])
         terms_out += size
         if terms_out > MAX_BASIS_TERMS:
-            raise ScaleExceeded(
-                f"{len(alphas)} power products need over {MAX_BASIS_TERMS} terms"
-            )
+            raise _too_many_products(len(alphas))
         chosen.append(powers)
-    zero = ring.zero
-    mul = ring.mul
-    nvars = len(factors)
+    zero, mul = ring.zero, ring.mul
+    ones = (ring.one,)
+    nvars = len(tables)
     out = []
     for powers in chosen:
-        coeffs = None  # the first non-unit factor's coefficients are taken as they are
+        coeffs = ones  # a lone factor that is not one gives its coefficients as they are
         for power in powers:
-            if power is not unit:
-                coeffs = power[1] if coeffs is None else [
+            if power[1] != ones:
+                coeffs = power[1] if coeffs is ones else [
                     mul(c, d) for c in coeffs for d in power[1]]
-        if coeffs is None:
-            coeffs = unit[1]
-        entries = [power[0] for power in powers]
-        terms = {key: c for key, c in zip(product(*entries), coeffs) if c != zero}
-        out.append((_raw(ring, nvars, terms), tuple([exps[-1] for exps in entries])))
+        terms = dict(zip(product(*[power[0] for power in powers]), coeffs))
+        if zero in coeffs:
+            terms = {key: c for key, c in terms.items() if c != zero}
+        out.append((_raw(ring, nvars, terms), tuple([power[0][-1] for power in powers])))
     return out
 
 

@@ -27,7 +27,7 @@ from .errors import (
     NotInIdeal,
 )
 from .multiset_ideals import MultisetGrid, PuncturedGrid, _grid_condition
-from .polynomials import Poly, _power_products, _root_terms
+from .polynomials import Poly, PowerTable, _power_products, _root_terms
 from .reduction import MonicFamily, ReductionOutcome, decompose_member
 from .rings import Element, FrozenValue, Ring
 from .staircase import complement, has_finite_complement, in_upset, require_int
@@ -205,7 +205,7 @@ def multiplicity_family(
         factors = []
         for i, axis in enumerate(grid.axes):
             column = {u: e for u in axis.support if (e := table.get(i, u, lam))}
-            factors.append(_root_terms(ring, column, column))
+            factors.append(PowerTable(ring, _root_terms(ring, column, column)))
         [(g, theta)] = _power_products(ring, factors, [(1,) * n])
         members.append(g)
         thetas.append(theta)

@@ -18,7 +18,7 @@ from combnull import (
     root_product,
 )
 from combnull import multiset_ideals
-from combnull.polynomials import _power_products, random_monic, random_poly
+from combnull.polynomials import PowerTable, _power_products, random_monic, random_poly
 from combnull.staircase import maximal_elements, require_int
 
 # The rings property tests draw from: a domain of each kind and ZZ/6,
@@ -75,8 +75,8 @@ def is_axis_poly(f, axis):
 def monic_power_product(axis_polys, alphas):
     """``prod g_k^(alpha_k)`` for each alpha, over monic single-axis
     polynomials: the builder oracle for the library's per-axis power
-    products (``polynomials._power_products``), which take sparse
-    univariate term lists.
+    products (``polynomials._power_products``), here on new
+    ``PowerTable``s of sparse univariate term lists.
 
     ``axis_polys[k]`` must be a monic polynomial in x_(k+1) alone; all are
     checked before any product is built, so a bad family raises even when
@@ -104,7 +104,7 @@ def monic_power_product(axis_polys, alphas):
     for alpha in alphas:
         if len(alpha) != n:
             raise ArityMismatch(f"exponent {alpha} for {n} axis polynomials")
-    return _power_products(ring, factors, alphas)
+    return _power_products(ring, [PowerTable(ring, g) for g in factors], alphas)
 
 
 def random_family(rng, ring, nvars, max_members=3):

@@ -712,6 +712,16 @@ def test_cover_instance_json(capsys, tmp_path):
     assert payload["verdict"] == "bound_holds"
 
 
+def test_off_product_refusal_names_one_product(capsys):
+    # the verdict answers, but the analysis expands the off-puncture product
+    # (x1 - 1)...(x21 - 1), one product of 2^21 terms
+    grid = json.dumps({"S": [[0, 1]] * 21, "E": [[0]] * 21})
+    argv = ("punctured", "--ring", "ZZ", "--grid", grid, "--t", "1", "--poly", "x1^2-x1")
+    assert run(capsys, *argv) == (0, "true\n", "")
+    assert run(capsys, *argv, "--analyze") == (
+        3, "", "error: 1 power product needs over 1000000 terms\n")
+
+
 def test_qq_points_in_json_reports(capsys):
     # A QQ grid point is written as element strings, as grid documents are.
     code, out, _ = run(capsys, "punctured", "--ring", "QQ",
@@ -817,6 +827,29 @@ def test_empty_ring_text_is_refused(capsys, argv):
     # an empty --ring is a ring text to parse, not an absent flag that
     # defers to the document's ring
     assert run(capsys, *argv) == (3, "", "error: unrecognized ring ''\n")
+
+
+@pytest.mark.parametrize(
+    "argv, out, err",
+    [
+        (("groebner-check", "--ring", "ZZ", "--spec", "", "--basis", "x1^2-x1"), "",
+         "error: bad JSON argument: Expecting value: line 1 column 1 (char 0)\n"),
+        # the certificate is printed before the file is opened
+        (("certificate", "--ring", "ZZ", "--grid", "{S:[[0,1]]}", "--t", "1",
+          "--poly", "x1^2-x1", "--out", ""),
+         "member of the level-1 ideal; certificate:\nquotient[(1,)]: 1\n"
+         "support containment: True\n",
+         "error: [Errno 2] No such file or directory: ''\n"),
+        (("count", "--alpha", "(2,3)", "--t", "2", "--gamma", ""), "",
+         "error: bad exponent vector ''\n"),
+    ],
+    ids=["spec", "out", "gamma"],
+)
+def test_empty_flag_text_is_refused(capsys, argv, out, err):
+    # an empty text is read like any other, not taken for an absent flag:
+    # the spec was skipped for a Buchberger check, the file was not written,
+    # and the gamma-free staircase was counted
+    assert run(capsys, *argv) == (3, out, err)
 
 
 def test_groebner_check_infinite_leading_staircase(capsys):

@@ -187,16 +187,16 @@ def test_value_types_keep_frozen_dataclass_semantics():
                             "size=3, bound=3)")
     # equal fields in another class are not equal
     assert type("Subclass", (BlockingReport,), {})(True, None, 3, 3) != report
-    # Axis.terms and Axis.ring are neither compared nor shown; a mapping or Poly
-    # field is unhashable
+    # Axis.terms and Axis.ring are not shown; an Axis, which build interns,
+    # compares and hashes by identity, and a Poly field is unhashable
     axis = MultisetGrid.build(ZZ, [[0, 1]], [{0: 2, 1: 1}]).axes[0]
-    assert axis == type(axis)(axis.support, axis.psi, (), GF(5))
+    assert axis != type(axis)(axis.support, axis.psi, axis.terms, ZZ)
+    assert hash(axis) == object.__hash__(axis)
     assert repr(axis) == "Axis(support=(0, 1), psi=mappingproxy({0: 2, 1: 1}))"
     family = MonicFamily.build([P("x1^2 - x1")])
     assert family == MonicFamily.build([P("x1^2 - x1")]) != family.replace(certified=True)
-    for value in (axis, family):
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(value)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(family)
     for value, name in ((ring, "modulus"), (axis, "psi"), (family, "witnesses"), (report, "size")):
         with pytest.raises(AttributeError, match=name):
             setattr(value, name, None)

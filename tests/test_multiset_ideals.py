@@ -2,6 +2,8 @@ import copy
 import gc
 import pickle
 import random
+import sys
+import threading
 import weakref
 from fractions import Fraction
 from itertools import combinations, product
@@ -95,7 +97,7 @@ def test_axes_are_interned():
     assert grid._axis_terms() == [axis.terms] * 2
     # Fraction(1) == 1, yet QQ keeps its own axes, with its own coefficients
     zz, qq, z6 = (Axis.build(ring, [0, 1]) for ring in (ZZ, QQ, Zmod(6)))
-    assert zz == qq and zz is not qq and z6 is not zz
+    assert zz != qq and zz is not qq and z6 != zz
     assert qq.terms == zz.terms == ((1, 2), (-1, 1))
     assert [type(c) for c in qq.terms[1]] == [Fraction, Fraction]
     assert z6.terms == ((1, 2), (5, 1))
@@ -152,14 +154,129 @@ def test_scale_refusal_ignores_earlier_builds(monkeypatch):
     monkeypatch.setattr(multiset_ideals, "MAX_BASIS_TERMS", 5)
     with pytest.raises(ScaleExceeded, match="^6 power products"):
         level_basis(cube3, 2)
-    # no power of an axis polynomial outlives its call: the second build of
-    # one grid counts its power tables as the first did
+    # the axis keeps the powers of g it built, but the second build of one
+    # grid counts the powers it uses as the first did
     monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 17)
     grid = MultisetGrid.build(ZZ, [[0, 1]])
     for _ in range(2):
         assert len(level_basis(grid, 4).members[0].terms) == 5
         with pytest.raises(ScaleExceeded, match="powers up to exponent 5"):
             level_basis(grid, 5)
+
+
+def test_axes_compare_by_identity_and_grids_hash():
+    # g is x^3 - x^2 over ZZ and x^3 + x^2 over GF(2): equal fields, two axes
+    zz, gf2 = (Axis.build(ring, [0, 1], {0: 2, 1: 1}) for ring in (ZZ, GF(2)))
+    assert (zz.support, zz.psi) == (gf2.support, gf2.psi)
+    assert zz != gf2 and zz.terms != gf2.terms
+    assert Axis.build(ZZ, [1, 0], {1: 1, 0: 2}) == zz
+    assert pickle.loads(pickle.dumps(zz)) is zz and copy.copy(zz) is zz
+    assert zz.replace(psi={0: 2, 1: 1}) is zz
+    grid, again = (MultisetGrid.build(ZZ, [[0, 1]] * 2, [{0: 2, 1: 1}] * 2) for _ in range(2))
+    pgrid, pagain = (PuncturedGrid.build(g, [[0], [1]]) for g in (grid, again))
+    assert grid == again and hash(grid) == hash(again)
+    assert pgrid == pagain and hash(pgrid) == hash(pagain)
+    table = {grid: "grid", pgrid: "pgrid"}
+    assert table[again] == "grid" and table[pagain] == "pgrid"
+    assert MultisetGrid.build(GF(2), [[0, 1]] * 2, [{0: 2, 1: 1}] * 2) not in table
+
+
+def _fresh_axis_outcomes(ring, support, inputs):
+    """For each ``(n, t, f)``, the level basis on ``support``^n or, with a
+    polynomial f, its level normal form, each on an axis built afresh, as
+    text: the members, the normal form or the refusal."""
+    out = []
+    for n, t, f in inputs:
+        gc.collect()
+        assert (ring, tuple(support), (1,) * len(support)) not in multiset_ideals._AXES
+        out.append(_built_or_refused(MultisetGrid.build(ring, [support] * n), t, f))
+    return out
+
+
+def _built_or_refused(grid, t, f):
+    try:
+        if f is None:
+            return [str(g) for g in level_basis(grid, t).members]
+        return str(level_normal_form(f, grid, t))
+    except ScaleExceeded as exc:
+        return str(exc)
+
+
+def test_scale_refusal_ignores_kept_powers(monkeypatch):
+    # an input is refused, or answered, alike on a fresh axis and on one
+    # whose powers up to a high level are kept
+    ring = GF(89)  # an axis no other test keeps alive
+    support = [0, 1, 2]
+    f = P("x1^40*x2^9 - 3*x1^20", ring, nvars=2)
+    inputs = [(n, t, None) for n in (1, 2, 3) for t in range(2, 7)]
+    # at level 3 the normal form is refused while its digits become terms
+    # again, at level 5 while they are computed
+    inputs += [(2, t, f) for t in (1, 2, 3, 5)]
+    monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 40)
+    monkeypatch.setattr(multiset_ideals, "MAX_DIGIT_TERMS", 608)
+    fresh = _fresh_axis_outcomes(ring, support, inputs)
+    refusals = [text for text in fresh if isinstance(text, str)]
+    assert any(text.startswith("powers up to exponent") for text in refusals)
+    assert any(" power products need over 40 terms" in text for text in refusals)
+    assert any("normal form needs over 608 digits" in text for text in refusals)
+    assert len(refusals) < len(fresh)
+    kept = MultisetGrid.build(ring, [support])
+    with monkeypatch.context() as high:
+        high.setattr(polynomials, "MAX_BASIS_TERMS", 10**6)
+        level_basis(kept, 30)
+    assert len(kept.axes[0].powers.powers) == 31
+    warm = [_built_or_refused(MultisetGrid.build(ring, [support] * n), t, f) for n, t, f in inputs]
+    assert warm == fresh
+
+
+def test_kept_powers_are_bounded():
+    grid = MultisetGrid.build(ZZ, [[0]])
+    [member] = level_basis(grid, 5000).members
+    assert member == P("x1^5000")
+    powers = grid.axes[0].powers.powers
+    assert sum(len(exps) for exps, _, _ in powers[2:]) <= polynomials.MAX_KEPT_POWER_TERMS
+    # g = x1, so the powers g^2 .. g^4097 are kept, one term each
+    assert len(powers) == polynomials.MAX_KEPT_POWER_TERMS + 2
+
+
+def test_kept_powers_are_shared_safely_between_threads():
+    ring = GF(83)  # an axis no other test keeps alive
+    grid = MultisetGrid.build(ring, [[0, 1, 2]] * 2)
+    g = P("x1^3 - 3*x1^2 + 2*x1", ring)
+    gs = [P("x1^3 - 3*x1^2 + 2*x1", ring, nvars=2), P("x2^3 - 3*x2^2 + 2*x2", ring, nvars=2)]
+    levels = list(range(1, 13)) * 3
+    expected = {t: dict(_products(gs, t)) for t in set(levels)}
+    results, errors = [], []
+
+    def build(seed):
+        try:
+            for t in random.Random(seed).sample(levels, len(levels)):
+                basis = level_basis(grid, t)
+                results.append((t, dict(zip(basis.labels, basis.members))))
+        except Exception as exc:  # reported by the assertions below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(results) == 6 * len(levels)
+    assert all(members == expected[t] for t, members in results)
+    # the kept table is whole: entry e is g^e with the running count of g^2 .. g^e
+    powers = grid.axes[0].powers.powers
+    assert len(powers) == 13
+    count = 0
+    for e, (exps, coeffs, held) in enumerate(powers):
+        assert dict(zip([(a,) for a in exps], coeffs)) == (g ** e).terms
+        count += len(exps) if e >= 2 else 0
+        assert held == count
 
 
 def test_level_basis_members():

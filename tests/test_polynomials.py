@@ -186,8 +186,12 @@ def test_monic_power_product_counts_terms_up_front(monkeypatch):
     monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 21)
     assert len(monic_power_product(g, level2)) == 6
     monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 20)
-    with pytest.raises(ScaleExceeded, match="6 power products need over 20 terms"):
+    with pytest.raises(ScaleExceeded, match="^6 power products need over 20 terms$"):
         monic_power_product(g, level2)
+    # one product of 2 * 2 terms, and no power past g to count
+    monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 3)
+    with pytest.raises(ScaleExceeded, match="^1 power product needs over 3 terms$"):
+        monic_power_product(g, [(1, 1, 0)])
     # the power tables are bounded too: x1^2 - x1 to the powers 2..5 hold
     # 3 + 4 + 5 + 6 = 18 terms, though the one product holds 6
     monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 17)

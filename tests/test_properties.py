@@ -18,6 +18,7 @@ from combnull import (
     GF,
     QQ,
     ZZ,
+    Axis,
     MonicFamily,
     MultisetGrid,
     Poly,
@@ -36,6 +37,8 @@ from combnull import (
     root_product,
     taylor_shift,
 )
+from combnull import polynomials
+from combnull.polynomials import PowerTable, _power_products
 from combnull.serialization import certificate_to_json, verify_certificate_json
 from conftest import RINGS, level_normal_form_oracle, monic_power_product
 from test_multiset_ideals import _products, _root_power_product
@@ -79,6 +82,54 @@ def test_builders_match_the_product_oracle(ring, n, data):
             g = g * gk ** e
         expected.append((g, tuple(d * e for d, e in zip(degs, alpha))))
     assert monic_power_product(axis_polys, alphas) == expected
+
+
+def _products_from_every_table(ring, axes, alphas):
+    """The products of ``axes``' powers labelled by ``alphas``: from new
+    tables, from tables already holding powers past those asked for, from
+    new tables that may keep nothing past g, and from the axes' own tables.
+    All must equal the builder oracle's."""
+    expected = monic_power_product(
+        [root_product(ring, len(axes), k, axis.support, axis.psi) for k, axis in enumerate(axes)],
+        alphas)
+    top = max(map(max, alphas), default=0)
+    warm = [PowerTable(ring, axis.terms) for axis in axes]
+    for table in warm:
+        table.upto(top + 3, float("inf"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polynomials, "MAX_KEPT_POWER_TERMS", 0)
+        past = [PowerTable(ring, axis.terms) for axis in axes]
+        past_built = _power_products(ring, past, alphas)
+    assert all(len(table.powers) == 2 for table in past)
+    for tables in ([PowerTable(ring, axis.terms) for axis in axes], warm,
+                   [axis.powers for axis in axes]):
+        assert _power_products(ring, tables, alphas) == expected
+    assert past_built == expected
+    return expected
+
+
+@PROPERTY
+@given(st.sampled_from(RINGS + (Zmod(4),)), st.integers(1, 3), st.data())
+def test_kept_powers_match_the_product_oracle(ring, n, data):
+    axes = []
+    for _ in range(n):
+        support = {ring.canon(u) for u in data.draw(st.lists(elements(ring), max_size=3))}
+        axes.append(Axis.build(ring, support, {u: data.draw(st.integers(1, 3)) for u in support}))
+    alphas = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=5))
+    _products_from_every_table(ring, axes, alphas)
+
+
+@pytest.mark.parametrize("ring, supports, sizes", [
+    # (x1 - 2)(x2 - 2) has constant term 4 = 0 in ZZ/4, and (x1 - 2)^2 = x1^2
+    (Zmod(4), [[2], [2]], [3, 2, 1]),
+    # (x1 + 2)(x2 + 3) has constant term 6 = 0 in ZZ/6; the products of
+    # (x1 + 2)^2 = x1^2 + 4*x1 + 4 lose two of six terms to 12 = 0
+    (Zmod(6), [[4], [3]], [3, 4, 4]),
+], ids=["ZZ/4", "ZZ/6"])
+def test_kept_powers_prune_zero_coefficients(ring, supports, sizes):
+    axes = [Axis.build(ring, S) for S in supports]
+    built = _products_from_every_table(ring, axes, [(1, 1), (2, 1), (2, 2)])
+    assert [len(g.terms) for g, _ in built] == sizes
 
 
 @PROPERTY
