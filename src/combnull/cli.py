@@ -202,10 +202,10 @@ def _cmd_certificate(args) -> int:
         if not p.is_zero()
     ]
     lines.append(f"support containment: {payload['checks']['support']}")
-    _emit(args, payload, lines)
-    if args.out is not None:
+    if args.out is not None:  # written first, so a refused path prints nothing
         with open(args.out, "w") as handle:
             handle.write(json.dumps(payload, indent=2, sort_keys=True))
+    _emit(args, payload, lines)
     return EXIT_YES
 
 

@@ -4,8 +4,9 @@ A multiset grid fixes per axis a finite set of ring values with positive
 multiplicities; its axis polynomial is the root product
 ``g_k = prod (x_k - u)^psi_k(u)``.  The level-t ideal is generated by all
 products ``prod g_k^(alpha_k)`` with total exponent t; that family is
-always a Groebner basis of the ideal, which makes normal forms available
-unconditionally.
+always a Groebner basis of the ideal, so the level normal form is division
+by it, and is available unconditionally.  The division builds only the
+members that the terms it meets call for, never the whole basis.
 
 Under Condition (D) on every axis, which each ``Axis`` decides once, f
 lies in the level-t ideal exactly when it vanishes to level t at every grid
@@ -25,9 +26,10 @@ ideal additionally keeps a relaxed requirement on the puncture.
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 from math import comb, prod
-from operator import floordiv
+from operator import add, floordiv
 from types import MappingProxyType
 from typing import Mapping, Sequence
 from weakref import WeakValueDictionary
@@ -99,8 +101,9 @@ class Axis(FrozenValue):
     do not.
 
     ``powers`` is the axis's ``PowerTable`` of g^0, g^1, ...: the powers a
-    level basis or a normal form needs are kept while g^2, g^3, ... hold at
-    most ``MAX_KEPT_POWER_TERMS`` terms, for as long as the axis lives.
+    level basis or a normal form needs are kept while the terms of g^2,
+    g^3, ... plus their number stay within ``MAX_KEPT_POWER_TERMS``, for as
+    long as the axis lives.
     """
 
     _fields = ("support", "psi")  # terms and ring follow from build's key
@@ -363,66 +366,50 @@ def level_membership(f: Poly, grid: MultisetGrid, t: int) -> bool:
     return _grid_condition(f, grid, _floor_sum_checks(grid, grid.grid_points(), t))
 
 
-# Digit entries one level normal form may compute, counted before each batch
-# is computed: the per-axis digit tables, the digit keys, the powers of g and
-# the terms the conversion back produces.  On a 2 vCPU Xeon, x1^499000 at
-# level 1 on {0, 1} computes ~998 000 in ~0.3 s, and x1^(10^9) is refused at
-# once.  Over ZZ the coefficients grow with the exponent: x1^300000 on
-# {0, 1, 2} takes ~6 s (division over the level basis: ~16 s and 5.9 GB).
-MAX_DIGIT_TERMS = 1_000_000
+# Terms one level normal form may work through.  Up front, a term x^gamma
+# counts (gamma_k - t d_k + 1)^+ (|g_k| - 1) per axis, what dividing it to
+# below t d_k costs there when g_k has no gaps; as it goes, a member counts
+# the running counts of the powers of g it uses (kept or not) and a step
+# the terms it subtracts.  On a 2 vCPU Xeon, x1^499000 at level 1 on {0, 1}
+# over GF(5) takes ~1.2 s, x1^300000 on {0, 1, 2} over ZZ ~7 s (the
+# coefficients grow), and x1^(10^9) there is refused at once.
+MAX_NORMAL_FORM_TERMS = 1_000_000
 
 
-def _power_digits(ring: Ring, g: tuple, t: int, wanted: set) -> dict:
-    """For each m in ``wanted``, the digits of x^m modulo g^t on one axis.
-
-    ``g`` is the axis polynomial, monic of degree d >= 1, as sparse
-    ``(exponents, coefficients)``.  Digit q = j*d + e (e < d, j < t) stands
-    for x^e g^j, and x^m's digits are listed as ``(q, j, coefficient)``
-    triples.  Going from x^m to x^(m+1) moves every digit q to q + 1; where
-    that makes e = d, x^d g^j is rewritten as g^(j+1) - (g - x^d) g^j, and
-    g^(j+1) is dropped when j + 1 = t.
-    """
-    zero, submul = ring.zero, ring.submul
-    d = g[0][-1]
-    top = max(wanted)
-    lower = [(e, c) for e, c in zip(*g) if e < d]
-    digits = [zero] * min(t * d, top + 1)  # x^m has no digit above q = m
-    digits[0] = ring.one
-    table = {}
-    for m in range(top + 1):
-        if m in wanted:
-            table[m] = [(q, q // d, c) for q, c in enumerate(digits) if c != zero]
-        carries = digits[d - 1::d]
-        digits = [zero] + digits[:-1]
-        for j, c in enumerate(carries):
-            if c != zero:
-                for e, ge in lower:
-                    digits[j * d + e] = submul(digits[j * d + e], c, ge)
-    return table
+def _member_tail(ring: Ring, powers: list) -> list:
+    """The terms but the lead of the product of ``powers``, one
+    ``PowerTable`` entry per axis, as ``(exponent, total degree,
+    coefficient)``: the Cartesian product of the factors' terms, whose last
+    is the lead, with coefficient 1."""
+    zero, mul = ring.zero, ring.mul
+    coeffs = [ring.one]
+    for power in powers:
+        coeffs = [mul(c, b) for c in coeffs for b in power[1]]
+    exps = product(*[power[0] for power in powers])
+    return [(beta, sum(beta), c) for beta, c in zip(exps, coeffs) if c != zero][:-1]
 
 
 def level_normal_form(f: Poly, grid: MultisetGrid, t: int) -> Poly:
-    """The unique reduced representative modulo the level-t ideal.
+    """The unique reduced representative modulo the level-t ideal: the
+    remainder of f on division by the level basis, whose members are built
+    as the division needs them, each at most once per call.
 
-    Unconditional, and computed without the basis.  Each g_k is monic of
-    degree d_k, so every polynomial is uniquely a sum of c x^e g^a with
-    e_k < d_k (the g-adic expansion on each axis).  The terms with
-    |a| >= t lie in I_t; the rest, r, is returned.  Every term x^gamma of
-    x^e g^a has gamma_k < (a_k + 1) d_k, so sum_k floor(gamma_k / d_k)
-    <= |a| < t on the support of r.  The member prod g_k^(a_k), |a| = t,
-    has every term below d*a componentwise, so its leading exponent is d*a
-    under every monomial order, and the monomials divisible by one of those
-    are exactly the x^gamma with sum_k floor(gamma_k / d_k) >= t.  So
-    r is reduced modulo the level basis, which is a Groebner basis, and r
-    is *the* normal form: the one ``reduce`` returns on ``level_basis``.
+    Each g_k is monic of degree d_k, so the member prod g_k^(a_k), |a| = t,
+    has every other term below its lead x^(d*a) componentwise.  So x^gamma
+    is divisible by a lead exactly when sum_k floor(gamma_k / d_k) >= t, and
+    since the level basis is a Groebner basis, the remainder does not
+    depend on which member divides a term: it is the one ``reduce`` returns
+    on ``level_basis``.
 
-    A term already reduced is its own normal form.  The others are turned
-    into digits one axis at a time (``_power_digits``), summed after each
-    axis with every key whose levels reach t dropped, and converted back
-    one axis at a time.  Summing per axis lets the terms of a member cancel
-    before the next axis multiplies them out.  Level 0 and an axis of
-    degree 0 (g_k = 1) make I_t the whole ring.  ``ScaleExceeded`` is
-    raised before the digit work passes ``MAX_DIGIT_TERMS`` entries.
+    The terms are taken by total degree, greatest first.  A term whose
+    floor sum is below t goes to the remainder.  Any other, c x^gamma, is
+    cancelled by the member whose a_k are taken greedily, axis by axis, as
+    large as floor(gamma_k / d_k) and the level left allow: c
+    x^(gamma - d*a) times the member's other terms is subtracted.  Those lie
+    below gamma componentwise, so in a lower total degree: terms of one
+    degree never meet.  Level 0 and an axis of degree 0 (g_k = 1) make I_t
+    the whole ring.  ``ScaleExceeded`` is raised before the work passes
+    ``MAX_NORMAL_FORM_TERMS``, up front or as it goes.
     """
     require_int(t, 0, "t", ValueError)
     ring, n = grid.ring, grid.nvars
@@ -431,62 +418,68 @@ def level_normal_form(f: Poly, grid: MultisetGrid, t: int) -> Poly:
     degs = [g[0][-1] for g in gs]
     if t == 0 or not f.terms or 0 in degs:
         return _raw(ring, n, {})
-    zero, add, mul = ring.zero, ring.add, ring.mul
-    out, hard = {}, []
-    for gamma, c in f.terms.items():
-        if sum(map(floordiv, gamma, degs)) < t:
-            out[gamma] = c
-        else:
-            hard.append((gamma, c))
-    if not hard:
-        return _raw(ring, n, out)
+    refusal = f"the level-{t} normal form needs over {MAX_NORMAL_FORM_TERMS} terms"
+    # a term left to the remainder counts 0: its every gamma_k is below t d_k
+    if sum(max(e - t * d + 1, 0) * (len(g[0]) - 1) for gamma in f.terms
+           for e, d, g in zip(gamma, degs, gs)) > MAX_NORMAL_FORM_TERMS:
+        raise ScaleExceeded(refusal)
+    tables = grid._axis_powers()
+    rows = [table.powers for table in tables]
+    used = [0] * n  # per axis, the count of the highest power used so far
     work = 0
-    refusal = f"the level-{t} normal form needs over {MAX_DIGIT_TERMS} digits"
+    tails = {}  # a -> the ``_member_tail`` of its member
 
-    def spend(count: int) -> None:
+    def tail_of(a: tuple) -> list:
         nonlocal work
-        work += count
-        if work > MAX_DIGIT_TERMS:
+        for k, e in enumerate(a):
+            if e >= len(rows[k]):
+                rows[k] = tables[k].upto(e, MAX_NORMAL_FORM_TERMS - work + used[k], rows[k])
+                if rows[k] is None:
+                    raise ScaleExceeded(refusal)
+            work += max(rows[k][e][2] - used[k], 0)
+            used[k] = max(rows[k][e][2], used[k])
+        powers = [row[e] for row, e in zip(rows, a)]
+        if work + prod(len(power[0]) for power in powers) > MAX_NORMAL_FORM_TERMS:
             raise ScaleExceeded(refusal)
+        return _member_tail(ring, powers)
 
-    tables = []
-    for k, (g, d) in enumerate(zip(gs, degs)):
-        wanted = {gamma[k] for gamma, _ in hard}
-        top = max(wanted)
-        spend((top + 1) * min(t * d, top + 1))
-        tables.append(_power_digits(ring, g, t, wanted))
-    # (levels so far, q_1, ..., q_k, gamma_(k+1), ..., gamma_n) -> coefficient
-    acc = {(0,) + gamma: c for gamma, c in hard}
-    for k, table in enumerate(tables, 1):
-        spend(len(acc) * max(map(len, table.values())))
-        expanded = {}
-        for key, a in acc.items():
-            s, head, tail = key[0], key[1:k], key[k + 1:]
-            for q, j, b in table[key[k]]:
-                if s + j < t:
-                    new = (s + j,) + head + (q,) + tail
-                    expanded[new] = add(expanded.get(new, zero), mul(a, b))
-        acc = {key: a for key, a in expanded.items() if a != zero}
-    acc = {key[1:]: a for key, a in acc.items()}
-    for k, (g, d) in enumerate(zip(gs, degs)):  # axis k's q becomes an exponent
-        # g^1 .. g^top are counted as work, kept in the axis's table or not
-        top = max([key[k] for key in acc], default=0) // d
-        spend(len(g[0]) if top else 0)
-        powers = grid.axes[k].powers.upto(top, MAX_DIGIT_TERMS - work)
-        if powers is None:
-            raise ScaleExceeded(refusal)
-        spend(powers[top][2] + len(acc) * len(powers[top][0]))
-        converted = {}
-        for key, a in acc.items():
-            j, e = divmod(key[k], d)
-            head, tail = key[:k], key[k + 1:]
-            for p, b in zip(powers[j][0], powers[j][1]):
-                new = head + (p + e,) + tail
-                converted[new] = add(converted.get(new, zero), mul(a, b))
-        acc = converted
-    for gamma, a in acc.items():
-        out[gamma] = add(out.get(gamma, zero), a)
-    return _raw(ring, n, {gamma: c for gamma, c in out.items() if c != zero})
+    zero, submul = ring.zero, ring.submul
+    out = {}
+    layers = {}  # total degree -> the terms of that degree not yet taken
+    for gamma, c in f.terms.items():
+        layers.setdefault(sum(gamma), {})[gamma] = c
+    tops = [-s for s in layers]
+    heapify(tops)
+    while tops:
+        for gamma, c in layers.pop(-heappop(tops)).items():
+            a, left = [], t
+            for e, d in zip(gamma, degs):
+                a.append(min(e // d, left))
+                left -= a[-1]
+            if left:
+                out[gamma] = c
+                continue
+            a = tuple(a)
+            tail = tails.get(a)
+            if tail is None:
+                tail = tails[a] = tail_of(a)
+            work += len(tail)
+            if work > MAX_NORMAL_FORM_TERMS:
+                raise ScaleExceeded(refusal)
+            shift = [e - d * q for e, d, q in zip(gamma, degs, a)]
+            low = sum(shift)
+            for beta, s, b in tail:
+                layer = layers.get(low + s)
+                if layer is None:
+                    layer = layers[low + s] = {}
+                    heappush(tops, -low - s)
+                key = tuple(map(add, shift, beta))
+                new = submul(layer.get(key, zero), c, b)
+                if new == zero:
+                    layer.pop(key, None)
+                else:
+                    layer[key] = new
+    return _raw(ring, n, out)
 
 
 def level_certificate(f: Poly, grid: MultisetGrid, t: int) -> ReductionOutcome:
@@ -495,11 +488,12 @@ def level_certificate(f: Poly, grid: MultisetGrid, t: int) -> ReductionOutcome:
     t, the operand and Condition (D) are checked in that order.  Membership
     is then decided by ``level_normal_form``, so no grid point is visited,
     and a member is divided over ``level_basis``.  A nonzero remainder
-    there means the digits and the division disagree, and is raised as
-    ``NonzeroRemainder``.  The digits' ``MAX_DIGIT_TERMS`` and the basis's
-    ``MAX_BASIS_TERMS`` bound the work.  Also records that every maximal
-    support point of f dominates the leading exponent of some basis member,
-    the leading-cover consequence of membership.
+    there means the normal form and the full division disagree, and is
+    raised as ``NonzeroRemainder``.  The normal form's
+    ``MAX_NORMAL_FORM_TERMS`` and the basis's ``MAX_BASIS_TERMS`` bound the
+    work.  Also records that every maximal support point of f dominates the
+    leading exponent of some basis member, the leading-cover consequence of
+    membership.
     """
     require_int(t, 0, "t", ValueError)
     f.require_on(grid.ring, grid.nvars)

@@ -300,24 +300,27 @@ def root_product(
 # basis holds more than 819.
 MAX_BASIS_TERMS = 1_000_000
 
-# Terms of the powers g^2, g^3, ... one ``PowerTable`` keeps between calls.
-# The benchmark's tables keep at most 12 (level 3, g of degree 4).  A full
-# table takes ~0.3 MB for {0, ..., 5} over ZZ (g^2 .. g^39) and ~1 MB for
-# g = x (4 096 entries of one term each), measured with tracemalloc.
+# Terms of the powers g^2, g^3, ... plus entries that one ``PowerTable``
+# keeps between calls, so an entry of one term costs two.  The benchmark's
+# tables keep at most 12 terms (level 3, g of degree 4).  A full table takes
+# ~0.28 MB for {0, ..., 5} over ZZ (g^2 .. g^39, 3 933 terms) and ~0.46 MB
+# for g = x (g^2 .. g^2048), measured with tracemalloc.
 MAX_KEPT_POWER_TERMS = 4096
 
 
 def _next_power(ring: Ring, power: tuple, g: tuple) -> tuple:
     """The univariate product of two sparse ``(exponents, coefficients)``
     pairs (further entries of ``power`` are ignored), accumulated in a
-    dense list and pruned of zeros."""
+    dense list from the sum of their lowest exponents up and pruned of
+    zeros, so a power of x^d takes d + 1 slots, not its degree."""
     zero = ring.zero
-    acc = [zero] * (power[0][-1] + g[0][-1] + 1)
+    low = power[0][0] + g[0][0]
+    acc = [zero] * (power[0][-1] + g[0][-1] + 1 - low)
     for a, ca in zip(power[0], power[1]):
         for b, cb in zip(*g):
-            acc[a + b] = ring.add(acc[a + b], ring.mul(ca, cb))
-    exps = tuple([e for e, c in enumerate(acc) if c != zero])
-    return exps, tuple([acc[e] for e in exps])
+            acc[a + b - low] = ring.add(acc[a + b - low], ring.mul(ca, cb))
+    exps = tuple([e + low for e, c in enumerate(acc) if c != zero])
+    return exps, tuple([acc[e - low] for e in exps])
 
 
 class PowerTable:
@@ -330,8 +333,9 @@ class PowerTable:
 
     ``powers`` is a list never changed once stored: ``upto`` extends a copy
     and stores it with one attribute store, so a concurrent reader sees the
-    old list or the whole new one.  Only the entries whose count is at most
-    ``MAX_KEPT_POWER_TERMS`` are stored; the rest serve one call.
+    old list or the whole new one.  Only the entries whose count plus
+    their number is at most ``MAX_KEPT_POWER_TERMS`` are stored; the rest
+    serve one call.
     """
 
     __slots__ = ("ring", "g", "powers")
@@ -363,7 +367,7 @@ class PowerTable:
             if count > limit:
                 break
             row.append((exps, coeffs, count))
-            if count <= MAX_KEPT_POWER_TERMS:
+            if count + len(row) <= MAX_KEPT_POWER_TERMS:
                 kept = len(row)
         if kept > len(self.powers):
             self.powers = row[:kept]

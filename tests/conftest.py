@@ -41,8 +41,9 @@ def P(text, ring=ZZ, nvars=None):
 
 
 def level_normal_form_oracle(f, grid, t):
-    """The level-t normal form by division over the level basis, the
-    reference for the digit computation in ``level_normal_form``."""
+    """The level-t normal form by ``reduce`` over the whole level basis, the
+    reference for ``level_normal_form``, which builds only the members its
+    division needs and chooses them in its own way."""
     return reduce(f, level_basis(grid, t)).remainder
 
 

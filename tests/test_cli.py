@@ -9,6 +9,7 @@ import pytest
 import combnull.cli
 from combnull import ZZ, InternalInvariantError, MultisetGrid, multiset_ideals
 from combnull.cli import main
+from combnull.polynomials import format_poly, parse_poly
 from combnull.serialization import grid_to_json
 
 
@@ -137,8 +138,8 @@ def test_normal_form_at_a_level_whose_basis_is_refused(capsys, t):
 
 
 def test_normal_form_of_a_huge_power_answers_or_is_refused_quickly(capsys):
-    # the digits of x1^m are computed step by step, so their count is
-    # checked before the first step
+    # the division of x1^m steps down one degree at a time, so its terms
+    # are counted before the first step
     start = time.perf_counter()
     code, out, err = run(
         capsys,
@@ -154,7 +155,7 @@ def test_normal_form_of_a_huge_power_answers_or_is_refused_quickly(capsys):
 
 
 def test_certificate_of_a_high_degree_member_answers_quickly(capsys):
-    # membership is decided by the digit normal form: no Taylor shift of
+    # membership is decided by the level normal form: no Taylor shift of
     # x1^1000*x2^1000 to each grid point runs before the division
     start = time.perf_counter()
     code, out, err = run(
@@ -168,6 +169,44 @@ def test_certificate_of_a_high_degree_member_answers_quickly(capsys):
     assert (code, err) == (0, "")
     assert out.startswith("member of the level-1 ideal; certificate:\n")
     assert out.endswith("support containment: True\n")
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize(
+    "grid, t, poly",
+    [("{S:[[0,1,2]]}", "1", "x1^1000000000"),
+     ("{S:[[0,1,2],[0,1]]}", "2", "x1^1000000000*x2^5")],
+    ids=["one_axis", "two_axes"],
+)
+def test_normal_form_of_a_huge_power_is_refused_at_once(capsys, grid, t, poly):
+    # about 2 * 10^9 terms to divide on the axis {0, 1, 2}, counted up front
+    start = time.perf_counter()
+    code, out, err = run(capsys, "normal-form", "--ring", "ZZ", "--grid", grid,
+                         "--t", t, "--poly", poly)
+    assert (code, out) == (3, "")
+    assert err == f"error: the level-{t} normal form needs over 1000000 terms\n"
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("t", [400, 700])
+@pytest.mark.parametrize(
+    "command, grid, answer",
+    [("certificate", "{S:[[0,1]]}", "member of the level-{t} ideal; certificate:\n"
+      "quotient[({t},)]: 1\nsupport containment: True\n"),
+     ("punctured", "{S:[[0,1]],E:[[]]}", "true\n"),
+     ("punctured", "{S:[[0,1]],E:[[0]]}", "true\n"),
+     ("mixed", "{S:[[0,1]],E:[[]]}", "true\n"),
+     ("mixed", "{S:[[0,1]],E:[[0]]}", "true\n")],
+    ids=["certificate", "punctured_empty", "punctured_0", "mixed_empty", "mixed_0"],
+)
+def test_high_power_of_the_axis_polynomial_answers_quickly(capsys, command, grid, answer, t):
+    # (x1^2 - x1)^t is the one member of the level-t basis on {0, 1}, so its
+    # normal form is one division step, and on {1} a step per degree
+    poly = format_poly(parse_poly("x1^2 - x1", ZZ, 1) ** t)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--ring", "ZZ", "--grid", grid, "--t", str(t),
+                         "--poly", poly)
+    assert (code, out, err) == (0, answer.format(t=t), "")
     assert time.perf_counter() - start < 5
 
 
@@ -834,11 +873,9 @@ def test_empty_ring_text_is_refused(capsys, argv):
     [
         (("groebner-check", "--ring", "ZZ", "--spec", "", "--basis", "x1^2-x1"), "",
          "error: bad JSON argument: Expecting value: line 1 column 1 (char 0)\n"),
-        # the certificate is printed before the file is opened
+        # the file is written before the certificate is printed
         (("certificate", "--ring", "ZZ", "--grid", "{S:[[0,1]]}", "--t", "1",
-          "--poly", "x1^2-x1", "--out", ""),
-         "member of the level-1 ideal; certificate:\nquotient[(1,)]: 1\n"
-         "support containment: True\n",
+          "--poly", "x1^2-x1", "--out", ""), "",
          "error: [Errno 2] No such file or directory: ''\n"),
         (("count", "--alpha", "(2,3)", "--t", "2", "--gamma", ""), "",
          "error: bad exponent vector ''\n"),
@@ -850,6 +887,15 @@ def test_empty_flag_text_is_refused(capsys, argv, out, err):
     # the spec was skipped for a Buchberger check, the file was not written,
     # and the gamma-free staircase was counted
     assert run(capsys, *argv) == (3, out, err)
+
+
+def test_certificate_out_in_a_missing_directory_prints_nothing(capsys, tmp_path):
+    path = tmp_path / "missing" / "cert.json"
+    code, out, err = run(capsys, "certificate", "--ring", "ZZ", "--grid", "{S:[[0,1]]}",
+                         "--t", "1", "--poly", "x1^2-x1", "--out", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+    assert not path.parent.exists()
 
 
 def test_groebner_check_infinite_leading_staircase(capsys):

@@ -4,6 +4,7 @@ import pickle
 import random
 import sys
 import threading
+import time
 import weakref
 from fractions import Fraction
 from itertools import combinations, product
@@ -181,25 +182,40 @@ def test_axes_compare_by_identity_and_grids_hash():
     assert MultisetGrid.build(GF(2), [[0, 1]] * 2, [{0: 2, 1: 1}] * 2) not in table
 
 
-def _fresh_axis_outcomes(ring, support, inputs):
-    """For each ``(n, t, f)``, the level basis on ``support``^n or, with a
-    polynomial f, its level normal form, each on an axis built afresh, as
-    text: the members, the normal form or the refusal."""
+def _fresh_axis_outcomes(ring, support, inputs, outcome):
+    """For each ``(n, t, f)``, ``outcome(grid, t, f)`` on the grid
+    ``support``^n, each on an axis built afresh."""
     out = []
     for n, t, f in inputs:
         gc.collect()
         assert (ring, tuple(support), (1,) * len(support)) not in multiset_ideals._AXES
-        out.append(_built_or_refused(MultisetGrid.build(ring, [support] * n), t, f))
+        out.append(outcome(MultisetGrid.build(ring, [support] * n), t, f))
     return out
 
 
 def _built_or_refused(grid, t, f):
+    """The level basis or, with a polynomial f, its level normal form, as
+    text: the members, the normal form or the refusal."""
     try:
         if f is None:
             return [str(g) for g in level_basis(grid, t).members]
         return str(level_normal_form(f, grid, t))
     except ScaleExceeded as exc:
         return str(exc)
+
+
+def _counting_member_builds(monkeypatch):
+    """The leading exponents of the members ``level_normal_form`` builds
+    from here on, in order."""
+    leads = []
+    build = multiset_ideals._member_tail
+
+    def counted(ring, powers):
+        leads.append(tuple(power[0][-1] for power in powers))
+        return build(ring, powers)
+
+    monkeypatch.setattr(multiset_ideals, "_member_tail", counted)
+    return leads
 
 
 def test_scale_refusal_ignores_kept_powers(monkeypatch):
@@ -209,24 +225,54 @@ def test_scale_refusal_ignores_kept_powers(monkeypatch):
     support = [0, 1, 2]
     f = P("x1^40*x2^9 - 3*x1^20", ring, nvars=2)
     inputs = [(n, t, None) for n in (1, 2, 3) for t in range(2, 7)]
-    # at level 3 the normal form is refused while its digits become terms
-    # again, at level 5 while they are computed
-    inputs += [(2, t, f) for t in (1, 2, 3, 5)]
+    # g = x^3 - 3x^2 + 2x: x1^300 at level 1 counts (300 - 3 + 1) * 2 = 596
+    # terms up front, so no member is built; f at levels 1 and 2 takes at
+    # most 410 terms, and at levels 3 and 5 it is refused as it divides
+    inputs += [(2, 1, P("x1^300", ring, nvars=2))] + [(2, t, f) for t in (1, 2, 3, 5)]
     monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 40)
-    monkeypatch.setattr(multiset_ideals, "MAX_DIGIT_TERMS", 608)
-    fresh = _fresh_axis_outcomes(ring, support, inputs)
-    refusals = [text for text in fresh if isinstance(text, str)]
-    assert any(text.startswith("powers up to exponent") for text in refusals)
-    assert any(" power products need over 40 terms" in text for text in refusals)
-    assert any("normal form needs over 608 digits" in text for text in refusals)
+    monkeypatch.setattr(multiset_ideals, "MAX_NORMAL_FORM_TERMS", 420)
+    leads = _counting_member_builds(monkeypatch)
+
+    def outcome(grid, t, f):  # and the number of members built
+        del leads[:]
+        return _built_or_refused(grid, t, f), len(leads)
+
+    fresh = _fresh_axis_outcomes(ring, support, inputs, outcome)
+    refusals = [(text, built) for text, built in fresh if isinstance(text, str)]
+    assert any(text.startswith("powers up to exponent") for text, _ in refusals)
+    assert any(" power products need over 40 terms" in text for text, _ in refusals)
+    refused = "normal form needs over 420 terms"
+    assert fresh[-5] == ("the level-1 normal form needs over 420 terms", 0)
+    assert [(refused in text, built > 0) for text, built in fresh[-4:]] == [
+        (False, True), (False, True), (True, True), (True, True)]
     assert len(refusals) < len(fresh)
     kept = MultisetGrid.build(ring, [support])
     with monkeypatch.context() as high:
         high.setattr(polynomials, "MAX_BASIS_TERMS", 10**6)
         level_basis(kept, 30)
     assert len(kept.axes[0].powers.powers) == 31
-    warm = [_built_or_refused(MultisetGrid.build(ring, [support] * n), t, f) for n, t, f in inputs]
+    warm = [outcome(MultisetGrid.build(ring, [support] * n), t, f) for n, t, f in inputs]
     assert warm == fresh
+
+
+def test_level_normal_form_builds_each_member_once(monkeypatch):
+    # x1^20*x2^20 at level 2 on {0, 1}^2 cancels term after term by the
+    # members g1^2, g1 g2 and g2^2, each built once however often it divides
+    leads = _counting_member_builds(monkeypatch)
+    grid = cube()
+    f = P("x1^20*x2^20 + x1^7 - x2^9", nvars=2)
+    assert level_normal_form(f, grid, 2) == level_normal_form_oracle(f, grid, 2)
+    assert sorted(leads) == [(0, 4), (2, 2), (4, 0)]
+
+
+def test_powers_of_a_monomial_axis_take_linear_time():
+    # g = x1: each power is one term, built in d + 1 slots, not its degree
+    # (quadratic before, ~33 s at level 50 000)
+    grid = MultisetGrid.build(ZZ, [[0]])
+    start = time.perf_counter()
+    assert level_basis(grid, 50000).members == (P("x1^50000"),)
+    assert level_normal_form(P("x1^60000 + x1^3"), grid, 60000) == P("x1^3")
+    assert time.perf_counter() - start < 5
 
 
 def test_kept_powers_are_bounded():
@@ -235,8 +281,9 @@ def test_kept_powers_are_bounded():
     assert member == P("x1^5000")
     powers = grid.axes[0].powers.powers
     assert sum(len(exps) for exps, _, _ in powers[2:]) <= polynomials.MAX_KEPT_POWER_TERMS
-    # g = x1, so the powers g^2 .. g^4097 are kept, one term each
-    assert len(powers) == polynomials.MAX_KEPT_POWER_TERMS + 2
+    # g = x1, so the powers g^2 .. g^2048 are kept, one term each: the
+    # entries g^0 .. g^e and the e - 1 terms of g^2 .. g^e make 2e <= 4096
+    assert len(powers) == polynomials.MAX_KEPT_POWER_TERMS // 2 + 1
 
 
 def test_kept_powers_are_shared_safely_between_threads():
@@ -436,7 +483,7 @@ def test_level_certificate_rejects_non_member():
 
 
 def test_level_certificate_needs_no_grid_scan(monkeypatch):
-    # membership is decided by the digit normal form, so no Taylor shift runs
+    # membership is decided by the level normal form, so no Taylor shift runs
     def no_shift(*args):
         raise AssertionError("taylor_shift called")
 
