@@ -49,6 +49,7 @@ from .polynomials import (
     Poly,
     PowerTable,
     _power_products,
+    _product_terms,
     _raw,
     _root_terms,
     root_product,
@@ -366,27 +367,21 @@ def level_membership(f: Poly, grid: MultisetGrid, t: int) -> bool:
     return _grid_condition(f, grid, _floor_sum_checks(grid, grid.grid_points(), t))
 
 
-# Terms one level normal form may work through.  Up front, a term x^gamma
-# counts (gamma_k - t d_k + 1)^+ (|g_k| - 1) per axis, what dividing it to
-# below t d_k costs there when g_k has no gaps; as it goes, a member counts
-# the running counts of the powers of g it uses (kept or not) and a step
-# the terms it subtracts.  On a 2 vCPU Xeon, x1^499000 at level 1 on {0, 1}
-# over GF(5) takes ~1.2 s, x1^300000 on {0, 1, 2} over ZZ ~7 s (the
-# coefficients grow), and x1^(10^9) there is refused at once.
+# Terms one level normal form may work through.  Up front, each axis counts
+# (top_k - t d_k + 1)^+ (|g_k| - 1), top_k the greatest gamma_k in f: what a
+# term with that gamma_k subtracts on its way below t d_k if g_k has no gaps
+# (terms differing only there meet on the way).  As it goes, a member counts
+# its powers' running counts, kept or not, and a step the terms it subtracts.
+# On a 2 vCPU Xeon, x1^499000 at level 1 on {0, 1} over GF(5) takes ~1.2 s,
+# x1^300000 on {0, 1, 2} over ZZ ~7 s, and x1^(10^9) there is refused at once.
 MAX_NORMAL_FORM_TERMS = 1_000_000
 
 
 def _member_tail(ring: Ring, powers: list) -> list:
-    """The terms but the lead of the product of ``powers``, one
-    ``PowerTable`` entry per axis, as ``(exponent, total degree,
-    coefficient)``: the Cartesian product of the factors' terms, whose last
-    is the lead, with coefficient 1."""
-    zero, mul = ring.zero, ring.mul
-    coeffs = [ring.one]
-    for power in powers:
-        coeffs = [mul(c, b) for c in coeffs for b in power[1]]
-    exps = product(*[power[0] for power in powers])
-    return [(beta, sum(beta), c) for beta, c in zip(exps, coeffs) if c != zero][:-1]
+    """The terms of ``powers``' product but its lead (``_product_terms``
+    without its last term), as ``(exponent, total degree, coefficient)``."""
+    *tail, _lead = _product_terms(ring, [powers])[0].items()
+    return [(beta, sum(beta), c) for beta, c in tail]
 
 
 def level_normal_form(f: Poly, grid: MultisetGrid, t: int) -> Poly:
@@ -419,9 +414,9 @@ def level_normal_form(f: Poly, grid: MultisetGrid, t: int) -> Poly:
     if t == 0 or not f.terms or 0 in degs:
         return _raw(ring, n, {})
     refusal = f"the level-{t} normal form needs over {MAX_NORMAL_FORM_TERMS} terms"
-    # a term left to the remainder counts 0: its every gamma_k is below t d_k
-    if sum(max(e - t * d + 1, 0) * (len(g[0]) - 1) for gamma in f.terms
-           for e, d, g in zip(gamma, degs, gs)) > MAX_NORMAL_FORM_TERMS:
+    # a term left to the remainder has every gamma_k below t d_k, so counts 0
+    if sum(max(top - t * d + 1, 0) * (len(g[0]) - 1)
+           for top, d, g in zip(map(max, zip(*f.terms)), degs, gs)) > MAX_NORMAL_FORM_TERMS:
         raise ScaleExceeded(refusal)
     tables = grid._axis_powers()
     rows = [table.powers for table in tables]

@@ -386,16 +386,12 @@ def _too_many_products(count: int) -> ScaleExceeded:
 
 def _power_products(ring: Ring, tables: Sequence[PowerTable], alphas: Sequence) -> list:
     """``prod_k seed_k g_k^(alpha_k)`` for each alpha, from one
-    ``PowerTable`` per axis.  Returns ``(product, theta)`` pairs, theta
-    being the product's greatest support point.
-
-    Factors in distinct variables never share a term, so a product is the
-    Cartesian product of its factors' terms: one ``ring.mul`` per factor
-    that is not a lone coefficient one, and zeros (possible in ZZ/m) are
-    pruned where a product makes one.  Before any product is built, the
-    tables give each product's exact number of terms; ``ScaleExceeded`` is
-    raised as soon as their running sum, or the counts of the highest
-    powers used so far on each axis, pass ``MAX_BASIS_TERMS``.
+    ``PowerTable`` per axis, by ``_product_terms``.  Returns ``(product,
+    theta)`` pairs, theta being the product's greatest support point.
+    Before any product is built, the tables give each product's exact
+    number of terms; ``ScaleExceeded`` is raised as soon as their running
+    sum, or the counts of the highest powers used so far on each axis,
+    pass ``MAX_BASIS_TERMS``.
     """
     if not tables:
         raise ValueError("need at least one axis polynomial")
@@ -424,9 +420,19 @@ def _power_products(ring: Ring, tables: Sequence[PowerTable], alphas: Sequence) 
         if terms_out > MAX_BASIS_TERMS:
             raise _too_many_products(len(alphas))
         chosen.append(powers)
+    return [(_raw(ring, len(tables), terms), tuple([power[0][-1] for power in powers]))
+            for terms, powers in zip(_product_terms(ring, chosen), chosen)]
+
+
+def _product_terms(ring: Ring, chosen: Sequence[Sequence[tuple]]) -> list:
+    """For each entry of ``chosen``, one ``PowerTable`` entry per axis, the
+    terms of their product as {exponent: coefficient}, the greatest last.
+    Factors in distinct variables never share a term, so a product is the
+    Cartesian product of its factors' terms: one ``ring.mul`` per factor
+    that is not a lone coefficient one, and zeros (possible in ZZ/m) are
+    pruned where a product makes one."""
     zero, mul = ring.zero, ring.mul
     ones = (ring.one,)
-    nvars = len(tables)
     out = []
     for powers in chosen:
         coeffs = ones  # a lone factor that is not one gives its coefficients as they are
@@ -437,7 +443,7 @@ def _power_products(ring: Ring, tables: Sequence[PowerTable], alphas: Sequence) 
         terms = dict(zip(product(*[power[0] for power in powers]), coeffs))
         if zero in coeffs:
             terms = {key: c for key, c in terms.items() if c != zero}
-        out.append((_raw(ring, nvars, terms), tuple([power[0][-1] for power in powers])))
+        out.append(terms)
     return out
 
 

@@ -188,6 +188,22 @@ def test_normal_form_of_a_huge_power_is_refused_at_once(capsys, grid, t, poly):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize(
+    "poly, answer",
+    [(format_poly(parse_poly("x1 + 1", ZZ, 1) ** 1500), f"{2**1500 - 1}*x1 + 1\n"),
+     (" + ".join(f"x1^{m}" for m in range(1501)), "1500*x1 + 1\n")],
+    ids=["binomial", "all_powers"],
+)
+def test_normal_form_of_a_dense_high_degree_polynomial_answers(capsys, poly, answer):
+    # counted term by term, the division of these would take about 1.1 * 10^6
+    # terms; their terms meet as they go down, so it takes about 1 500 steps
+    start = time.perf_counter()
+    code, out, err = run(capsys, "normal-form", "--ring", "ZZ", "--grid", "{S:[[0,1]]}",
+                         "--t", "1", "--poly", poly)
+    assert (code, out, err) == (0, answer, "")
+    assert time.perf_counter() - start < 5
+
+
 @pytest.mark.parametrize("t", [400, 700])
 @pytest.mark.parametrize(
     "command, grid, answer",
