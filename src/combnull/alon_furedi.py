@@ -18,7 +18,7 @@ from typing import Sequence
 from .errors import CombnullError, InternalInvariantError, ZeroPolynomial
 from .multiset_ideals import MultisetGrid
 from .polynomials import Poly
-from .rings import Element, FrozenValue
+from .rings import Element, FieldsToJson, FrozenValue
 from .staircase import leq, require_int
 
 
@@ -26,11 +26,8 @@ class SupportExceedsBeta(CombnullError):
     """Some support exponent escapes the declared cap vector."""
 
 
-class NonzeroBoundReport(FrozenValue):
+class NonzeroBoundReport(FieldsToJson, FrozenValue):
     _fields = ("mu", "bound", "actual")
-
-    def to_json_dict(self) -> dict:
-        return {"mu": list(self.mu), "bound": self.bound, "actual": self.actual}
 
 
 def nonzero_bound(f: Poly, supports: Sequence[Sequence[Element]], beta) -> NonzeroBoundReport:

@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 from .errors import InternalInvariantError, NonPositiveMultiplicity, ParseError, ScaleExceeded
 from .multiset_ideals import PuncturedGrid
 from .polynomials import Poly, parse_poly
-from .rings import FrozenValue, GF
-from .serialization import _json_list, _json_object, element_to_json, grid_from_json
+from .rings import FieldsToJson, FrozenValue, GF
+from .serialization import _json_list, _json_object, grid_from_json, value_to_json
 from .staircase import require_int
 
 
@@ -45,6 +45,7 @@ class CoverInstance(FrozenValue):
         require_int(t, 1, "t", ValueError)
         checked = []
         for rho, e in planes:
+            rho.require_on(pgrid.ring, pgrid.nvars)
             if rho.is_zero():
                 raise ValueError("a plane polynomial must be nonzero")
             if rho.degree() != e:
@@ -71,10 +72,6 @@ def instance_from_json(doc: Mapping) -> CoverInstance:
     return CoverInstance.build(pgrid, planes, doc["t"])
 
 
-def _point_to_json(point):
-    return None if point is None else list(map(element_to_json, point))
-
-
 class CoverReport(FrozenValue):
     """Both hypotheses, the degrees, the per-axis ``bounds`` when they hold, and the verdict."""
 
@@ -85,16 +82,16 @@ class CoverReport(FrozenValue):
         return {
             "hypotheses": {
                 "coverage": self.hypothesis_coverage,
-                "uncovered_point": _point_to_json(self.uncovered_point),
+                "uncovered_point": value_to_json(self.uncovered_point),
                 "escape": self.hypothesis_escape,
-                "escape_point": _point_to_json(self.escape_point),
+                "escape_point": value_to_json(self.escape_point),
             },
             "lhs": {
                 "sum_degrees": self.sum_degrees,
                 "product_degree": self.product_degree,
             },
             "bound": max(self.bounds) if self.bounds else None,
-            "bounds_per_axis": list(self.bounds) if self.bounds else None,
+            "bounds_per_axis": value_to_json(self.bounds),
             "verdict": self.verdict,
         }
 
@@ -183,11 +180,6 @@ def _on_hyperplane(point, eta, c, q: int) -> bool:
     return sum(a * b for a, b in zip(eta, point)) % q == c
 
 
-def _check_scale(q: int, n: int) -> None:
-    if q ** n > 1000:
-        raise ScaleExceeded(f"GF({q})^{n} is beyond the supported desk scale")
-
-
 # Candidate-times-hyperplane tests a search may make: (3, 2, 3) needs under
 # 10^6, while (5, 2, 1) would need about 5 * 10^7 and run for minutes.  An
 # audit's tests are point-times-hyperplane: 2 000 points in GF(31)^2 take
@@ -208,10 +200,18 @@ def _check_tests(q: int, n: int, per_hyperplane: int, what: str) -> None:
 
 def _check_search_work(q: int, n: int, t: int, sizes) -> None:
     """Refuse, before searching, candidates of these sizes whose tests
-    against every hyperplane would exceed MAX_SEARCH_TESTS."""
+    against every hyperplane would exceed MAX_SEARCH_TESTS.  C(N, k) >= C(N, 2)
+    for 2 <= k <= N - 2, so a large N is refused on C(N, 2), at once."""
     points = q ** n
-    _check_tests(q, n, sum(comb(points, k) if t == 1 else comb(points + k - 1, k)
-                           for k in sizes), "blocking search")
+    allowed = MAX_SEARCH_TESTS // ((points - 1) // (q - 1) * q)
+    candidates = 0
+    for k in sizes:
+        N = points if t == 1 else points + k - 1  # multisets of size k are C(points + k - 1, k)
+        exact = min(k, N - k) <= 2 or comb(N, 2) <= allowed
+        candidates += comb(N, k) if exact else comb(N, 2)
+        if candidates > allowed:
+            break
+    _check_tests(q, n, candidates, "blocking search")
 
 
 def blocks_all_hyperplanes(q: int, n: int, t: int, points: Sequence) -> tuple:
@@ -228,19 +228,8 @@ def blocks_all_hyperplanes(q: int, n: int, t: int, points: Sequence) -> tuple:
     return True, None
 
 
-class BlockingReport(FrozenValue):
+class BlockingReport(FieldsToJson, FrozenValue):
     _fields = ("blocked", "unblocked_hyperplane", "size", "bound")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "blocked": self.blocked,
-            "unblocked_hyperplane": [list(self.unblocked_hyperplane[0]),
-                                     self.unblocked_hyperplane[1]]
-            if self.unblocked_hyperplane is not None
-            else None,
-            "size": self.size,
-            "bound": self.bound,
-        }
 
 
 def blocking_audit(q: int, n: int, t: int, points: Sequence) -> BlockingReport:
@@ -248,8 +237,9 @@ def blocking_audit(q: int, n: int, t: int, points: Sequence) -> BlockingReport:
     compare its size with the bound; each point on each hyperplane is one
     test, counted first against MAX_SEARCH_TESTS."""
     bound = affine_blocking_bound(q, n, t)
-    _check_scale(q, n)
     _check_tests(q, n, len(points), "blocking audit")
+    canon = GF(q).canon  # a coordinate is an int, not a bool
+    points = [tuple(map(canon, p)) for p in points]
     blocked, witness = blocks_all_hyperplanes(q, n, t, points)
     return BlockingReport(blocked, witness, len(points), bound)
 
@@ -258,7 +248,7 @@ def exists_blocking_of_size(q: int, n: int, t: int, size: int) -> tuple:
     """Exhaustively search multisets of the given size; returns
     (found, example or None).  Plain subsets suffice when t = 1."""
     _require_blocking(q, n, t)
-    _check_scale(q, n)
+    require_int(size, 0, "size", ValueError)
     _check_search_work(q, n, t, [size])
     space = list(product(range(q), repeat=n))
     chooser = combinations if t == 1 else combinations_with_replacement
@@ -273,7 +263,6 @@ def minimal_blocking_size(q: int, n: int, t: int) -> tuple:
     """Smallest size of a t-fold blocking multiset, by ascending search;
     every size below ``affine_blocking_bound`` is searched in full."""
     bound = affine_blocking_bound(q, n, t)
-    _check_scale(q, n)
     _check_search_work(q, n, t, range(1, bound))
     size = 1
     while True:

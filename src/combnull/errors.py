@@ -80,7 +80,8 @@ class UnsupportedField(CombnullError):
 
 
 class ScaleExceeded(CombnullError):
-    """Exhaustive search requested beyond the supported desk scale."""
+    """The work an input asks for, counted up front or as it goes, passes a
+    module bound such as ``MAX_BASIS_TERMS`` or ``MAX_SEARCH_TESTS``."""
 
 
 class InternalInvariantError(CombnullError):

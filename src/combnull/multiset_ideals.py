@@ -48,15 +48,15 @@ from .polynomials import (
     MAX_BASIS_TERMS,
     Poly,
     PowerTable,
+    _on_axis,
     _power_products,
     _product_terms,
     _raw,
     _root_terms,
-    root_product,
     taylor_shift,
 )
 from .reduction import MonicFamily, ReductionOutcome, decompose_member, reduce
-from .rings import Element, FrozenValue, Ring
+from .rings import Element, FieldsToJson, FrozenValue, Ring
 from .staircase import compositions, require_int
 
 # Grid points one scan may visit.  On a 2 vCPU Xeon, membership of
@@ -178,8 +178,7 @@ class MultisetGrid(FrozenValue):
         return len(self.axes)
 
     def axis_poly(self, k: int) -> Poly:
-        axis = self.axes[k]
-        return root_product(self.ring, self.nvars, k, axis.support, axis.psi)
+        return _on_axis(self.ring, self.nvars, k, self.axes[k].terms)
 
     def _axis_terms(self) -> list:
         """Every axis polynomial as sparse univariate tuples, as built once
@@ -520,27 +519,11 @@ def punctured_membership(f: Poly, pgrid: PuncturedGrid, t: int) -> bool:
     return all(level_normal_form(f, piece, t).is_zero() for piece in pgrid.off_pieces())
 
 
-class PuncturedReport(FrozenValue):
+class PuncturedReport(FieldsToJson, FrozenValue):
     """Normal form, extracted cofactor, and the degree consequence."""
 
     _fields = ("eta", "divisor", "cofactor", "nonvanishing_point", "degree_f",
                "degree_eta", "degree_bound", "bound_holds")
-
-    def to_json_dict(self) -> dict:
-        from .polynomials import format_poly
-        from .serialization import element_to_json
-
-        point = self.nonvanishing_point
-        return {
-            "eta": format_poly(self.eta),
-            "divisor": format_poly(self.divisor),
-            "cofactor": format_poly(self.cofactor),
-            "nonvanishing_point": None if point is None else list(map(element_to_json, point)),
-            "degree_f": self.degree_f if self.degree_f != float("-inf") else None,
-            "degree_eta": self.degree_eta if self.degree_eta != float("-inf") else None,
-            "degree_bound": self.degree_bound,
-            "bound_holds": self.bound_holds,
-        }
 
 
 def punctured_analysis(f: Poly, pgrid: PuncturedGrid, t: int) -> PuncturedReport:

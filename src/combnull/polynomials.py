@@ -251,24 +251,34 @@ def _root_terms(ring: Ring, elements: Iterable[Element], psi) -> tuple:
     """``prod (x - u)^psi(u)`` in one variable, as sparse ``(exponents,
     coefficients)`` tuples, lowest degree first.
 
-    Multiplicities default to one and must be integers >= 1;
-    each element goes through ``ring.canon``.  The product is kept as a
-    dense coefficient list and multiplied by ``x - u`` one factor at a time.
+    Multiplicities default to one and must be integers >= 1; each element
+    goes through ``ring.canon``.  All are read before any product: the
+    product of degree d = sum(psi) takes d (d + 1) / 2 coefficient steps,
+    one ``_next_power`` per factor x - u, and above ``MAX_BASIS_TERMS`` of
+    them it is ``ScaleExceeded``.
     """
-    zero = ring.zero
-    coeffs = [ring.one]
+    roots = []
     for u in elements:
         m = 1 if psi is None else psi.get(u)
         require_int(m, 1, f"psi({u})", NonPositiveMultiplicity)
-        u = ring.canon(u)
+        roots.append((ring.canon(u), m))
+    d = sum(m for _, m in roots)
+    if d * (d + 1) // 2 > MAX_BASIS_TERMS:
+        raise ScaleExceeded(f"an axis polynomial of degree {d} needs over {MAX_BASIS_TERMS} "
+                            "coefficient steps")
+    terms = (0,), (ring.one,)
+    for u, m in roots:
+        factor = ((1,), (ring.one,)) if u == ring.zero else ((0, 1), (ring.neg(u), ring.one))
         for _ in range(m):
-            # (x - u) * c has coefficient c[i-1] - u * c[i] at degree i.
-            coeffs = [
-                ring.submul(lower, u, c)
-                for c, lower in zip(coeffs + [zero], [zero] + coeffs)
-            ]
-    exps = tuple(e for e, c in enumerate(coeffs) if c != zero)
-    return exps, tuple(coeffs[e] for e in exps)
+            terms = _next_power(ring, terms, factor)
+    return terms
+
+
+def _on_axis(ring: Ring, nvars: int, axis: int, terms: tuple) -> Poly:
+    """The univariate ``(exponents, coefficients)`` pair ``terms`` as a
+    polynomial in x_(axis + 1) of ``nvars`` variables."""
+    before, after = (0,) * axis, (0,) * (nvars - axis - 1)
+    return _raw(ring, nvars, {before + (e,) + after: c for e, c in zip(*terms)})
 
 
 def root_product(
@@ -286,10 +296,7 @@ def root_product(
     require_int(nvars, 1, "nvars", ValueError)
     if not 0 <= axis < nvars:
         raise ValueError(f"axis {axis} out of range for {nvars} variables")
-    before, after = (0,) * axis, (0,) * (nvars - axis - 1)
-    return _raw(ring, nvars, {
-        before + (e,) + after: c for e, c in zip(*_root_terms(ring, elements, psi))
-    })
+    return _on_axis(ring, nvars, axis, _root_terms(ring, elements, psi))
 
 
 # Terms a power-product family may hold, counted before any product is

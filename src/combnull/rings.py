@@ -126,6 +126,16 @@ class FrozenValue:
         return type(self)(**{name: getattr(self, name) for name in names} | changes)
 
 
+class FieldsToJson:
+    """Mixed into a ``FrozenValue`` report whose JSON document is its fields
+    by name, each written by ``serialization.value_to_json``."""
+
+    def to_json_dict(self) -> dict:
+        from .serialization import value_to_json  # it imports the report modules
+
+        return {name: value_to_json(getattr(self, name)) for name in self._fields}
+
+
 class Ring(FrozenValue):
     """A commutative ring descriptor; all element operations live here.
 

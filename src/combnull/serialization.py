@@ -22,13 +22,23 @@ from typing import Mapping
 
 from .errors import ParseError
 from .multiset_ideals import MultisetGrid, PuncturedGrid, keyed_by_value
-from .polynomials import format_poly, parse_poly
+from .polynomials import NEG_INF, Poly, format_poly, parse_poly
 from .reduction import MonicFamily, ReductionOutcome
 from .rings import Ring, parse_ring
 from .staircase import compositions, format_expvec, parse_expvec, require_int
 
 
-def element_to_json(value):
+def value_to_json(value):
+    """A ring element or report field as JSON: a ``Poly`` as its text, a
+    tuple as the list of its entries so written, None and a degree of
+    ``NEG_INF`` as null, an ``int`` (or bool) as it is, and any other
+    element (a QQ ``Fraction``) as its text."""
+    if isinstance(value, Poly):
+        return format_poly(value)
+    if isinstance(value, tuple):
+        return [value_to_json(v) for v in value]
+    if value is None or value == NEG_INF:
+        return None
     return value if isinstance(value, int) else str(value)
 
 
@@ -97,9 +107,9 @@ def grid_to_json(grid: MultisetGrid) -> dict:
         "ring": str(grid.ring),
         "axes": [
             {
-                "S": [element_to_json(u) for u in axis.support],
+                "S": [value_to_json(u) for u in axis.support],
                 "psi": {
-                    str(element_to_json(u)): m
+                    str(value_to_json(u)): m
                     for u, m in sorted(axis.psi.items())
                 },
             }
@@ -107,10 +117,10 @@ def grid_to_json(grid: MultisetGrid) -> dict:
         ],
     }
     if isinstance(grid, PuncturedGrid):
-        doc["E"] = [[element_to_json(u) for u in E] for E in grid.punctures]
+        doc["E"] = [[value_to_json(u) for u in E] for E in grid.punctures]
     if hasattr(grid, "B"):  # a VanishingSpec
         doc["B"] = {
-            "(" + ",".join(str(element_to_json(v)) for v in point) + ")":
+            "(" + ",".join(str(value_to_json(v)) for v in point) + ")":
                 [list(vec) for vec in sorted(gens)]
             for point, gens in grid.B.items()
         }

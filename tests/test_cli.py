@@ -188,6 +188,18 @@ def test_normal_form_of_a_huge_power_is_refused_at_once(capsys, grid, t, poly):
     assert time.perf_counter() - start < 1
 
 
+def test_an_axis_of_five_thousand_values_is_refused_at_once(capsys):
+    # g has degree 5 000: 12 502 500 coefficient steps, counted before the
+    # first product (the product itself took ~8 s)
+    grid = json.dumps({"S": [list(range(5000))]})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "normal-form", "--ring", "GF(1000003)", "--grid", grid,
+                         "--t", "1", "--poly", "x1")
+    assert (code, out) == (3, "")
+    assert err == "error: an axis polynomial of degree 5000 needs over 1000000 coefficient steps\n"
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize(
     "poly, answer",
     [(format_poly(parse_poly("x1 + 1", ZZ, 1) ** 1500), f"{2**1500 - 1}*x1 + 1\n"),
@@ -700,6 +712,13 @@ def test_cover_points(capsys):
     assert code == 1
 
 
+def test_cover_points_beyond_a_thousand_points(capsys):
+    # GF(37)^2 has 1 369 points; the audit makes 2 812 tests and answers
+    code, out, _ = run(capsys, "cover", "--q", "37", "--n", "2", "--points", "(0,0);(1,1)")
+    assert (code, out) == (1, "blocked: False\nsize: 2 (bound 73)\n"
+                               "unblocked hyperplane: <(0, 1), x> = 2\n")
+
+
 @pytest.mark.parametrize("mode", [["--bound-only"], ["--points", "(0,1);(1,0)"]])
 @pytest.mark.parametrize("given,missing", [(["--n", "2"], "--q"), (["--q", "2"], "--n")])
 def test_cover_needs_q_and_n(capsys, mode, given, missing):
@@ -791,6 +810,56 @@ def test_qq_points_in_json_reports(capsys):
         code, out, _ = run(capsys, "cover", "--instance", json.dumps(doc), "--format", "json")
         assert code == exit_code
         assert json.loads(out)["hypotheses"][key] == point
+
+
+PINNED_PGRID = "{S:[[0,1],[0,1]], E:[[0],[0]]}"
+PINNED_ANALYSIS = {"bound_holds": True, "cofactor": "1", "degree_bound": 2, "degree_eta": 2,
+                   "degree_f": 2, "divisor": "x1*x2 - x1 - x2 + 1", "eta": "x1*x2 - x1 - x2 + 1"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, doc",
+    [
+        (("punctured", "--ring", "ZZ", "--grid", PINNED_PGRID, "--t", "1",
+          "--poly", "x1*x2 - x1 - x2 + 1", "--analyze"), 0,
+         {"analysis": {**PINNED_ANALYSIS, "nonvanishing_point": [0, 0]}, "member": True, "t": 1}),
+        (("punctured", "--ring", "QQ", "--grid", '{S:[["1/2",1],[0,1]],E:[["1/2"],[0]]}',
+          "--t", "1", "--poly", "x1*x2 - x1 - x2 + 1", "--analyze"), 0,
+         {"analysis": {**PINNED_ANALYSIS, "nonvanishing_point": ["1/2", "0"]},
+          "member": True, "t": 1}),
+        # the zero operand has degree -inf and no nonvanishing point: nulls
+        (("punctured", "--ring", "ZZ", "--grid", PINNED_PGRID, "--t", "1", "--poly", "0",
+          "--analyze"), 0,
+         {"analysis": {"bound_holds": None, "cofactor": "0", "degree_bound": None,
+                       "degree_eta": None, "degree_f": None, "divisor": "x1*x2 - x1 - x2 + 1",
+                       "eta": "0", "nonvanishing_point": None}, "member": True, "t": 1}),
+        (("cover", "--q", "3", "--n", "2", "--t", "1",
+          "--points", "(0,0);(0,1);(0,2);(1,0);(2,0)"), 0,
+         {"blocked": True, "bound": 5, "size": 5, "unblocked_hyperplane": None}),
+        (("cover", "--q", "2", "--n", "2", "--t", "1", "--points", "(0,1)"), 1,
+         {"blocked": False, "bound": 3, "size": 1, "unblocked_hyperplane": [[0, 1], 0]}),
+        (("cover", "--instance", json.dumps(COVER_INSTANCE)), 0,
+         {"bound": 2, "bounds_per_axis": [2, 2],
+          "hypotheses": {"coverage": True, "escape": True, "escape_point": [0, 0],
+                         "uncovered_point": None},
+          "lhs": {"product_degree": 2, "sum_degrees": 2}, "verdict": "bound_holds"}),
+        (("cover", "--instance", json.dumps({"pgrid": {"ring": "QQ", "S": [["1/2", "3/2"]],
+                                                       "E": [["1/2"]]},
+                                             "planes": [{"poly": "x1 - 1/2"}], "t": 1})), 1,
+         {"bound": None, "bounds_per_axis": None,
+          "hypotheses": {"coverage": False, "escape": True, "escape_point": ["3/2"],
+                         "uncovered_point": ["3/2"]},
+          "lhs": {"product_degree": None, "sum_degrees": 1}, "verdict": "hypotheses_unmet"}),
+        (("alon-furedi", "--ring", "ZZ", "--S", "[[0,1,2],[0,1,2]]", "--beta", "(2,1)",
+          "--poly", "x1^2*x2 - x1*x2"), 0, {"actual": 2, "bound": 2, "mu": [1, 2]}),
+    ],
+    ids=["punctured_zz", "punctured_qq_point", "punctured_zero", "cover_blocked",
+         "cover_unblocked", "cover_instance_holds", "cover_instance_unmet", "alon_furedi"],
+)
+def test_json_reports_are_pinned(capsys, argv, code, doc):
+    # the whole document, byte for byte, as the command prints it
+    assert run(capsys, *argv, "--format", "json") == (
+        code, json.dumps(doc, indent=2, sort_keys=True) + "\n", "")
 
 
 def test_reduce_text_and_json_agree(capsys):

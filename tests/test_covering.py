@@ -161,20 +161,33 @@ def test_minimal_blocking_sizes():
 
 
 def test_scale_guard():
-    with pytest.raises(ScaleExceeded):
-        blocking_audit(7, 5, 1, [])
+    # GF(7)^5 has 16 807 points, far past the old 1 000-point refusal: the
+    # empty multiset is audited at once, while 1 000 points need
+    # 19 607 * 1 000 point-hyperplane tests and are refused before any.
+    start = time.perf_counter()
+    report = blocking_audit(7, 5, 1, [])
+    assert report.blocked is False and report.size == 0
+    with pytest.raises(ScaleExceeded, match="needs 19607000 hyperplane tests"):
+        blocking_audit(7, 5, 1, [(0,) * 5] * 1000)
+    assert time.perf_counter() - start < 1.0
     with pytest.raises(ValueError):
         blocking_audit(2, 2, 1, [(0, 1, 1)])
 
 
 def test_blocking_search_work_is_estimated_up_front():
-    # GF(5)^2 passes the space guard, but the sizes below the bound 9 need
-    # about 5.4 * 10^7 hyperplane tests: refused before any search.
+    # the sizes below the bound 9 in GF(5)^2 need about 5.4 * 10^7
+    # hyperplane tests: refused before any search.  So are spaces of 10^12
+    # and 10^18 points, whose candidate counts stop once past the bound
+    # (C(10^12, 10^6) alone would take minutes to compute).
     start = time.perf_counter()
     with pytest.raises(ScaleExceeded, match="hyperplane tests"):
         minimal_blocking_size(5, 2, 1)
     with pytest.raises(ScaleExceeded, match="hyperplane tests"):
         exists_blocking_of_size(5, 2, 1, 8)
+    with pytest.raises(ScaleExceeded, match="hyperplane tests"):
+        exists_blocking_of_size(1000003, 2, 1, 10**6)
+    with pytest.raises(ScaleExceeded, match="hyperplane tests"):
+        minimal_blocking_size(1000003, 3, 1)
     assert time.perf_counter() - start < 1.0
     assert minimal_blocking_size(3, 2, 3)[0] == 9
 

@@ -161,6 +161,14 @@ OPERAND_ENTRY_POINTS = {
         lambda: VanishingSpec.build(
             MultisetGrid.build(ZZ, [[0, 1], [0, 1]]), {p: [(1,)] for p in GRID2.grid_points()}),
         ArityMismatch),
+    # a cover plane lives over the grid's ring and arity, checked as it is built
+    "cover_instance_plane_ring": (lambda: CoverInstance.build(PGRID, [(F5, 1)], 1), RingMismatch),
+    "cover_instance_plane_arity": (
+        lambda: CoverInstance.build(PGRID, [(X1X2, 2)], 1), ArityMismatch),
+    # an audited point's coordinates are elements of GF(q): ints, not floats or bools
+    "blocking_audit_fractional_coordinate": (
+        lambda: blocking_audit(2, 2, 1, [(0.5, 0), (1, 1)]), ParseError),
+    "blocking_audit_bool_coordinate": (lambda: blocking_audit(2, 2, 1, [(True, 1)]), ParseError),
 }
 
 
@@ -267,6 +275,8 @@ NATURAL_ENTRY_POINTS = {
     "blocking_audit_n": (lambda n: blocking_audit(2, n, 1, [(0,)]), 1, ValueError),
     "exists_blocking_of_size_n": (lambda n: exists_blocking_of_size(2, n, 1, 1), 1, ValueError),
     "minimal_blocking_size_n": (lambda n: minimal_blocking_size(2, n, 1), 1, ValueError),
+    "exists_blocking_of_size_size": (
+        lambda k: exists_blocking_of_size(2, 2, 1, k), 0, ValueError),
     # the builder oracle in conftest, which reads exponents by the same rule
     "monic_power_product": (
         lambda e: monic_power_product([P("x1^2 - x1")], [(e,)]), 0, ValueError),

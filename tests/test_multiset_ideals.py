@@ -43,6 +43,7 @@ from combnull import (
     punctured_analysis,
     punctured_membership,
     reduce,
+    root_product,
     taylor_shift,
 )
 from combnull import multiset_ideals, polynomials
@@ -124,6 +125,19 @@ def test_grids_round_trip_through_pickle_and_deepcopy():
         for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
             assert copied == value and copied is not value
     assert pickle.loads(pickle.dumps(grid)).axes[0] is grid.axes[0]
+
+
+def test_axis_poly_is_the_root_product_of_its_axis():
+    # axis_poly embeds the interned axis's g; root_product builds it anew
+    for ring, supports, psis in [
+        (ZZ, [[0, 1], [0, 1, 2]], [{0: 2, 1: 1}, None]),
+        (GF(5), [[0, 7, 3], []], None),
+        (QQ, [[Fraction(1, 2), 1]], [{Fraction(1, 2): 3, 1: 1}]),
+        (Zmod(6), [[0, 3], [1, 2, 4]], [None, {1: 1, 2: 2, 4: 1}]),
+    ]:
+        grid = MultisetGrid.build(ring, supports, psis)
+        for k, axis in enumerate(grid.axes):
+            assert grid.axis_poly(k) == root_product(ring, grid.nvars, k, axis.support, axis.psi)
 
 
 def test_axis_multiplicities_are_read_only():

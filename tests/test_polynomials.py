@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,18 @@ def test_root_product():
         root_product(ZZ, 0, 0, [1])
     with pytest.raises(ValueError):
         root_product(ZZ, 2, 2, [1])
+
+
+def test_axis_degree_is_counted_before_any_product():
+    # degree d takes d (d + 1) / 2 coefficient steps: 1 413 takes 998 991 and
+    # is built (x^d in linear time), 1 414 would take 1 000 405 and is refused
+    assert root_product(GF(5), 1, 0, [0], {0: 1413}) == P("x1^1413", GF(5))
+    with pytest.raises(ScaleExceeded, match="degree 1414 "):
+        MultisetGrid.build(GF(5), [[0, 1]], [{0: 1413, 1: 1}])
+    start = time.perf_counter()
+    with pytest.raises(ScaleExceeded, match="degree 10000000 "):
+        root_product(ZZ, 1, 0, [0], {0: 10**7})
+    assert time.perf_counter() - start < 0.1
 
 
 def test_monic_power_product():
