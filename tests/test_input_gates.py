@@ -165,10 +165,10 @@ OPERAND_ENTRY_POINTS = {
     "cover_instance_plane_ring": (lambda: CoverInstance.build(PGRID, [(F5, 1)], 1), RingMismatch),
     "cover_instance_plane_arity": (
         lambda: CoverInstance.build(PGRID, [(X1X2, 2)], 1), ArityMismatch),
-    # an audited point's coordinates are elements of GF(q): ints, not floats or bools
+    # an audited point's coordinates are ints, not floats or bools
     "blocking_audit_fractional_coordinate": (
-        lambda: blocking_audit(2, 2, 1, [(0.5, 0), (1, 1)]), ParseError),
-    "blocking_audit_bool_coordinate": (lambda: blocking_audit(2, 2, 1, [(True, 1)]), ParseError),
+        lambda: blocking_audit(2, 2, 1, [(0.5, 0), (1, 1)]), ValueError),
+    "blocking_audit_bool_coordinate": (lambda: blocking_audit(2, 2, 1, [(True, 1)]), ValueError),
 }
 
 
