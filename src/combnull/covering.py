@@ -189,12 +189,13 @@ MAX_SEARCH_TESTS = 2_000_000
 
 def _check_tests(q: int, n: int, per_hyperplane: int, what: str) -> None:
     """Refuse, before any test, ``per_hyperplane`` tests against each affine
-    hyperplane of GF(q)^n when they total over MAX_SEARCH_TESTS."""
+    hyperplane of GF(q)^n when they total over MAX_SEARCH_TESTS.  A count of
+    more than 20 digits is not printed: past 4 300, str() of it raises."""
     tests = (q ** n - 1) // (q - 1) * q * per_hyperplane
     if tests > MAX_SEARCH_TESTS:
         raise ScaleExceeded(
-            f"{what} in GF({q})^{n} needs {tests} hyperplane tests "
-            f"(limit {MAX_SEARCH_TESTS})"
+            f"{what} in GF({q})^{n} needs {tests if tests < 10**20 else 'over 10^20'} "
+            f"hyperplane tests (limit {MAX_SEARCH_TESTS})"
         )
 
 

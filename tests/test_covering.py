@@ -188,6 +188,9 @@ def test_blocking_search_work_is_estimated_up_front():
         exists_blocking_of_size(1000003, 2, 1, 10**6)
     with pytest.raises(ScaleExceeded, match="hyperplane tests"):
         minimal_blocking_size(1000003, 3, 1)
+    # a count too long to print is named by its size
+    with pytest.raises(ScaleExceeded, match=r"GF\(3\)\^10000 needs over 10\^20 hyperplane tests"):
+        exists_blocking_of_size(3, 10**4, 1, 1)
     assert time.perf_counter() - start < 1.0
     assert minimal_blocking_size(3, 2, 3)[0] == 9
 
