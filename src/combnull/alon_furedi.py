@@ -49,13 +49,8 @@ def nonzero_bound(f: Poly, supports: Sequence[Sequence[Element]], beta) -> Nonze
             raise SupportExceedsBeta(f"support point {alpha} escapes beta {beta}")
 
     target = sum(sizes) - int(f.degree())
-    best = None
-    for mu in product(*(range(s - b, s + 1) for s, b in zip(sizes, beta))):
-        if sum(mu) != target:
-            continue
-        key = (prod(mu), mu)
-        if best is None or key < best:
-            best = key
+    boxes = product(*(range(s - b, s + 1) for s, b in zip(sizes, beta)))
+    best = min(((prod(mu), mu) for mu in boxes if sum(mu) == target), default=None)
     if best is None:
         raise InternalInvariantError("no feasible mu despite valid inputs")
     bound, mu = best

@@ -108,17 +108,11 @@ def covering_audit(inst: CoverInstance) -> CoverReport:
     ring = pgrid.ring
     prod_poly = prod((rho for rho, _ in inst.planes), start=Poly.one(ring, pgrid.nvars))
 
-    covered = True
-    uncovered_point = None
-    for point in pgrid.off_puncture_points():
-        hits = sum(
-            1 for rho, _ in inst.planes if rho.evaluate(point) == ring.zero
-        )
-        if hits < point_cover_threshold(pgrid.psi_at(point), inst.t):
-            covered = False
-            uncovered_point = point
-            break
-
+    uncovered_point = next((
+        point for point in pgrid.off_puncture_points()
+        if sum(rho.evaluate(point) == ring.zero for rho, _ in inst.planes)
+        < point_cover_threshold(pgrid.psi_at(point), inst.t)), None)
+    covered = uncovered_point is None
     escape_point = next(pgrid.nonzero_points(prod_poly), None)
 
     sum_degrees = sum(e for _, e in inst.planes)
@@ -164,16 +158,14 @@ def affine_hyperplanes(q: int, n: int):
     """All affine hyperplanes of GF(q)^n as normalized pairs (eta, c).
 
     Normal vectors are nonzero with first nonzero entry one, so every
-    hyperplane appears exactly once.  Callers have checked that q is prime.
+    hyperplane appears exactly once, in the lexicographic order of eta.
+    Callers have checked that q is prime.
     """
-    for eta in product(range(q), repeat=n):
-        if all(v == 0 for v in eta):
-            continue
-        first = next(v for v in eta if v != 0)
-        if first != 1:
-            continue
-        for c in range(q):
-            yield eta, c
+    for i in reversed(range(n)):  # the position of the first nonzero entry
+        for rest in product(range(q), repeat=n - 1 - i):
+            eta = (0,) * i + (1,) + rest
+            for c in range(q):
+                yield eta, c
 
 
 def _on_hyperplane(point, eta, c, q: int) -> bool:
@@ -187,32 +179,37 @@ def _on_hyperplane(point, eta, c, q: int) -> bool:
 MAX_SEARCH_TESTS = 2_000_000
 
 
-def _check_tests(q: int, n: int, per_hyperplane: int, what: str) -> None:
+def _check_tests(q: int, n: int, per_hyperplane: int, what: str, exact: bool = True) -> None:
     """Refuse, before any test, ``per_hyperplane`` tests against each affine
-    hyperplane of GF(q)^n when they total over MAX_SEARCH_TESTS.  A count of
+    hyperplane of GF(q)^n when they total over MAX_SEARCH_TESTS; a count
+    that is not ``exact`` is a lower bound and printed as one.  A count of
     more than 20 digits is not printed: past 4 300, str() of it raises."""
     tests = (q ** n - 1) // (q - 1) * q * per_hyperplane
     if tests > MAX_SEARCH_TESTS:
+        count = "over 10^20" if tests >= 10**20 else f"{'' if exact else 'over '}{tests}"
         raise ScaleExceeded(
-            f"{what} in GF({q})^{n} needs {tests if tests < 10**20 else 'over 10^20'} "
-            f"hyperplane tests (limit {MAX_SEARCH_TESTS})"
+            f"{what} in GF({q})^{n} needs {count} hyperplane tests (limit {MAX_SEARCH_TESTS})"
         )
 
 
 def _check_search_work(q: int, n: int, t: int, sizes) -> None:
     """Refuse, before searching, candidates of these sizes whose tests
-    against every hyperplane would exceed MAX_SEARCH_TESTS.  C(N, k) >= C(N, 2)
-    for 2 <= k <= N - 2, so a large N is refused on C(N, 2), at once."""
+    against every hyperplane would exceed MAX_SEARCH_TESTS.  C(N, k) > C(N, 2)
+    for 2 < k < N - 2, so a large N is counted as C(N, 2), and the count stops
+    once past the bound: either way it is a lower bound.  A search lists the
+    whole space even with no candidate, so it is charged one at least."""
     points = q ** n
     allowed = MAX_SEARCH_TESTS // ((points - 1) // (q - 1) * q)
-    candidates = 0
+    candidates, exact = 0, True
     for k in sizes:
-        N = points if t == 1 else points + k - 1  # multisets of size k are C(points + k - 1, k)
-        exact = min(k, N - k) <= 2 or comb(N, 2) <= allowed
-        candidates += comb(N, k) if exact else comb(N, 2)
         if candidates > allowed:
+            exact = False
             break
-    _check_tests(q, n, candidates, "blocking search")
+        N = points if t == 1 else points + k - 1  # multisets of size k are C(points + k - 1, k)
+        small = min(k, N - k) <= 2 or comb(N, 2) <= allowed
+        candidates += comb(N, k) if small else comb(N, 2)
+        exact = exact and small
+    _check_tests(q, n, max(candidates, 1), "blocking search", exact)
 
 
 def blocks_all_hyperplanes(q: int, n: int, t: int, points: Sequence) -> tuple:

@@ -180,15 +180,6 @@ class MultisetGrid(FrozenValue):
     def axis_poly(self, k: int) -> Poly:
         return _on_axis(self.ring, self.nvars, k, self.axes[k].terms)
 
-    def _axis_terms(self) -> list:
-        """Every axis polynomial as sparse univariate tuples, as built once
-        per distinct axis."""
-        return [axis.terms for axis in self.axes]
-
-    def _axis_powers(self) -> list:
-        """Every axis's kept ``PowerTable``."""
-        return [axis.powers for axis in self.axes]
-
     @property
     def empty_grid(self) -> bool:
         return any(not axis.support for axis in self.axes)
@@ -323,7 +314,7 @@ def level_basis(grid: MultisetGrid, t: int) -> MonicFamily:
     """
     require_int(t, 0, "t", ValueError)
     alphas = _exponent_vectors(t, grid.nvars)
-    built = _power_products(grid.ring, grid._axis_powers(), alphas)
+    built = _power_products(grid.ring, [axis.powers for axis in grid.axes], alphas)
     family = MonicFamily.build([g for g, _ in built], labels=alphas, certified=True)
     if family.witnesses != tuple(theta for _, theta in built):
         raise InternalInvariantError("level basis witness mismatch")
@@ -408,7 +399,7 @@ def level_normal_form(f: Poly, grid: MultisetGrid, t: int) -> Poly:
     require_int(t, 0, "t", ValueError)
     ring, n = grid.ring, grid.nvars
     f.require_on(ring, n)
-    gs = grid._axis_terms()
+    gs = [axis.terms for axis in grid.axes]
     degs = [g[0][-1] for g in gs]
     if t == 0 or not f.terms or 0 in degs:
         return _raw(ring, n, {})
@@ -417,7 +408,7 @@ def level_normal_form(f: Poly, grid: MultisetGrid, t: int) -> Poly:
     if sum(max(top - t * d + 1, 0) * (len(g[0]) - 1)
            for top, d, g in zip(map(max, zip(*f.terms)), degs, gs)) > MAX_NORMAL_FORM_TERMS:
         raise ScaleExceeded(refusal)
-    tables = grid._axis_powers()
+    tables = [axis.powers for axis in grid.axes]
     rows = [table.powers for table in tables]
     used = [0] * n  # per axis, the count of the highest power used so far
     work = 0
@@ -590,7 +581,7 @@ def mixed_basis(pgrid: PuncturedGrid, t: int) -> MonicFamily:
     upper = _exponent_vectors(t, n)
     lower = _exponent_vectors(t - 1, n)
     built = _power_products(pgrid.ring, pgrid._seeded_powers(), lower)
-    built += _power_products(pgrid.ring, pgrid._axis_powers(), upper)
+    built += _power_products(pgrid.ring, [axis.powers for axis in pgrid.axes], upper)
     return MonicFamily.build([g for g, _ in built], labels=lower + upper)
 
 

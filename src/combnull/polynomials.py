@@ -253,9 +253,10 @@ def _root_terms(ring: Ring, elements: Iterable[Element], psi) -> tuple:
 
     Multiplicities default to one and must be integers >= 1; each element
     goes through ``ring.canon``.  All are read before any product: the
-    product of degree d = sum(psi) takes d (d + 1) / 2 coefficient steps,
-    one ``_next_power`` per factor x - u, and above ``MAX_BASIS_TERMS`` of
-    them it is ``ScaleExceeded``.
+    product of degree d = sum(psi) is counted as d (d + 1) / 2 coefficient
+    steps, and above ``MAX_BASIS_TERMS`` of them it is ``ScaleExceeded``.
+    The d factors x - u go through ``_next_power`` in pairs, round after
+    round, about d^2 / 2 coefficient products in all.
     """
     roots = []
     for u in elements:
@@ -266,12 +267,12 @@ def _root_terms(ring: Ring, elements: Iterable[Element], psi) -> tuple:
     if d * (d + 1) // 2 > MAX_BASIS_TERMS:
         raise ScaleExceeded(f"an axis polynomial of degree {d} needs over {MAX_BASIS_TERMS} "
                             "coefficient steps")
-    terms = (0,), (ring.one,)
-    for u, m in roots:
-        factor = ((1,), (ring.one,)) if u == ring.zero else ((0, 1), (ring.neg(u), ring.one))
-        for _ in range(m):
-            terms = _next_power(ring, terms, factor)
-    return terms
+    factors = [((1,), (ring.one,)) if u == ring.zero else ((0, 1), (ring.neg(u), ring.one))
+               for u, m in roots for _ in range(m)] or [((0,), (ring.one,))]
+    while len(factors) > 1:
+        factors = [_next_power(ring, *factors[i:i + 2]) if i + 1 < len(factors) else factors[i]
+                   for i in range(0, len(factors), 2)]
+    return factors[0]
 
 
 def _on_axis(ring: Ring, nvars: int, axis: int, terms: tuple) -> Poly:
@@ -319,15 +320,18 @@ def _next_power(ring: Ring, power: tuple, g: tuple) -> tuple:
     """The univariate product of two sparse ``(exponents, coefficients)``
     pairs (further entries of ``power`` are ignored), accumulated in a
     dense list from the sum of their lowest exponents up and pruned of
-    zeros, so a power of x^d takes d + 1 slots, not its degree."""
-    zero = ring.zero
+    zeros, so a power of x^d takes d + 1 slots, not its degree.  Elements
+    are Python ints or Fractions, so each slot sums its products as they
+    are and goes through ``ring.canon`` once."""
     low = power[0][0] + g[0][0]
-    acc = [zero] * (power[0][-1] + g[0][-1] + 1 - low)
+    acc = [0] * (power[0][-1] + g[0][-1] + 1 - low)
+    shifted = [(b - low, cb) for b, cb in zip(*g)]
     for a, ca in zip(power[0], power[1]):
-        for b, cb in zip(*g):
-            acc[a + b - low] = ring.add(acc[a + b - low], ring.mul(ca, cb))
-    exps = tuple([e + low for e, c in enumerate(acc) if c != zero])
-    return exps, tuple([acc[e - low] for e in exps])
+        for b, cb in shifted:
+            acc[a + b] += ca * cb
+    canon, zero = ring.canon, ring.zero
+    kept = [(e, c) for e, s in enumerate(acc, low) if s and (c := canon(s)) != zero]
+    return tuple([e for e, _ in kept]), tuple([c for _, c in kept])
 
 
 class PowerTable:

@@ -106,24 +106,16 @@ def grid_to_json(grid: MultisetGrid) -> dict:
     doc = {
         "ring": str(grid.ring),
         "axes": [
-            {
-                "S": [value_to_json(u) for u in axis.support],
-                "psi": {
-                    str(value_to_json(u)): m
-                    for u, m in sorted(axis.psi.items())
-                },
-            }
+            {"S": value_to_json(axis.support),
+             "psi": {str(u): m for u, m in sorted(axis.psi.items())}}
             for axis in grid.axes
         ],
     }
     if isinstance(grid, PuncturedGrid):
-        doc["E"] = [[value_to_json(u) for u in E] for E in grid.punctures]
+        doc["E"] = value_to_json(grid.punctures)
     if hasattr(grid, "B"):  # a VanishingSpec
-        doc["B"] = {
-            "(" + ",".join(str(value_to_json(v)) for v in point) + ")":
-                [list(vec) for vec in sorted(gens)]
-            for point, gens in grid.B.items()
-        }
+        doc["B"] = {"(" + ",".join(map(str, point)) + ")": [list(vec) for vec in sorted(gens)]
+                    for point, gens in grid.B.items()}
     return doc
 
 

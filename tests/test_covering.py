@@ -176,14 +176,19 @@ def test_scale_guard():
 
 def test_blocking_search_work_is_estimated_up_front():
     # the sizes below the bound 9 in GF(5)^2 need about 5.4 * 10^7
-    # hyperplane tests: refused before any search.  So are spaces of 10^12
-    # and 10^18 points, whose candidate counts stop once past the bound
-    # (C(10^12, 10^6) alone would take minutes to compute).
+    # hyperplane tests: refused before any search, and the count, which
+    # stops once past the bound, is printed as a lower bound.  So are
+    # spaces of 10^12 and 10^18 points (C(10^12, 10^6) alone would take
+    # minutes to compute).
     start = time.perf_counter()
-    with pytest.raises(ScaleExceeded, match="hyperplane tests"):
+    with pytest.raises(ScaleExceeded, match="needs over 2052150 hyperplane tests"):
         minimal_blocking_size(5, 2, 1)
-    with pytest.raises(ScaleExceeded, match="hyperplane tests"):
+    with pytest.raises(ScaleExceeded, match="needs 32447250 hyperplane tests"):
         exists_blocking_of_size(5, 2, 1, 8)
+    # no 2^31-subset of GF(2)^30 exists, but the search would list all 2^30
+    # points: it is charged one candidate and refused
+    with pytest.raises(ScaleExceeded, match="needs 2147483646 hyperplane tests"):
+        exists_blocking_of_size(2, 30, 1, 2**31)
     with pytest.raises(ScaleExceeded, match="hyperplane tests"):
         exists_blocking_of_size(1000003, 2, 1, 10**6)
     with pytest.raises(ScaleExceeded, match="hyperplane tests"):

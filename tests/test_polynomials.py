@@ -150,6 +150,25 @@ def test_root_product():
         root_product(ZZ, 2, 2, [1])
 
 
+def test_root_product_matches_the_factor_by_factor_product():
+    # the factors x - u are multiplied in pairs, round after round (an odd
+    # one out waits for the next round); each slot is reduced once at the end
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+    cases = [
+        (ZZ, range(-3, 4), None),
+        (QQ, [half, 0, third], {half: 3, 0: 1, third: 2}),
+        (Zmod(6), [2, 3, 4], {2: 2, 3: 3, 4: 1}),
+        (GF(7), range(7), None),  # x^7 - x: the middle slots reduce to zero
+    ]
+    for ring, elements, psi in cases:
+        expected = Poly.one(ring, 1)
+        for u in elements:
+            factor = Poly(ring, 1, {(1,): 1, (0,): ring.neg(ring.canon(u))})
+            expected = expected * factor ** (1 if psi is None else psi[u])
+        assert root_product(ring, 1, 0, elements, psi) == expected
+    assert root_product(GF(7), 1, 0, range(7)) == P("x1^7 - x1", GF(7))
+
+
 def test_axis_degree_is_counted_before_any_product():
     # degree d takes d (d + 1) / 2 coefficient steps: 1 413 takes 998 991 and
     # is built (x^d in linear time), 1 414 would take 1 000 405 and is refused
