@@ -2,14 +2,17 @@
 
 ``covering_audit`` checks the two hypotheses of the covering bound on a
 concrete instance (every off-puncture grid point lies on enough plane zero
-sets, and some grid point escapes the product of the planes) and then
-asserts the resulting degree inequality.  ``blocking_audit`` and the
-exhaustive search certify minimal affine blocking multisets over small
-prime fields, where the bound ``(n + t - 1)(q - 1) + 1`` is sharp.
+sets, and at some grid point the plane values multiply to nonzero) in one
+walk that evaluates each plane once per point, then asserts the resulting
+degree inequality; the product degree is read off the leading coefficients
+unless one is a zero divisor (ZZ/m), and only then is the product expanded.
+``blocking_audit`` and the exhaustive search certify minimal affine blocking
+multisets over small prime fields, where ``(n + t - 1)(q - 1) + 1`` is sharp.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
 from typing import Mapping, Sequence
@@ -19,7 +22,7 @@ from .multiset_ideals import PuncturedGrid
 from .polynomials import Poly, parse_poly
 from .rings import FieldsToJson, FrozenValue, GF
 from .serialization import _json_list, _json_object, grid_from_json, value_to_json
-from .staircase import require_int
+from .staircase import grlex_key, require_int
 
 
 def point_cover_threshold(psi_at_point: Sequence[int], t: int) -> int:
@@ -99,6 +102,14 @@ class CoverReport(FrozenValue):
 def covering_audit(inst: CoverInstance) -> CoverReport:
     """Audit both hypotheses, then assert the degree inequality.
 
+    One walk evaluates each plane once per grid point.  Off the puncture the
+    number of zero values tests coverage; the ring product of the values
+    tests escape, since evaluation is a ring homomorphism (in ZZ/m too).
+    Each test keeps its first point in grid order.  Nonzero-divisor leading
+    coefficients multiply to a nonzero leading term, so the product degree
+    is the sum of the plane degrees; only when some grlex-leading
+    coefficient is a zero divisor (ZZ/m, m composite) is the product built.
+
     If either hypothesis fails the report says so and makes no claim.
     When both hold, a violated inequality would contradict the theory and
     raises InternalInvariantError instead of being reported.
@@ -106,32 +117,35 @@ def covering_audit(inst: CoverInstance) -> CoverReport:
     pgrid = inst.pgrid
     pgrid.require_condition_d()
     ring = pgrid.ring
-    prod_poly = prod((rho for rho, _ in inst.planes), start=Poly.one(ring, pgrid.nvars))
-
-    uncovered_point = next((
-        point for point in pgrid.off_puncture_points()
-        if sum(rho.evaluate(point) == ring.zero for rho, _ in inst.planes)
-        < point_cover_threshold(pgrid.psi_at(point), inst.t)), None)
-    covered = uncovered_point is None
-    escape_point = next(pgrid.nonzero_points(prod_poly), None)
+    rhos = [rho for rho, _ in inst.planes]
+    uncovered_point = escape_point = None
+    for point in pgrid.grid_points():
+        values = [rho.evaluate(point) for rho in rhos]
+        if (uncovered_point is None and any(v not in E for v, E in zip(point, pgrid.punctures))
+                and values.count(ring.zero) < point_cover_threshold(pgrid.psi_at(point), inst.t)):
+            uncovered_point = point
+        if escape_point is None and reduce(ring.mul, values, ring.one) != ring.zero:
+            escape_point = point
+        if uncovered_point is not None and escape_point is not None:
+            break
 
     sum_degrees = sum(e for _, e in inst.planes)
-    holds = covered and escape_point is not None
+    holds = uncovered_point is None and escape_point is not None
     prod_degree = bounds = None
     if holds:
-        prod_degree = prod_poly.degree()
+        leads = (rho.terms[max(rho.terms, key=grlex_key)] for rho in rhos)
+        if any(map(ring.is_zero_divisor, leads)):
+            prod_degree = prod(rhos, start=Poly.one(ring, pgrid.nvars)).degree()
+        else:
+            prod_degree = sum(rho.degree() for rho in rhos)
         off_sums = pgrid.off_sums()
-        bounds = tuple(
-            (inst.t - 1) * off_sums[m] + sum(off_sums) for m in range(pgrid.nvars)
-        )
+        bounds = tuple((inst.t - 1) * off + sum(off_sums) for off in off_sums)
         for m, rhs in enumerate(bounds):
             if not (sum_degrees >= prod_degree >= rhs):
-                raise InternalInvariantError(
-                    f"degree inequality failed on axis {m + 1}: "
-                    f"{sum_degrees} >= {prod_degree} >= {rhs}"
-                )
-    return CoverReport(covered, uncovered_point, escape_point is not None, escape_point,
-                       sum_degrees, prod_degree, bounds,
+                raise InternalInvariantError(f"degree inequality failed on axis {m + 1}: "
+                                             f"{sum_degrees} >= {prod_degree} >= {rhs}")
+    return CoverReport(uncovered_point is None, uncovered_point, escape_point is not None,
+                       escape_point, sum_degrees, prod_degree, bounds,
                        "bound_holds" if holds else "hypotheses_unmet")
 
 
@@ -248,6 +262,8 @@ def exists_blocking_of_size(q: int, n: int, t: int, size: int) -> tuple:
     (found, example or None).  Plain subsets suffice when t = 1."""
     _require_blocking(q, n, t)
     require_int(size, 0, "size", ValueError)
+    if size == 0:  # some hyperplane exists (n, t >= 1), met 0 < t times
+        return False, None
     _check_search_work(q, n, t, [size])
     space = list(product(range(q), repeat=n))
     chooser = combinations if t == 1 else combinations_with_replacement

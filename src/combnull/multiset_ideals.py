@@ -271,12 +271,6 @@ class PuncturedGrid(MultisetGrid):
         """The punctured subgrid prod_k E_k with the grid's psi."""
         return MultisetGrid(self.ring, self.puncture_axes)
 
-    def off_puncture_points(self):
-        punct = [set(E) for E in self.punctures]
-        for point in self.grid_points():
-            if not all(v in punct[k] for k, v in enumerate(point)):
-                yield point
-
 
 # -- level ideals ---------------------------------------------------------
 
@@ -525,6 +519,10 @@ def punctured_analysis(f: Poly, pgrid: PuncturedGrid, t: int) -> PuncturedReport
     cofactor, and, whenever f is nonzero somewhere on the full grid,
     asserts and reports the degree chain
     ``deg f >= deg eta >= (t-1)*max_m offsum_m + sum_k offsum_k``.
+
+    The witness is the first grid point where f is nonzero.  A member at
+    level t >= 1 vanishes off the puncture (the constant term of its shift
+    has floor sum 0 < t), so only prod_k E_k is scanned, in the same order.
     """
     require_int(t, 1, "t", ValueError)
     if not punctured_membership(f, pgrid, t):
@@ -532,37 +530,22 @@ def punctured_analysis(f: Poly, pgrid: PuncturedGrid, t: int) -> PuncturedReport
     eta = level_normal_form(f, pgrid, t)
 
     divisor = pgrid.off_product()
-    div_family = MonicFamily.build([divisor], labels=("divisor",))
-    division = reduce(eta, div_family)
+    division = reduce(eta, MonicFamily.build([divisor], labels=("divisor",)))
     if not division.remainder.is_zero():
-        raise DivisibilityFailure(
-            "off-puncture product does not divide the normal form"
-        )
+        raise DivisibilityFailure("off-puncture product does not divide the normal form")
     cofactor = division.quotients[0]
 
-    witness = next(pgrid.nonzero_points(f), None)
+    witness = next(pgrid.puncture_grid().nonzero_points(f), None)
 
-    bound = None
-    holds = None
+    bound = holds = None
     if witness is not None:
         off_sums = pgrid.off_sums()
         bound = (t - 1) * max(off_sums) + sum(off_sums)
         holds = f.degree() >= eta.degree() >= bound
         if not holds:
-            raise InternalInvariantError(
-                f"degree chain violated: deg f = {f.degree()}, "
-                f"deg eta = {eta.degree()}, bound = {bound}"
-            )
-    return PuncturedReport(
-        eta=eta,
-        divisor=divisor,
-        cofactor=cofactor,
-        nonvanishing_point=witness,
-        degree_f=f.degree(),
-        degree_eta=eta.degree(),
-        degree_bound=bound,
-        bound_holds=holds,
-    )
+            raise InternalInvariantError(f"degree chain violated: deg f = {f.degree()}, "
+                                         f"deg eta = {eta.degree()}, bound = {bound}")
+    return PuncturedReport(eta, divisor, cofactor, witness, f.degree(), eta.degree(), bound, holds)
 
 
 # -- mixed ideals -------------------------------------------------------------

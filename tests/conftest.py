@@ -1,5 +1,6 @@
 import random
-from itertools import product
+from itertools import chain, product
+from math import prod
 
 import pytest
 
@@ -17,7 +18,7 @@ from combnull import (
     reduce,
     root_product,
 )
-from combnull import multiset_ideals
+from combnull import covering, multiset_ideals
 from combnull.polynomials import PowerTable, _power_products, random_monic, random_poly
 from combnull.staircase import maximal_elements, require_int
 
@@ -53,7 +54,9 @@ def punctured_scan(f, pgrid, t):
     ``punctured_membership``.  t, the operand and Condition (D) are checked
     in that order."""
     require_int(t, 0, "t", ValueError)
-    checks = multiset_ideals._floor_sum_checks(pgrid, pgrid.off_puncture_points(), t)
+    # the pieces cover the grid minus prod_k E_k; a point in several is checked again
+    points = chain.from_iterable(piece.grid_points() for piece in pgrid.off_pieces())
+    checks = multiset_ideals._floor_sum_checks(pgrid, points, t)
     return multiset_ideals._grid_condition(f, pgrid, checks)
 
 
@@ -64,6 +67,34 @@ def mixed_scan(f, pgrid, t):
     require_int(t, 1, "t", ValueError)
     on_puncture = multiset_ideals._floor_sum_checks(pgrid, product(*pgrid.punctures), t - 1)
     return punctured_scan(f, pgrid, t) and multiset_ideals._grid_condition(f, pgrid, on_puncture)
+
+
+def covering_audit_oracle(inst):
+    """The covering audit by its expanded plane product, the reference for
+    ``covering.covering_audit``, which walks the grid once on plane values:
+    scan the points off the puncture for one on too few plane zero sets,
+    scan the grid for a point where the product is nonzero, and read the
+    product degree off the product."""
+    pgrid, ring, t = inst.pgrid, inst.pgrid.ring, inst.t
+    pgrid.require_condition_d()
+    product_poly = prod((rho for rho, _ in inst.planes), start=Poly.one(ring, pgrid.nvars))
+    off = [point for point in pgrid.grid_points()
+           if not all(v in E for v, E in zip(point, pgrid.punctures))]
+    uncovered = next((point for point in off
+                      if sum(rho.evaluate(point) == ring.zero for rho, _ in inst.planes)
+                      < covering.point_cover_threshold(pgrid.psi_at(point), t)), None)
+    escape = next(pgrid.nonzero_points(product_poly), None)
+    sum_degrees = sum(e for _, e in inst.planes)
+    holds = uncovered is None and escape is not None
+    product_degree = bounds = None
+    if holds:
+        product_degree = product_poly.degree()
+        off_sums = pgrid.off_sums()
+        bounds = tuple((t - 1) * s + sum(off_sums) for s in off_sums)
+        assert all(sum_degrees >= product_degree >= rhs for rhs in bounds)
+    return covering.CoverReport(uncovered is None, uncovered, escape is not None, escape,
+                                sum_degrees, product_degree, bounds,
+                                "bound_holds" if holds else "hypotheses_unmet")
 
 
 def is_axis_poly(f, axis):

@@ -786,6 +786,43 @@ def test_cover_instance_json(capsys, tmp_path):
     assert payload["verdict"] == "bound_holds"
 
 
+def test_cover_instance_of_twelve_dense_planes_answers(capsys):
+    # the planes x1 + ... + x12 - c (c = 1..12) cover every point of
+    # {0,1}^12 but the origin once; their product, which the audit never
+    # expands, has 705 432 terms
+    total = " + ".join(f"x{k}" for k in range(1, 13))
+    doc = {"pgrid": {"ring": "ZZ", "S": [[0, 1]] * 12, "E": [[0]] * 12},
+           "planes": [{"poly": f"{total} - {c}"} for c in range(1, 13)], "t": 1}
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cover", "--instance", json.dumps(doc), "--format", "json")
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["verdict"] == "bound_holds"
+    assert payload["hypotheses"]["escape_point"] == [0] * 12
+    assert payload["lhs"] == {"product_degree": 12, "sum_degrees": 12}
+    assert payload["bound"] == 12
+
+
+def test_punctured_analysis_scans_only_the_puncture(capsys, tmp_path):
+    # {0..10}^6 has 1 771 561 points, over the grid-point limit, but the
+    # witness of a member is sought on E = {0..8}^6 alone; f is the
+    # off-puncture product prod_k (x_k - 9)(x_k - 10), 729 terms
+    poly = parse_poly("1", ZZ, 6)
+    for k in range(1, 7):
+        poly = poly * parse_poly(f"x{k}^2 - 19*x{k} + 90", ZZ, 6)
+    path = tmp_path / "f.txt"
+    path.write_text(format_poly(poly))
+    assert len(poly.terms) == 729
+    pgrid = json.dumps({"S": [list(range(11))] * 6, "E": [list(range(9))] * 6})
+    code, out, err = run(capsys, "punctured", "--ring", "ZZ", "--grid", pgrid, "--t", "1",
+                         "--poly", f"@{path}", "--analyze", "--format", "json")
+    assert (code, err) == (0, "")
+    analysis = json.loads(out)["analysis"]
+    assert analysis["nonvanishing_point"] == [0] * 6
+    assert (analysis["degree_bound"], analysis["bound_holds"]) == (12, True)
+
+
 def test_off_product_refusal_names_one_product(capsys):
     # the verdict answers, but the analysis expands the off-puncture product
     # (x1 - 1)...(x21 - 1), one product of 2^21 terms

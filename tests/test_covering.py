@@ -1,3 +1,4 @@
+import random
 import time
 from functools import reduce
 from itertools import product
@@ -5,6 +6,8 @@ from itertools import product
 import pytest
 
 from combnull import (
+    GF,
+    QQ,
     ZZ,
     CoverInstance,
     Inapplicable,
@@ -22,7 +25,9 @@ from combnull import (
     point_cover_threshold,
 )
 from combnull.covering import affine_hyperplanes
-from conftest import P, variable
+from combnull.polynomials import random_poly
+from combnull.staircase import grlex_key
+from conftest import P, covering_audit_oracle, variable
 
 
 def threshold_by_enumeration(psi, t):
@@ -200,6 +205,15 @@ def test_blocking_search_work_is_estimated_up_front():
     assert minimal_blocking_size(3, 2, 3)[0] == 9
 
 
+@pytest.mark.parametrize("q, n", [(2, 19), (2, 40)])
+def test_size_zero_blocking_search_answers_at_once(q, n):
+    # the empty multiset meets no hyperplane, and one exists: no space is
+    # listed, and GF(2)^40 is not refused by the up-front count
+    start = time.perf_counter()
+    assert exists_blocking_of_size(q, n, 1, 0) == (False, None)
+    assert time.perf_counter() - start < 0.05
+
+
 def test_blocking_audit_work_is_counted_up_front():
     # GF(31)^2 has 992 affine lines: 2 016 points make 1 999 872 point-line
     # tests, within MAX_SEARCH_TESTS, and 2 017 points 2 000 864, refused
@@ -260,3 +274,46 @@ def test_escape_point_is_a_product_value(planes, escape):
     assert report.escape_point == next(iter(oracle), None) == escape
     assert report.hypothesis_escape is (escape is not None)
     assert report.verdict == ("hypotheses_unmet" if escape is None else "bound_holds")
+
+
+def _outcome(audit, inst):
+    try:
+        return audit(inst)
+    except Exception as exc:  # the same refusal, by type and message
+        return type(exc), str(exc)
+
+
+def test_covering_audit_matches_the_expanded_product_oracle():
+    # seeded draws over fields, ZZ and ZZ/m with zero divisors.  Most planes
+    # vanish on a slice x_k = u off the puncture, so both hypotheses hold
+    # often enough; over ZZ/6 and ZZ/4 a leading coefficient can be a zero
+    # divisor, where the audit expands the product, whose degree can then
+    # fall below the sum.  Grids without Condition (D) are refused by both.
+    rng = random.Random(31)
+    fallback = lowered = 0
+    for draw in range(2000):
+        ring = (ZZ, QQ, GF(5), Zmod(6), Zmod(4))[draw % 5]
+        n = rng.randint(1, 3)
+        supports = [rng.sample(range(4), rng.randint(1, 2)) for _ in range(n)]
+        psis = [{u: rng.choice((1, 1, 2)) for u in S} for S in supports]
+        punctures = [rng.sample(S, rng.randint(0, len(S))) for S in supports]
+        pgrid = PuncturedGrid.build(MultisetGrid.build(ring, supports, psis), punctures)
+        planes = []
+        for _ in range(rng.randint(0, 5)):
+            rho = random_poly(rng, ring, n, max_deg=1, max_terms=3)
+            if rng.random() < 0.8:
+                k = rng.randrange(n)
+                u = rng.choice([v for v in supports[k] if v not in punctures[k]] or supports[k])
+                rho = (variable(ring, n, k) - Poly.constant(ring, n, u)) * rho
+            if not rho.is_zero():
+                planes.append((rho, rho.degree()))
+        inst = CoverInstance.build(pgrid, planes, rng.randint(1, 2))
+        report = _outcome(covering_audit, inst)
+        assert report == _outcome(covering_audit_oracle, inst), (ring, inst)
+        if getattr(report, "verdict", None) == "bound_holds" and any(
+                ring.is_zero_divisor(rho.terms[max(rho.terms, key=grlex_key)])
+                for rho, _ in planes):
+            fallback += 1
+            lowered += report.product_degree < report.sum_degrees
+    assert fallback >= 1
+    assert lowered >= 1
