@@ -5,7 +5,8 @@ concrete instance (every off-puncture grid point lies on enough plane zero
 sets, and at some grid point the plane values multiply to nonzero) in one
 walk that evaluates each plane once per point, then asserts the resulting
 degree inequality; the product degree is read off the leading coefficients
-unless one is a zero divisor (ZZ/m), and only then is the product expanded.
+unless one is a zero divisor (ZZ/m), and only then is the product expanded,
+its term products counted against the term limit as it goes.
 ``blocking_audit`` and the exhaustive search certify minimal affine blocking
 multisets over small prime fields, where ``(n + t - 1)(q - 1) + 1`` is sharp.
 """
@@ -14,9 +15,10 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, prod
+from math import comb
 from typing import Mapping, Sequence
 
+from . import polynomials
 from .errors import InternalInvariantError, NonPositiveMultiplicity, ParseError, ScaleExceeded
 from .multiset_ideals import PuncturedGrid
 from .polynomials import Poly, parse_poly
@@ -108,7 +110,10 @@ def covering_audit(inst: CoverInstance) -> CoverReport:
     Each test keeps its first point in grid order.  Nonzero-divisor leading
     coefficients multiply to a nonzero leading term, so the product degree
     is the sum of the plane degrees; only when some grlex-leading
-    coefficient is a zero divisor (ZZ/m, m composite) is the product built.
+    coefficient is a zero divisor (ZZ/m, m composite) is the product built,
+    one plane at a time: before each product its |partial| |rho_i| term
+    products join a running count, and past the term limit
+    ``polynomials.MAX_BASIS_TERMS`` the audit raises ``ScaleExceeded``.
 
     If either hypothesis fails the report says so and makes no claim.
     When both hold, a violated inequality would contradict the theory and
@@ -135,7 +140,14 @@ def covering_audit(inst: CoverInstance) -> CoverReport:
     if holds:
         leads = (rho.terms[max(rho.terms, key=grlex_key)] for rho in rhos)
         if any(map(ring.is_zero_divisor, leads)):
-            prod_degree = prod(rhos, start=Poly.one(ring, pgrid.nvars)).degree()
+            partial, work, limit = Poly.one(ring, pgrid.nvars), 0, polynomials.MAX_BASIS_TERMS
+            for rho in rhos:
+                work += len(partial.terms) * len(rho.terms)
+                if work > limit:
+                    raise ScaleExceeded(
+                        f"the product of {len(rhos)} planes needs over {limit} term products")
+                partial = partial * rho
+            prod_degree = partial.degree()
         else:
             prod_degree = sum(rho.degree() for rho in rhos)
         off_sums = pgrid.off_sums()

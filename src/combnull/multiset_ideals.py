@@ -34,6 +34,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 from weakref import WeakValueDictionary
 
+from . import polynomials, staircase
 from .errors import (
     ArityMismatch,
     DivisibilityFailure,
@@ -45,7 +46,6 @@ from .errors import (
     ScaleExceeded,
 )
 from .polynomials import (
-    MAX_BASIS_TERMS,
     Poly,
     PowerTable,
     _on_axis,
@@ -58,12 +58,6 @@ from .polynomials import (
 from .reduction import MonicFamily, ReductionOutcome, decompose_member, reduce
 from .rings import Element, FieldsToJson, FrozenValue, Ring
 from .staircase import compositions, require_int
-
-# Grid points one scan may visit.  On a 2 vCPU Xeon, membership of
-# x1^2 - x1 in I_1 of {0, 1}^19 (2^19 Taylor shifts) takes ~18 s, of
-# (x1 - 0)...(x1 - 9) in I_1 of {0, ..., 9}^6 (10^6 points) ~111 s, and a
-# 10^6-point alon-furedi count ~2.4 s; 2^20 points are refused.
-MAX_GRID_POINTS = 10**6
 
 
 # Every live ``Axis``, by ring, support and multiplicities.  The ring is part
@@ -186,11 +180,11 @@ class MultisetGrid(FrozenValue):
 
     def grid_points(self):
         """Grid points in lexicographic order of canonical element values,
-        counted before any is listed: more than ``MAX_GRID_POINTS`` of them
-        is ``ScaleExceeded``."""
-        count = prod(len(axis.support) for axis in self.axes)
-        if count > MAX_GRID_POINTS:
-            raise ScaleExceeded(f"{count} grid points exceed the limit of {MAX_GRID_POINTS}")
+        counted before any is listed: more than ``staircase.MAX_GRID_POINTS``
+        of them is ``ScaleExceeded``."""
+        count, limit = prod(len(axis.support) for axis in self.axes), staircase.MAX_GRID_POINTS
+        if count > limit:
+            raise ScaleExceeded(f"{count} grid points exceed the limit of {limit}")
         return product(*(axis.support for axis in self.axes))
 
     def nonzero_points(self, f: Poly):
@@ -283,11 +277,11 @@ MAX_CACHED_LISTING = 4096
 def _exponent_vectors(t: int, n: int) -> tuple:
     """``compositions(t, n)`` as a tuple, counted on every call before any is
     listed: every member they label holds a term, so more than
-    ``MAX_BASIS_TERMS`` of them is ``ScaleExceeded``.  Listings of at most
-    ``MAX_CACHED_LISTING`` vectors are shared between calls."""
-    count = comb(t + n - 1, n - 1)
-    if count > MAX_BASIS_TERMS:
-        raise ScaleExceeded(f"{count} power products need over {MAX_BASIS_TERMS} terms")
+    ``polynomials.MAX_BASIS_TERMS`` of them is ``ScaleExceeded``.  Listings
+    of at most ``MAX_CACHED_LISTING`` vectors are shared between calls."""
+    count, limit = comb(t + n - 1, n - 1), polynomials.MAX_BASIS_TERMS
+    if count > limit:
+        raise ScaleExceeded(f"{count} power products need over {limit} terms")
     if count > MAX_CACHED_LISTING:
         return tuple(compositions(t, n))
     return _small_listing(t, n)
@@ -351,16 +345,6 @@ def level_membership(f: Poly, grid: MultisetGrid, t: int) -> bool:
     return _grid_condition(f, grid, _floor_sum_checks(grid, grid.grid_points(), t))
 
 
-# Terms one level normal form may work through.  Up front, each axis counts
-# (top_k - t d_k + 1)^+ (|g_k| - 1), top_k the greatest gamma_k in f: what a
-# term with that gamma_k subtracts on its way below t d_k if g_k has no gaps
-# (terms differing only there meet on the way).  As it goes, a member counts
-# its powers' running counts, kept or not, and a step the terms it subtracts.
-# On a 2 vCPU Xeon, x1^499000 at level 1 on {0, 1} over GF(5) takes ~1.2 s,
-# x1^300000 on {0, 1, 2} over ZZ ~7 s, and x1^(10^9) there is refused at once.
-MAX_NORMAL_FORM_TERMS = 1_000_000
-
-
 def _member_tail(ring: Ring, powers: list) -> list:
     """The terms of ``powers``' product but its lead (``_product_terms``
     without its last term), as ``(exponent, total degree, coefficient)``."""
@@ -388,7 +372,7 @@ def level_normal_form(f: Poly, grid: MultisetGrid, t: int) -> Poly:
     below gamma componentwise, so in a lower total degree: terms of one
     degree never meet.  Level 0 and an axis of degree 0 (g_k = 1) make I_t
     the whole ring.  ``ScaleExceeded`` is raised before the work passes
-    ``MAX_NORMAL_FORM_TERMS``, up front or as it goes.
+    ``polynomials.MAX_BASIS_TERMS``, up front or as it goes.
     """
     require_int(t, 0, "t", ValueError)
     ring, n = grid.ring, grid.nvars
@@ -397,10 +381,18 @@ def level_normal_form(f: Poly, grid: MultisetGrid, t: int) -> Poly:
     degs = [g[0][-1] for g in gs]
     if t == 0 or not f.terms or 0 in degs:
         return _raw(ring, n, {})
-    refusal = f"the level-{t} normal form needs over {MAX_NORMAL_FORM_TERMS} terms"
-    # a term left to the remainder has every gamma_k below t d_k, so counts 0
+    # Up front, each axis counts (top_k - t d_k + 1)^+ (|g_k| - 1), top_k the
+    # greatest gamma_k in f: what a term with that gamma_k subtracts on its way
+    # below t d_k if g_k has no gaps (terms differing only there meet on the
+    # way; a term left to the remainder counts 0).  As it goes, a member counts
+    # its powers' running counts, kept or not, and a step the terms it
+    # subtracts.  On a 2 vCPU Xeon, x1^499000 at level 1 on {0, 1} over GF(5)
+    # takes ~1.2 s, x1^300000 on {0, 1, 2} over ZZ ~7 s, and x1^(10^9) there
+    # is refused at once.
+    limit = polynomials.MAX_BASIS_TERMS
+    refusal = f"the level-{t} normal form needs over {limit} terms"
     if sum(max(top - t * d + 1, 0) * (len(g[0]) - 1)
-           for top, d, g in zip(map(max, zip(*f.terms)), degs, gs)) > MAX_NORMAL_FORM_TERMS:
+           for top, d, g in zip(map(max, zip(*f.terms)), degs, gs)) > limit:
         raise ScaleExceeded(refusal)
     tables = [axis.powers for axis in grid.axes]
     rows = [table.powers for table in tables]
@@ -412,13 +404,13 @@ def level_normal_form(f: Poly, grid: MultisetGrid, t: int) -> Poly:
         nonlocal work
         for k, e in enumerate(a):
             if e >= len(rows[k]):
-                rows[k] = tables[k].upto(e, MAX_NORMAL_FORM_TERMS - work + used[k], rows[k])
+                rows[k] = tables[k].upto(e, limit - work + used[k], rows[k])
                 if rows[k] is None:
                     raise ScaleExceeded(refusal)
             work += max(rows[k][e][2] - used[k], 0)
             used[k] = max(rows[k][e][2], used[k])
         powers = [row[e] for row, e in zip(rows, a)]
-        if work + prod(len(power[0]) for power in powers) > MAX_NORMAL_FORM_TERMS:
+        if work + prod(len(power[0]) for power in powers) > limit:
             raise ScaleExceeded(refusal)
         return _member_tail(ring, powers)
 
@@ -443,7 +435,7 @@ def level_normal_form(f: Poly, grid: MultisetGrid, t: int) -> Poly:
             if tail is None:
                 tail = tails[a] = tail_of(a)
             work += len(tail)
-            if work > MAX_NORMAL_FORM_TERMS:
+            if work > limit:
                 raise ScaleExceeded(refusal)
             shift = [e - d * q for e, d, q in zip(gamma, degs, a)]
             low = sum(shift)
@@ -468,11 +460,11 @@ def level_certificate(f: Poly, grid: MultisetGrid, t: int) -> ReductionOutcome:
     is then decided by ``level_normal_form``, so no grid point is visited,
     and a member is divided over ``level_basis``.  A nonzero remainder
     there means the normal form and the full division disagree, and is
-    raised as ``NonzeroRemainder``.  The normal form's
-    ``MAX_NORMAL_FORM_TERMS`` and the basis's ``MAX_BASIS_TERMS`` bound the
-    work.  Also records that every maximal support point of f dominates the
-    leading exponent of some basis member, the leading-cover consequence of
-    membership.
+    raised as ``NonzeroRemainder``.  The term limit
+    ``polynomials.MAX_BASIS_TERMS`` bounds the normal form's work and the
+    basis's.  Also records that every maximal support point of f dominates
+    the leading exponent of some basis member, the leading-cover consequence
+    of membership.
     """
     require_int(t, 0, "t", ValueError)
     f.require_on(grid.ring, grid.nvars)

@@ -300,12 +300,14 @@ def root_product(
     return _on_axis(ring, nvars, axis, _root_terms(ring, elements, psi))
 
 
-# Terms a power-product family may hold, counted before any product is
-# built: the products' terms and the running counts of the powers they use,
-# which do not depend on which powers a ``PowerTable`` kept from earlier
-# calls.  Level 38 on {0,1}^3 holds 962 598 and takes about 0.7 s and
-# 140 MB to build; level 60 would hold 8 259 888.  No benchmark or test
-# basis holds more than 819.
+# The one term limit: every count of terms, coefficient steps, term products
+# or packed key fields is refused above it, each module reading it here, so
+# one assignment moves it everywhere.  A power-product family counts, before
+# any product is built, the products' terms and the running counts of the
+# powers they use, which do not depend on which powers a ``PowerTable`` kept
+# from earlier calls.  Level 38 on {0,1}^3 holds 962 598 and takes about
+# 0.7 s and 140 MB to build; level 60 would hold 8 259 888.  No benchmark or
+# test basis holds more than 819.
 MAX_BASIS_TERMS = 1_000_000
 
 # Terms of the powers g^2, g^3, ... plus entries that one ``PowerTable``

@@ -20,6 +20,9 @@ order is the graded-lexicographic order (Monagan & Pearce, *Sparse
 polynomial division using a heap*, JSC 2011).  ``reduce`` packs f and the
 members it can reach, runs that loop and unpacks to the tuple keys every
 ``Poly`` carries; ``s_polynomial`` packs, builds the S-pair and unpacks.
+A packing counts its n (n + 1) key fields against the term limit first, so
+``reduce``, ``s_polynomial`` and ``buchberger_certifies`` refuse more than
+999 variables with ``ScaleExceeded``.
 
 ``decompose_member`` is the one path from a decided membership to its
 zero-remainder decomposition; the level, mixed and vanishing-ideal
@@ -122,10 +125,12 @@ from itertools import combinations
 from operator import add, mul
 from typing import Hashable, Sequence
 
+from . import polynomials
 from .errors import (
     InternalInvariantError,
     NonzeroRemainder,
     NotMonic,
+    ScaleExceeded,
     UncertifiedBasis,
     ZeroPolynomial,
 )
@@ -179,6 +184,12 @@ class MonicFamily(FrozenValue):
 
     def __iter__(self):
         return iter(zip(self.labels, self.members, self.witnesses))
+
+    def replace(self, **changes) -> "MonicFamily":
+        """A copy with ``changes`` to ``members``, ``labels`` or ``certified``,
+        built by ``__init__``, which derives the witnesses again."""
+        fields = {"members": self.members, "labels": self.labels, "certified": self.certified}
+        return MonicFamily(**fields | changes)
 
     @property
     def ring(self):
@@ -274,19 +285,25 @@ def _packing(corner: ExpVec):
     stays under the corner never carries, and ``b <= p`` componentwise
     exactly when ``(p - b) & guards == 0``.  Returns ``pack``, ``unpack``
     (packed terms back to a ``Poly``) and ``guards``.
+
+    The n weights hold n + 1 fields each; more than
+    ``polynomials.MAX_BASIS_TERMS`` fields in all is ``ScaleExceeded``.
     """
+    n, limit = len(corner), polynomials.MAX_BASIS_TERMS
+    if n * (n + 1) > limit:
+        raise ScaleExceeded(f"packed keys in {n} variables need over {limit} fields")
     width = max(corner).bit_length() + 1
     mask = (1 << width) - 1
-    offsets = range(width * (len(corner) - 1), -1, -width)
+    offsets = range(width * (n - 1), -1, -width)
     guards = sum(1 << (s + width - 1) for s in offsets)
     # x_k contributes 1 to the total degree field and 1 to its own.
-    weights = [(1 << width * len(corner)) + (1 << s) for s in offsets]
+    weights = [(1 << width * n) + (1 << s) for s in offsets]
 
     def pack(alpha: ExpVec) -> int:
         return sum(map(mul, alpha, weights))
 
     def unpack(ring, terms: dict) -> Poly:
-        return _raw(ring, len(corner), {
+        return _raw(ring, n, {
             tuple(k >> s & mask for s in offsets): c for k, c in terms.items()
         })
 

@@ -115,15 +115,10 @@ class FrozenValue:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def replace(self, **changes):
-        """A copy with ``changes``, built by ``__init__``, so every check runs
-        again; a class on this ``__init__`` takes its ``_fields``, any other
-        its ``__init__`` parameters."""
-        init = type(self).__init__
-        names = self._fields
-        if init is not FrozenValue.__init__:
-            code = init.__code__
-            names = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
-        return type(self)(**{name: getattr(self, name) for name in names} | changes)
+        """A copy with ``changes``, built by ``__init__`` from the ``_fields``,
+        so every check runs again.  A class whose ``__init__`` takes other
+        parameters overrides this."""
+        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
 
 
 class FieldsToJson:

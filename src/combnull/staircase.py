@@ -82,10 +82,14 @@ def _axis_bounds(gens: Sequence[ExpVec], nvars: int) -> list:
     return bounds
 
 
-# Box points one complement scan may visit.  On a 2 vCPU Xeon the box of
-# {(1000, 0), (0, 1000)} (10^6 points) takes ~4 s and ~90 MB; no test, demo
-# or benchmark input scans more than 486.
-MAX_COMPLEMENT_BOX = 10**6
+# The one point limit: the grid points one scan (``MultisetGrid.grid_points``)
+# and the box points one complement scan may visit.  On a 2 vCPU Xeon,
+# membership of x1^2 - x1 in I_1 of {0, 1}^19 (2^19 Taylor shifts) takes
+# ~18 s, of (x1 - 0)...(x1 - 9) in I_1 of {0, ..., 9}^6 (10^6 points) ~111 s,
+# a 10^6-point alon-furedi count ~2.4 s, and the complement of
+# {(1000, 0), (0, 1000)} (10^6 box points) ~4 s and ~90 MB; 2^20 points are
+# refused.  No test, demo or benchmark complement scans more than 486.
+MAX_GRID_POINTS = 10**6
 
 
 def complement(generators: Iterable[ExpVec], nvars: int) -> set:
@@ -93,13 +97,13 @@ def complement(generators: Iterable[ExpVec], nvars: int) -> set:
 
     Raises InfiniteComplement when the finiteness criterion fails, and
     ScaleExceeded when the box to scan holds more than
-    ``MAX_COMPLEMENT_BOX`` points, counted before any is listed.
+    ``MAX_GRID_POINTS`` points, counted before any is listed.
     """
     gens = list(set(generators))
     bounds = _axis_bounds(gens, nvars)
     count = prod(bounds)
-    if count > MAX_COMPLEMENT_BOX:
-        raise ScaleExceeded(f"{count} box points exceed the limit of {MAX_COMPLEMENT_BOX}")
+    if count > MAX_GRID_POINTS:
+        raise ScaleExceeded(f"{count} box points exceed the limit of {MAX_GRID_POINTS}")
     return {
         beta
         for beta in product(*(range(b) for b in bounds))

@@ -1282,3 +1282,22 @@ def test_verdicts_agree_between_formats(capsys):
         assert code_t == code_j
         assert (out_t.strip() == "true") == expected
         assert json.loads(out_j)["member"] == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "--ring", "ZZ", "--poly", "x100000", "--basis", "x1"),
+    ("groebner-check", "--ring", "ZZ", "--basis", "x1*x100000", "--basis", "x1"),
+], ids=["reduce", "groebner_check"])
+def test_packing_many_variables_is_refused_at_once(capsys, argv):
+    # 10^5 packed weights of 10^5 + 1 fields each took 2.5 GB before the count
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == "error: packed keys in 100000 variables need over 1000000 fields\n"
+
+
+def test_mixed_needs_a_poly_or_min_extra_degree(capsys):
+    argv = ("mixed", "--ring", "ZZ", "--grid", "{S:[[0,1]],E:[[0]]}", "--t", "1")
+    assert run(capsys, *argv) == (
+        3, "", "usage error: mixed needs --poly unless --min-extra-degree is given\n")

@@ -24,6 +24,7 @@ from combnull import (
     minimal_blocking_size,
     point_cover_threshold,
 )
+from combnull import polynomials
 from combnull.covering import affine_hyperplanes
 from combnull.polynomials import random_poly
 from combnull.staircase import grlex_key
@@ -317,3 +318,41 @@ def test_covering_audit_matches_the_expanded_product_oracle():
             lowered += report.product_degree < report.sum_degrees
     assert fallback >= 1
     assert lowered >= 1
+
+
+def _zmod6_planes(k: int) -> CoverInstance:
+    """k planes 2*x1 + x2 + ... + xk - c over ZZ/6 on {0}^k with E = S and
+    t = 1, c = 1, 5, 7, 11, ...: each -c is a unit, so the planes escape at
+    the origin, and no point lies off the puncture.  2 is a zero divisor
+    mod 6, so the audit expands the product."""
+    ring = Zmod(6)
+    pgrid = PuncturedGrid.build(MultisetGrid.build(ring, [[0]] * k), [[0]] * k)
+    body = " + ".join(["2*x1"] + [f"x{i}" for i in range(2, k + 1)])
+    constants = [c for c in range(1, 48) if c % 6 in (1, 5)][:k]
+    return CoverInstance.build(pgrid, [(P(f"{body} - {c}", ring, k), 1) for c in constants], 1)
+
+
+def test_zmod_plane_product_counts_exactly_its_term_products(monkeypatch):
+    # 3 planes of 4 terms: 1 * 4 + 4 * 4, then |rho_1 rho_2| * 4 products
+    inst = _zmod6_planes(3)
+    rhos = [rho for rho, _ in inst.planes]
+    work = 4 + 16 + len((rhos[0] * rhos[1]).terms) * 4
+    monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", work)
+    assert covering_audit(inst).product_degree == 3
+    monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", work - 1)
+    with pytest.raises(ScaleExceeded, match=f"^the product of 3 planes needs over {work - 1} "
+                                            "term products$"):
+        covering_audit(inst)
+
+
+def test_zmod_plane_product_is_refused_past_the_term_limit():
+    # 13 planes make 663 474 term products and answer; 16 would make
+    # 4 983 822 (18.6 s uncounted), and the count trips before the 14th
+    report = covering_audit(_zmod6_planes(13))
+    assert (report.verdict, report.product_degree) == ("bound_holds", 13)
+    assert report.escape_point == (0,) * 13
+    start = time.perf_counter()
+    with pytest.raises(ScaleExceeded,
+                       match="^the product of 16 planes needs over 1000000 term products$"):
+        covering_audit(_zmod6_planes(16))
+    assert time.perf_counter() - start < 5

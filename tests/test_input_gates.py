@@ -14,6 +14,7 @@ from combnull import (
     ZZ,
     ArityMismatch,
     CoverInstance,
+    GammaExceedsAlpha,
     Inapplicable,
     MonicFamily,
     MultiplicityTable,
@@ -22,12 +23,17 @@ from combnull import (
     ParseError,
     Poly,
     PuncturedGrid,
+    Ring,
     RingMismatch,
+    ScaleExceeded,
+    UncertifiedBasis,
     UnsupportedField,
     VanishingSpec,
     Zmod,
     affine_blocking_bound,
     blocking_audit,
+    buchberger_certifies,
+    complement,
     covering_audit,
     exists_blocking_of_size,
     in_vanishing_ideal,
@@ -40,15 +46,20 @@ from combnull import (
     mixed_basis,
     mixed_certificate,
     mixed_membership,
+    multiplicity_family,
     nonzero_bound,
+    parse_expvec,
     point_cover_threshold,
     punctured_analysis,
     punctured_membership,
     punctured_staircase_count,
     reduce,
     root_product,
+    s_polynomial,
     staircase_count,
+    taylor_shift,
 )
+from combnull import polynomials, staircase
 from combnull.covering import instance_from_json
 from combnull.serialization import certificate_to_json, grid_from_json, verify_certificate_json
 from conftest import P, monic_power_product
@@ -140,6 +151,8 @@ OPERAND_ENTRY_POINTS = {
         lambda: MonicFamily.build([X1]).replace(members=(X1, F5), labels=(0, 1)),
         RingMismatch),
     "poly_mul": (lambda: X1 * F5, RingMismatch),
+    "poly_short_exponent": (lambda: Poly(ZZ, 2, {(1,): 1}), ArityMismatch),
+    "taylor_shift_long_point": (lambda: taylor_shift(X1, (0, 0)), ArityMismatch),
     # one per-axis list entry per axis, counted before any zip or index
     "multiset_grid_short_psis": (
         lambda: MultisetGrid.build(ZZ, [[0, 1], [0, 1]], [UNIT_PSI]), ArityMismatch),
@@ -326,3 +339,102 @@ def test_poly_exponent_gate(bad):
                else f"exponent in (1, {value!r}) must be an integer >= 0, got {value!r}")
     with pytest.raises(ValueError, match=re.escape(message)):
         Poly(ZZ, 2, {(1, value): 1})
+
+
+# Every other malformed value: entry point -> (call, error, message).
+OTHER_ENTRY_POINTS = {
+    "Poly_negative_power": (lambda: X1 ** -1, ValueError, "negative power"),
+    "Ring_modulus_of_ZZ": (lambda: Ring("ZZ", 5), ValueError, "ZZ takes no modulus"),
+    "Ring_unknown_kind": (lambda: Ring("RR"), ValueError, "unknown ring kind 'RR'"),
+    "Ring_negative_power": (lambda: ZZ.pow(2, -1), ValueError, "negative exponent"),
+    "MonicFamily_label_count": (
+        lambda: MonicFamily((X1,), (0, 1)), ValueError, "one label per member required"),
+    # S(x1*x2 + x1, x2^2) = x1*x2 leaves the remainder -x1
+    "MonicFamily_certify": (
+        lambda: MonicFamily.build([X1X2 + P("x1", nvars=2), P("x2^2")]).certify(),
+        UncertifiedBasis, "Buchberger test inconclusive for this family"),
+    "punctured_staircase_count_lengths": (
+        lambda: punctured_staircase_count((1, 2), (1,), 1), GammaExceedsAlpha,
+        "alpha and gamma must share a length"),
+    "parse_expvec_empty": (lambda: parse_expvec("()"), ValueError, "empty exponent vector"),
+    "parse_expvec_entry": (
+        lambda: parse_expvec("(1,a)"), ValueError, "bad exponent vector '(1,a)'"),
+    "multiplicity_family_arity": (
+        lambda: multiplicity_family(ZZ, [[0, 1]], MultiplicityTable(2, ("a",))), ValueError,
+        "table arity disagrees with the axis count"),
+    "nonzero_bound_beta_length": (
+        lambda: nonzero_bound(X1, [[0, 1]], (1, 0)), ValueError, "beta of length 2 in 1 variables"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OTHER_ENTRY_POINTS))
+def test_other_gates(entry):
+    call, error, message = OTHER_ENTRY_POINTS[entry]
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+# Refusals at the default limits that a level normal form reaches as it
+# goes, past its up-front count: entry point -> (call, message).
+CUBE3 = MultisetGrid.build(ZZ, [[0, 1]] * 3)
+SCALE_ENTRY_POINTS = {
+    # g = x^2 - x: the member g^2000 needs powers whose running count passes 10^6
+    "level_normal_form_powers": (
+        lambda: level_normal_form(P("x1^4000"), GRID, 2000),
+        "the level-2000 normal form needs over 1000000 terms"),
+    # the member g1^100 g2^100 g3^100 has 101^3 terms
+    "level_normal_form_member": (
+        lambda: level_normal_form(P("x1^200*x2^200*x3^200"), CUBE3, 300),
+        "the level-300 normal form needs over 1000000 terms"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SCALE_ENTRY_POINTS))
+def test_scale_gate(entry):
+    call, message = SCALE_ENTRY_POINTS[entry]
+    with pytest.raises(ScaleExceeded, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# The one term limit, polynomials.MAX_BASIS_TERMS, and the one point limit,
+# staircase.MAX_GRID_POINTS, are read where they are defined by every reader,
+# so one assignment of each reaches them all.  Each call answers at the
+# default limits: unit -> (module, name, small limit, {reader: call}).
+PGRID2 = PuncturedGrid.build(GRID2, [[0], [0]])
+ORIGIN6 = PuncturedGrid.build(MultisetGrid.build(R6, [[0]] * 2), [[0]] * 2)
+# 2*x1's leading coefficient is a zero divisor in ZZ/6, so the audit expands
+# the product: 1 * 3 + 3 * 3 term products
+PLANES6 = [(P(f"2*x1 + x2 - {c}", R6), 1) for c in (1, 5)]
+LIMITS = {
+    "terms": (polynomials, "MAX_BASIS_TERMS", 5, {
+        "root_product": lambda: root_product(ZZ, 1, 0, [0, 1, 2]),
+        "level_basis": lambda: level_basis(GRID2, 2),
+        "mixed_basis": lambda: mixed_basis(PGRID2, 2),
+        "level_normal_form": lambda: level_normal_form(P("x1^20"), GRID, 1),
+        # two variables pack 2 * 3 fields
+        "reduce": lambda: reduce(X1X2, MonicFamily.build([P("x1", nvars=2)])),
+        "s_polynomial": lambda: s_polynomial(X1X2, P("x1^2", nvars=2)),
+        # an inconclusive sweep keeps no plan, so every call packs afresh
+        "buchberger_certifies": lambda: buchberger_certifies(
+            MonicFamily.build([X1X2 + P("x1", nvars=2), P("x2^2")])),
+        "covering_audit_plane_product": lambda: covering_audit(
+            CoverInstance.build(ORIGIN6, PLANES6, 1)),
+    }),
+    "points": (staircase, "MAX_GRID_POINTS", 3, {
+        "grid_points": lambda: list(GRID2.grid_points()),
+        "level_membership": lambda: level_membership(X1X2, GRID2, 1),
+        "nonzero_bound": lambda: nonzero_bound(X1X2, [[0, 1], [0, 1]], (1, 1)),
+        "covering_audit": lambda: covering_audit(CoverInstance.build(PGRID2, [], 1)),
+        "complement": lambda: complement({(2, 0), (0, 2)}, 2),
+    }),
+}
+
+
+@pytest.mark.parametrize("unit, entry", [
+    (unit, entry) for unit, (*_, readers) in sorted(LIMITS.items()) for entry in sorted(readers)])
+def test_one_assignment_reaches_every_reader(monkeypatch, unit, entry):
+    module, name, small, readers = LIMITS[unit]
+    readers[entry]()
+    monkeypatch.setattr(module, name, small)
+    with pytest.raises(ScaleExceeded, match=f"(over|the limit of) {small}( |$)"):
+        readers[entry]()

@@ -46,8 +46,7 @@ from combnull import (
     root_product,
     taylor_shift,
 )
-from combnull import multiset_ideals, polynomials
-from combnull.multiset_ideals import MAX_GRID_POINTS
+from combnull import multiset_ideals, polynomials, staircase
 from combnull.staircase import compositions
 from conftest import (
     P,
@@ -166,7 +165,7 @@ def test_scale_refusal_ignores_earlier_builds(monkeypatch):
     # a cached exponent listing is counted again on every call
     cube3 = cube(n=3)
     assert len(level_basis(cube3, 2)) == 6
-    monkeypatch.setattr(multiset_ideals, "MAX_BASIS_TERMS", 5)
+    monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 5)
     with pytest.raises(ScaleExceeded, match="^6 power products"):
         level_basis(cube3, 2)
     # the axis keeps the powers of g it built, but the second build of one
@@ -241,14 +240,14 @@ def test_scale_refusal_ignores_kept_powers(monkeypatch):
     inputs = [(n, t, None) for n in (1, 2, 3) for t in range(2, 7)]
     # g = x^3 - 3x^2 + 2x: x1^300 at level 1 counts (300 - 3 + 1) * 2 = 596
     # terms up front, so no member is built; f at levels 1 and 2 takes at
-    # most 410 terms, and at levels 3 and 5 it is refused as it divides
+    # most 410 terms, and at levels 3 and 5 it is refused as it divides.
+    # The one term limit is 40 for a basis and 420 for a normal form.
     inputs += [(2, 1, P("x1^300", ring, nvars=2))] + [(2, t, f) for t in (1, 2, 3, 5)]
-    monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 40)
-    monkeypatch.setattr(multiset_ideals, "MAX_NORMAL_FORM_TERMS", 420)
     leads = _counting_member_builds(monkeypatch)
 
     def outcome(grid, t, f):  # and the number of members built
         del leads[:]
+        monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 40 if f is None else 420)
         return _built_or_refused(grid, t, f), len(leads)
 
     fresh = _fresh_axis_outcomes(ring, support, inputs, outcome)
@@ -907,7 +906,7 @@ def test_partial_specialization_divisibility():
 def test_grid_points_are_counted_up_front():
     # 10^6 points pass, one axis value more does not; nothing is listed first
     at_limit = MultisetGrid.build(ZZ, [range(10)] * 6)
-    assert MAX_GRID_POINTS == 10**6
+    assert staircase.MAX_GRID_POINTS == 10**6
     assert next(at_limit.grid_points()) == (0,) * 6
     over = MultisetGrid.build(ZZ, [range(10)] * 5 + [range(11)])
     for scan in (over.grid_points, lambda: over.nonzero_points(P("x1", nvars=6))):

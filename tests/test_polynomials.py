@@ -319,3 +319,13 @@ def test_negation_negates_every_coefficient(ring):
     assert -f == parse_poly("-3*x1^2*x2 + x2 - 2", ring, 2)
     assert -f + f == Poly(ring, 2) and -(-f) == f
     assert -Poly(ring, 2) == Poly(ring, 2)
+
+
+def test_a_poly_equals_only_polys():
+    assert (P("x1") == 1) is False
+    assert P("1") != 1
+
+
+def test_parse_cancels_to_zero():
+    assert parse_poly("x1 - x1", ZZ, 1).is_zero()
+    assert parse_poly("2*x1*x2 - x2*x1 - x1*x2", Zmod(6), 2) == Poly.zero(Zmod(6), 2)

@@ -8,6 +8,7 @@ from combnull import (
     NonzeroRemainder,
     NotMonic,
     Poly,
+    ScaleExceeded,
     UncertifiedBasis,
     ZeroPolynomial,
     Zmod,
@@ -197,3 +198,15 @@ def test_certify_returns_new_family():
     certified = G.certify()
     assert certified.certified and not G.certified
     assert certified.members == G.members
+
+
+def test_packing_counts_its_key_fields():
+    # n weights of n + 1 fields: 999 variables make 999 000 and pack,
+    # 1 000 make 1 001 000 and are refused before any weight is built
+    family = MonicFamily.build([P("x1", nvars=999)])
+    assert reduce(P("x1*x999"), family).quotients == (P("x999"),)
+    refusal = "^packed keys in 1000 variables need over 1000000 fields$"
+    with pytest.raises(ScaleExceeded, match=refusal):
+        reduce(P("x1*x1000"), MonicFamily.build([P("x1", nvars=1000)]))
+    with pytest.raises(ScaleExceeded, match=refusal):
+        s_polynomial(P("x1*x1000"), P("x1", nvars=1000))

@@ -102,9 +102,9 @@ def test_complement_counts_its_box_up_front(monkeypatch):
     with pytest.raises(ScaleExceeded, match="1000000000000 box points exceed the limit of 1000000"):
         complement(wide, 3)
     # the box is counted, not the complement: {(3, 0), (0, 2), (1, 1)} boxes 6
-    monkeypatch.setattr(staircase, "MAX_COMPLEMENT_BOX", 6)
+    monkeypatch.setattr(staircase, "MAX_GRID_POINTS", 6)
     assert complement({(3, 0), (0, 2), (1, 1)}, 2) == {(0, 0), (1, 0), (2, 0), (0, 1)}
-    monkeypatch.setattr(staircase, "MAX_COMPLEMENT_BOX", 5)
+    monkeypatch.setattr(staircase, "MAX_GRID_POINTS", 5)
     with pytest.raises(ScaleExceeded, match="6 box points"):
         complement({(3, 0), (0, 2), (1, 1)}, 2)
 
@@ -197,3 +197,9 @@ def test_expvec_text():
         parse_expvec("2,3")
     with pytest.raises(ValueError):
         parse_expvec("(-1,2)")
+
+
+def test_compositions_into_no_parts():
+    # only the empty vector has no parts, and its sum is 0
+    assert list(compositions(0, 0)) == [()]
+    assert list(compositions(1, 0)) == []
