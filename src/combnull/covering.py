@@ -3,19 +3,24 @@
 ``covering_audit`` checks the two hypotheses of the covering bound on a
 concrete instance (every off-puncture grid point lies on enough plane zero
 sets, and at some grid point the plane values multiply to nonzero) in one
-walk that evaluates each plane once per point, then asserts the resulting
-degree inequality; the product degree is read off the leading coefficients
-unless one is a zero divisor (ZZ/m), and only then is the product expanded,
-its term products counted against the term limit as it goes.
+walk that evaluates each plane once per point, its term evaluations counted
+against the term limit first, then asserts the resulting degree inequality;
+the product degree is read off the leading coefficients unless one is a
+zero divisor (ZZ/m), and only then is the product expanded, its term
+products counted against the term limit as it goes.
 ``blocking_audit`` and the exhaustive search certify minimal affine blocking
 multisets over small prime fields, where ``(n + t - 1)(q - 1) + 1`` is sharp.
+Inputs are checked, and points reduced mod q, at the public entry points;
+the hyperplane test itself, ``_blocks``, works on prepared points, so a
+search lists the space and the hyperplanes once per call and hands every
+candidate to it unchecked.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
+from math import comb, prod
 from typing import Mapping, Sequence
 
 from . import polynomials
@@ -104,7 +109,9 @@ class CoverReport(FrozenValue):
 def covering_audit(inst: CoverInstance) -> CoverReport:
     """Audit both hypotheses, then assert the degree inequality.
 
-    One walk evaluates each plane once per grid point.  Off the puncture the
+    One walk evaluates each plane once per grid point; its term evaluations,
+    |grid points| sum_i |rho_i|, are counted before it against the term
+    limit ``polynomials.MAX_BASIS_TERMS``.  Off the puncture the
     number of zero values tests coverage; the ring product of the values
     tests escape, since evaluation is a ring homomorphism (in ZZ/m too).
     Each test keeps its first point in grid order.  Nonzero-divisor leading
@@ -112,8 +119,8 @@ def covering_audit(inst: CoverInstance) -> CoverReport:
     is the sum of the plane degrees; only when some grlex-leading
     coefficient is a zero divisor (ZZ/m, m composite) is the product built,
     one plane at a time: before each product its |partial| |rho_i| term
-    products join a running count, and past the term limit
-    ``polynomials.MAX_BASIS_TERMS`` the audit raises ``ScaleExceeded``.
+    products join a running count.  Past the term limit either count
+    raises ``ScaleExceeded``.
 
     If either hypothesis fails the report says so and makes no claim.
     When both hold, a violated inequality would contradict the theory and
@@ -123,8 +130,13 @@ def covering_audit(inst: CoverInstance) -> CoverReport:
     pgrid.require_condition_d()
     ring = pgrid.ring
     rhos = [rho for rho, _ in inst.planes]
+    points, limit = pgrid.grid_points(), polynomials.MAX_BASIS_TERMS
+    count = prod(len(axis.support) for axis in pgrid.axes)
+    if count * sum(len(rho.terms) for rho in rhos) > limit:
+        raise ScaleExceeded(f"evaluating {len(rhos)} planes at {count} grid points "
+                            f"needs over {limit} term evaluations")
     uncovered_point = escape_point = None
-    for point in pgrid.grid_points():
+    for point in points:
         values = [rho.evaluate(point) for rho in rhos]
         if (uncovered_point is None and any(v not in E for v, E in zip(point, pgrid.punctures))
                 and values.count(ring.zero) < point_cover_threshold(pgrid.psi_at(point), inst.t)):
@@ -140,7 +152,7 @@ def covering_audit(inst: CoverInstance) -> CoverReport:
     if holds:
         leads = (rho.terms[max(rho.terms, key=grlex_key)] for rho in rhos)
         if any(map(ring.is_zero_divisor, leads)):
-            partial, work, limit = Poly.one(ring, pgrid.nvars), 0, polynomials.MAX_BASIS_TERMS
+            partial, work = Poly.one(ring, pgrid.nvars), 0
             for rho in rhos:
                 work += len(partial.terms) * len(rho.terms)
                 if work > limit:
@@ -244,8 +256,13 @@ def blocks_all_hyperplanes(q: int, n: int, t: int, points: Sequence) -> tuple:
     for p in points:
         if len(p) != n:
             raise ValueError(f"point {p} does not live in a {n}-dimensional space")
-    pts = [tuple(v % q for v in p) for p in points]
-    for eta, c in affine_hyperplanes(q, n):
+    return _blocks(q, t, [tuple(v % q for v in p) for p in points], affine_hyperplanes(q, n))
+
+
+def _blocks(q: int, t: int, pts: Sequence, hyperplanes) -> tuple:
+    """``blocks_all_hyperplanes`` on points of the right length with
+    coordinates in range(q), against the given hyperplanes in order."""
+    for eta, c in hyperplanes:
         hits = sum(1 for p in pts if _on_hyperplane(p, eta, c, q))
         if hits < t:
             return False, (eta, c)
@@ -277,22 +294,29 @@ def exists_blocking_of_size(q: int, n: int, t: int, size: int) -> tuple:
     if size == 0:  # some hyperplane exists (n, t >= 1), met 0 < t times
         return False, None
     _check_search_work(q, n, t, [size])
+    # the candidates are drawn from the space itself, so they are prepared
+    # points: each goes to the kernel unchecked, against one hyperplane list
     space = list(product(range(q), repeat=n))
+    hyperplanes = list(affine_hyperplanes(q, n))
     chooser = combinations if t == 1 else combinations_with_replacement
     for candidate in chooser(space, size):
-        blocked, _ = blocks_all_hyperplanes(q, n, t, candidate)
-        if blocked:
+        if _blocks(q, t, candidate, hyperplanes)[0]:
             return True, candidate
     return False, None
 
 
 def minimal_blocking_size(q: int, n: int, t: int) -> tuple:
     """Smallest size of a t-fold blocking multiset, by ascending search;
-    every size below ``affine_blocking_bound`` is searched in full."""
+    every size below ``affine_blocking_bound`` is searched in full and the
+    bound itself is reached, so sizes 1..bound are counted together before
+    any search, and a size k past the bound is searched only once sizes
+    1..k together pass."""
     bound = affine_blocking_bound(q, n, t)
-    _check_search_work(q, n, t, range(1, bound))
+    _check_search_work(q, n, t, range(1, bound + 1))
     size = 1
     while True:
+        if size > bound:
+            _check_search_work(q, n, t, range(1, size + 1))
         found, example = exists_blocking_of_size(q, n, t, size)
         if found:
             return size, example

@@ -20,9 +20,10 @@ order is the graded-lexicographic order (Monagan & Pearce, *Sparse
 polynomial division using a heap*, JSC 2011).  ``reduce`` packs f and the
 members it can reach, runs that loop and unpacks to the tuple keys every
 ``Poly`` carries; ``s_polynomial`` packs, builds the S-pair and unpacks.
-A packing counts its n (n + 1) key fields against the term limit first, so
-``reduce``, ``s_polynomial`` and ``buchberger_certifies`` refuse more than
-999 variables with ``ScaleExceeded``.
+A packing counts its n (n + 1) key fields against the term limit first,
+and so does a sweep that reuses a kept packing, so ``reduce``,
+``s_polynomial`` and ``buchberger_certifies`` refuse more than 999
+variables with ``ScaleExceeded``.
 
 ``decompose_member`` is the one path from a decided membership to its
 zero-remainder decomposition; the level, mixed and vanishing-ideal
@@ -276,6 +277,14 @@ class ReductionOutcome(FrozenValue):
         }
 
 
+def _count_key_fields(n: int) -> None:
+    """Packed keys in n variables hold n (n + 1) fields; more than
+    ``polynomials.MAX_BASIS_TERMS`` of them is ``ScaleExceeded``."""
+    limit = polynomials.MAX_BASIS_TERMS
+    if n * (n + 1) > limit:
+        raise ScaleExceeded(f"packed keys in {n} variables need over {limit} fields")
+
+
 def _packing(corner: ExpVec):
     """Packed-int keys for exponent vectors dominated by ``corner``.
 
@@ -286,12 +295,10 @@ def _packing(corner: ExpVec):
     exactly when ``(p - b) & guards == 0``.  Returns ``pack``, ``unpack``
     (packed terms back to a ``Poly``) and ``guards``.
 
-    The n weights hold n + 1 fields each; more than
-    ``polynomials.MAX_BASIS_TERMS`` fields in all is ``ScaleExceeded``.
+    The n weights hold n + 1 fields each, counted by ``_count_key_fields``.
     """
-    n, limit = len(corner), polynomials.MAX_BASIS_TERMS
-    if n * (n + 1) > limit:
-        raise ScaleExceeded(f"packed keys in {n} variables need over {limit} fields")
+    n = len(corner)
+    _count_key_fields(n)
     width = max(corner).bit_length() + 1
     mask = (1 << width) - 1
     offsets = range(width * (n - 1), -1, -width)
@@ -513,6 +520,8 @@ def buchberger_certifies(family: MonicFamily) -> bool:
         tops = tuple(map(pack, thetas))
         pairs = _chosen_pairs(thetas, tops, pack, guards)
     else:
+        # the kept packing is not rebuilt, so its key fields are counted here
+        _count_key_fields(family.nvars)
         pack, guards, tops, flat = plan
         it = iter(flat)
         pairs = zip(it, it, it)

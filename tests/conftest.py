@@ -1,5 +1,5 @@
 import random
-from itertools import chain, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from math import prod
 
 import pytest
@@ -95,6 +95,18 @@ def covering_audit_oracle(inst):
     return covering.CoverReport(uncovered is None, uncovered, escape is not None, escape,
                                 sum_degrees, product_degree, bounds,
                                 "bound_holds" if holds else "hypotheses_unmet")
+
+
+def blocking_search_oracle(q, n, t, size):
+    """The blocking search by the public ``covering.blocks_all_hyperplanes``
+    on every candidate, in the order of ``covering.exists_blocking_of_size``,
+    which hands its candidates to the hyperplane test on prepared points;
+    (found, example or None), with no work bound."""
+    chooser = combinations if t == 1 else combinations_with_replacement
+    for candidate in chooser(list(product(range(q), repeat=n)), size):
+        if covering.blocks_all_hyperplanes(q, n, t, candidate)[0]:
+            return True, candidate
+    return False, None
 
 
 def is_axis_poly(f, axis):

@@ -25,10 +25,10 @@ from combnull import (
     point_cover_threshold,
 )
 from combnull import polynomials
-from combnull.covering import affine_hyperplanes
+from combnull.covering import affine_hyperplanes, blocks_all_hyperplanes
 from combnull.polynomials import random_poly
 from combnull.staircase import grlex_key
-from conftest import P, covering_audit_oracle, variable
+from conftest import P, blocking_search_oracle, covering_audit_oracle, variable
 
 
 def threshold_by_enumeration(psi, t):
@@ -202,8 +202,60 @@ def test_blocking_search_work_is_estimated_up_front():
     # a count too long to print is named by its size
     with pytest.raises(ScaleExceeded, match=r"GF\(3\)\^10000 needs over 10\^20 hyperplane tests"):
         exists_blocking_of_size(3, 10**4, 1, 1)
+    # sizes 1..bound are all searched, so they are counted together before
+    # any search: (2, 4, 2) needs 610 440 tests below its bound 6 and
+    # 1 627 920 at it, and (3, 2, 4), whose bound 11 is not sharp, used to
+    # search sizes 1..12 for ~5.7 s before size 13 alone was refused
+    with pytest.raises(ScaleExceeded, match=r"GF\(2\)\^4 needs 2238360 hyperplane tests"):
+        minimal_blocking_size(2, 4, 2)
+    with pytest.raises(ScaleExceeded, match=r"GF\(3\)\^2 needs 2015508 hyperplane tests"):
+        minimal_blocking_size(3, 2, 4)
     assert time.perf_counter() - start < 1.0
+    # sizes 1..9 of (3, 2, 3) make C(18, 9) - 1 = 48 619 candidates against
+    # 12 lines, 583 428 tests
     assert minimal_blocking_size(3, 2, 3)[0] == 9
+
+
+# The nine instances of the benchmark's blocking workload, and every
+# q in {2, 3}, n <= 3, t <= 3.
+SEARCH_INSTANCES = sorted({(2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 4, 1), (2, 2, 2), (2, 3, 2),
+                           (2, 2, 3), (3, 2, 2), (3, 2, 3)}
+                          | set(product((2, 3), (1, 2, 3), (1, 2, 3))))
+
+
+@pytest.mark.parametrize("q, n, t", SEARCH_INSTANCES)
+def test_blocking_search_matches_the_public_test_oracle(q, n, t):
+    # every size from 0 to the minimum + 1 within the work bound answers as
+    # the search through blocks_all_hyperplanes does; where the minimum is
+    # reached the ascending search finds it with the oracle's example, and
+    # where it is not (GF(3)^3) the ascending search is refused
+    size, minimum = 0, None
+    while minimum is None or size <= minimum[0] + 1:
+        try:
+            found = exists_blocking_of_size(q, n, t, size)
+        except ScaleExceeded:
+            break
+        assert found == blocking_search_oracle(q, n, t, size), size
+        if found[0] and minimum is None:
+            minimum = size, found[1]
+        size += 1
+    if minimum is None:
+        assert q ** n == 27
+        with pytest.raises(ScaleExceeded):
+            minimal_blocking_size(q, n, t)
+    else:
+        assert minimal_blocking_size(q, n, t) == minimum
+
+
+def test_blocks_all_hyperplanes_checks_and_reduces_its_points():
+    with pytest.raises(ValueError, match="does not live in a 2-dimensional space"):
+        blocks_all_hyperplanes(3, 2, 1, [(0, 1), (0, 1, 2)])
+    # (3, -1) is (0, 2) mod 3: the answer and its witness are the reduced points'
+    for points in ([(3, -1), (1, 1), (2, 0)], [(3, -1), (4, 1), (-1, 1), (0, 0), (1, 0)]):
+        reduced = [tuple(v % 3 for v in p) for p in points]
+        assert blocks_all_hyperplanes(3, 2, 1, points) == blocks_all_hyperplanes(3, 2, 1, reduced)
+    # the three reduced points lie on x1 + x2 = 2, and none on x1 + x2 = 0
+    assert blocks_all_hyperplanes(3, 2, 1, [(3, -1), (1, 1), (2, 0)]) == (False, ((1, 1), 0))
 
 
 @pytest.mark.parametrize("q, n", [(2, 19), (2, 40)])
@@ -343,6 +395,31 @@ def test_zmod_plane_product_counts_exactly_its_term_products(monkeypatch):
     with pytest.raises(ScaleExceeded, match=f"^the product of 3 planes needs over {work - 1} "
                                             "term products$"):
         covering_audit(inst)
+
+
+def test_covering_walk_counts_its_term_evaluations(monkeypatch):
+    # 2 planes of 3 terms on the 4 points of {0,1}^2: 24 term evaluations
+    pgrid = PuncturedGrid.build(MultisetGrid.build(ZZ, [[0, 1]] * 2), [[0]] * 2)
+    inst = CoverInstance.build(pgrid, [(P("x1 + x2 - 1"), 1), (P("x1 - x2 - 1"), 1)], 1)
+    expected = covering_audit(inst)
+    monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 24)
+    assert covering_audit(inst) == expected
+    monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 23)
+    with pytest.raises(ScaleExceeded, match="^evaluating 2 planes at 4 grid points needs over 23 "
+                                            "term evaluations$"):
+        covering_audit(inst)
+    monkeypatch.undo()
+    # 16 planes 2*x1 + x2 + ... + x16 - c on {0,1}^16 with E = S: no point is
+    # off the puncture, so the walk would visit all 65 536 points (20.8 s
+    # uncounted) for 65 536 * 16 * 17 term evaluations
+    body = " + ".join(["2*x1"] + [f"x{i}" for i in range(2, 17)])
+    pgrid = PuncturedGrid.build(MultisetGrid.build(ZZ, [[0, 1]] * 16), [[0, 1]] * 16)
+    start = time.perf_counter()
+    inst = CoverInstance.build(pgrid, [(P(f"{body} - {c}", ZZ, 16), 1) for c in range(1, 17)], 1)
+    with pytest.raises(ScaleExceeded, match="^evaluating 16 planes at 65536 grid points needs "
+                                            "over 1000000 term evaluations$"):
+        covering_audit(inst)
+    assert time.perf_counter() - start < 1
 
 
 def test_zmod_plane_product_is_refused_past_the_term_limit():

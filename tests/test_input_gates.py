@@ -403,8 +403,9 @@ def test_scale_gate(entry):
 PGRID2 = PuncturedGrid.build(GRID2, [[0], [0]])
 ORIGIN6 = PuncturedGrid.build(MultisetGrid.build(R6, [[0]] * 2), [[0]] * 2)
 # 2*x1's leading coefficient is a zero divisor in ZZ/6, so the audit expands
-# the product: 1 * 3 + 3 * 3 term products
-PLANES6 = [(P(f"2*x1 + x2 - {c}", R6), 1) for c in (1, 5)]
+# the product: 1 * 2 + 2 * 2 term products, after 2 + 2 term evaluations
+# at its one point
+PLANES6 = [(P(f"2*x1 - {c}", R6, 2), 1) for c in (1, 5)]
 LIMITS = {
     "terms": (polynomials, "MAX_BASIS_TERMS", 5, {
         "root_product": lambda: root_product(ZZ, 1, 0, [0, 1, 2]),
@@ -417,8 +418,14 @@ LIMITS = {
         # an inconclusive sweep keeps no plan, so every call packs afresh
         "buchberger_certifies": lambda: buchberger_certifies(
             MonicFamily.build([X1X2 + P("x1", nvars=2), P("x2^2")])),
+        # a certified family keeps its plan, which the second call reuses
+        "buchberger_certifies_kept_plan": lambda: buchberger_certifies(
+            MonicFamily.build([P("x1^2 - x1", nvars=2), P("x1*x2 - x2")])),
         "covering_audit_plane_product": lambda: covering_audit(
             CoverInstance.build(ORIGIN6, PLANES6, 1)),
+        # one plane of 3 terms at the 4 points of GRID2
+        "covering_audit_walk": lambda: covering_audit(
+            CoverInstance.build(PGRID2, [(P("x1 + x2 - 1"), 1)], 1)),
     }),
     "points": (staircase, "MAX_GRID_POINTS", 3, {
         "grid_points": lambda: list(GRID2.grid_points()),
