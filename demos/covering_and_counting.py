@@ -28,7 +28,7 @@ planes = [
     (parse_poly("x1 - 1", ZZ, 2), 1),
     (parse_poly("x2 - 1", ZZ, 2), 1),
 ]
-report = covering_audit(CoverInstance.build(pg, planes, 1))
+report = covering_audit(CoverInstance(pg, planes, 1))
 print(f"verdict: {report.verdict}")
 print(f"sum of degrees {report.sum_degrees} >= product degree "
       f"{report.product_degree} >= {max(report.bounds)}")

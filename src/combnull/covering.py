@@ -9,7 +9,9 @@ the product degree is read off the leading coefficients unless one is a
 zero divisor (ZZ/m), and only then is the product expanded, its term
 products counted against the term limit as it goes.
 ``blocking_audit`` and the exhaustive search certify minimal affine blocking
-multisets over small prime fields, where ``(n + t - 1)(q - 1) + 1`` is sharp.
+multisets over small prime fields.  ``(n + t - 1)(q - 1) + 1`` bounds them
+below, sharply for t = 1 (Jamison 1977; Brouwer-Schrijver 1978) but not for
+every t: (q, n, t) = (2, 3, 2) needs 6, (2, 2, 3) 7 and (3, 2, 2) 8.
 Inputs are checked, and points reduced mod q, at the public entry points;
 the hyperplane test itself, ``_blocks``, works on prepared points, so a
 search lists the space and the hyperplanes once per call and hands every
@@ -45,13 +47,13 @@ def point_cover_threshold(psi_at_point: Sequence[int], t: int) -> int:
 
 
 class CoverInstance(FrozenValue):
-    """A punctured grid, a tuple of (plane polynomial, stated degree)
-    pairs, and the multiplicity level t."""
+    """A punctured grid, a tuple of (plane polynomial, stated degree) pairs,
+    each plane nonzero, on the grid's ring and arity and of its stated
+    degree, and the multiplicity level t >= 1."""
 
     _fields = ("pgrid", "planes", "t")
 
-    @classmethod
-    def build(cls, pgrid: PuncturedGrid, planes: Sequence, t: int) -> "CoverInstance":
+    def __init__(self, pgrid: PuncturedGrid, planes: Sequence, t: int):
         require_int(t, 1, "t", ValueError)
         checked = []
         for rho, e in planes:
@@ -59,11 +61,9 @@ class CoverInstance(FrozenValue):
             if rho.is_zero():
                 raise ValueError("a plane polynomial must be nonzero")
             if rho.degree() != e:
-                raise ValueError(
-                    f"declared degree {e} but deg = {rho.degree()} for {rho}"
-                )
+                raise ValueError(f"declared degree {e} but deg = {rho.degree()} for {rho}")
             checked.append((rho, e))
-        return cls(pgrid, tuple(checked), t)
+        self.__dict__.update(pgrid=pgrid, planes=tuple(checked), t=t)
 
 
 def instance_from_json(doc: Mapping) -> CoverInstance:
@@ -79,7 +79,7 @@ def instance_from_json(doc: Mapping) -> CoverInstance:
         if "degree" in plane:
             degree = require_int(plane["degree"], 0, "degree", ParseError)
         planes.append((rho, degree))
-    return CoverInstance.build(pgrid, planes, doc["t"])
+    return CoverInstance(pgrid, planes, doc["t"])
 
 
 class CoverReport(FrozenValue):
@@ -310,16 +310,14 @@ def minimal_blocking_size(q: int, n: int, t: int) -> tuple:
     every size below ``affine_blocking_bound`` is searched in full and the
     bound itself is reached, so sizes 1..bound are counted together before
     any search, and a size k past the bound is searched only once sizes
-    1..k together pass."""
+    1..k together pass.  t copies of {0} and of each c e_k (c != 0) meet
+    every hyperplane t times, so the search ends by t (n (q - 1) + 1)."""
     bound = affine_blocking_bound(q, n, t)
     _check_search_work(q, n, t, range(1, bound + 1))
-    size = 1
-    while True:
+    for size in range(1, t * (n * (q - 1) + 1) + 1):
         if size > bound:
             _check_search_work(q, n, t, range(1, size + 1))
         found, example = exists_blocking_of_size(q, n, t, size)
         if found:
             return size, example
-        size += 1
-        if size > t * q * n + q * n:  # safety stop well above the bound
-            raise InternalInvariantError("blocking search exceeded sane range")
+    raise InternalInvariantError("blocking search exceeded sane range")

@@ -148,11 +148,12 @@ class Axis(FrozenValue):
 
 
 class MultisetGrid(FrozenValue):
-    """A finite grid S_1 x ... x S_n of ``Axis`` objects over one ring."""
+    """A finite grid S_1 x ... x S_n of ``Axis`` objects over one ring, n >= 1."""
 
     _fields = ("ring", "axes")
 
     def __init__(self, ring: Ring, axes: tuple):
+        require_int(len(axes), 1, "the axis count", ValueError)
         for axis in axes:  # an axis's values and g are canonical in its own ring only
             if axis.ring is not ring:
                 ring.require_same(axis.ring)
@@ -207,7 +208,8 @@ class MultisetGrid(FrozenValue):
 
 
 class PuncturedGrid(MultisetGrid):
-    """A multiset grid with a per-axis punctured subgrid E_k of S_k.
+    """A multiset grid with one punctured subgrid E_k of S_k per axis, each
+    stored as the sorted tuple of its canonical values.
 
     Each axis is split once into two interned sub-axes with the grid's psi:
     ``puncture_axes`` on E_k and ``off_axes`` on S_k minus E_k.  Like an
@@ -216,28 +218,26 @@ class PuncturedGrid(MultisetGrid):
 
     _fields = ("ring", "axes", "punctures")
 
-    def __init__(self, ring: Ring, axes: tuple, punctures: tuple):
+    def __init__(self, ring: Ring, axes: tuple, punctures: Sequence):
         super().__init__(ring, axes)
-        on, off = [], []
+        if len(punctures) != len(axes):
+            raise ArityMismatch(f"{len(axes)} axes but {len(punctures)} puncture sets")
+        Es, on, off = [], [], []
         for axis, E in zip(axes, punctures):
+            E = tuple(sorted({ring.canon(u) for u in E}))
+            if not set(E) <= set(axis.support):
+                raise ValueError(f"puncture {E} not inside axis support")
             rest = [u for u in axis.support if u not in E]
+            Es.append(E)
             on.append(axis.replace(support=E, psi={u: axis.psi[u] for u in E}))
             off.append(axis.replace(support=rest, psi={u: axis.psi[u] for u in rest}))
-        self.__dict__.update(punctures=punctures, puncture_axes=tuple(on), off_axes=tuple(off))
+        self.__dict__.update(punctures=tuple(Es), puncture_axes=tuple(on), off_axes=tuple(off))
 
     @classmethod
     def build(cls, grid: MultisetGrid, punctures: Sequence) -> "PuncturedGrid":
         if hasattr(grid, "B"):  # a VanishingSpec
             raise ValueError("a punctured grid takes no vanishing table B")
-        if len(punctures) != grid.nvars:
-            raise ArityMismatch(f"{grid.nvars} axes but {len(punctures)} puncture sets")
-        canon = []
-        for axis, E in zip(grid.axes, punctures):
-            E = tuple(sorted({grid.ring.canon(u) for u in E}))
-            if not set(E) <= set(axis.support):
-                raise ValueError(f"puncture {E} not inside axis support")
-            canon.append(E)
-        return cls(grid.ring, grid.axes, tuple(canon))
+        return cls(grid.ring, grid.axes, punctures)
 
     def _seeded_powers(self) -> list:
         """Per axis, a new ``PowerTable`` of ``(g_k / h_k) g_k^e``."""

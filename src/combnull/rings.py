@@ -76,8 +76,9 @@ def _is_prime(p: int) -> bool:
 class FrozenValue:
     """An immutable value with the equality, hash and repr of a frozen
     dataclass over its ``_fields``: equal only within one class, unhashable
-    when a field is.  ``__init__`` stores one value per field; one that checks
-    or derives a value stores through ``__dict__`` or ``object.__setattr__``."""
+    when a field is.  ``__init__`` stores one value per field.  A type with
+    invariants checks them in its own ``__init__``, which stores through
+    ``__dict__`` or ``object.__setattr__``, so ``replace`` checks them again."""
 
     _fields: tuple = ()
 

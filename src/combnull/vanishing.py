@@ -36,38 +36,38 @@ from .staircase import complement, has_finite_complement, in_upset, require_int
 class VanishingSpec(MultisetGrid):
     """A grid with one support-upset generator set per point.
 
-    ``B`` maps each grid point (a tuple of axis values) to a frozenset of
-    exponent vectors.  Every complement of an upset of B_a must be finite,
-    otherwise membership would constrain infinitely many coefficients.
+    ``B`` maps each grid point (a tuple of axis values), and no other key, to
+    a frozenset of exponent vectors.  Every complement of an upset of B_a must
+    be finite, otherwise membership would constrain infinitely many coefficients.
     """
 
     _fields = ("ring", "axes", "B")
 
     def __init__(self, ring: Ring, axes: tuple, B: Mapping):
         super().__init__(ring, axes)
-        self.__dict__["B"] = B
-
-    @classmethod
-    def build(cls, grid: MultisetGrid, B: Mapping) -> "VanishingSpec":
-        if isinstance(grid, PuncturedGrid):
-            raise ValueError("a vanishing spec takes no puncture set E")
-        if any(m != 1 for axis in grid.axes for m in axis.psi.values()):
+        if any(m != 1 for axis in axes for m in axis.psi.values()):
             raise ValueError("a vanishing spec takes no psi: its multiplicities are in B")
         table = {}
-        for point in grid.grid_points():
+        for point in self.grid_points():
             if point not in B:
                 raise ValueError(f"missing B entry for grid point {point}")
             gens = frozenset(tuple(require_int(e, 0, f"exponent in B at {point}", ValueError)
                                    for e in v) for v in B[point])
-            if any(len(v) != grid.nvars for v in gens):
-                raise ArityMismatch(f"B at {point} needs exponent vectors of length {grid.nvars}")
-            if not has_finite_complement(gens, grid.nvars):
+            if any(len(v) != self.nvars for v in gens):
+                raise ArityMismatch(f"B at {point} needs exponent vectors of length {self.nvars}")
+            if not has_finite_complement(gens, self.nvars):
                 raise InfiniteComplement(f"B at {point} leaves an infinite staircase complement")
             table[point] = gens
         if len(table) != len(B):
             stray = next(key for key in B if key not in table)
             raise ValueError(f"B entry for {stray}, which is not a grid point")
-        return cls(grid.ring, grid.axes, table)
+        self.__dict__["B"] = table
+
+    @classmethod
+    def build(cls, grid: MultisetGrid, B: Mapping) -> "VanishingSpec":
+        if isinstance(grid, PuncturedGrid):
+            raise ValueError("a vanishing spec takes no puncture set E")
+        return cls(grid.ring, grid.axes, B)
 
 
 def in_vanishing_ideal(f: Poly, spec: VanishingSpec) -> bool:

@@ -369,7 +369,7 @@ def test_criterion_8_condition_d_gating():
     expect_inapplicable("mixed_certificate", lambda: mixed_certificate(f, pgrid, 1))
     expect_inapplicable("min_extra_degree", lambda: min_extra_degree(pgrid, 1))
     expect_inapplicable(
-        "covering_audit", lambda: covering_audit(CoverInstance.build(pgrid, [], 1))
+        "covering_audit", lambda: covering_audit(CoverInstance(pgrid, [], 1))
     )
     expect_inapplicable("nonzero_bound", lambda: nonzero_bound(f, [[0, 3]], (1,)))
 

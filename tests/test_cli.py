@@ -683,6 +683,19 @@ def test_nvars_must_be_positive(capsys, argv, nvars):
     assert (code, out, err) == (3, "", "usage error: nvars must be at least 1\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("mixed", "--ring", "ZZ", "--grid", "{S:[],E:[]}", "--t", "1", "--min-extra-degree"),
+     ("cover", "--instance", '{pgrid:{ring:"ZZ",S:[],E:[]},planes:[],t:1}'),
+     ("membership", "--ring", "ZZ", "--grid", "{S:[]}", "--t", "1", "--poly", "1")],
+    ids=["mixed_min_extra_degree", "cover_instance", "membership"],
+)
+def test_a_grid_needs_an_axis(capsys, argv):
+    # the first two used to pass min() and max() an empty list
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", "error: the axis count must be an integer >= 1, got 0\n")
+
+
 def test_count_matches_formula(capsys):
     code, out, _ = run(capsys, "count", "--alpha", "(2,3)", "--t", "2")
     assert code == 0

@@ -11,6 +11,7 @@ from combnull import (
     ZZ,
     CoverInstance,
     Inapplicable,
+    InternalInvariantError,
     MultisetGrid,
     Poly,
     PuncturedGrid,
@@ -24,7 +25,7 @@ from combnull import (
     minimal_blocking_size,
     point_cover_threshold,
 )
-from combnull import polynomials
+from combnull import covering, polynomials
 from combnull.covering import affine_hyperplanes, blocks_all_hyperplanes
 from combnull.polynomials import random_poly
 from combnull.staircase import grlex_key
@@ -63,7 +64,7 @@ def coordinate_cover_instance():
         (P("x1 - 1", nvars=2), 1),
         (P("x2 - 1", nvars=2), 1),
     ]
-    return CoverInstance.build(pg, planes, 1)
+    return CoverInstance(pg, planes, 1)
 
 
 def test_covering_audit_bound_holds():
@@ -78,7 +79,7 @@ def test_covering_audit_bound_holds():
 def test_covering_audit_uncovered():
     grid = MultisetGrid.build(ZZ, [[0, 1], [0, 1]])
     pg = PuncturedGrid.build(grid, [[0], [0]])
-    report = covering_audit(CoverInstance.build(pg, [], 1))
+    report = covering_audit(CoverInstance(pg, [], 1))
     assert report.verdict == "hypotheses_unmet"
     assert not report.hypothesis_coverage
     assert report.uncovered_point is not None
@@ -92,7 +93,7 @@ def test_covering_audit_no_escape_point():
         (P("x2 - 1", nvars=2), 1),
         (P("x1", nvars=2) * P("x2", nvars=2), 2),
     ]
-    report = covering_audit(CoverInstance.build(pg, planes, 1))
+    report = covering_audit(CoverInstance(pg, planes, 1))
     assert report.verdict == "hypotheses_unmet"
     assert report.hypothesis_coverage
     assert not report.hypothesis_escape
@@ -102,7 +103,7 @@ def test_covering_audit_gate():
     grid = MultisetGrid.build(Zmod(6), [[0, 3]])
     pg = PuncturedGrid.build(grid, [[0]])
     with pytest.raises(Inapplicable):
-        covering_audit(CoverInstance.build(pg, [], 1))
+        covering_audit(CoverInstance(pg, [], 1))
 
 
 def test_covering_audit_multiplicity_instance():
@@ -110,7 +111,7 @@ def test_covering_audit_multiplicity_instance():
     grid = MultisetGrid.build(ZZ, [[0, 1, 2]])
     pg = PuncturedGrid.build(grid, [[0]])
     planes = [(P("x1 - 1"), 1), (P("x1 - 1"), 1), (P("x1 - 2"), 1), (P("x1 - 2"), 1)]
-    inst = CoverInstance.build(pg, planes, 2)
+    inst = CoverInstance(pg, planes, 2)
     report = covering_audit(inst)
     assert report.verdict == "bound_holds"
     assert max(report.bounds) == (2 - 1) * 2 + 2
@@ -120,7 +121,7 @@ def test_cover_instance_degree_validation():
     grid = MultisetGrid.build(ZZ, [[0, 1]])
     pg = PuncturedGrid.build(grid, [[0]])
     with pytest.raises(ValueError):
-        CoverInstance.build(pg, [(P("x1 - 1"), 2)], 1)
+        CoverInstance(pg, [(P("x1 - 1"), 2)], 1)
 
 
 def test_affine_blocking_bound_values():
@@ -247,6 +248,25 @@ def test_blocking_search_matches_the_public_test_oracle(q, n, t):
         assert minimal_blocking_size(q, n, t) == minimum
 
 
+@pytest.mark.parametrize("q, n, t", list(product((2, 3, 5), (1, 2, 3), (1, 2, 3))))
+def test_the_search_ceiling_multiset_blocks(q, n, t):
+    # t copies of {0} and of each c e_k (c != 0): a hyperplane through 0
+    # holds 0, and one at level c != 0 with eta_k != 0 holds (c / eta_k) e_k
+    axis_points = [tuple(c * (j == k) for j in range(n)) for k in range(n) for c in range(1, q)]
+    report = blocking_audit(q, n, t, [(0,) * n, *axis_points] * t)
+    assert report.blocked and report.size == t * (n * (q - 1) + 1)
+    assert (report.size == report.bound) == (t == 1)
+
+
+def test_the_ascending_search_stops_at_its_ceiling(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(covering, "exists_blocking_of_size",
+                        lambda q, n, t, size: sizes.append(size) or (False, None))
+    with pytest.raises(InternalInvariantError, match="blocking search exceeded sane range"):
+        minimal_blocking_size(2, 2, 2)
+    assert sizes == list(range(1, 2 * (2 * (2 - 1) + 1) + 1))
+
+
 def test_blocks_all_hyperplanes_checks_and_reduces_its_points():
     with pytest.raises(ValueError, match="does not live in a 2-dimensional space"):
         blocks_all_hyperplanes(3, 2, 1, [(0, 1), (0, 1, 2)])
@@ -303,7 +323,7 @@ def test_covering_degree_inequality_on_random_instances(rng):
                 mono = variable(ZZ, n, k) - Poly.constant(ZZ, n, u)
                 threshold = point_cover_threshold((1,) * n, t)
                 planes.extend([(mono, 1)] * threshold)
-        report = covering_audit(CoverInstance.build(pg, planes, t))
+        report = covering_audit(CoverInstance(pg, planes, t))
         assert report.verdict == "bound_holds"
 
 
@@ -318,7 +338,7 @@ def test_escape_point_is_a_product_value(planes, escape):
     ring = Zmod(6)
     pgrid = PuncturedGrid.build(MultisetGrid.build(ring, [[0, 1]]), [[0, 1]])
     rhos = [P(text, ring=ring, nvars=1) for text in planes]
-    inst = CoverInstance.build(pgrid, [(rho, rho.degree()) for rho in rhos], 1)
+    inst = CoverInstance(pgrid, [(rho, rho.degree()) for rho in rhos], 1)
     oracle = [
         point for point in pgrid.grid_points()
         if reduce(ring.mul, (rho.evaluate(point) for rho in rhos)) != ring.zero
@@ -360,7 +380,7 @@ def test_covering_audit_matches_the_expanded_product_oracle():
                 rho = (variable(ring, n, k) - Poly.constant(ring, n, u)) * rho
             if not rho.is_zero():
                 planes.append((rho, rho.degree()))
-        inst = CoverInstance.build(pgrid, planes, rng.randint(1, 2))
+        inst = CoverInstance(pgrid, planes, rng.randint(1, 2))
         report = _outcome(covering_audit, inst)
         assert report == _outcome(covering_audit_oracle, inst), (ring, inst)
         if getattr(report, "verdict", None) == "bound_holds" and any(
@@ -381,7 +401,7 @@ def _zmod6_planes(k: int) -> CoverInstance:
     pgrid = PuncturedGrid.build(MultisetGrid.build(ring, [[0]] * k), [[0]] * k)
     body = " + ".join(["2*x1"] + [f"x{i}" for i in range(2, k + 1)])
     constants = [c for c in range(1, 48) if c % 6 in (1, 5)][:k]
-    return CoverInstance.build(pgrid, [(P(f"{body} - {c}", ring, k), 1) for c in constants], 1)
+    return CoverInstance(pgrid, [(P(f"{body} - {c}", ring, k), 1) for c in constants], 1)
 
 
 def test_zmod_plane_product_counts_exactly_its_term_products(monkeypatch):
@@ -400,7 +420,7 @@ def test_zmod_plane_product_counts_exactly_its_term_products(monkeypatch):
 def test_covering_walk_counts_its_term_evaluations(monkeypatch):
     # 2 planes of 3 terms on the 4 points of {0,1}^2: 24 term evaluations
     pgrid = PuncturedGrid.build(MultisetGrid.build(ZZ, [[0, 1]] * 2), [[0]] * 2)
-    inst = CoverInstance.build(pgrid, [(P("x1 + x2 - 1"), 1), (P("x1 - x2 - 1"), 1)], 1)
+    inst = CoverInstance(pgrid, [(P("x1 + x2 - 1"), 1), (P("x1 - x2 - 1"), 1)], 1)
     expected = covering_audit(inst)
     monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", 24)
     assert covering_audit(inst) == expected
@@ -415,7 +435,7 @@ def test_covering_walk_counts_its_term_evaluations(monkeypatch):
     body = " + ".join(["2*x1"] + [f"x{i}" for i in range(2, 17)])
     pgrid = PuncturedGrid.build(MultisetGrid.build(ZZ, [[0, 1]] * 16), [[0, 1]] * 16)
     start = time.perf_counter()
-    inst = CoverInstance.build(pgrid, [(P(f"{body} - {c}", ZZ, 16), 1) for c in range(1, 17)], 1)
+    inst = CoverInstance(pgrid, [(P(f"{body} - {c}", ZZ, 16), 1) for c in range(1, 17)], 1)
     with pytest.raises(ScaleExceeded, match="^evaluating 16 planes at 65536 grid points needs "
                                             "over 1000000 term evaluations$"):
         covering_audit(inst)

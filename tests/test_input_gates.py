@@ -5,6 +5,7 @@ the prime q, Condition (D), the multiplicity psi(u), and every other count
 or exponent.
 """
 
+import pickle
 import re
 
 import pytest
@@ -16,6 +17,7 @@ from combnull import (
     CoverInstance,
     GammaExceedsAlpha,
     Inapplicable,
+    InfiniteComplement,
     MonicFamily,
     MultiplicityTable,
     MultisetGrid,
@@ -84,7 +86,7 @@ LEVEL_ENTRY_POINTS = {
     "mixed_certificate": (lambda t: mixed_certificate(X1, PGRID, t), 1),
     "min_extra_degree": (lambda t: min_extra_degree(PGRID, t), 1),
     "point_cover_threshold": (lambda t: point_cover_threshold((1, 2), t), 1),
-    "CoverInstance.build": (lambda t: CoverInstance.build(PGRID, [], t), 1),
+    "CoverInstance": (lambda t: CoverInstance(PGRID, [], t), 1),
     "affine_blocking_bound": (lambda t: affine_blocking_bound(2, 2, t), 1),
     "blocking_audit": (lambda t: blocking_audit(2, 2, t, [(0, 0)]), 1),
     "exists_blocking_of_size": (lambda t: exists_blocking_of_size(2, 2, t, 1), 1),
@@ -175,9 +177,9 @@ OPERAND_ENTRY_POINTS = {
             MultisetGrid.build(ZZ, [[0, 1], [0, 1]]), {p: [(1,)] for p in GRID2.grid_points()}),
         ArityMismatch),
     # a cover plane lives over the grid's ring and arity, checked as it is built
-    "cover_instance_plane_ring": (lambda: CoverInstance.build(PGRID, [(F5, 1)], 1), RingMismatch),
+    "cover_instance_plane_ring": (lambda: CoverInstance(PGRID, [(F5, 1)], 1), RingMismatch),
     "cover_instance_plane_arity": (
-        lambda: CoverInstance.build(PGRID, [(X1X2, 2)], 1), ArityMismatch),
+        lambda: CoverInstance(PGRID, [(X1X2, 2)], 1), ArityMismatch),
     # an audited point's coordinates are ints, not floats or bools
     "blocking_audit_fractional_coordinate": (
         lambda: blocking_audit(2, 2, 1, [(0.5, 0), (1, 1)]), ValueError),
@@ -222,7 +224,7 @@ CONDITION_D_ENTRY_POINTS = {
     "mixed_membership": lambda: mixed_membership(X1_6, PGRID6, 1),
     "mixed_certificate": lambda: mixed_certificate(X1_6, PGRID6, 1),
     "min_extra_degree": lambda: min_extra_degree(PGRID6, 1),
-    "covering_audit": lambda: covering_audit(CoverInstance.build(PGRID6, [], 1)),
+    "covering_audit": lambda: covering_audit(CoverInstance(PGRID6, [], 1)),
     "nonzero_bound": lambda: nonzero_bound(X1_6, [[0, 3]], (1,)),
 }
 
@@ -374,6 +376,133 @@ def test_other_gates(entry):
         call()
 
 
+# One construction gate per value type: a grid or cover instance checks its
+# fields in __init__, so its build (where it has one), its positional
+# constructor and replace refuse an input with the same error and message.
+# rule -> (error, message, the calls that must raise it).
+SPEC = VanishingSpec.build(GRID, {(0,): [(1,)], (1,): [(1,)]})
+PSI_2 = MultisetGrid.build(ZZ, [[0, 1]], [{0: 2, 1: 1}])
+COVER = CoverInstance(PGRID, [(P("x1 - 1"), 1)], 1)
+
+
+def _spec_paths(B):
+    """``B`` given to build, the positional constructor and replace."""
+    return (lambda: VanishingSpec.build(GRID, B), lambda: VanishingSpec(ZZ, GRID.axes, B),
+            lambda: SPEC.replace(B=B))
+
+
+def _pgrid_paths(grid, punctures):
+    """``punctures`` given to build, the positional constructor and replace."""
+    base = PuncturedGrid.build(grid, [[]] * grid.nvars)
+    return (lambda: PuncturedGrid.build(grid, punctures),
+            lambda: PuncturedGrid(grid.ring, grid.axes, punctures),
+            lambda: base.replace(punctures=punctures))
+
+
+def _cover_paths(planes, t):
+    """``planes`` and ``t`` given to the positional constructor and replace."""
+    return lambda: CoverInstance(PGRID, planes, t), lambda: COVER.replace(planes=planes, t=t)
+
+
+CONSTRUCTION_GATES = {
+    "multiset_grid_no_axes": (ValueError, "the axis count must be an integer >= 1, got 0", (
+        lambda: MultisetGrid.build(ZZ, []), lambda: MultisetGrid(ZZ, ()),
+        lambda: GRID.replace(axes=()), lambda: grid_from_json({"S": []}, ZZ),
+        lambda: PuncturedGrid(ZZ, (), ()), lambda: VanishingSpec(ZZ, (), {}))),
+    "punctured_grid_extra_sets": (
+        ArityMismatch, "2 axes but 3 puncture sets", _pgrid_paths(GRID2, [[0], [0], [1]])),
+    "punctured_grid_short_sets": (
+        ArityMismatch, "2 axes but 1 puncture sets", _pgrid_paths(GRID2, [[0]])),
+    "punctured_grid_outside_support": (
+        ValueError, "puncture (7,) not inside axis support", _pgrid_paths(GRID, [[7]])),
+    "punctured_grid_element": (
+        ParseError, "not an element of ZZ: '0'", _pgrid_paths(GRID, [["0"]])),
+    "vanishing_spec_psi": (
+        ValueError, "a vanishing spec takes no psi: its multiplicities are in B",
+        (lambda: VanishingSpec.build(PSI_2, SPEC.B), lambda: VanishingSpec(ZZ, PSI_2.axes, SPEC.B),
+         lambda: SPEC.replace(axes=PSI_2.axes))),
+    "vanishing_spec_missing_point": (
+        ValueError, "missing B entry for grid point (1,)", _spec_paths({(0,): [(1,)]})),
+    "vanishing_spec_stray_point": (
+        ValueError, "B entry for (5,), which is not a grid point",
+        _spec_paths({**SPEC.B, (5,): [(1,)]})),
+    "vanishing_spec_exponent": (
+        ValueError, "exponent in B at (0,) must be an integer >= 0, got -1",
+        _spec_paths({(0,): [(-1,)], (1,): [(1,)]})),
+    "vanishing_spec_vector_length": (
+        ArityMismatch, "B at (0,) needs exponent vectors of length 1",
+        _spec_paths({(0,): [(1, 0)], (1,): [(1,)]})),
+    "vanishing_spec_infinite_complement": (
+        InfiniteComplement, "B at (0,) leaves an infinite staircase complement",
+        _spec_paths({(0,): [], (1,): [(1,)]})),
+    "cover_instance_level": (
+        ValueError, "t must be an integer >= 1, got 0", _cover_paths((), 0)),
+    "cover_instance_plane_ring": (RingMismatch, "GF(5) vs ZZ", _cover_paths([(F5, 1)], 1)),
+    "cover_instance_plane_arity": (
+        ArityMismatch, "2 vs 1 variables", _cover_paths([(X1X2, 2)], 1)),
+    "cover_instance_zero_plane": (
+        ValueError, "a plane polynomial must be nonzero", _cover_paths([(P("0"), 0)], 1)),
+    "cover_instance_plane_degree": (
+        ValueError, "declared degree 2 but deg = 1 for x1 - 1",
+        _cover_paths([(P("x1 - 1"), 2)], 1)),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(CONSTRUCTION_GATES))
+def test_every_construction_path_passes_one_gate(rule):
+    error, message, calls = CONSTRUCTION_GATES[rule]
+    for call in calls:
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
+
+
+def test_punctured_grid_replace_reads_punctures_as_build_does():
+    # over GF(5), 7 is 2 and 6 is 1: every way of naming E_1 = {1, 2} and
+    # E_2 = {1} makes the grid build makes
+    grid = MultisetGrid.build(GF(5), [[0, 1, 2], [0, 1]])
+    built = PuncturedGrid.build(grid, [[1, 2], [1]])
+    base = PuncturedGrid.build(grid, [[0], [0]])
+    for punctures in (((2, 1), (1,)), ((1, 2, 1), (1, 1)), ((7, 1), (6,)), ([7, 6], {1})):
+        for again in (base.replace(punctures=punctures),
+                      PuncturedGrid(grid.ring, grid.axes, punctures)):
+            assert again == built and again.punctures == ((1, 2), (1,))
+            assert again.puncture_axes == built.puncture_axes
+            assert again.off_axes == built.off_axes
+
+
+def test_cover_instance_stores_checked_planes():
+    square = PuncturedGrid.build(MultisetGrid.build(ZZ, [[0, 1], [0, 1]]), [[0], [0]])
+    planes = [[P("x1 - 1", nvars=2), 1], [P("x2 - 1", nvars=2), 1]]
+    inst = CoverInstance(square, planes, 1)
+    shown = ("CoverInstance(pgrid=PuncturedGrid(ring=Ring(kind='ZZ', modulus=None), axes=("
+             "Axis(support=(0, 1), psi=mappingproxy({0: 1, 1: 1})), "
+             "Axis(support=(0, 1), psi=mappingproxy({0: 1, 1: 1}))), punctures=((0,), (0,))), "
+             "planes=((Poly(ZZ, 'x1 - 1'), 1), (Poly(ZZ, 'x2 - 1'), 1)), t=1)")
+    assert repr(inst) == shown
+    # positional, named and mixed calls store the same values, planes as pairs
+    assert inst == CoverInstance(pgrid=square, planes=inst.planes, t=1)
+    assert inst == CoverInstance(square, planes=planes, t=1)
+    assert list(vars(inst)) == list(CoverInstance._fields)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(inst)
+    again = pickle.loads(pickle.dumps(inst))
+    assert type(again) is CoverInstance and again == inst and repr(again) == shown
+    # replace checks again and keeps every other field
+    moved = inst.replace(t=2)
+    assert moved.t == 2 and moved == CoverInstance(square, planes, 2) != inst
+    for bad in (
+        lambda: CoverInstance(square, planes),                  # missing, positional
+        lambda: CoverInstance(planes=planes, t=1),              # missing, named
+        lambda: CoverInstance(square, planes, 1, "extra"),      # one positional too many
+        lambda: CoverInstance(square, planes, t=1, extra=1),    # unknown name
+        lambda: CoverInstance(square, planes, 1, pgrid=square),  # a field given twice
+        lambda: inst.replace(extra=1),
+    ):
+        with pytest.raises(TypeError):
+            bad()
+
+
 # Refusals at the default limits that a level normal form reaches as it
 # goes, past its up-front count: entry point -> (call, message).
 CUBE3 = MultisetGrid.build(ZZ, [[0, 1]] * 3)
@@ -422,16 +551,16 @@ LIMITS = {
         "buchberger_certifies_kept_plan": lambda: buchberger_certifies(
             MonicFamily.build([P("x1^2 - x1", nvars=2), P("x1*x2 - x2")])),
         "covering_audit_plane_product": lambda: covering_audit(
-            CoverInstance.build(ORIGIN6, PLANES6, 1)),
+            CoverInstance(ORIGIN6, PLANES6, 1)),
         # one plane of 3 terms at the 4 points of GRID2
         "covering_audit_walk": lambda: covering_audit(
-            CoverInstance.build(PGRID2, [(P("x1 + x2 - 1"), 1)], 1)),
+            CoverInstance(PGRID2, [(P("x1 + x2 - 1"), 1)], 1)),
     }),
     "points": (staircase, "MAX_GRID_POINTS", 3, {
         "grid_points": lambda: list(GRID2.grid_points()),
         "level_membership": lambda: level_membership(X1X2, GRID2, 1),
         "nonzero_bound": lambda: nonzero_bound(X1X2, [[0, 1], [0, 1]], (1, 1)),
-        "covering_audit": lambda: covering_audit(CoverInstance.build(PGRID2, [], 1)),
+        "covering_audit": lambda: covering_audit(CoverInstance(PGRID2, [], 1)),
         "complement": lambda: complement({(2, 0), (0, 2)}, 2),
     }),
 }

@@ -119,7 +119,7 @@ def test_grids_round_trip_through_pickle_and_deepcopy():
     grid = MultisetGrid.build(QQ, [[0, half], [1]], [{0: 2, half: 1}, None])
     pgrid = PuncturedGrid.build(grid, [[half], [1]])
     spec = VanishingSpec.build(cube(), {a: {(1, 0), (0, 1)} for a in product([0, 1], repeat=2)})
-    instance = CoverInstance.build(pgrid, [(P("2*x1 - 1", QQ, nvars=2), 1)], 2)
+    instance = CoverInstance(pgrid, [(P("2*x1 - 1", QQ, nvars=2), 1)], 2)
     for value in (grid, pgrid, spec, instance):
         for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
             assert copied == value and copied is not value
