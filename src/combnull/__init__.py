@@ -27,12 +27,11 @@ _EXPORTS = {
         "minimal_blocking_size", "point_cover_threshold",
     ),
     "errors": (
-        "ArityMismatch", "CombnullError", "DivisibilityFailure", "EmptyPuncture",
-        "GammaExceedsAlpha", "Inapplicable", "InfiniteComplement",
-        "InternalInvariantError", "NonPositiveMultiplicity", "NonzeroRemainder",
-        "NotCertified", "NotInIdeal", "NotMember", "NotMonic", "ParseError",
-        "RingMismatch", "ScaleExceeded", "UncertifiedBasis", "UnsupportedField",
-        "ZeroPolynomial",
+        "ArityMismatch", "CombnullError", "EmptyPuncture", "GammaExceedsAlpha",
+        "Inapplicable", "InfiniteComplement", "InternalInvariantError",
+        "NonPositiveMultiplicity", "NonzeroRemainder", "NotCertified", "NotInIdeal",
+        "NotMember", "NotMonic", "ParseError", "RingMismatch", "ScaleExceeded",
+        "UncertifiedBasis", "UnsupportedField", "ZeroPolynomial",
     ),
     "multiset_ideals": (
         "Axis", "MultisetGrid", "PuncturedGrid", "PuncturedReport", "level_basis",

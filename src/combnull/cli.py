@@ -36,7 +36,6 @@ from .multiset_ideals import (
     MultisetGrid,
     PuncturedGrid,
     level_certificate,
-    level_membership,
     level_normal_form,
     min_extra_degree,
     mixed_certificate,
@@ -64,6 +63,7 @@ from .serialization import (
 from .staircase import (
     parse_expvec,
     punctured_staircase_count,
+    require_int,
     staircase_count,
 )
 
@@ -126,8 +126,7 @@ def _polys(args, texts, grid=None) -> list:
     nvars = args.nvars
     if nvars is None:
         nvars = max([1] + [int(k) for t in texts for k in re.findall(r"x(\d+)", t)])
-    elif nvars < 1:
-        raise _UsageError("nvars must be at least 1")
+    require_int(nvars, 1, "nvars", ValueError)
     ring = parse_ring(args.ring)
     return [parse_poly(t, ring, nvars) for t in texts]
 
@@ -187,8 +186,12 @@ def _cmd_groebner_check(args) -> int:
 
 
 def _cmd_membership(args) -> int:
+    # under (D), checked as ``level_certificate`` checks it, a normal form of 0 is membership
     grid, f = _grid_and_poly(args)
-    return _verdict(args, level_membership(f, grid, args.t))
+    require_int(args.t, 0, "t", ValueError)
+    f.require_on(grid.ring, grid.nvars)
+    grid.require_condition_d()
+    return _verdict(args, level_normal_form(f, grid, args.t).is_zero())
 
 
 def _cmd_certificate(args) -> int:

@@ -47,13 +47,15 @@ def point_cover_threshold(psi_at_point: Sequence[int], t: int) -> int:
 
 
 class CoverInstance(FrozenValue):
-    """A punctured grid, a tuple of (plane polynomial, stated degree) pairs,
-    each plane nonzero, on the grid's ring and arity and of its stated
-    degree, and the multiplicity level t >= 1."""
+    """A ``PuncturedGrid``, a tuple of (plane polynomial, stated degree)
+    pairs, each plane nonzero, on the grid's ring and arity and of its
+    stated degree, and the multiplicity level t >= 1."""
 
     _fields = ("pgrid", "planes", "t")
 
     def __init__(self, pgrid: PuncturedGrid, planes: Sequence, t: int):
+        if not isinstance(pgrid, PuncturedGrid):
+            raise ValueError(f"a cover instance needs a PuncturedGrid, got {type(pgrid).__name__}")
         require_int(t, 1, "t", ValueError)
         checked = []
         for rho, e in planes:
@@ -206,10 +208,6 @@ def affine_hyperplanes(q: int, n: int):
                 yield eta, c
 
 
-def _on_hyperplane(point, eta, c, q: int) -> bool:
-    return sum(a * b for a, b in zip(eta, point)) % q == c
-
-
 # Candidate-times-hyperplane tests a search may make: (3, 2, 3) needs under
 # 10^6, while (5, 2, 1) would need about 5 * 10^7 and run for minutes.  An
 # audit's tests are point-times-hyperplane: 2 000 points in GF(31)^2 take
@@ -263,7 +261,7 @@ def _blocks(q: int, t: int, pts: Sequence, hyperplanes) -> tuple:
     """``blocks_all_hyperplanes`` on points of the right length with
     coordinates in range(q), against the given hyperplanes in order."""
     for eta, c in hyperplanes:
-        hits = sum(1 for p in pts if _on_hyperplane(p, eta, c, q))
+        hits = sum(1 for p in pts if sum(a * b for a, b in zip(eta, p)) % q == c)
         if hits < t:
             return False, (eta, c)
     return True, None

@@ -91,7 +91,3 @@ class InternalInvariantError(CombnullError):
 
 class NonzeroRemainder(InternalInvariantError):
     """Division of a certified member left a nonzero remainder."""
-
-
-class DivisibilityFailure(InternalInvariantError):
-    """A divisibility guaranteed by the theory did not hold."""

@@ -37,7 +37,6 @@ from weakref import WeakValueDictionary
 from . import polynomials, staircase
 from .errors import (
     ArityMismatch,
-    DivisibilityFailure,
     EmptyPuncture,
     Inapplicable,
     InternalInvariantError,
@@ -55,7 +54,7 @@ from .polynomials import (
     _root_terms,
     taylor_shift,
 )
-from .reduction import MonicFamily, ReductionOutcome, decompose_member, reduce
+from .reduction import MonicFamily, ReductionOutcome, decompose_member
 from .rings import Element, FieldsToJson, FrozenValue, Ring
 from .staircase import compositions, require_int
 
@@ -506,10 +505,9 @@ class PuncturedReport(FieldsToJson, FrozenValue):
 def punctured_analysis(f: Poly, pgrid: PuncturedGrid, t: int) -> PuncturedReport:
     """Full consequence chain for a member of the punctured intersection.
 
-    Computes the level normal form eta of f, verifies that the product of
-    the off-puncture axis polynomials divides eta and extracts the
-    cofactor, and, whenever f is nonzero somewhere on the full grid,
-    asserts and reports the degree chain
+    Computes the level normal form eta of f, takes the cofactor of the
+    off-puncture product in eta from ``decompose_member``, and, whenever f
+    is nonzero somewhere on the full grid, asserts and reports the degree chain
     ``deg f >= deg eta >= (t-1)*max_m offsum_m + sum_k offsum_k``.
 
     The witness is the first grid point where f is nonzero.  A member at
@@ -522,10 +520,7 @@ def punctured_analysis(f: Poly, pgrid: PuncturedGrid, t: int) -> PuncturedReport
     eta = level_normal_form(f, pgrid, t)
 
     divisor = pgrid.off_product()
-    division = reduce(eta, MonicFamily.build([divisor], labels=("divisor",)))
-    if not division.remainder.is_zero():
-        raise DivisibilityFailure("off-puncture product does not divide the normal form")
-    cofactor = division.quotients[0]
+    cofactor = decompose_member(eta, MonicFamily.build([divisor])).quotients[0]
 
     witness = next(pgrid.puncture_grid().nonzero_points(f), None)
 
@@ -546,18 +541,18 @@ def punctured_analysis(f: Poly, pgrid: PuncturedGrid, t: int) -> PuncturedReport
 def mixed_basis(pgrid: PuncturedGrid, t: int) -> MonicFamily:
     """Two-layer generating family of the mixed ideal.
 
-    Exponent vectors with total t contribute the plain power products;
-    vectors alpha with total t-1 contribute the power products times the
-    full off-puncture product, ``prod_k off_k g_k^(alpha_k)``, built per
-    axis like the plain ones.
+    Exponent vectors with total t contribute the plain power products, the
+    members of ``level_basis(pgrid, t)``; vectors alpha with total t-1,
+    listed first, contribute the power products times the full
+    off-puncture product, ``prod_k off_k g_k^(alpha_k)``, built per axis
+    like the plain ones.
     """
     require_int(t, 1, "t", ValueError)
-    n = pgrid.nvars
-    upper = _exponent_vectors(t, n)
-    lower = _exponent_vectors(t - 1, n)
+    upper = level_basis(pgrid, t)
+    lower = _exponent_vectors(t - 1, pgrid.nvars)
     built = _power_products(pgrid.ring, pgrid._seeded_powers(), lower)
-    built += _power_products(pgrid.ring, [axis.powers for axis in pgrid.axes], upper)
-    return MonicFamily.build([g for g, _ in built], labels=lower + upper)
+    return MonicFamily.build([g for g, _ in built] + list(upper.members),
+                             labels=lower + upper.labels)
 
 
 def mixed_membership(f: Poly, pgrid: PuncturedGrid, t: int) -> bool:

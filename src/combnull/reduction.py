@@ -27,7 +27,7 @@ variables with ``ScaleExceeded``.
 
 ``decompose_member`` is the one path from a decided membership to its
 zero-remainder decomposition; the level, mixed and vanishing-ideal
-certificates all divide through it.
+certificates and the punctured cofactor all divide through it.
 
 ``buchberger_certifies`` runs the sufficiency test on S-polynomials; a True
 answer certifies the Groebner property, a False answer is inconclusive.

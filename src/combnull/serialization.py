@@ -25,7 +25,7 @@ from .multiset_ideals import MultisetGrid, PuncturedGrid, keyed_by_value
 from .polynomials import NEG_INF, Poly, format_poly, parse_poly
 from .reduction import MonicFamily, ReductionOutcome
 from .rings import Ring, parse_ring
-from .staircase import compositions, format_expvec, parse_expvec, require_int
+from .staircase import format_expvec, parse_expvec, require_int
 
 
 def value_to_json(value):
@@ -232,19 +232,19 @@ def certificate_to_json(outcome: ReductionOutcome) -> dict:
 def _check_claim(kind: str, t, nvars: int, labels) -> None:
     """A claim names a level t (at least 0 for ``"I_t"``, 1 for ``"mixed"``)
     and its basis is labelled by exactly the exponent vectors of that
-    level: ``compositions(t, n)``, after ``compositions(t - 1, n)`` for a
-    mixed claim.  The labels are counted against C(t+n-1, n-1) (plus
-    C(t+n-2, n-1) for a mixed claim) before any vector is listed."""
+    level: the n-vectors of sum t, and of sum t - 1 for a mixed claim.  No
+    vector is listed: ``family_from_json`` makes the labels distinct, so
+    C(t+n-1, n-1) n-vectors of sum t are all of them (likewise at t - 1),
+    and the labels are counted, then their lengths and sums checked."""
     require_int(t, 0 if kind == "I_t" else 1, f"{kind} claim: t", ParseError)
-    count = comb(t + nvars - 1, nvars - 1)
+    per_sum = Counter({t: comb(t + nvars - 1, nvars - 1)})
     if kind == "mixed":
-        count += comb(t + nvars - 2, nvars - 1)
+        per_sum[t - 1] = comb(t + nvars - 2, nvars - 1)
+    count = per_sum.total()
     if len(labels) != count:
         raise ParseError(f"{kind} claim at t = {t} needs {count} basis members, got {len(labels)}")
-    expected = list(compositions(t, nvars))
-    if kind == "mixed":
-        expected += compositions(t - 1, nvars)
-    if Counter(labels) != Counter(expected):
+    if (not all(isinstance(a, tuple) and len(a) == nvars for a in labels)
+            or Counter(map(sum, labels)) != per_sum):
         raise ParseError(
             f"{kind} claim at t = {t}: basis labels are not its exponent vectors"
         )

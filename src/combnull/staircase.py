@@ -34,9 +34,14 @@ def grlex_key(a: ExpVec):
 
 
 def maximal_elements(vectors: Iterable[ExpVec]) -> set:
-    """The antichain of componentwise-maximal members."""
-    vecs = set(vectors)
-    return {b for b in vecs if not any(b != a and leq(b, a) for a in vecs)}
+    """The antichain of componentwise-maximal members.  Taken by total
+    degree, greatest first (a member below another has a smaller one), each
+    is kept unless a kept one dominates it, so each meets the antichain only."""
+    kept = []
+    for b in sorted(vectors, key=sum, reverse=True):
+        if not any(leq(b, a) for a in kept):
+            kept.append(b)
+    return set(kept)
 
 
 def in_upset(b: ExpVec, generators: Iterable[ExpVec]) -> bool:

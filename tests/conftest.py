@@ -175,6 +175,12 @@ def elements(ring):
     return range(ring.modulus)
 
 
+def maximal_by_definition(vectors):
+    """The members no other member dominates, each compared with every other."""
+    vecs = set(vectors)
+    return {b for b in vecs if not any(b != a and all(map(int.__le__, b, a)) for a in vecs)}
+
+
 def downset(vectors):
     """Every vector dominated by some member, listed explicitly."""
     out = set()

@@ -2,6 +2,7 @@ import json
 import re
 import shlex
 import time
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -281,7 +282,7 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
     def broken(*_):
         raise InternalInvariantError("forced")
 
-    monkeypatch.setattr(combnull.cli, "level_membership", broken)
+    monkeypatch.setattr(combnull.cli, "level_normal_form", broken)
     code, _, err = run(
         capsys,
         "membership",
@@ -304,7 +305,7 @@ def test_unexpected_exception_exit_code(capsys, monkeypatch, exc, message):
     def broken(*_):
         raise exc
 
-    monkeypatch.setattr(combnull.cli, "level_membership", broken)
+    monkeypatch.setattr(combnull.cli, "level_normal_form", broken)
     code, out, err = run(
         capsys, "membership", "--ring", "ZZ", "--grid", "{S:[[0,1]]}", "--t", "1", "--poly", "x1"
     )
@@ -440,15 +441,10 @@ def test_canonical_spec_reads_like_compact(capsys, fmt):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("membership", "--ring", "ZZ", "--grid", json.dumps({"S": [[0, 1]] * 40}),
-         "--t", "1", "--poly", "x1^2-x1"),
-        # a non-member: its first grid point answered false before the count
-        ("membership", "--ring", "ZZ", "--grid", json.dumps({"S": [[0, 1]] * 40}),
-         "--t", "1", "--poly", "1"),
         ("alon-furedi", "--ring", "ZZ", "--S", json.dumps([list(range(10))] * 7),
          "--beta", "(1,0,0,0,0,0,0)", "--poly", "x1-1"),
     ],
-    ids=["member", "non_member", "alon_furedi"],
+    ids=["alon_furedi"],
 )
 def test_oversized_grid_is_refused_up_front(capsys, argv):
     start = time.perf_counter()
@@ -456,6 +452,31 @@ def test_oversized_grid_is_refused_up_front(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and err.endswith(" grid points exceed the limit of 1000000\n")
+    assert time.perf_counter() - start < 5
+
+
+# membership decides by the level normal form and visits no grid point, so
+# grids past the point limit answer, as do inputs whose scan ran for minutes
+@pytest.mark.parametrize(
+    "grid, poly, answer",
+    [
+        ({"S": [[0, 1]] * 40}, "x1^2-x1", (0, "true\n")),
+        ({"S": [[0, 1]] * 40}, "1", (1, "false\n")),
+        # 2 002 001 terms per shift at each of 4 points: still running at 40 s
+        ({"S": [[0, 1], [0, 1]]}, "x1^1000*x2^1000", (1, "false\n")),
+        # the axis polynomial of {0..9}, expanded: 10^6 shifts took ~111 s
+        ({"S": [list(range(10))] * 6},
+         format_poly(prod((parse_poly(f"x1 - {u}", ZZ, 6) for u in range(10)),
+                          start=parse_poly("1", ZZ, 6))),
+         (0, "true\n")),
+    ],
+    ids=["past_point_limit_member", "past_point_limit_non_member", "high_powers", "dense_axis"],
+)
+def test_membership_answers_without_a_grid_scan(capsys, grid, poly, answer):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "membership", "--ring", "ZZ", "--grid", json.dumps(grid),
+                         "--t", "1", "--poly", poly)
+    assert (code, out, err) == (*answer, "")
     assert time.perf_counter() - start < 5
 
 
@@ -680,7 +701,7 @@ def test_help_and_version_list_every_command(capsys, parsers_built, argv):
 def test_nvars_must_be_positive(capsys, argv, nvars):
     # only a missing --nvars is inferred; 0 used to certify, -1 to blame x1
     code, out, err = run(capsys, *argv, "--ring", "ZZ", "--nvars", nvars)
-    assert (code, out, err) == (3, "", "usage error: nvars must be at least 1\n")
+    assert (code, out, err) == (3, "", f"error: nvars must be an integer >= 1, got {nvars}\n")
 
 
 @pytest.mark.parametrize(

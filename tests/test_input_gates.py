@@ -296,6 +296,7 @@ NATURAL_ENTRY_POINTS = {
     "monic_power_product": (
         lambda e: monic_power_product([P("x1^2 - x1")], [(e,)]), 0, ValueError),
     "Poly_nvars": (lambda n: Poly(ZZ, n), 1, ValueError),
+    "Poly_power": (lambda k: X1 ** k, 0, ValueError),
     # exponent vectors: each entry of alpha, gamma and beta
     "staircase_count_alpha": (lambda e: staircase_count((2, e), 1), 0, ValueError),
     "punctured_staircase_count_alpha": (
@@ -332,20 +333,19 @@ def test_natural_number_gate(entry, bad):
         call(value)
 
 
-# A Poly exponent entry follows the same rule; a negative int keeps the
-# message that names the whole exponent vector.
+# A Poly exponent entry follows the same rule, naming the whole exponent vector.
 @pytest.mark.parametrize("bad", sorted(BAD_NATURALS))
 def test_poly_exponent_gate(bad):
     value = BAD_NATURALS[bad](0)
-    message = (f"negative exponent in (1, {value})" if bad == "below_least"
-               else f"exponent in (1, {value!r}) must be an integer >= 0, got {value!r}")
+    message = f"exponent in (1, {value!r}) must be an integer >= 0, got {value!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         Poly(ZZ, 2, {(1, value): 1})
 
 
 # Every other malformed value: entry point -> (call, error, message).
 OTHER_ENTRY_POINTS = {
-    "Poly_negative_power": (lambda: X1 ** -1, ValueError, "negative power"),
+    "Poly_negative_power": (
+        lambda: X1 ** -1, ValueError, "the power must be an integer >= 0, got -1"),
     "Ring_modulus_of_ZZ": (lambda: Ring("ZZ", 5), ValueError, "ZZ takes no modulus"),
     "Ring_unknown_kind": (lambda: Ring("RR"), ValueError, "unknown ring kind 'RR'"),
     "Ring_negative_power": (lambda: ZZ.pow(2, -1), ValueError, "negative exponent"),
@@ -435,6 +435,10 @@ CONSTRUCTION_GATES = {
     "vanishing_spec_infinite_complement": (
         InfiniteComplement, "B at (0,) leaves an infinite staircase complement",
         _spec_paths({(0,): [], (1,): [(1,)]})),
+    "cover_instance_grid_kind": (
+        ValueError, "a cover instance needs a PuncturedGrid, got MultisetGrid",
+        (lambda: CoverInstance(MultisetGrid.build(ZZ, [[0, 1]]), [], 1),
+         lambda: COVER.replace(pgrid=GRID))),
     "cover_instance_level": (
         ValueError, "t must be an integer >= 1, got 0", _cover_paths((), 0)),
     "cover_instance_plane_ring": (RingMismatch, "GF(5) vs ZZ", _cover_paths([(F5, 1)], 1)),

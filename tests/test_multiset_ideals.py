@@ -23,6 +23,7 @@ from combnull import (
     MonicFamily,
     MultisetGrid,
     NonPositiveMultiplicity,
+    NonzeroRemainder,
     NotMember,
     Poly,
     PuncturedGrid,
@@ -46,7 +47,8 @@ from combnull import (
     root_product,
     taylor_shift,
 )
-from combnull import multiset_ideals, polynomials, staircase
+from combnull import multiset_ideals, polynomials, reduction, staircase
+from combnull.cli import main
 from combnull.staircase import compositions
 from conftest import (
     P,
@@ -567,7 +569,8 @@ def test_level_normal_form_builds_no_basis_and_divides_nothing(monkeypatch):
         raise AssertionError("the level normal form built a basis or divided")
 
     monkeypatch.setattr(multiset_ideals, "level_basis", refuse)
-    monkeypatch.setattr(multiset_ideals, "reduce", refuse)
+    monkeypatch.setattr(multiset_ideals, "decompose_member", refuse)
+    monkeypatch.setattr(reduction, "reduce", refuse)
     for t, nf in expected.items():
         assert level_normal_form(f, grid, t) == nf
     assert not expected[3].is_zero()
@@ -617,6 +620,18 @@ def test_punctured_analysis_product_example():
         assert report.nonvanishing_point == (0,) * n
         assert report.degree_bound == n
         assert report.bound_holds and report.degree_eta == n
+
+
+def test_punctured_cofactor_divides_through_decompose_member(monkeypatch, capsys):
+    # x1 - 2 does not divide eta = x1 - 1: a library bug, exit 4 at the CLI
+    monkeypatch.setattr(PuncturedGrid, "off_product", lambda self: P("x1 - 2"))
+    with pytest.raises(NonzeroRemainder, match="division of a member left a nonzero remainder"):
+        punctured_analysis(P("x1 - 1"), punctured_cube(n=1), 1)
+    argv = ["punctured", "--ring", "ZZ", "--grid", "{S:[[0,1]],E:[[0]]}", "--t", "1",
+            "--poly", "x1 - 1", "--analyze"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        "internal error: division of a member left a nonzero remainder\n")
 
 
 def test_punctured_analysis_vanishing_member():

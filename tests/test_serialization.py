@@ -18,8 +18,10 @@ from combnull import (
     mixed_certificate,
     reduce,
 )
+from combnull import serialization, staircase
 from combnull.covering import instance_from_json
 from combnull.serialization import (
+    _check_claim,
     certificate_to_json,
     family_to_json,
     grid_from_json,
@@ -308,6 +310,37 @@ def test_mixed_claim_binds_t(t):
     doc["t"] = t
     with pytest.raises(ParseError, match="mixed claim"):
         verify_certificate_json(doc)
+
+
+def test_claim_labels_in_any_order():
+    pgrid = PuncturedGrid.build(MultisetGrid.build(ZZ, [[0, 1], [0, 1]]), [[0], [0]])
+    f = P("x1^2*x2^2 - x1^2*x2 - x1*x2^2 + x1*x2")  # g1 * g2
+    for cert in (level_certificate(f, pgrid, 2), mixed_certificate(f, pgrid, 2)):
+        doc = certificate_to_json(cert)
+        for key in ("basis_polys", "quotients"):
+            doc[key] = dict(reversed(doc[key].items()))
+        assert verify_certificate_json(doc)["valid"]
+    _check_claim("I_t", 2, 2, [(1, 1), (0, 2), (2, 0)])
+    _check_claim("mixed", 2, 2, [(0, 1), (1, 1), (1, 0), (0, 2), (2, 0)])
+
+
+@pytest.mark.parametrize(
+    "kind, labels",
+    [("I_t", [(0, 2), (2, 0), (1, 1, 0)]), ("I_t", [(0, 2), (2, 0), (1, 0)]),
+     ("I_t", [(0, 2), (2, 0), 11]), ("I_t", [(0, 2), (2, 0), "(1,1)"]),
+     ("mixed", [(0, 2), (2, 0), (1, 1), (0, 1), (0, 0)]),
+     ("mixed", [(0, 2), (2, 0), (1, 1), (1, 0), (0, 1, 0)])],
+    ids=["long", "low_sum", "int", "text", "mixed_low_sum", "mixed_long"],
+)
+def test_claim_labels_checked_without_listing(monkeypatch, kind, labels):
+    # the right count, one label of the wrong length, sum or type
+    def boom(*_):
+        raise AssertionError("the level's vectors were listed")
+
+    monkeypatch.setattr(staircase, "compositions", boom)
+    monkeypatch.setattr(serialization, "compositions", boom, raising=False)
+    with pytest.raises(ParseError, match=f"{kind} claim at t = 2: basis labels are not its"):
+        _check_claim(kind, 2, 2, labels)
 
 
 def test_zmod_certificate_round_trip():

@@ -17,7 +17,7 @@ from combnull import (
 )
 from combnull import ScaleExceeded, staircase
 from combnull.staircase import format_expvec, parse_expvec
-from conftest import downset, meet
+from conftest import downset, maximal_by_definition, meet
 
 
 def brute_complement(gens, nvars, halo=1):
@@ -54,6 +54,22 @@ def test_maximal_elements():
     assert maximal_elements(set()) == set()
     antichain = {(2, 0), (0, 2)}
     assert maximal_elements(antichain) == antichain
+
+
+def test_maximal_elements_match_the_definition(rng):
+    for _ in range(500):
+        n = rng.randint(1, 4)
+        vectors = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(0, 30))]
+        assert maximal_elements(vectors) == maximal_by_definition(vectors), vectors
+
+
+def test_maximal_elements_compare_with_the_antichain_only(monkeypatch):
+    # 2 000 vectors under one top: each is compared with the one kept vector
+    calls = []
+    monkeypatch.setattr(staircase, "leq", lambda a, b: calls.append(1) or leq(a, b))
+    vectors = [(a, b) for a in range(40) for b in range(50)]
+    assert maximal_elements(vectors) == {(39, 49)}
+    assert len(calls) == len(vectors) - 1
 
 
 def test_in_upset():
