@@ -34,8 +34,8 @@ _EXPORTS = {
         "UncertifiedBasis", "UnsupportedField", "ZeroPolynomial",
     ),
     "multiset_ideals": (
-        "Axis", "MultisetGrid", "PuncturedGrid", "PuncturedReport", "level_basis",
-        "level_certificate", "level_membership", "level_normal_form",
+        "Axis", "MultisetGrid", "PuncturedGrid", "PuncturedReport", "in_level_ideal",
+        "level_basis", "level_certificate", "level_membership", "level_normal_form",
         "min_extra_degree", "mixed_basis", "mixed_certificate", "mixed_membership",
         "punctured_analysis", "punctured_membership",
     ),

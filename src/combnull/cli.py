@@ -35,6 +35,7 @@ from .errors import (
 from .multiset_ideals import (
     MultisetGrid,
     PuncturedGrid,
+    in_level_ideal,
     level_certificate,
     level_normal_form,
     min_extra_degree,
@@ -186,12 +187,8 @@ def _cmd_groebner_check(args) -> int:
 
 
 def _cmd_membership(args) -> int:
-    # under (D), checked as ``level_certificate`` checks it, a normal form of 0 is membership
     grid, f = _grid_and_poly(args)
-    require_int(args.t, 0, "t", ValueError)
-    f.require_on(grid.ring, grid.nvars)
-    grid.require_condition_d()
-    return _verdict(args, level_normal_form(f, grid, args.t).is_zero())
+    return _verdict(args, in_level_ideal(f, grid, args.t))
 
 
 def _cmd_certificate(args) -> int:

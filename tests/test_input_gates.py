@@ -38,6 +38,7 @@ from combnull import (
     complement,
     covering_audit,
     exists_blocking_of_size,
+    in_level_ideal,
     in_vanishing_ideal,
     level_basis,
     level_certificate,
@@ -77,6 +78,7 @@ LEVEL_ENTRY_POINTS = {
         lambda t: punctured_staircase_count((2, 3), (1, 1), t), 1),
     "level_basis": (lambda t: level_basis(GRID, t), 0),
     "level_membership": (lambda t: level_membership(X1, GRID, t), 0),
+    "in_level_ideal": (lambda t: in_level_ideal(X1, GRID, t), 0),
     "level_normal_form": (lambda t: level_normal_form(X1, GRID, t), 0),
     "level_certificate": (lambda t: level_certificate(X1, GRID, t), 0),
     "punctured_membership": (lambda t: punctured_membership(X1, PGRID, t), 0),
@@ -128,6 +130,9 @@ OPERAND_ENTRY_POINTS = {
         lambda: level_normal_form(X1X2, EMPTY, 1), ArityMismatch),
     "level_normal_form_t0": (lambda: level_normal_form(X1X2, GRID, 0), ArityMismatch),
     "level_normal_form_ring": (lambda: level_normal_form(F5, GRID, 1), RingMismatch),
+    "in_level_ideal_t0": (lambda: in_level_ideal(X1X2, GRID, 0), ArityMismatch),
+    # GRID6 (below) fails Condition (D): the operand is checked first
+    "in_level_ideal_ring": (lambda: in_level_ideal(F5, GRID6, 1), RingMismatch),
     "punctured_membership_empty_axis": (
         lambda: punctured_membership(X1X2, EMPTY_PGRID, 1), ArityMismatch),
     "punctured_membership_t0": (
@@ -218,6 +223,7 @@ X1_6 = P("x1", ring=R6)
 
 CONDITION_D_ENTRY_POINTS = {
     "level_membership": lambda: level_membership(X1_6, GRID6, 1),
+    "in_level_ideal": lambda: in_level_ideal(X1_6, GRID6, 1),
     "level_certificate": lambda: level_certificate(X1_6, GRID6, 1),
     "punctured_membership": lambda: punctured_membership(X1_6, PGRID6, 1),
     "punctured_analysis": lambda: punctured_analysis(X1_6, PGRID6, 1),

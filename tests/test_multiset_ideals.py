@@ -33,6 +33,7 @@ from combnull import (
     VanishingSpec,
     Zmod,
     buchberger_certifies,
+    in_level_ideal,
     level_basis,
     level_certificate,
     level_membership,
@@ -508,10 +509,12 @@ def test_level_certificate_needs_no_grid_scan(monkeypatch):
     assert cert.remainder.is_zero() and cert.support_contained()
     with pytest.raises(NotMember):
         level_certificate(P("x1*x2", nvars=2), cube(), 1)
+    assert not in_level_ideal(P("x1*x2", nvars=2), cube(), 1)
     # nor is any grid point counted: {0,1}^21 has more than MAX_GRID_POINTS
     huge = cube(n=21)
     with pytest.raises(ScaleExceeded):
         level_membership(P("x1^2 - x1", nvars=21), huge, 1)
+    assert in_level_ideal(P("x1^2 - x1", nvars=21), huge, 1)
     cert = level_certificate(P("x1^2 - x1", nvars=21), huge, 1)
     assert cert.quotient_map[(1,) + (0,) * 20] == Poly.one(ZZ, 21)
 
@@ -570,6 +573,7 @@ def test_level_normal_form_builds_no_basis_and_divides_nothing(monkeypatch):
 
     monkeypatch.setattr(multiset_ideals, "level_basis", refuse)
     monkeypatch.setattr(multiset_ideals, "decompose_member", refuse)
+    monkeypatch.setattr(multiset_ideals, "reduce", refuse)
     monkeypatch.setattr(reduction, "reduce", refuse)
     for t, nf in expected.items():
         assert level_normal_form(f, grid, t) == nf
@@ -584,7 +588,7 @@ def test_level_membership_agrees_with_normal_form(rng):
                 f = random_poly(rng, ring, 2, max_deg=5)
                 vanish = level_membership(f, grid, t)
                 nf_zero = level_normal_form(f, grid, t).is_zero()
-                assert vanish == nf_zero
+                assert vanish == nf_zero == in_level_ideal(f, grid, t)
 
 
 def test_level_basis_buchberger_certified():
@@ -691,6 +695,19 @@ def test_mixed_basis_layers():
     full = PuncturedGrid.build(cube(n=1), [[0, 1]])
     fam_full = mixed_basis(full, 2)
     assert dict(zip(fam_full.labels, fam_full.members))[(1,)] == g
+
+
+@pytest.mark.parametrize("limit, t, message", [
+    (1, 1, "2 power products need over 1 terms"),
+    (3, 1, "1 power product needs over 3 terms"),
+    (3, 2, "2 power products need over 3 terms"),
+], ids=["upper_count", "lower_build_t1", "lower_build_t2"])
+def test_mixed_basis_refuses_in_layer_order(monkeypatch, limit, t, message):
+    # the upper layer's count is refused first, then the lower layer's build,
+    # though the upper layer is taken from level_basis
+    monkeypatch.setattr(polynomials, "MAX_BASIS_TERMS", limit)
+    with pytest.raises(ScaleExceeded, match=f"^{message}$"):
+        mixed_basis(punctured_cube(), t)
 
 
 def test_mixed_membership_examples(rng):
